@@ -7,6 +7,7 @@ cache; rows are assembled in dataset order regardless of worker count.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -32,6 +33,8 @@ from .metrics import (
 )
 from .runtime import Program, RunResult, RuntimeConfig, run_with_backtracking
 from .tasks import CONTEXT_MODULE, TWEET_LIMIT, task_inputs
+
+logger = logging.getLogger(__name__)
 
 METRIC_COLUMNS = {
     "multihop": ["suggestions_passed", "answer_em", "retrieval_recall"],
@@ -122,15 +125,24 @@ def evaluate_dataset(
     backend,
     workers: int = 1,
 ) -> tuple[list[dict], list[Optional[RunResult]]]:
-    """Run and score every example. Backend failures become error rows."""
+    """Run and score every example. Any exception while running or scoring an
+    example becomes that example's error row, with the exception's type and
+    message; the other examples still run."""
+
+    def error_row(example: TaskExample, exc: Exception) -> tuple[dict, None]:
+        return {"question": example.question, "error": str(exc),
+                "error_type": type(exc).__name__}, None
 
     def run_one(index: int) -> tuple[dict, Optional[RunResult]]:
         example = examples[index]
         try:
             result = run_task_example(task, program, example, config, backend)
+            row = score_example(task, example, result)
         except BackendError as exc:
-            return {"question": example.question, "error": str(exc)}, None
-        row = score_example(task, example, result)
+            return error_row(example, exc)
+        except Exception as exc:  # a bug in a program or predicate: keep evaluating
+            logger.exception("example %d failed", index)
+            return error_row(example, exc)
         if result.halted:
             row["halted"] = True
         return row, result

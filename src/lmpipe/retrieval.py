@@ -1,16 +1,42 @@
-"""In-memory lexical retrieval over a small bundled corpus.
+"""In-memory lexical retrieval: BM25 over an inverted index.
 
-BM25 (k1=1.5, b=0.75) over lowercase alphanumeric tokens. Deterministic:
-scores are non-increasing and ties break by insertion order, so equal
-(index, query, k) always give equal ranked lists.
+Passages are scored with BM25 (k1=1.5, b=0.75, Robertson & Zaragoza 2009)
+over lowercase alphanumeric tokens of ``title + " " + text``.
+
+Index layout: ``build`` makes one pass over each passage's tokens and
+appends the passage's index to the postings list of each token, so
+``term -> [doc index, ...]`` holds one entry per occurrence, in passage
+order. It also keeps every passage's token count and the mean count.
+
+Per-term weights are lazy: the first query that uses a term counts its
+postings into term frequencies and document frequency, computes its BM25
+weight in every passage that holds it, and keeps the weights for later
+queries. A query sums the weights of its tokens, in query order and counting
+a repeated token again, over only the passages that share a token with it.
+Each weight is the same expression, evaluated in the same order, as in a
+linear scan that scores every passage (kept as the test oracle in
+``tests/bm25_oracle.py``), so every score is the same float, bit for bit.
+
+Ranking: scores are non-increasing and ties break by insertion order, so
+equal (index, query, k) always give equal ranked lists. Matched passages
+always score above zero, so when fewer than k passages match, the rest of the
+list is the unmatched passages in insertion order.
+
+Thread safety: after ``build``, postings and lengths are never written. The
+weight memo only grows, through ``dict.setdefault``, which is atomic; two
+threads that race on a new term compute equal weights, and both go on with
+the one dict that was stored. So threads may share one index.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,11 +59,12 @@ class Passage:
 @dataclass
 class RetrieverIndex:
     passages: list[Passage]
-    _doc_tokens: list[list[str]] = field(default_factory=list, repr=False)
-    _doc_freq: dict[str, int] = field(default_factory=dict, repr=False)
+    _postings: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    _doc_lens: list[int] = field(default_factory=list, repr=False)
     _avg_len: float = 0.0
+    _weights: dict[str, dict[int, float]] = field(default_factory=dict, repr=False)
 
-    def __deepcopy__(self, memo):  # read-only after build; programs share one index
+    def __deepcopy__(self, memo):  # programs share one index; after build only the memo grows
         return self
 
     @classmethod
@@ -48,34 +75,53 @@ class RetrieverIndex:
             dupe = next(t for t in titles if titles.count(t) > 1)
             raise ValueError(f"duplicate passage title {dupe!r}")
         index = cls(passages=passages)
-        for passage in passages:
+        postings = index._postings
+        for doc, passage in enumerate(passages):
             tokens = tokenize(passage.title + " " + passage.text)
-            index._doc_tokens.append(tokens)
-            for term in set(tokens):
-                index._doc_freq[term] = index._doc_freq.get(term, 0) + 1
-        total = sum(len(toks) for toks in index._doc_tokens)
-        index._avg_len = total / len(passages) if passages else 0.0
+            index._doc_lens.append(len(tokens))
+            for term in tokens:
+                docs = postings.get(term)
+                if docs is None:
+                    postings[term] = [doc]
+                else:
+                    docs.append(doc)
+        index._avg_len = sum(index._doc_lens) / len(passages) if passages else 0.0
         return index
 
     def __len__(self) -> int:
         return len(self.passages)
 
-    def score(self, query: str, doc_index: int) -> float:
-        tokens = self._doc_tokens[doc_index]
-        doc_len = len(tokens)
+    def _term_weights(self, term: str) -> dict[int, float]:
+        """BM25 weight of ``term`` in every passage that holds it; {} if none does."""
+        weights = self._weights.get(term)
+        if weights is not None:
+            return weights
+        docs = self._postings.get(term)
+        if docs is None:
+            return {}
+        tfs = Counter(docs)
         n_docs = len(self.passages)
-        score = 0.0
+        df = len(tfs)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        doc_lens, avg_len = self._doc_lens, self._avg_len
+        weights = {
+            doc: idf * tf * (BM25_K1 + 1.0)
+            / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lens[doc] / avg_len))
+            for doc, tf in tfs.items()
+        }
+        return self._weights.setdefault(term, weights)
+
+    def scores(self, query: str) -> dict[int, float]:
+        """BM25 score of every passage that shares a token with ``query``;
+        every other passage scores 0.0."""
+        scores: dict[int, float] = {}
         for term in tokenize(query):
-            df = self._doc_freq.get(term, 0)
-            if df == 0:
-                continue
-            tf = tokens.count(term)
-            if tf == 0:
-                continue
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / self._avg_len)
-            score += idf * tf * (BM25_K1 + 1.0) / denom
-        return score
+            for doc, weight in self._term_weights(term).items():
+                scores[doc] = scores.get(doc, 0.0) + weight
+        return scores
+
+    def score(self, query: str, doc_index: int) -> float:
+        return self.scores(query).get(doc_index, 0.0)
 
 
 def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
@@ -85,10 +131,12 @@ def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
         raise ValueError("k must be >= 1")
     if not index.passages:
         raise ValueError("retriever index is empty")
-    scored = [(index.score(query, i), i) for i in range(len(index.passages))]
-    # sort by descending score, ascending insertion index on ties
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [index.passages[i] for _, i in scored[:k]]
+    scores = index.scores(query)
+    top = [doc for _, doc in heapq.nsmallest(k, [(-s, doc) for doc, s in scores.items()])]
+    if len(top) < k:
+        unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
+        top += islice(unmatched, k - len(top))
+    return [index.passages[doc] for doc in top]
 
 
 def deduplicate(passages: Sequence[Passage]) -> list[Passage]:

@@ -53,10 +53,46 @@ def test_evaluate_dataset_error_rows(index, testset):
         "multihop", MultiHopQA(index), testset, RuntimeConfig(), backend,
     )
     assert all("error" in row for row in rows)
+    assert all(row["error_type"] == "UnscriptedPromptError" for row in rows)
     assert all(result is None for result in results)
     report = build_report("multihop", "vanilla", rows)
     assert "6_examples_failed" in report.flags
     assert report.metrics == {}
+
+
+class RaisingQA(MultiHopQA):
+    """Multi-hop QA that raises on one question, as a buggy predicate would."""
+
+    def __init__(self, index, bad_question: str):
+        super().__init__(index)
+        self.bad_question = bad_question
+
+    def forward(self, ctx, question):
+        if question == self.bad_question:
+            raise ValueError("predicate got malformed input")
+        return super().forward(ctx, question)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_dataset_isolates_any_exception(index, testset, workers):
+    bad = 2
+    rows, results = evaluate_dataset(
+        "multihop", RaisingQA(index, testset[bad].question), testset,
+        RuntimeConfig(handler_policy=BACKTRACK_DEFAULT),
+        script_backend("multihop_all_pass.json"), workers=workers,
+    )
+    assert rows[bad] == {
+        "question": testset[bad].question,
+        "error": "predicate got malformed input",
+        "error_type": "ValueError",
+    }
+    assert results[bad] is None
+    others = [row for i, row in enumerate(rows) if i != bad]
+    assert len(others) == len(testset) - 1
+    assert all(row["answer_em"] == 1.0 for row in others)
+    report = build_report("multihop", "infer_assert", rows)
+    assert "1_examples_failed" in report.flags
+    assert report.metrics["answer_em"] == 1.0
 
 
 def test_build_report_empty_dataset_flagged():

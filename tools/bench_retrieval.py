@@ -1,0 +1,175 @@
+"""Retrieval microbenchmark: the BM25 postings index against the linear scan.
+
+    python3 tools/bench_retrieval.py            # writes BENCH_retrieval.json
+
+On seeded corpora of 50, 2k and 20k passages it times, for the linear-scan
+oracle kept in ``tests/bm25_oracle.py`` (before) and ``lmpipe.retrieval``
+(after): the index build, the median over repetitions; top-3 queries at p50
+and p90; and the memory the built index holds, measured with ``tracemalloc``
+in a separate build. The postings index computes a term's weights on first
+use, so its queries are timed twice: on a fresh index (``query_ms_*``, what
+one eval run pays) and again once every query term is memoized
+(``warm_query_ms_*``). Before and after alternate, build by build and query
+by query, so drifts in the host's speed hit both sides alike. Every query's
+ranked list is checked against the oracle's.
+
+Passages are recombined from the bundled vocabulary like the benchmark's
+corpora (``perfbench/gen.py``): each chain gives a landmark passage and a
+person passage, plus the fixture distractors. Subjects take three stems and
+people two middle names, so that 20k passages still get unique titles. The
+queries are the titles of 50 seeded chains, landmark and person, as the
+multi-hop task's two hops send them. Not part of the tier-1 tests.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import gen  # noqa: E402  (perfbench's workload generator: vocabulary and fixtures)
+from bm25_oracle import OracleIndex, oracle_retrieve  # noqa: E402
+from lmpipe.retrieval import Passage, RetrieverIndex, retrieve  # noqa: E402
+
+SIZES = (50, 2000, 20000)
+QUERY_CHAINS = 50  # two queries each: 100 samples, 10 beyond the p90
+K = 3
+SEED = 1
+
+
+def make_chains(rng: random.Random, count: int) -> list:
+    vocab = gen._vocabulary()
+    chains, subjects, people = [], set(), set()
+    while len(chains) < count:
+        stems = rng.sample(vocab["stems"], 3)
+        kind = rng.choice(vocab["kinds"])
+        first, *middles = rng.sample(vocab["firsts"], 3)
+        last = rng.choice(vocab["lasts"])
+        subject_key = (frozenset(stems), kind)
+        person_key = (first, frozenset(middles), last)
+        if subject_key in subjects or person_key in people:
+            continue
+        subjects.add(subject_key)
+        people.add(person_key)
+        role, verb = rng.choice(vocab["deeds"])
+        chains.append(gen.mf.Chain(
+            kind=kind, subject=f"{' '.join(stems)} {kind.title()}",
+            person=f"{first} {' '.join(middles)} {last}",
+            city=rng.choice(vocab["cities"]), role=role, verb=verb,
+            profession=rng.choice(vocab["professions"]),
+        ))
+    return chains
+
+
+def workload(size: int) -> tuple[list[Passage], list[str]]:
+    rng = random.Random(f"bench-retrieval:{size}:{SEED}")
+    chains = make_chains(rng, (size - len(gen.mf.DISTRACTORS)) // 2)
+    passages = [Passage(r["title"], r["text"]) for r in gen.corpus_records(chains)]
+    assert len(passages) == size
+    queries = [q for c in rng.sample(chains, min(QUERY_CHAINS, len(chains)))
+               for q in (c.subject, c.person)]
+    return passages, queries
+
+
+def timed_ms(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return (time.perf_counter() - start) * 1000.0, result
+
+
+def percentile(values: list[float], q: float) -> float:
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def index_mib(build, passages, queries=()) -> float:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build(passages)
+        for query in queries:
+            retrieve(index, query, K)
+        return (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def measure(size: int) -> dict:
+    passages, queries = workload(size)
+    reps = max(3, 15000 // size)
+    builds = {"before": [], "after": []}
+    for _ in range(reps):
+        builds["before"].append(timed_ms(OracleIndex.build, passages)[0])
+        builds["after"].append(timed_ms(RetrieverIndex.build, passages)[0])
+
+    oracle = OracleIndex.build(passages)
+    index = RetrieverIndex.build(passages)
+    cold = {"before": [], "after": []}
+    for query in queries:
+        ms_before, expected = timed_ms(oracle_retrieve, oracle, query, K)
+        ms_after, got = timed_ms(retrieve, index, query, K)
+        if got != expected:
+            raise AssertionError(f"ranking differs from the oracle for {query!r}")
+        cold["before"].append(ms_before)
+        cold["after"].append(ms_after)
+    warm = [timed_ms(retrieve, index, query, K)[0] for query in queries]
+
+    def row(side: str) -> dict:
+        return {
+            "build_ms": round(statistics.median(builds[side]), 3),
+            "query_ms_p50": round(percentile(cold[side], 0.5), 4),
+            "query_ms_p90": round(percentile(cold[side], 0.9), 4),
+        }
+
+    before, after = row("before"), row("after")
+    before["index_mib"] = round(index_mib(OracleIndex.build, passages), 3)
+    after["warm_query_ms_p50"] = round(percentile(warm, 0.5), 4)
+    after["warm_query_ms_p90"] = round(percentile(warm, 0.9), 4)
+    after["index_mib"] = round(index_mib(RetrieverIndex.build, passages), 3)
+    after["index_mib_after_queries"] = round(index_mib(RetrieverIndex.build, passages, queries), 3)
+    return {
+        "passages": size, "queries": len(queries), "build_reps": reps,
+        "before": before, "after": after,
+        "after_over_before": {
+            key: round(after[key] / before[key], 3)
+            for key in ("build_ms", "query_ms_p50", "query_ms_p90", "index_mib")
+        },
+    }
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main() -> None:
+    report = {
+        "python": platform.python_version(),
+        "cpu": cpu_model(),
+        "nproc": os.cpu_count(),
+        "k": K,
+        "seed": SEED,
+        "sizes": [measure(size) for size in SIZES],
+    }
+    out = ROOT / "BENCH_retrieval.json"
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()
