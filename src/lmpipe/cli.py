@@ -1,13 +1,8 @@
 """Command-line harness: compile, eval, inspect-trace.
 
-Five strategies select where constraints are active:
-
-    label                 compiled  student assertions  teacher assertions
-    vanilla               no        no                  -
-    infer_assert          no        yes                 -
-    compile               yes       no                  no
-    compile_assert        yes       no                  yes
-    compile_infer_assert  yes       yes                 yes
+Five strategies (``_STRATEGIES``) select where constraints are active: in the
+compiled program's student runs, in the teacher runs that compile harvests
+demonstrations from, or neither.
 
 Offline runs (--offline with a script file) are fully deterministic: repeated
 invocations produce byte-identical artifacts and reports.
@@ -17,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -31,7 +26,7 @@ from .backend import (
     ScriptedBackend,
     load_script,
 )
-from .evaluation import METRIC_COLUMNS, bootstrap_metric, build_report, evaluate_dataset, run_task_example
+from .evaluation import bootstrap_metric, build_report, evaluate_dataset, run_task_example
 from .metrics import MetricReport, load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
 from .retrieval import RetrieverIndex, load_corpus
@@ -42,11 +37,9 @@ from .runtime import (
     load_trace,
     save_trace,
 )
-from .tasks import COMPLETE, TASK_NAMES, build_program
+from .tasks import COMPLETE, TASKS, build_program
 
 REPORT_VERSION = 1
-
-STRATEGY_LABELS = ("vanilla", "infer_assert", "compile", "compile_assert", "compile_infer_assert")
 
 
 @dataclass(frozen=True)
@@ -66,6 +59,8 @@ _STRATEGIES = {
         "compile_infer_assert", compiled=True, student_assertions=True, teacher_assertions=True
     ),
 }
+
+STRATEGY_LABELS = tuple(_STRATEGIES)
 
 
 def strategy_from_label(label: str) -> Strategy:
@@ -158,7 +153,7 @@ def make_backend(config: RunConfig) -> CachingBackend:
 
 def make_program(config: RunConfig):
     index = None
-    if config.task != "quiz":
+    if TASKS[config.task].uses_index:
         corpus = config.corpus_path or bundled_data_path("corpus.jsonl")
         index = RetrieverIndex.build(load_corpus(corpus))
     return build_program(config.task, index, config.instruction_variant)
@@ -178,24 +173,15 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     devset = load_dataset(dev_path)
     backend = make_backend(config)
     program = make_program(config)
-    compile_config = CompileConfig(
-        max_bootstrapped_demos=config.compile_config.max_bootstrapped_demos,
-        num_candidates=config.compile_config.num_candidates,
-        rng_seed=config.compile_config.rng_seed,
-        teacher_assertions=bool(config.strategy.teacher_assertions),
-        collect_counterexamples=(
-            bool(config.strategy.teacher_assertions)
-            and config.compile_config.collect_counterexamples
-        ),
-        max_retries=config.compile_config.max_retries,
+    teacher_assertions = bool(config.strategy.teacher_assertions)
+    compile_config = replace(
+        config.compile_config,
+        teacher_assertions=teacher_assertions,
+        collect_counterexamples=teacher_assertions and config.compile_config.collect_counterexamples,
     )
-
-    def run_example(prog, example, runtime_config, bk):
-        return run_task_example(config.task, prog, example, runtime_config, bk)
-
     compiled, report = random_search_compile(
         program, trainset, devset, bootstrap_metric(config.task),
-        config=compile_config, backend=backend, run_example=run_example,
+        config=compile_config, backend=backend, run_example=run_task_example,
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     artifact_path = config.out_dir / "compiled_program.json"
@@ -258,7 +244,7 @@ def format_summary(report: MetricReport) -> str:
         f"{'metric':<24} {'mean':>8}",
         f"{'-' * 24} {'-' * 8}",
     ]
-    for name in METRIC_COLUMNS[report.task]:
+    for name in TASKS[report.task].columns:
         if name in report.metrics:
             lines.append(f"{name:<24} {report.metrics[name]:>8.4f}")
     for flag in report.flags:
@@ -282,6 +268,8 @@ def format_trace(trace, halted: bool, error: Optional[str]) -> str:
     if halted:
         lines.append(f"assertion failed: {error}")
         lines.append("HALTED")
+    elif error:
+        lines.append(f"error: {error}")
     else:
         lines.append("completed")
     return "\n".join(lines) + "\n"
@@ -298,7 +286,7 @@ def main() -> None:
 
 
 @main.command("compile")
-@click.option("--task", type=click.Choice(TASK_NAMES), required=True)
+@click.option("--task", type=click.Choice(list(TASKS)), required=True)
 @click.option("--strategy", "strategy_label", type=click.Choice(STRATEGY_LABELS), required=True)
 @click.option("--train", "train_path", type=click.Path(exists=True), required=True)
 @click.option("--dev", "dev_path", type=click.Path(exists=True), required=True)
@@ -317,7 +305,7 @@ def compile_command(task, strategy_label, train_path, dev_path, config_file, off
 
 
 @main.command("eval")
-@click.option("--task", type=click.Choice(TASK_NAMES), required=True)
+@click.option("--task", type=click.Choice(list(TASKS)), required=True)
 @click.option("--strategy", "strategy_label", type=click.Choice(STRATEGY_LABELS), required=True)
 @click.option("--test", "test_path", type=click.Path(exists=True), required=True)
 @click.option("--artifact", type=click.Path(exists=True), default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 
 class SignatureError(ValueError):
@@ -259,10 +259,16 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """Ordered record of one pipeline run; ``final_prediction`` is None when halted."""
+    """Ordered record of one pipeline run; ``final_prediction`` is None when halted.
+
+    ``meta`` is what the program stored in ``ctx.meta`` on the surviving pass
+    (the retrieved ``context_passages``, say). It lives in memory only: trace
+    files do not carry it.
+    """
 
     steps: list[TraceStep] = field(default_factory=list)
     final_prediction: Optional[Prediction] = None
+    meta: dict[str, Any] = field(default_factory=dict)
 
     def outcomes(self) -> list[ConstraintOutcome]:
         """All constraint outcomes in evaluation order."""
@@ -372,11 +378,3 @@ def passages_to_text(passages: Iterable) -> str:
         body = " ".join(str(body).split())
         rendered.append(f"[{i}] {title} | {body}")
     return "\n".join(rendered) if rendered else "N/A"
-
-
-_CONTEXT_LINE_RE = re.compile(r"^\[\d+\] (.*?) \| ", re.MULTILINE)
-
-
-def titles_from_context(text: str) -> list[str]:
-    """Recover passage titles from a rendered context value."""
-    return _CONTEXT_LINE_RE.findall(text)

@@ -12,108 +12,32 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .backend import BackendError
-from .checks import (
-    format_checker,
-    has_correct_answer,
-    has_no_hashtags,
-    is_correct_answer_included,
-    is_within_length_limit,
-)
-from .metrics import (
-    MetricReport,
-    TaskExample,
-    answer_em,
-    citation_metrics,
-    final_label_outcomes,
-    quiz_validity,
-    retrieval_recall,
-    suggestions_passed,
-    summarize_rows,
-    tweet_quality,
-)
+from .core import Prediction, Trace
+from .metrics import MetricReport, TaskExample, suggestions_passed, summarize_rows
 from .runtime import Program, RunResult, RuntimeConfig, run_with_backtracking
-from .tasks import CONTEXT_MODULE, TWEET_LIMIT, task_inputs
+from .tasks import TASKS
 
 logger = logging.getLogger(__name__)
 
-METRIC_COLUMNS = {
-    "multihop": ["suggestions_passed", "answer_em", "retrieval_recall"],
-    "longform": [
-        "suggestions_passed", "citation_faithfulness", "citation_precision",
-        "citation_recall", "has_answer",
-    ],
-    "quiz": ["suggestions_passed", "format", "has_answer", "plausible", "validity"],
-    "tweet": [
-        "suggestions_passed", "no_hashtags", "within_limit", "has_answer",
-        "engaging", "faithful", "quality",
-    ],
-}
-
 
 def run_task_example(
-    task: str, program: Program, example: TaskExample, config: RuntimeConfig, backend
+    program: Program, example: TaskExample, config: RuntimeConfig, backend
 ) -> RunResult:
-    inputs = task_inputs(task, example.question, example.answer)
+    """Run one example: forward() gets the example fields the program names in ``inputs``."""
+    inputs = {name: getattr(example, name) for name in program.inputs}
     return run_with_backtracking(program, inputs, config, backend)
 
 
-def _first_true(flags: Sequence[bool], default: bool = False) -> bool:
-    return flags[0] if flags else default
-
-
-def score_example(task: str, example: TaskExample, result: RunResult) -> dict:
-    """Build one report row from a finished run."""
-    trace = result.trace
+def score_example(
+    task: str, example: TaskExample, prediction: Optional[Prediction], trace: Trace
+) -> dict:
+    """Build one report row from a run's final prediction (None when halted) and trace."""
     sp, vacuous = suggestions_passed(trace)
     row: dict = {"question": example.question, "suggestions_passed": sp}
     if vacuous:
         row["suggestions_vacuous"] = True
-    labels = final_label_outcomes(trace)
-    outputs = result.prediction.outputs if result.prediction else {}
-
-    if task == "multihop":
-        row["answer_em"] = answer_em(outputs.get("answer", ""), example.answer)
-        recall = retrieval_recall(trace, example.gold_titles,
-                                 context_module=CONTEXT_MODULE[task])
-        if recall is not None:
-            row["retrieval_recall"] = recall
-    elif task == "longform":
-        paragraph = outputs.get("paragraph", "")
-        context_titles = [title for title, _ in result.meta.get("context_passages", [])]
-        faithful_flags = labels.get("citation_faithful", [])
-        cm = citation_metrics(paragraph, context_titles, example.gold_titles,
-                              faithful_flags=faithful_flags)
-        if cm.faithfulness is not None:
-            row["citation_faithfulness"] = cm.faithfulness
-        if cm.precision is not None:
-            row["citation_precision"] = cm.precision
-        row["citation_recall"] = cm.recall
-        # inferred metric: the gold answer appears somewhere in the paragraph
-        row["has_answer"] = float(has_correct_answer(paragraph, example.answer))
-        row["has_answer_definition"] = "inferred"
-    elif task == "quiz":
-        choices = outputs.get("answer_choices", "")
-        fmt = format_checker(choices)
-        inc = is_correct_answer_included(example.answer, choices)
-        plausible = _first_true(labels.get("plausible", []))
-        row["format"] = float(fmt)
-        row["has_answer"] = float(inc)
-        row["plausible"] = float(plausible)
-        row["validity"] = quiz_validity(fmt, inc, plausible)
-    elif task == "tweet":
-        tweet = outputs.get("tweet", "")
-        booleans = {
-            "no_hashtags": has_no_hashtags(tweet),
-            "within_limit": is_within_length_limit(tweet, TWEET_LIMIT),
-            "has_answer": has_correct_answer(tweet, example.answer),
-            "engaging": _first_true(labels.get("engaging", [])),
-            "faithful": _first_true(labels.get("faithful", [])),
-        }
-        for name, value in booleans.items():
-            row[name] = float(value)
-        row["quality"] = tweet_quality(**booleans)
-    else:
-        raise ValueError(f"unknown task {task!r}")
+    outputs = prediction.outputs if prediction else {}
+    row.update(TASKS[task].score(example, outputs, trace))
     return row
 
 
@@ -127,22 +51,24 @@ def evaluate_dataset(
 ) -> tuple[list[dict], list[Optional[RunResult]]]:
     """Run and score every example. Any exception while running or scoring an
     example becomes that example's error row, with the exception's type and
-    message; the other examples still run."""
+    message; the other examples still run. A backend error keeps the steps
+    completed before it as that example's result, with the error message."""
 
-    def error_row(example: TaskExample, exc: Exception) -> tuple[dict, None]:
+    def error_row(example: TaskExample, exc: Exception) -> dict:
         return {"question": example.question, "error": str(exc),
-                "error_type": type(exc).__name__}, None
+                "error_type": type(exc).__name__}
 
     def run_one(index: int) -> tuple[dict, Optional[RunResult]]:
         example = examples[index]
         try:
-            result = run_task_example(task, program, example, config, backend)
-            row = score_example(task, example, result)
+            result = run_task_example(program, example, config, backend)
+            row = score_example(task, example, result.prediction, result.trace)
         except BackendError as exc:
-            return error_row(example, exc)
+            partial = RunResult(prediction=None, trace=exc.partial_trace, error=str(exc))
+            return error_row(example, exc), partial
         except Exception as exc:  # a bug in a program or predicate: keep evaluating
             logger.exception("example %d failed", index)
-            return error_row(example, exc)
+            return error_row(example, exc), None
         if result.halted:
             row["halted"] = True
         return row, result
@@ -159,8 +85,9 @@ def evaluate_dataset(
 
 
 def build_report(task: str, strategy: str, rows: Sequence[dict]) -> MetricReport:
+    spec = TASKS[task]
     report = MetricReport(strategy=strategy, task=task, n_examples=len(rows), rows=list(rows))
-    report.metrics = summarize_rows(rows, METRIC_COLUMNS[task])
+    report.metrics = summarize_rows(rows, spec.columns)
     failures = sum(1 for row in rows if "error" in row)
     if not rows:
         report.flags.append("empty_dataset")
@@ -168,47 +95,15 @@ def build_report(task: str, strategy: str, rows: Sequence[dict]) -> MetricReport
         report.flags.append(f"{failures}_examples_failed")
     if any(row.get("suggestions_vacuous") for row in rows):
         report.flags.append("some_examples_had_no_suggestions")
-    if task == "longform":
-        report.flags.append("has_answer_definition_inferred")
+    report.flags.extend(spec.flags)
     return report
 
 
 def bootstrap_metric(task: str):
     """The extrinsic pass/fail metric used when harvesting demonstrations."""
+    column = TASKS[task].bootstrap_column
 
-    def metric(example: TaskExample, prediction, trace) -> float:
-        row = score_example(task, example, RunResultView(prediction, trace, task))
-        if task == "multihop":
-            return row.get("answer_em", 0.0)
-        if task == "longform":
-            return row.get("has_answer", 0.0)
-        if task == "quiz":
-            return row.get("validity", 0.0)
-        return row.get("quality", 0.0)
+    def metric(example: TaskExample, prediction, trace: Trace) -> float:
+        return score_example(task, example, prediction, trace).get(column, 0.0)
 
     return metric
-
-
-class RunResultView:
-    """Adapter giving score_example what it needs from a bare (prediction, trace)."""
-
-    def __init__(self, prediction, trace, task: str):
-        self.prediction = prediction
-        self.trace = trace
-        self.halted = False
-        self.meta = _meta_from_trace(trace, task)
-
-
-def _meta_from_trace(trace, task: str) -> dict:
-    """Recover context passage titles from the recorded steps when no run meta exists."""
-    from .core import titles_from_context
-
-    wanted = CONTEXT_MODULE.get(task)
-    for step in reversed(trace.steps):
-        if wanted is not None and step.module_id != wanted:
-            continue
-        context = step.inputs.get("context")
-        if context and context != "N/A":
-            # bodies are not needed for scoring, titles are
-            return {"context_passages": [(t, "") for t in titles_from_context(context)]}
-    return {"context_passages": []}

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .checks import cited_indices, normalize_answer
-from .core import PASSED, Trace, titles_from_context
+from .core import PASSED, Trace
 
 
 @dataclass(frozen=True)
@@ -98,28 +98,15 @@ def final_label_outcomes(trace: Trace) -> dict[str, list[bool]]:
 
 
 def retrieval_recall(
-    trace: Trace, gold_titles: frozenset[str] | set[str], context_module: Optional[str] = None
+    context_titles: Iterable[str], gold_titles: frozenset[str] | set[str]
 ) -> Optional[float]:
-    """Fraction of gold titles present in the final retrieved context.
+    """Fraction of gold titles among the titles of the final retrieved context.
 
-    The context is read from the inputs of the last step (of ``context_module``
-    when given; judge steps also consume a ``context`` input, so retrieval
-    tasks name the module that sees the real final context). Returns None when
-    there are no gold titles.
+    Returns None when there are no gold titles.
     """
     if not gold_titles:
         return None
-    context_text = None
-    for step in reversed(trace.steps):
-        if context_module is not None and step.module_id != context_module:
-            continue
-        if "context" in step.inputs:
-            context_text = step.inputs["context"]
-            break
-    if context_text is None:
-        return 0.0
-    retrieved = set(titles_from_context(context_text))
-    return len(retrieved & set(gold_titles)) / len(gold_titles)
+    return len(set(context_titles) & set(gold_titles)) / len(gold_titles)
 
 
 def quiz_validity(format_ok: bool, answer_included: bool, plausible: bool) -> float:

@@ -1,8 +1,8 @@
 """Callable building blocks: Predict and its chain-of-thought variant.
 
-A PredictModule is pure data (signature, demos, params); `predict` renders the
-prompt, calls a backend, and leniently parses the completion back into the
-signature's output fields.
+A PredictModule is pure data (signature, demos, params). ``ExecutionContext.call``
+renders its prompt, calls a backend, and leniently parses the completion back
+into the signature's output fields with ``parse_completion``.
 """
 
 from __future__ import annotations
@@ -104,16 +104,3 @@ def parse_completion(sig: Signature, completion: str, attempt: int = 0) -> Predi
     # keyed in signature order so the final (payload) field is always last
     ordered = {spec.name: outputs.get(spec.name, "") for spec in sig.output_fields}
     return Prediction(outputs=ordered, raw_completion=completion, attempt=attempt)
-
-
-def predict(
-    module: PredictModule,
-    inputs: Mapping[str, str],
-    feedback: Sequence[tuple[str, str]] = (),
-    backend=None,
-    attempt: int = 0,
-) -> Prediction:
-    """Render, generate, parse. Parsing never errors; backend errors propagate."""
-    prompt = module.render(inputs, feedback)
-    completions = backend.generate(prompt, module.params)
-    return parse_completion(module.signature, completions[0], attempt=attempt)

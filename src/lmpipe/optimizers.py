@@ -22,15 +22,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .core import Counterexample, Example, PASSED, RETRIED, Trace, payload_field
+from .evaluation import run_task_example
 from .metrics import TaskExample
-from .runtime import (
-    BACKTRACK_DEFAULT,
-    DISABLE_ALL,
-    Program,
-    RunResult,
-    RuntimeConfig,
-    run_with_backtracking,
-)
+from .runtime import BACKTRACK_DEFAULT, DISABLE_ALL, Program, RunResult, RuntimeConfig
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +32,9 @@ ARTIFACT_VERSION = 1
 
 # metric(example, prediction, trace) -> bool | float
 Metric = Callable[[TaskExample, object, Trace], object]
+
+# run_example(program, example, runtime config, backend) -> RunResult
+RunExample = Callable[[Program, TaskExample, RuntimeConfig, object], RunResult]
 
 DemoSet = dict[str, list[Example]]
 
@@ -135,18 +132,17 @@ def bootstrap_few_shot(
     metric: Metric,
     config: CompileConfig = CompileConfig(),
     backend=None,
-    run_example: Optional[Callable[[Program, TaskExample, RuntimeConfig, object], RunResult]] = None,
+    run_example: RunExample = run_task_example,
 ) -> Program:
     """Compile the program by harvesting demos from its own passing runs.
 
-    ``run_example`` executes one training example; the default calls the
-    program with the example's question. Teacher and student share `backend`.
+    ``run_example`` executes one training example; the default passes the
+    example fields the program names in ``inputs``. Teacher and student share
+    `backend`.
     """
     compiled = program.clone()
     policy = BACKTRACK_DEFAULT if config.teacher_assertions else DISABLE_ALL
     teacher_config = RuntimeConfig(max_retries=config.max_retries, handler_policy=policy)
-    if run_example is None:
-        run_example = _default_run_example
 
     demos: DemoSet = {module_id: [] for module_id in compiled.modules}
     counterexamples: dict[str, list[Counterexample]] = {m: [] for m in compiled.modules}
@@ -190,10 +186,6 @@ def bootstrap_few_shot(
     return compiled
 
 
-def _default_run_example(program: Program, example: TaskExample, config: RuntimeConfig, backend) -> RunResult:
-    return run_with_backtracking(program, {"question": example.question}, config, backend)
-
-
 @dataclass
 class CandidateReport:
     index: int
@@ -226,7 +218,7 @@ def random_search_compile(
     metric: Metric,
     config: CompileConfig = CompileConfig(),
     backend=None,
-    run_example: Optional[Callable] = None,
+    run_example: RunExample = run_task_example,
 ) -> tuple[Program, SearchReport]:
     """Bootstrap ``num_candidates`` variants under seeded shuffles and keep the
     one with the best mean validation metric (ties: lowest candidate index).
@@ -236,8 +228,6 @@ def random_search_compile(
     """
     if not valset:
         raise ValueError("valset must be nonempty")
-    if run_example is None:
-        run_example = _default_run_example
     eval_config = RuntimeConfig(max_retries=config.max_retries, handler_policy=DISABLE_ALL)
 
     rng = random.Random(config.rng_seed)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -97,14 +97,6 @@ class RuntimeConfig:
             raise ValueError(f"unknown handler policy {self.handler_policy!r}")
 
 
-# Transition actions: the disposition the evaluation records.
-CONTINUE = PASSED
-RETRY = RETRIED
-HALT = HALTED
-WARN = WARNED
-RECORD_FAILED = FAILED
-
-
 @dataclass(frozen=True)
 class Transition:
     action: str
@@ -121,19 +113,19 @@ def check_constraint(
     if state.r > config.max_retries:
         raise ValueError(f"retry count {state.r} exceeds budget {config.max_retries}")
     if decl.passed:
-        return Transition(CONTINUE, state.reset())
+        return Transition(PASSED, state.reset())
     policy = config.handler_policy
     if policy == DISABLE_ALL:
-        return Transition(RECORD_FAILED, state.reset())
+        return Transition(FAILED, state.reset())
     if policy == BYPASS_SUGGEST_ONLY and decl.kind == "suggest":
-        return Transition(WARN, state.reset())
+        return Transition(WARNED, state.reset())
     if state.r < config.max_retries:
-        return Transition(RETRY, state.extended(failed_output, decl.message))
+        return Transition(RETRIED, state.extended(failed_output, decl.message))
     if decl.kind == "assert":
         if policy == SUPPRESS_ASSERT_LOG:
-            return Transition(RECORD_FAILED, state.reset())
-        return Transition(HALT, state.reset())
-    return Transition(WARN, state.reset())
+            return Transition(FAILED, state.reset())
+        return Transition(HALTED, state.reset())
+    return Transition(WARNED, state.reset())
 
 
 class AssertionHalt(RuntimeError):
@@ -156,7 +148,11 @@ class Program:
     Registered modules are the backtrack-eligible, demo-carrying parts of the
     program. Auxiliary predictors (e.g. LM judges inside constraint checks)
     stay unregistered: they are still traced but never become retry targets.
+    ``inputs`` names forward()'s keyword arguments, which a dataset example
+    supplies from its fields of the same names.
     """
+
+    inputs: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.modules: dict[str, PredictModule] = {}
@@ -184,28 +180,6 @@ def apply_handler(policy: str, program: Program) -> Program:
     return clone
 
 
-class RetryModule:
-    """Wrapper that feeds a retry state's past failures into the prompt."""
-
-    def __init__(self, inner: PredictModule):
-        self.inner = inner
-
-    def render(self, inputs: Mapping[str, str], state: Optional[RetryState] = None) -> str:
-        feedback = state.past_failures if state else ()
-        return self.inner.render(inputs, feedback=feedback)
-
-    def predict(
-        self, inputs: Mapping[str, str], state: Optional[RetryState], backend, attempt: int = 0
-    ) -> Prediction:
-        prompt = self.render(inputs, state)
-        completions = backend.generate(prompt, self.inner.params)
-        return parse_completion(self.inner.signature, completions[0], attempt=attempt)
-
-
-def wrap_retry(module: PredictModule) -> RetryModule:
-    return RetryModule(module)
-
-
 @dataclass
 class _JournalEvent:
     kind: str  # "call" | "constraint"
@@ -221,11 +195,6 @@ class RunResult:
     trace: Trace
     halted: bool = False
     error: Optional[str] = None
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def completed(self) -> bool:
-        return not self.halted
 
 
 class ExecutionContext:
@@ -234,7 +203,7 @@ class ExecutionContext:
     ``call`` invokes a module (with journal replay across backtrack passes);
     ``suggest`` / ``check_assert`` evaluate constraints. ``meta`` is rebuilt
     every pass, so anything the program stores there reflects only the
-    surviving attempt.
+    surviving attempt; the run's ``Trace.meta`` keeps that pass's copy.
     """
 
     def __init__(self, program: Program, backend, config: RuntimeConfig):
@@ -388,12 +357,12 @@ class ExecutionContext:
 
         transition = check_constraint(decl, state, self._config, failed_output=failed_output)
         action = transition.action
-        if action == RETRY and target_pos is None:
+        if action == RETRIED and target_pos is None:
             # nothing to hand control back to: fall through to the terminal rule
             if kind == "assert":
-                action = HALT
+                action = HALTED
             else:
-                action = WARN
+                action = WARNED
             transition = Transition(action, state.reset())
 
         outcome = ConstraintOutcome(
@@ -410,13 +379,13 @@ class ExecutionContext:
             carrier.constraint_outcomes.append(outcome)
 
         self._retry_states[site] = transition.state
-        if action == RETRY:
+        if action == RETRIED:
             raise _Backtrack(site=site, target_pos=target_pos)
-        if action == HALT:
+        if action == HALTED:
             raise AssertionHalt(message)
-        if action == WARN:
+        if action == WARNED:
             logger.warning("suggestion not satisfied after %d retries: %s", state.r, message)
-        elif action == RECORD_FAILED and self._config.handler_policy == SUPPRESS_ASSERT_LOG:
+        elif action == FAILED and self._config.handler_policy == SUPPRESS_ASSERT_LOG:
             logger.warning("assertion failure suppressed: %s", message)
         self._new_journal.append(_JournalEvent(kind="constraint", site=site))
 
@@ -445,13 +414,10 @@ def run_with_backtracking(
             exc.partial_trace = Trace(steps=ctx.steps, final_prediction=None)
             raise
         except AssertionHalt as halt:
-            trace = Trace(steps=ctx.steps, final_prediction=None)
-            return RunResult(
-                prediction=None, trace=trace, halted=True,
-                error=str(halt), meta=dict(ctx.meta),
-            )
-        trace = Trace(steps=ctx.steps, final_prediction=prediction)
-        return RunResult(prediction=prediction, trace=trace, meta=dict(ctx.meta))
+            trace = Trace(steps=ctx.steps, final_prediction=None, meta=dict(ctx.meta))
+            return RunResult(prediction=None, trace=trace, halted=True, error=str(halt))
+        trace = Trace(steps=ctx.steps, final_prediction=prediction, meta=dict(ctx.meta))
+        return RunResult(prediction=prediction, trace=trace)
     raise RuntimeError("backtracking did not terminate within the pass budget")
 
 

@@ -14,12 +14,14 @@ Four question-answering variants over the same corpus:
                inclusion, engagement and faithfulness (the last two LM-judged).
 
 Each program carries a primitive and a complete instruction variant; the
-complete one spells out the constraints the suggestions encode.
+complete one spells out the constraints the suggestions encode. ``TASKS`` maps
+each task name to its program class, report columns and row scorer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Sequence
 
 from .checks import (
     citations_check,
@@ -32,18 +34,19 @@ from .checks import (
     is_query_distinct,
     is_within_length_limit,
 )
-from .core import Prediction, passages_to_text
+from .core import Prediction, Trace, passages_to_text
+from .metrics import (
+    TaskExample,
+    answer_em,
+    citation_metrics,
+    final_label_outcomes,
+    quiz_validity,
+    retrieval_recall,
+    tweet_quality,
+)
 from .modules import PredictModule, chain_of_thought, parse_signature
 from .retrieval import RetrieverIndex, deduplicate, retrieve
-from .runtime import (
-    BACKTRACK_DEFAULT,
-    DISABLE_ALL,
-    ExecutionContext,
-    Program,
-    RunResult,
-    RuntimeConfig,
-    run_with_backtracking,
-)
+from .runtime import ExecutionContext, Program
 
 PASSAGES_PER_HOP = 3
 HOPS = 2
@@ -135,6 +138,8 @@ def _judge_module(module_id: str, spec: str) -> PredictModule:
 
 
 class MultiHopQA(Program):
+    inputs = ("question",)
+
     def __init__(self, index: RetrieverIndex, instruction_variant: str = COMPLETE):
         super().__init__()
         self.index = index
@@ -167,6 +172,8 @@ class MultiHopQA(Program):
 
 
 class LongFormQA(Program):
+    inputs = ("question",)
+
     def __init__(self, index: RetrieverIndex, instruction_variant: str = COMPLETE):
         super().__init__()
         self.index = index
@@ -213,6 +220,8 @@ class LongFormQA(Program):
 
 
 class QuizGen(Program):
+    inputs = ("question", "answer")
+
     def __init__(self, instruction_variant: str = COMPLETE,
                  number_of_choices: int = DEFAULT_CHOICE_COUNT):
         super().__init__()
@@ -249,6 +258,8 @@ class QuizGen(Program):
 
 
 class TweetGen(Program):
+    inputs = ("question", "answer")
+
     def __init__(self, index: RetrieverIndex, instruction_variant: str = COMPLETE):
         super().__init__()
         self.index = index
@@ -307,60 +318,116 @@ class TweetGen(Program):
         return pred
 
 
-TASK_NAMES = ("multihop", "longform", "quiz", "tweet")
+def _context_titles(trace: Trace) -> list[str]:
+    return [title for title, _ in trace.meta.get("context_passages", [])]
 
-# which module's step carries the final retrieval context, per task
-CONTEXT_MODULE = {
-    "multihop": "generate_answer",
-    "longform": "generate_cited_paragraph",
-    "tweet": "generate_tweet",
+
+def _first_true(flags: Sequence[bool], default: bool = False) -> bool:
+    return flags[0] if flags else default
+
+
+def _score_multihop(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+    row = {"answer_em": answer_em(outputs.get("answer", ""), example.answer)}
+    recall = retrieval_recall(_context_titles(trace), example.gold_titles)
+    if recall is not None:
+        row["retrieval_recall"] = recall
+    return row
+
+
+def _score_longform(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+    paragraph = outputs.get("paragraph", "")
+    faithful_flags = final_label_outcomes(trace).get("citation_faithful", [])
+    cm = citation_metrics(paragraph, _context_titles(trace), example.gold_titles,
+                          faithful_flags=faithful_flags)
+    row = {}
+    if cm.faithfulness is not None:
+        row["citation_faithfulness"] = cm.faithfulness
+    if cm.precision is not None:
+        row["citation_precision"] = cm.precision
+    row["citation_recall"] = cm.recall
+    # inferred metric: the gold answer appears somewhere in the paragraph
+    row["has_answer"] = float(has_correct_answer(paragraph, example.answer))
+    row["has_answer_definition"] = "inferred"
+    return row
+
+
+def _score_quiz(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+    choices = outputs.get("answer_choices", "")
+    fmt = format_checker(choices)
+    inc = is_correct_answer_included(example.answer, choices)
+    plausible = _first_true(final_label_outcomes(trace).get("plausible", []))
+    return {
+        "format": float(fmt),
+        "has_answer": float(inc),
+        "plausible": float(plausible),
+        "validity": quiz_validity(fmt, inc, plausible),
+    }
+
+
+def _score_tweet(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+    tweet = outputs.get("tweet", "")
+    labels = final_label_outcomes(trace)
+    booleans = {
+        "no_hashtags": has_no_hashtags(tweet),
+        "within_limit": is_within_length_limit(tweet, TWEET_LIMIT),
+        "has_answer": has_correct_answer(tweet, example.answer),
+        "engaging": _first_true(labels.get("engaging", [])),
+        "faithful": _first_true(labels.get("faithful", [])),
+    }
+    row = {name: float(value) for name, value in booleans.items()}
+    row["quality"] = tweet_quality(**booleans)
+    return row
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """Everything the CLI, evaluation and compilation know about one task.
+
+    ``score`` turns a run's final outputs and trace into the task's report
+    columns; ``bootstrap_column`` is the column whose value decides whether a
+    teacher run passes; ``flags`` are added to every report of the task.
+    """
+
+    program: type[Program]
+    uses_index: bool
+    columns: tuple[str, ...]
+    score: Callable[[TaskExample, Mapping[str, str], Trace], dict]
+    bootstrap_column: str
+    flags: tuple[str, ...] = ()
+
+
+TASKS: dict[str, TaskSpec] = {
+    "multihop": TaskSpec(
+        MultiHopQA, uses_index=True,
+        columns=("suggestions_passed", "answer_em", "retrieval_recall"),
+        score=_score_multihop, bootstrap_column="answer_em",
+    ),
+    "longform": TaskSpec(
+        LongFormQA, uses_index=True,
+        columns=("suggestions_passed", "citation_faithfulness", "citation_precision",
+                 "citation_recall", "has_answer"),
+        score=_score_longform, bootstrap_column="has_answer",
+        flags=("has_answer_definition_inferred",),
+    ),
+    "quiz": TaskSpec(
+        QuizGen, uses_index=False,
+        columns=("suggestions_passed", "format", "has_answer", "plausible", "validity"),
+        score=_score_quiz, bootstrap_column="validity",
+    ),
+    "tweet": TaskSpec(
+        TweetGen, uses_index=True,
+        columns=("suggestions_passed", "no_hashtags", "within_limit", "has_answer",
+                 "engaging", "faithful", "quality"),
+        score=_score_tweet, bootstrap_column="quality",
+    ),
 }
 
 
 def build_program(task: str, index: Optional[RetrieverIndex] = None,
                   instruction_variant: str = COMPLETE) -> Program:
-    if task == "multihop":
-        return MultiHopQA(index, instruction_variant)
-    if task == "longform":
-        return LongFormQA(index, instruction_variant)
-    if task == "quiz":
-        return QuizGen(instruction_variant)
-    if task == "tweet":
-        return TweetGen(index, instruction_variant)
-    raise ValueError(f"unknown task {task!r}; expected one of {TASK_NAMES}")
-
-
-def task_inputs(task: str, question: str, answer: str) -> dict[str, str]:
-    """The forward() arguments one dataset example supplies for a task."""
-    if task in ("quiz", "tweet"):
-        return {"question": question, "answer": answer}
-    return {"question": question}
-
-
-def _runtime_config(use_assertions: bool, max_retries: int = 2) -> RuntimeConfig:
-    policy = BACKTRACK_DEFAULT if use_assertions else DISABLE_ALL
-    return RuntimeConfig(max_retries=max_retries, handler_policy=policy)
-
-
-def multihop_qa(program: MultiHopQA, question: str, use_assertions: bool,
-                backend=None, max_retries: int = 2) -> RunResult:
-    return run_with_backtracking(program, {"question": question},
-                                 _runtime_config(use_assertions, max_retries), backend)
-
-
-def longform_qa(program: LongFormQA, question: str, use_assertions: bool,
-                backend=None, max_retries: int = 2) -> RunResult:
-    return run_with_backtracking(program, {"question": question},
-                                 _runtime_config(use_assertions, max_retries), backend)
-
-
-def quiz_gen(program: QuizGen, question: str, answer: str, use_assertions: bool,
-             backend=None, max_retries: int = 2) -> RunResult:
-    return run_with_backtracking(program, {"question": question, "answer": answer},
-                                 _runtime_config(use_assertions, max_retries), backend)
-
-
-def tweet_gen(program: TweetGen, question: str, answer: str, use_assertions: bool,
-              backend=None, max_retries: int = 2) -> RunResult:
-    return run_with_backtracking(program, {"question": question, "answer": answer},
-                                 _runtime_config(use_assertions, max_retries), backend)
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    spec = TASKS[task]
+    if spec.uses_index:
+        return spec.program(index, instruction_variant)
+    return spec.program(instruction_variant)

@@ -22,7 +22,7 @@ from lmpipe.checks import (
     is_within_length_limit,
 )
 from lmpipe.cli import bundled_data_path
-from lmpipe.core import parse_signature, passages_to_text, titles_from_context
+from lmpipe.core import parse_signature, passages_to_text
 from lmpipe.evaluation import bootstrap_metric, evaluate_dataset, run_task_example
 from lmpipe.metrics import answer_em, retrieval_recall, suggestions_passed, quiz_validity, tweet_quality
 from lmpipe.modules import PredictModule
@@ -35,6 +35,7 @@ from lmpipe.optimizers import (
 )
 from lmpipe.retrieval import RetrieverIndex, load_corpus, retrieve
 from lmpipe.runtime import (
+    BACKTRACK_DEFAULT,
     DISABLE_ALL,
     SUPPRESS_ASSERT_LOG,
     Program,
@@ -42,7 +43,9 @@ from lmpipe.runtime import (
     run_with_backtracking,
 )
 from lmpipe.metrics import load_dataset
-from lmpipe.tasks import MultiHopQA, multihop_qa
+from lmpipe.tasks import MultiHopQA
+
+ASSERTIVE = RuntimeConfig(handler_policy=BACKTRACK_DEFAULT)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,11 +167,11 @@ def test_criterion_2_retry_end_to_end(index, testset):
     example = testset[0]
 
     clean_backend = script_backend("multihop_all_pass.json")
-    multihop_qa(MultiHopQA(index), example.question, True, backend=clean_backend)
+    run_task_example(MultiHopQA(index), example, ASSERTIVE, clean_backend)
     clean_calls = clean_backend.call_log.records()
 
     retry_backend = script_backend("multihop_retry.json")
-    result = multihop_qa(MultiHopQA(index), example.question, True, backend=retry_backend)
+    result = run_task_example(MultiHopQA(index), example, ASSERTIVE, retry_backend)
     retry_calls = retry_backend.call_log.records()
 
     value, vacuous = suggestions_passed(result.trace)
@@ -197,10 +200,11 @@ def test_criterion_3_rollback(index, testset):
     discarded_query = past_match[len("\nPast Query: "):]
     assert len(discarded_query) >= 100
 
-    result = multihop_qa(MultiHopQA(index), example.question, True,
-                         backend=script_backend("multihop_retry.json"))
-    final_context = result.trace.steps[-1].inputs["context"]
-    titles = titles_from_context(final_context)
+    result = run_task_example(MultiHopQA(index), example, ASSERTIVE,
+                              script_backend("multihop_retry.json"))
+    passages = result.trace.meta["context_passages"]
+    assert result.trace.steps[-1].inputs["context"] == passages_to_text(passages)
+    titles = [title for title, _ in passages]
     assert len(titles) == 6
 
     would_have_retrieved = {p.title for p in retrieve(index, discarded_query, 3)}
@@ -208,16 +212,12 @@ def test_criterion_3_rollback(index, testset):
 
     # provenance: first three titles come from the fixed hop-1 query, last three
     # from the hop-2 query
-    hop1 = [p.title for p in retrieve(index, result.meta["queries"][0], 3)]
-    hop2 = [p.title for p in retrieve(index, result.meta["queries"][1], 3)]
+    hop1 = [p.title for p in retrieve(index, result.trace.meta["queries"][0], 3)]
+    hop2 = [p.title for p in retrieve(index, result.trace.meta["queries"][1], 3)]
     assert titles == hop1 + hop2
 
 
 # --- criteria 4 and 5: bootstrapping ---------------------------------------------
-
-def multihop_runner(prog, example, cfg, backend):
-    return run_task_example("multihop", prog, example, cfg, backend)
-
 
 def demo_predicates_pass(module_id: str, demo) -> bool:
     if module_id != "generate_query":
@@ -231,7 +231,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
     metric = bootstrap_metric("multihop")
     with_filter = bootstrap_few_shot(
         MultiHopQA(index), trainset, metric, CompileConfig(teacher_assertions=True),
-        script_backend("multihop_teacher_assert.json"), multihop_runner,
+        script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     query_demos = with_filter.modules["generate_query"].demos
     assert query_demos, "filter check must not be vacuous"
@@ -244,7 +244,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
 
     naive = bootstrap_few_shot(
         MultiHopQA(index), trainset, metric, CompileConfig(teacher_assertions=False),
-        script_backend("multihop_teacher_naive.json"), multihop_runner,
+        script_backend("multihop_teacher_naive.json"), run_task_example,
     )
     failing = [
         demo for mid, m in naive.modules.items() for demo in m.demos
@@ -256,7 +256,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
 @pytest.mark.criterion(5, "fail-then-fix run yields one counterexample per affected module, rendered into the prompt")
 def test_criterion_5_counterexample_bootstrapping(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
-    result = multihop_runner(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
+    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
     payloads = {"generate_query": "query", "generate_answer": "answer"}
     counterexamples = collect_counterexamples([result.trace], payload_fields=payloads)
     by_module = {}
@@ -271,7 +271,7 @@ def test_criterion_5_counterexample_bootstrapping(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, bootstrap_metric("multihop"),
         CompileConfig(teacher_assertions=True, collect_counterexamples=True),
-        script_backend("multihop_teacher_assert.json"), multihop_runner,
+        script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     prompt = compiled.modules["generate_query"].render({"context": "N/A", "question": "Q?"})
     attached = compiled.modules["generate_query"].counterexamples[0]
@@ -289,7 +289,7 @@ def test_criterion_6_random_search_determinism(index, trainset, devset, tmp_path
     def compile_once(tag: str) -> tuple[bytes, bytes]:
         best, report = random_search_compile(
             MultiHopQA(index), trainset, devset, bootstrap_metric("multihop"),
-            config, script_backend("multihop_all_pass.json"), multihop_runner,
+            config, script_backend("multihop_all_pass.json"), run_task_example,
         )
         artifact = tmp_path / f"artifact_{tag}.json"
         save_compiled_program(best, "multihop", config, artifact)
@@ -351,13 +351,6 @@ def test_criterion_7_metric_oracles():
     assert abs(sum(tweet_impl) / len(tweet_impl) - sum(tweet_expected) / len(tweet_expected)) <= 1e-12
 
     # ten rows with expected values computed by hand
-    def recall_trace(titles):
-        from lmpipe.core import Prediction, Trace, TraceStep
-        step = TraceStep(module_id="generate_answer",
-                         inputs={"context": passages_to_text([(t, "b") for t in titles])},
-                         prediction=Prediction(outputs={}))
-        return Trace(steps=[step], final_prediction=Prediction(outputs={}))
-
     rows = [
         # (prediction, gold, retrieved titles, gold titles, expected em, expected recall)
         ("The Treaty of Trianon", "Treaty of Trianon", ["A", "B"], {"A", "B"}, 1.0, 1.0),
@@ -374,8 +367,7 @@ def test_criterion_7_metric_oracles():
     assert len(rows) == 10
     for prediction, gold, retrieved, gold_titles, want_em, want_recall in rows:
         assert abs(answer_em(prediction, gold) - want_em) <= 1e-12
-        got_recall = retrieval_recall(recall_trace(retrieved), gold_titles,
-                                      context_module="generate_answer")
+        got_recall = retrieval_recall(retrieved, gold_titles)
         assert abs(got_recall - want_recall) <= 1e-12
 
 
@@ -487,8 +479,8 @@ def test_criterion_9_strategy_transparency(index, testset):
 @pytest.mark.criterion(10, "disable_all does zero retries; suppress_assert_log completes the halting run with a log")
 def test_criterion_10_handler_policies(index, testset, caplog):
     backend = script_backend("multihop_retry.json")
-    result = multihop_qa(MultiHopQA(index), testset[0].question, use_assertions=False,
-                         backend=backend)
+    result = run_task_example(MultiHopQA(index), testset[0],
+                              RuntimeConfig(handler_policy=DISABLE_ALL), backend)
     module_invocations = len(result.trace.steps)
     assert len(backend.call_log) == module_invocations == 3
     assert all(step.attempt == 0 for step in result.trace.steps)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.cli import (
+    _STRATEGIES,
     STRATEGY_LABELS,
     assemble_run_config,
     bundled_data_path,
@@ -46,6 +47,22 @@ def test_strategy_flags_match_table():
         strategy = strategy_from_label(label)
         assert (strategy.compiled, strategy.student_assertions, strategy.teacher_assertions) == \
             (compiled, student, teacher)
+
+
+def test_readme_strategy_table_matches_strategies():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = readme[readme.index("| strategy "):].splitlines()
+    cell = {"yes": True, "no": False, "–": None}
+    table = {}
+    for line in lines[2:]:  # after the header and its rule
+        if not line.startswith("|"):
+            break
+        label, *flags = [part.strip() for part in line.strip("|").split("|")]
+        table[label.strip("`")] = tuple(cell[flag] for flag in flags)
+    assert table == {
+        label: (s.compiled, s.student_assertions, s.teacher_assertions)
+        for label, s in _STRATEGIES.items()
+    }
 
 
 def test_unknown_strategy_rejected():
@@ -187,6 +204,51 @@ def test_eval_partial_failures_exit_zero(runner, tmp_path):
     failures = [row for row in report["rows"] if "error" in row]
     assert 0 < len(failures) < len(report["rows"])
     assert f"{len(failures)}_examples_failed" in report["flags"]
+
+
+def test_eval_backend_error_rows_leave_traces(runner, tmp_path):
+    # multihop_retry.json scripts only the first question: the other five
+    # examples fail on their first call, and each still gets a trace file
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "multihop", "--strategy", "infer_assert",
+        "--test", data("test.jsonl"), "--offline",
+        "--script", data("scripts/multihop_retry.json"),
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    traces = sorted((out / "traces").glob("*.json"))
+    assert len(traces) == len(rows) == 6
+    errors = [json.loads(path.read_text())["error"] for path in traces]
+    assert errors == [row.get("error") for row in rows]
+    assert errors.count(None) == 1
+    assert cmd_inspect_trace(traces[1]) == f"error: {rows[1]['error']}\n"
+
+
+def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
+    question = "In which city was the designer of the Oakhaven Amphitheatre born?"
+    script = tmp_path / "hop1_only.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"match": f"Context: N/A\nQuestion: {question}", "mode": "substring",
+         "responses": ["Reasoning: r\nQuery: Oakhaven Amphitheatre"]},
+    ]}))
+    dataset = tmp_path / "one.jsonl"
+    dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "multihop", "--strategy", "vanilla", "--test", str(dataset),
+        "--offline", "--script", str(script), "--out", str(out),
+    ])
+    assert result.exit_code == 1  # the only example failed
+    path = out / "traces" / "example_000.json"
+    saved = json.loads(path.read_text())
+    assert [step["module_id"] for step in saved["steps"]] == ["generate_query"]
+    assert saved["final_outputs"] is None and not saved["halted"]
+    rendered = cmd_inspect_trace(path)
+    assert "Oakhaven Amphitheatre" in rendered
+    assert rendered.splitlines()[-1] == f"error: {saved['error']}"
+    assert saved["error"].startswith("unscripted prompt")
 
 
 def test_eval_all_failures_exits_nonzero(runner, tmp_path):

@@ -19,7 +19,6 @@ from lmpipe.core import (
     passages_to_text,
     prepend_output_field,
     render_prompt,
-    titles_from_context,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,8 +226,3 @@ def test_passages_to_text_numbering_and_empty():
     assert passages_to_text([]) == "N/A"
     text = passages_to_text([("T1", "body one"), ("T2", "line\nbreak")])
     assert text == "[1] T1 | body one\n[2] T2 | line break"
-
-
-def test_titles_from_context_round_trip():
-    text = passages_to_text([("Alpha Bridge", "a"), ("Beta Hall", "b")])
-    assert titles_from_context(text) == ["Alpha Bridge", "Beta Hall"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lmpipe.backend import CachingBackend, ScriptedBackend, load_script
+from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.cli import bundled_data_path
 from lmpipe.evaluation import (
     bootstrap_metric,
@@ -12,8 +12,8 @@ from lmpipe.evaluation import (
     evaluate_dataset,
     run_task_example,
 )
-from lmpipe.metrics import load_dataset
-from lmpipe.retrieval import RetrieverIndex, load_corpus
+from lmpipe.metrics import TaskExample, load_dataset
+from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus
 from lmpipe.runtime import BACKTRACK_DEFAULT, DISABLE_ALL, RuntimeConfig
 from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen, LongFormQA
 
@@ -54,7 +54,9 @@ def test_evaluate_dataset_error_rows(index, testset):
     )
     assert all("error" in row for row in rows)
     assert all(row["error_type"] == "UnscriptedPromptError" for row in rows)
-    assert all(result is None for result in results)
+    # each example keeps the steps completed before the error (none here) and the message
+    assert all(result.trace.steps == [] and result.error == row["error"]
+               for row, result in zip(rows, results))
     report = build_report("multihop", "vanilla", rows)
     assert "6_examples_failed" in report.flags
     assert report.metrics == {}
@@ -95,6 +97,29 @@ def test_evaluate_dataset_isolates_any_exception(index, testset, workers):
     assert report.metrics["answer_em"] == 1.0
 
 
+def test_multihop_recall_keeps_titles_containing_separator():
+    # a title holding " | ", the separator of the rendered context lines, still
+    # counts as retrieved
+    index = RetrieverIndex.build([
+        Passage("Gate | North Annex", "The north annex gate was built by Ilsa Varn."),
+        Passage("Ilsa Varn", "Ilsa Varn was born in Corvale."),
+        Passage("Harbor Lamp", "The harbor lamp burns through the night."),
+        Passage("Mill Pond", "Ducks swim on the mill pond."),
+    ])
+    example = TaskExample("Where was the builder of the north annex gate born?", "Corvale",
+                          frozenset({"Gate | North Annex", "Ilsa Varn"}))
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Query: ${query}",
+                    responses=["Query: north annex gate", "Query: Ilsa Varn"]),
+        ScriptEntry(match="Answer: ${answer}", responses=["Answer: Corvale"]),
+    ]))
+    rows, _ = evaluate_dataset("multihop", MultiHopQA(index), [example],
+                               RuntimeConfig(), backend)
+    report = build_report("multihop", "infer_assert", rows)
+    assert report.metrics["retrieval_recall"] == 1.0
+    assert report.metrics["answer_em"] == 1.0
+
+
 def test_build_report_empty_dataset_flagged():
     report = build_report("quiz", "vanilla", [])
     assert report.n_examples == 0
@@ -111,7 +136,7 @@ def test_bootstrap_metric_passes_on_clean_runs(index, testset, task, script, pro
     backend = script_backend(script)
     program = program_factory(index)
     example = testset[0]
-    result = run_task_example(task, program, example, RuntimeConfig(), backend)
+    result = run_task_example(program, example, RuntimeConfig(), backend)
     metric = bootstrap_metric(task)
     assert metric(example, result.prediction, result.trace) == expected
 
@@ -120,7 +145,7 @@ def test_bootstrap_metric_fails_on_wrong_answer(index, testset):
     backend = script_backend("multihop_all_pass.json")
     example = testset[0]
     other = testset[1]
-    result = run_task_example("multihop", MultiHopQA(index), example, RuntimeConfig(), backend)
+    result = run_task_example(MultiHopQA(index), example, RuntimeConfig(), backend)
     metric = bootstrap_metric("multihop")
     # score the run against a different example's gold answer
     assert metric(other, result.prediction, result.trace) == 0.0

@@ -11,8 +11,8 @@ from lmpipe.core import (
     Prediction,
     Trace,
     TraceStep,
-    passages_to_text,
 )
+from lmpipe.evaluation import score_example
 from lmpipe.metrics import (
     CitationMetrics,
     TaskExample,
@@ -115,34 +115,29 @@ def test_answer_em_normalizes():
     assert answer_em("", "x") == 0.0
 
 
-def context_trace(titles: list[str], module_id: str = "generate_answer") -> Trace:
-    context = passages_to_text([(t, "body") for t in titles])
-    step = TraceStep(module_id=module_id, inputs={"context": context},
-                     prediction=Prediction(outputs={}))
-    return Trace(steps=[step], final_prediction=Prediction(outputs={}))
-
-
 def test_retrieval_recall_counts_gold_titles():
-    trace = context_trace(["A", "B", "C"])
-    assert retrieval_recall(trace, {"A", "B"}) == 1.0
-    assert retrieval_recall(trace, {"A", "Z"}) == 0.5
-    assert retrieval_recall(trace, {"Y", "Z"}) == 0.0
+    titles = ["A", "B", "C"]
+    assert retrieval_recall(titles, {"A", "B"}) == 1.0
+    assert retrieval_recall(titles, {"A", "Z"}) == 0.5
+    assert retrieval_recall(titles, {"Y", "Z"}) == 0.0
+    assert retrieval_recall([], {"A"}) == 0.0
 
 
 def test_retrieval_recall_empty_gold_absent():
-    assert retrieval_recall(context_trace(["A"]), frozenset()) is None
+    assert retrieval_recall(["A"], frozenset()) is None
 
 
-def test_retrieval_recall_reads_named_module():
+def test_multihop_recall_reads_context_passages_from_trace_meta():
+    # the last step is a judge with an "N/A" context; recall reads the passages
+    # the program kept for its final pass, titles verbatim
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"},
                            prediction=Prediction(outputs={}))
-    answer_step = TraceStep(
-        module_id="generate_answer",
-        inputs={"context": passages_to_text([("Gold", "b")])},
-        prediction=Prediction(outputs={}),
-    )
-    trace = Trace(steps=[answer_step, judge_step], final_prediction=Prediction(outputs={}))
-    assert retrieval_recall(trace, {"Gold"}, context_module="generate_answer") == 1.0
+    trace = Trace(steps=[judge_step], final_prediction=Prediction(outputs={}),
+                  meta={"context_passages": [("Gold | Annex", "b"), ("Other", "c")]})
+    example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))
+    row = score_example("multihop", example, Prediction(outputs={"answer": "Paris"}), trace)
+    assert row["retrieval_recall"] == 1.0
+    assert row["answer_em"] == 1.0
 
 
 # --- composite scores against a brute-force oracle ----------------------------

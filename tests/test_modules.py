@@ -11,9 +11,9 @@ from lmpipe.modules import (
     RATIONALE_PREFIX,
     chain_of_thought,
     parse_completion,
-    predict,
 )
 from lmpipe.retrieval import Passage, RetrieverIndex, deduplicate, load_corpus, retrieve, tokenize
+from lmpipe.runtime import Program, RuntimeConfig, run_with_backtracking
 
 
 def test_chain_of_thought_prepends_rationale():
@@ -90,12 +90,19 @@ def test_parse_round_trips_rendered_demo():
     assert pred.outputs == {"rationale": "step", "query": "find it"}
 
 
+def predict(module, inputs, backend):
+    """One module call through the execution engine's call path."""
+    program = Program()
+    program.forward = lambda ctx, **kwargs: ctx.call(module, **kwargs)
+    return run_with_backtracking(program, inputs, RuntimeConfig(), backend).prediction
+
+
 def test_predict_renders_calls_and_parses():
     module = chain_of_thought("question -> answer", module_id="qa")
     backend = CachingBackend(ScriptedBackend([
         ScriptEntry(match="Question: Where", responses=["Reasoning: easy\nAnswer: Paris"]),
     ]))
-    pred = predict(module, {"question": "Where is it?"}, backend=backend)
+    pred = predict(module, {"question": "Where is it?"}, backend)
     assert pred.outputs["answer"] == "Paris"
     assert pred.raw_completion.startswith("Reasoning:")
 
@@ -103,7 +110,7 @@ def test_predict_renders_calls_and_parses():
 def test_predict_prompt_matches_render():
     module = chain_of_thought("question -> answer", module_id="qa")
     inner = ScriptedBackend([ScriptEntry(match="Question:", responses=["Answer: hi"])])
-    predict(module, {"question": "Q"}, backend=CachingBackend(inner))
+    predict(module, {"question": "Q"}, CachingBackend(inner))
     prompt = inner.call_log.records()[0].prompt
     assert prompt == render_prompt(module.signature, inputs={"question": "Q"})
 

@@ -21,7 +21,7 @@ from lmpipe.optimizers import (
 )
 from lmpipe.retrieval import RetrieverIndex, load_corpus
 from lmpipe.runtime import RuntimeConfig
-from lmpipe.tasks import MultiHopQA
+from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen
 
 from lmpipe.cli import bundled_data_path
 
@@ -45,10 +45,6 @@ def script_backend(name: str) -> CachingBackend:
     return CachingBackend(ScriptedBackend(load_script(bundled_data_path(f"scripts/{name}"))))
 
 
-def multihop_runner(prog, example, cfg, backend):
-    return run_task_example("multihop", prog, example, cfg, backend)
-
-
 METRIC = bootstrap_metric("multihop")
 
 
@@ -56,7 +52,7 @@ def test_bootstrap_with_assertions_filters_to_passing_demos(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
         CompileConfig(teacher_assertions=True), script_backend("multihop_teacher_assert.json"),
-        multihop_runner,
+        run_task_example,
     )
     demos = compiled.modules["generate_query"].demos
     assert 1 <= len(demos) <= 2
@@ -70,7 +66,7 @@ def test_bootstrap_naive_keeps_violating_demo(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
         CompileConfig(teacher_assertions=False), script_backend("multihop_teacher_naive.json"),
-        multihop_runner,
+        run_task_example,
     )
     queries = [d.values["query"] for d in compiled.modules["generate_query"].demos]
     assert any(len(q) >= 100 for q in queries)
@@ -79,7 +75,7 @@ def test_bootstrap_naive_keeps_violating_demo(index, trainset):
 def test_bootstrap_does_not_mutate_input_program(index, trainset):
     program = MultiHopQA(index)
     bootstrap_few_shot(program, trainset, METRIC, CompileConfig(teacher_assertions=True),
-                       script_backend("multihop_teacher_assert.json"), multihop_runner)
+                       script_backend("multihop_teacher_assert.json"), run_task_example)
     assert program.modules["generate_query"].demos == []
 
 
@@ -87,7 +83,7 @@ def test_bootstrap_empty_trainset_warns(index, caplog):
     with caplog.at_level(logging.WARNING, logger="lmpipe.optimizers"):
         compiled = bootstrap_few_shot(
             MultiHopQA(index), [], METRIC, CompileConfig(),
-            script_backend("multihop_all_pass.json"), multihop_runner,
+            script_backend("multihop_all_pass.json"), run_task_example,
         )
     assert compiled.modules["generate_query"].demos == []
     assert any("no demonstrations" in m for m in caplog.messages)
@@ -96,7 +92,7 @@ def test_bootstrap_empty_trainset_warns(index, caplog):
 def test_bootstrap_respects_demo_budget(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC, CompileConfig(max_bootstrapped_demos=1),
-        script_backend("multihop_all_pass.json"), multihop_runner,
+        script_backend("multihop_all_pass.json"), run_task_example,
     )
     for module in compiled.modules.values():
         assert len(module.demos) <= 1
@@ -105,14 +101,14 @@ def test_bootstrap_respects_demo_budget(index, trainset):
 def test_bootstrap_failing_metric_harvests_nothing(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, lambda e, p, t: 0.0, CompileConfig(),
-        script_backend("multihop_all_pass.json"), multihop_runner,
+        script_backend("multihop_all_pass.json"), run_task_example,
     )
     assert all(not m.demos for m in compiled.modules.values())
 
 
 def test_counterexamples_from_recovered_failure(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
-    result = multihop_runner(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
+    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
     counterexamples = collect_counterexamples([result.trace])
     assert len(counterexamples) == 1
     ce = counterexamples[0]
@@ -124,14 +120,14 @@ def test_counterexamples_from_recovered_failure(index, trainset):
 
 def test_counterexamples_all_pass_trace_empty(index, trainset):
     backend = script_backend("multihop_all_pass.json")
-    result = multihop_runner(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
+    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
     assert collect_counterexamples([result.trace]) == []
 
 
 def test_counterexamples_unrecovered_failure_empty(index, trainset):
     # never fixed: budget exhausts, the site warns, no counterexample exists
     backend = script_backend("multihop_teacher_naive.json")
-    result = multihop_runner(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
+    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
     assert collect_counterexamples([result.trace]) == []
 
 
@@ -139,7 +135,7 @@ def test_bootstrap_attaches_counterexamples_and_renders_them(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
         CompileConfig(teacher_assertions=True, collect_counterexamples=True),
-        script_backend("multihop_teacher_assert.json"), multihop_runner,
+        script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     ces = compiled.modules["generate_query"].counterexamples
     assert len(ces) == 1
@@ -156,7 +152,7 @@ def test_random_search_deterministic_and_budgeted(index, trainset, devset):
     def compile_once():
         best, report = random_search_compile(
             MultiHopQA(index), trainset, devset, METRIC, CompileConfig(rng_seed=13),
-            script_backend("multihop_all_pass.json"), multihop_runner,
+            script_backend("multihop_all_pass.json"), run_task_example,
         )
         return compiled_program_to_dict(best, "multihop", CompileConfig(rng_seed=13)), report
 
@@ -172,7 +168,7 @@ def test_random_search_deterministic_and_budgeted(index, trainset, devset):
 def test_random_search_tie_breaks_to_lowest_index(index, trainset, devset):
     _, report = random_search_compile(
         MultiHopQA(index), trainset, devset, METRIC, CompileConfig(rng_seed=13),
-        script_backend("multihop_all_pass.json"), multihop_runner,
+        script_backend("multihop_all_pass.json"), run_task_example,
     )
     scores = [c.score for c in report.candidates]
     assert report.best_index == scores.index(max(scores))
@@ -182,7 +178,7 @@ def test_random_search_single_candidate(index, trainset, devset):
     best, report = random_search_compile(
         MultiHopQA(index), trainset, devset, METRIC,
         CompileConfig(rng_seed=3, num_candidates=1),
-        script_backend("multihop_all_pass.json"), multihop_runner,
+        script_backend("multihop_all_pass.json"), run_task_example,
     )
     assert len(report.candidates) == 1
     assert report.best_index == 0
@@ -192,14 +188,14 @@ def test_random_search_single_candidate(index, trainset, devset):
 def test_random_search_requires_valset(index, trainset):
     with pytest.raises(ValueError, match="valset"):
         random_search_compile(MultiHopQA(index), trainset, [], METRIC, CompileConfig(),
-                              script_backend("multihop_all_pass.json"), multihop_runner)
+                              script_backend("multihop_all_pass.json"), run_task_example)
 
 
 def test_compiled_artifact_round_trip(index, trainset, tmp_path):
     config = CompileConfig(teacher_assertions=True, collect_counterexamples=True)
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC, config,
-        script_backend("multihop_teacher_assert.json"), multihop_runner,
+        script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     path = tmp_path / "artifact.json"
     save_compiled_program(compiled, "multihop", config, path)
@@ -241,3 +237,20 @@ def test_collect_counterexamples_respects_payload_fields():
     ces = collect_counterexamples([trace], payload_fields={"gen": "value"})
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]
+
+
+@pytest.mark.parametrize("task,make_program", [
+    ("quiz", lambda index: QuizGen()),
+    ("tweet", lambda index: TweetGen(index)),
+])
+def test_random_search_default_runner_passes_declared_inputs(index, trainset, devset,
+                                                             task, make_program):
+    # quiz and tweet take the gold answer as an input too; the default runner
+    # must pass it
+    compiled, report = random_search_compile(
+        make_program(index), trainset, devset, bootstrap_metric(task),
+        CompileConfig(teacher_assertions=True, num_candidates=2),
+        script_backend(f"{task}_all_pass.json"),
+    )
+    assert [c.score for c in report.candidates] == [1.0, 1.0]
+    assert all(module.demos for module in compiled.modules.values())

@@ -22,7 +22,6 @@ from lmpipe.runtime import (
     save_trace,
     trace_from_dict,
     trace_to_dict,
-    wrap_retry,
 )
 
 VALUE_MESSAGE = "Value should be ok"
@@ -96,39 +95,6 @@ def test_retry_state_invariants():
         RetryState(module_id="m", r=-1)
 
 
-# --- wrap_retry ---------------------------------------------------------------
-
-def qa_module() -> PredictModule:
-    return PredictModule(module_id="qa", signature=parse_signature("question -> query"))
-
-
-def test_wrap_retry_empty_state_is_identity():
-    module = qa_module()
-    wrapped = wrap_retry(module)
-    inputs = {"question": "Q"}
-    assert wrapped.render(inputs, None) == module.render(inputs)
-    assert wrapped.render(inputs, RetryState(module_id="qa")) == module.render(inputs)
-
-
-def test_wrap_retry_injects_past_failure():
-    wrapped = wrap_retry(qa_module())
-    long_query = "x" * 120
-    state = RetryState(module_id="qa", r=1,
-                       past_failures=((long_query, "Query should be less than 100 characters"),))
-    prompt = wrapped.render({"question": "Q"}, state)
-    assert f"Past Query: {long_query}" in prompt
-    assert "Instruction: Query should be less than 100 characters" in prompt
-
-
-def test_wrap_retry_two_failures_in_order():
-    wrapped = wrap_retry(qa_module())
-    state = RetryState(module_id="qa", r=2,
-                       past_failures=(("first bad", "msg one"), ("second bad", "msg two")))
-    prompt = wrapped.render({"question": "Q"}, state)
-    assert prompt.index("first bad") < prompt.index("second bad")
-    assert prompt.index("msg one") < prompt.index("msg two")
-
-
 # --- the execution engine ------------------------------------------------------
 
 class EchoProgram(Program):
@@ -150,6 +116,54 @@ class EchoProgram(Program):
 def echo_backend(fails: int) -> CachingBackend:
     responses = ["Value: bad"] * fails + ["Value: ok"]
     return CachingBackend(ScriptedBackend([ScriptEntry(match="Prompt: go", responses=responses)]))
+
+
+# --- retry feedback in the call path --------------------------------------------
+
+class QueryProgram(Program):
+    """One query module; the query must stay under 100 characters."""
+
+    def __init__(self):
+        super().__init__()
+        self.qa = self.register(PredictModule(
+            module_id="qa", signature=parse_signature("question -> query")))
+
+    def forward(self, ctx, question):
+        query = ctx.call(self.qa, question=question).outputs["query"]
+        ctx.suggest(len(query) < 100, f"Query has {len(query)} characters, keep it under 100",
+                    label="query_length")
+        return query
+
+
+def query_prompts(queries: list[str]) -> tuple[PredictModule, list[str]]:
+    """Run QueryProgram over scripted queries; the module and every prompt sent."""
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Question: Q", responses=[f"Query: {q}" for q in queries]),
+    ]))
+    program = QueryProgram()
+    run_with_backtracking(program, {"question": "Q"}, RuntimeConfig(max_retries=2), backend)
+    return program.qa, [r.prompt for r in backend.call_log.records()]
+
+
+def test_call_first_attempt_prompt_has_no_feedback():
+    module, prompts = query_prompts(["short"])
+    assert prompts == [module.render({"question": "Q"})]
+
+
+def test_call_retry_prompt_carries_past_failure():
+    long_query = "x" * 120
+    _, prompts = query_prompts([long_query, "short"])
+    assert len(prompts) == 2
+    assert f"Past Query: {long_query}" in prompts[1]
+    assert "Instruction: Query has 120 characters, keep it under 100" in prompts[1]
+
+
+def test_call_retry_prompt_lists_failures_in_order():
+    first, second = "a" * 120, "b" * 130
+    _, prompts = query_prompts([first, second, "short"])
+    retry = prompts[2]
+    assert retry.index(f"Past Query: {first}") < retry.index(f"Past Query: {second}")
+    assert retry.index("Query has 120 characters") < retry.index("Query has 130 characters")
 
 
 def site_dispositions(trace) -> dict[int, list[str]]:
@@ -320,7 +334,7 @@ def test_rollback_discards_state_from_failed_attempts():
     ]))
     result = run_with_backtracking(AccumulatingProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert result.meta["collected"] == ["fine", "better"]
+    assert result.trace.meta["collected"] == ["fine", "better"]
 
 
 class JudgedProgram(Program):

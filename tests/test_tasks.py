@@ -1,26 +1,29 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.cli import bundled_data_path
-from lmpipe.core import titles_from_context
-from lmpipe.evaluation import score_example
+from lmpipe.core import passages_to_text
+from lmpipe.evaluation import run_task_example, score_example
 from lmpipe.metrics import answer_em, load_dataset, retrieval_recall, suggestions_passed
 from lmpipe.retrieval import RetrieverIndex, load_corpus
+from lmpipe.runtime import BACKTRACK_DEFAULT, DISABLE_ALL, RuntimeConfig
 from lmpipe.tasks import (
     COMPLETE,
     PRIMITIVE,
+    TASKS,
     LongFormQA,
     MultiHopQA,
     QuizGen,
     TweetGen,
     build_program,
-    longform_qa,
-    multihop_qa,
-    quiz_gen,
-    tweet_gen,
 )
+
+ASSERTIVE = RuntimeConfig(handler_policy=BACKTRACK_DEFAULT)
+RECORD_ONLY = RuntimeConfig(handler_policy=DISABLE_ALL)
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +42,20 @@ def script_backend(name: str) -> CachingBackend:
 
 def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
     ex = test_examples[1]
-    result = multihop_qa(MultiHopQA(index), ex.question, use_assertions=True,
-                         backend=script_backend("multihop_all_pass.json"))
+    result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
+                              script_backend("multihop_all_pass.json"))
     assert not result.halted
-    context = result.trace.steps[-1].inputs["context"]
-    assert len(titles_from_context(context)) == 6
+    passages = result.trace.meta["context_passages"]
+    assert len(passages) == 6
+    assert result.trace.steps[-1].inputs["context"] == passages_to_text(passages)
     assert suggestions_passed(result.trace) == (1.0, False)
     assert answer_em(result.prediction.outputs["answer"], ex.answer) == 1.0
-    assert retrieval_recall(result.trace, ex.gold_titles,
-                            context_module="generate_answer") == 1.0
+    assert retrieval_recall([title for title, _ in passages], ex.gold_titles) == 1.0
 
 
 def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
-    result = multihop_qa(MultiHopQA(index), test_examples[1].question, True,
-                         backend=script_backend("multihop_all_pass.json"))
+    result = run_task_example(MultiHopQA(index), test_examples[1], ASSERTIVE,
+                              script_backend("multihop_all_pass.json"))
     sites = result.trace.outcomes_by_site()
     assert len(sites) == 4  # length and distinctness per hop
     labels = [outcomes[0].decl.label for outcomes in sites.values()]
@@ -62,7 +65,7 @@ def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
 def test_multihop_retry_scenario(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("multihop_retry.json")
-    result = multihop_qa(MultiHopQA(index), ex.question, True, backend=backend)
+    result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
     dispositions = [o.disposition for o in result.trace.outcomes_by_site()[0]]
     assert dispositions == ["retried", "passed"]
     assert [s.attempt for s in result.trace.steps if s.module_id == "generate_query"] == [0, 1, 0]
@@ -71,7 +74,6 @@ def test_multihop_retry_scenario(index, test_examples):
 
 def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
     # hop 2 first repeats the hop-1 query; the distinctness suggestion retries it
-    from lmpipe.core import passages_to_text
     from lmpipe.retrieval import retrieve
 
     ex = test_examples[0]
@@ -88,18 +90,18 @@ def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
         ScriptEntry(match=f"Question: {ex.question}",
                     responses=[f"Reasoning: r\nAnswer: {ex.answer}"]),
     ]))
-    result = multihop_qa(MultiHopQA(index), ex.question, True, backend=backend)
+    result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
     sites = result.trace.outcomes_by_site()
     # site 3 is hop-2 distinctness: the duplicate retried, the fix passed
     assert [o.disposition for o in sites[3]] == ["retried", "passed"]
     assert [o.decl.label for o in sites[3]] == ["query_distinct", "query_distinct"]
-    assert result.meta["queries"] == [subject, person]
+    assert result.trace.meta["queries"] == [subject, person]
 
 
 def test_multihop_without_assertions_records_but_never_retries(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("multihop_retry.json")
-    result = multihop_qa(MultiHopQA(index), ex.question, use_assertions=False, backend=backend)
+    result = run_task_example(MultiHopQA(index), ex, RECORD_ONLY, backend)
     assert len(backend.call_log) == 3  # one call per module invocation
     dispositions = [o.disposition for o in result.trace.outcomes_by_site()[0]]
     assert dispositions == ["failed"]
@@ -109,10 +111,10 @@ def test_multihop_without_assertions_records_but_never_retries(index, test_examp
 
 def test_longform_citations_pass(index, test_examples):
     ex = test_examples[0]
-    result = longform_qa(LongFormQA(index), ex.question, True,
-                         backend=script_backend("longform_all_pass.json"))
+    result = run_task_example(LongFormQA(index), ex, ASSERTIVE,
+                              script_backend("longform_all_pass.json"))
     assert not result.halted
-    row = score_example("longform", ex, result)
+    row = score_example("longform", ex, result.prediction, result.trace)
     assert row["citation_faithfulness"] == 1.0
     assert row["citation_precision"] == 1.0
     assert row["citation_recall"] == 1.0
@@ -121,8 +123,8 @@ def test_longform_citations_pass(index, test_examples):
 
 
 def test_longform_judge_steps_are_traced_but_not_demo_modules(index, test_examples):
-    result = longform_qa(LongFormQA(index), test_examples[0].question, True,
-                         backend=script_backend("longform_all_pass.json"))
+    result = run_task_example(LongFormQA(index), test_examples[0], ASSERTIVE,
+                              script_backend("longform_all_pass.json"))
     module_ids = [s.module_id for s in result.trace.steps]
     assert module_ids.count("faithfulness_judge") == 2  # one per citation pair
     program = LongFormQA(index)
@@ -131,9 +133,8 @@ def test_longform_judge_steps_are_traced_but_not_demo_modules(index, test_exampl
 
 def test_quiz_all_checks_pass(index, test_examples):
     ex = test_examples[0]
-    result = quiz_gen(QuizGen(), ex.question, ex.answer, True,
-                      backend=script_backend("quiz_all_pass.json"))
-    row = score_example("quiz", ex, result)
+    result = run_task_example(QuizGen(), ex, ASSERTIVE, script_backend("quiz_all_pass.json"))
+    row = score_example("quiz", ex, result.prediction, result.trace)
     assert row["format"] == 1.0
     assert row["has_answer"] == 1.0
     assert row["plausible"] == 1.0
@@ -143,12 +144,12 @@ def test_quiz_all_checks_pass(index, test_examples):
 def test_quiz_fix_scenario_retries_then_passes(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("quiz_fix.json")
-    result = quiz_gen(QuizGen(), ex.question, ex.answer, True, backend=backend)
+    result = run_task_example(QuizGen(), ex, ASSERTIVE, backend)
     sites = result.trace.outcomes_by_site()
     assert [o.disposition for o in sites[0]] == ["retried", "passed"]   # format site
     assert [o.disposition for o in sites[1]] == ["passed"]              # inclusion
     assert [o.disposition for o in sites[2]] == ["passed"]              # plausibility
-    row = score_example("quiz", ex, result)
+    row = score_example("quiz", ex, result.prediction, result.trace)
     assert row["validity"] == 1.0
     # first failing constraint short-circuits: the judge never saw the bad attempt
     judge_steps = [s for s in result.trace.steps if s.module_id == "plausibility_judge"]
@@ -158,8 +159,8 @@ def test_quiz_fix_scenario_retries_then_passes(index, test_examples):
 def test_quiz_without_assertions_single_attempt(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("quiz_fix.json")
-    result = quiz_gen(QuizGen(), ex.question, ex.answer, False, backend=backend)
-    row = score_example("quiz", ex, result)
+    result = run_task_example(QuizGen(), ex, RECORD_ONLY, backend)
+    row = score_example("quiz", ex, result.prediction, result.trace)
     assert row["format"] == 0.0
     assert row["validity"] == 0.0
     # constraints recorded on the single attempt; judge still consulted once
@@ -168,9 +169,8 @@ def test_quiz_without_assertions_single_attempt(index, test_examples):
 
 def test_tweet_all_checks_pass(index, test_examples):
     ex = test_examples[0]
-    result = tweet_gen(TweetGen(index), ex.question, ex.answer, True,
-                       backend=script_backend("tweet_all_pass.json"))
-    row = score_example("tweet", ex, result)
+    result = run_task_example(TweetGen(index), ex, ASSERTIVE, script_backend("tweet_all_pass.json"))
+    row = score_example("tweet", ex, result.prediction, result.trace)
     for name in ("no_hashtags", "within_limit", "has_answer", "engaging", "faithful"):
         assert row[name] == 1.0
     assert row["quality"] == 1.0
@@ -178,8 +178,8 @@ def test_tweet_all_checks_pass(index, test_examples):
 
 
 def test_tweet_uses_per_hop_query_modules(index, test_examples):
-    result = tweet_gen(TweetGen(index), test_examples[0].question, test_examples[0].answer,
-                       True, backend=script_backend("tweet_all_pass.json"))
+    result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
+                              script_backend("tweet_all_pass.json"))
     module_ids = [s.module_id for s in result.trace.steps]
     assert "generate_query_0" in module_ids and "generate_query_1" in module_ids
     assert module_ids.count("engaging_judge") == 1
@@ -187,15 +187,15 @@ def test_tweet_uses_per_hop_query_modules(index, test_examples):
 
 
 def test_tweet_deduplicates_context(index, test_examples):
-    result = tweet_gen(TweetGen(index), test_examples[0].question, test_examples[0].answer,
-                       True, backend=script_backend("tweet_all_pass.json"))
-    titles_and_bodies = result.meta["context_passages"]
+    result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
+                              script_backend("tweet_all_pass.json"))
+    titles_and_bodies = result.trace.meta["context_passages"]
     assert len(titles_and_bodies) == len(set(titles_and_bodies))
 
 
 def test_tweet_suggestion_order(index, test_examples):
-    result = tweet_gen(TweetGen(index), test_examples[0].question, test_examples[0].answer,
-                       True, backend=script_backend("tweet_all_pass.json"))
+    result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
+                              script_backend("tweet_all_pass.json"))
     labels = [outcomes[0].decl.label for outcomes in result.trace.outcomes_by_site().values()]
     assert labels == ["no_hashtags", "within_limit", "has_answer", "engaging", "faithful"]
 
@@ -205,9 +205,9 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
     from lmpipe.checks import is_query_distinct
 
     ex = test_examples[0]
-    result = multihop_qa(MultiHopQA(index), ex.question, True,
-                         backend=script_backend("multihop_retry.json"))
-    queries = result.meta["queries"]
+    result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
+                              script_backend("multihop_retry.json"))
+    queries = result.trace.meta["queries"]
     history = [ex.question]
     recounted = []
     for query in queries:
@@ -221,10 +221,10 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
 
 def test_transparency_assertions_inactive_vs_active_when_all_pass(index, test_examples):
     ex = test_examples[2]
-    with_a = multihop_qa(MultiHopQA(index), ex.question, True,
-                         backend=script_backend("multihop_all_pass.json"))
-    without = multihop_qa(MultiHopQA(index), ex.question, False,
-                          backend=script_backend("multihop_all_pass.json"))
+    with_a = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
+                              script_backend("multihop_all_pass.json"))
+    without = run_task_example(MultiHopQA(index), ex, RECORD_ONLY,
+                               script_backend("multihop_all_pass.json"))
     assert with_a.prediction.outputs == without.prediction.outputs
 
 
@@ -235,6 +235,14 @@ def test_build_program_dispatch(index):
     assert isinstance(build_program("tweet", index), TweetGen)
     with pytest.raises(ValueError):
         build_program("unknown", index)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_program_inputs_name_forward_arguments(task):
+    program = TASKS[task].program
+    names = list(inspect.signature(program.forward).parameters)
+    assert tuple(names[2:]) == program.inputs  # after self and ctx
+    assert TASKS[task].bootstrap_column in TASKS[task].columns
 
 
 def test_instruction_variants_differ(index):
@@ -257,8 +265,8 @@ def test_longform_out_of_range_citation_counts_failed(index, test_examples):
                                "Reasoning: r\nParagraph: A fact [9]. Another [1]."]),
         ScriptEntry(match="Assessment Question:", responses=["Assessment Answer: Yes"]),
     ]))
-    result = longform_qa(LongFormQA(index), ex.question, use_assertions=False, backend=backend)
-    row = score_example("longform", ex, result)
+    result = run_task_example(LongFormQA(index), ex, RECORD_ONLY, backend)
+    row = score_example("longform", ex, result.prediction, result.trace)
     labels = {o.decl.label for outs in result.trace.outcomes_by_site().values() for o in outs}
     assert "citation_faithful" in labels
     assert row["citation_faithfulness"] == 0.5  # [9] failed, [1] judged yes
