@@ -262,12 +262,27 @@ class CacheKey(NamedTuple):
     params_digest: str
 
 
+class _Flight:
+    """An inner call that other callers with its key wait on; ``completions``
+    stays None if the call failed."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.completions: Optional[list[str]] = None
+
+
 class CachingBackend:
-    """Response cache in front of any backend. Errors are never cached."""
+    """Response cache in front of any backend. Errors are never cached.
+
+    Single-flight: while one call for a key is in flight, other calls with the
+    same key wait for it instead of calling the inner backend again. If that
+    call fails, each waiting call makes its own.
+    """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self._cache: dict[CacheKey, list[str]] = {}
+        self._in_flight: dict[CacheKey, _Flight] = {}
         self._lock = threading.Lock()
 
     @property
@@ -286,6 +301,24 @@ class CachingBackend:
         with self._lock:
             if key in self._cache:
                 return list(self._cache[key])
+            flight = self._in_flight.get(key)
+            leads = flight is None
+            if leads:
+                flight = self._in_flight[key] = _Flight()
+        if not leads:
+            flight.done.wait()
+            if flight.completions is not None:
+                return list(flight.completions)
+            return self._fill(key, prompt, params)  # the leader's error is not shared
+        try:
+            flight.completions = self._fill(key, prompt, params)
+            return list(flight.completions)
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            flight.done.set()
+
+    def _fill(self, key: CacheKey, prompt: str, params: GenerationParams) -> list[str]:
         completions = self.inner.generate(prompt, params)
         with self._lock:
             self._cache.setdefault(key, list(completions))

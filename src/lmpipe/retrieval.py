@@ -1,7 +1,8 @@
 """In-memory lexical retrieval: BM25 over an inverted index.
 
 Passages are scored with BM25 (k1=1.5, b=0.75, Robertson & Zaragoza 2009)
-over lowercase alphanumeric tokens of ``title + " " + text``.
+over the tokens of ``title + " " + text``: the runs of ASCII ``a-z0-9`` in
+its ``str.lower()``, every other character separating tokens.
 
 Index layout: ``build`` makes one pass over each passage's tokens and
 appends the passage's index to the postings list of each token, so
@@ -33,7 +34,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -43,11 +43,21 @@ from typing import Iterable, Sequence
 BM25_K1 = 1.5
 BM25_B = 0.75
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table for ``bytes.translate``: ASCII a-z and 0-9 stay, every other byte
+# becomes a space.
+_TOKEN_BYTES = bytes(
+    byte if (0x61 <= byte <= 0x7A or 0x30 <= byte <= 0x39) else 0x20 for byte in range(256)
+)
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The runs of ASCII ``a-z0-9`` in ``text.lower()``, in order.
+
+    Equal to ``re.findall(r"[a-z0-9]+", text.lower())``: UTF-8 encodes every
+    non-ASCII character, a lone surrogate included under ``surrogatepass``,
+    as bytes >= 0x80 only, so no such character adds to or joins a token.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,12 @@ class RetrieverIndex:
         every other passage scores 0.0."""
         scores: dict[int, float] = {}
         for term in tokenize(query):
-            for doc, weight in self._term_weights(term).items():
+            weights = self._term_weights(term)
+            if not scores:
+                # every weight is > 0, so 0.0 + weight == weight: a copy sums the same
+                scores = dict(weights)
+                continue
+            for doc, weight in weights.items():
                 scores[doc] = scores.get(doc, 0.0) + weight
         return scores
 
@@ -151,8 +166,14 @@ def deduplicate(passages: Sequence[Passage]) -> list[Passage]:
     return unique
 
 
+# json.loads without its two whitespace scans; shared, as json.loads shares its
+# own decoder
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def load_corpus(path: str | Path) -> list[Passage]:
-    """Read one JSON record per line with fields {title, text}."""
+    """Read one JSON record per line with fields {title, text}; blank lines are
+    skipped. A bad record raises ``ValueError`` naming the path and line."""
     passages = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -160,7 +181,13 @@ def load_corpus(path: str | Path) -> list[Passage]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                try:
+                    record, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    # invalid, trailing data or a BOM: json.loads raises its own message
+                    record = json.loads(line)
                 passages.append(Passage(title=record["title"], text=record["text"]))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc

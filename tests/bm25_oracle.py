@@ -1,18 +1,47 @@
-"""The linear-scan BM25 scorer that ``lmpipe.retrieval`` replaced, kept as an
-oracle: the postings index must rank and score exactly as this does.
+"""The retrieval code that ``lmpipe.retrieval`` replaced, kept as oracles:
+the postings index must rank and score exactly as the linear-scan scorer
+does, ``tokenize`` must split text exactly as the regex did, and
+``load_corpus`` must return and raise exactly what the ``json.loads`` loader
+did.
 
 ``score`` counts every query token in the passage's token list, and
-``retrieve`` scores every passage and sorts them all. Both are the original
-code, unchanged apart from the names.
+``retrieve`` scores every passage and sorts them all. All of it is the
+original code, unchanged apart from the names, and none of it calls the code
+under test.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable
 
-from lmpipe.retrieval import BM25_B, BM25_K1, Passage, tokenize
+from lmpipe.retrieval import BM25_B, BM25_K1, Passage
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    return _TOKEN_RE.findall(text.lower())
+
+
+def oracle_load_corpus(path: str | Path) -> list[Passage]:
+    """Read one JSON record per line with fields {title, text}."""
+    passages = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                passages.append(Passage(title=record["title"], text=record["text"]))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc
+    return passages
 
 
 @dataclass
@@ -31,7 +60,7 @@ class OracleIndex:
             raise ValueError(f"duplicate passage title {dupe!r}")
         index = cls(passages=passages)
         for passage in passages:
-            tokens = tokenize(passage.title + " " + passage.text)
+            tokens = oracle_tokenize(passage.title + " " + passage.text)
             index._doc_tokens.append(tokens)
             for term in set(tokens):
                 index._doc_freq[term] = index._doc_freq.get(term, 0) + 1
@@ -47,7 +76,7 @@ class OracleIndex:
         doc_len = len(tokens)
         n_docs = len(self.passages)
         score = 0.0
-        for term in tokenize(query):
+        for term in oracle_tokenize(query):
             df = self._doc_freq.get(term, 0)
             if df == 0:
                 continue

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -174,6 +178,122 @@ def test_errors_never_cached():
         backend.generate("mystery")
     inner.entries.append(ScriptEntry(match="mystery", responses=["later"]))
     assert backend.generate("mystery") == ["later"]
+
+
+class GatedBackend:
+    """Counts its calls and holds every call until ``release`` is set; with
+    ``fail_first`` the first call then fails."""
+
+    backend_id = "gated"
+
+    def __init__(self, fail_first: bool = False):
+        self.calls = 0
+        self.fail_first = fail_first
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def generate(self, prompt, params=GenerationParams()):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        assert self.release.wait(timeout=10)
+        if first and self.fail_first:
+            raise BackendError("first call fails")
+        return [f"done {prompt}"]
+
+
+def in_threading_wait(frame) -> bool:
+    while frame is not None:
+        if frame.f_code.co_name == "wait" and frame.f_code.co_filename == threading.__file__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def generate_concurrently(backend, prompt: str, n_threads: int, inner: GatedBackend) -> list:
+    """Start ``n_threads`` calls of one prompt, release the inner backend once
+    every thread is blocked (in the inner call or waiting on another thread's),
+    and return each call's completions or exception."""
+    results: list = [None] * n_threads
+
+    def worker(slot: int) -> None:
+        try:
+            results[slot] = backend.generate(prompt)
+        except BackendError as exc:
+            results[slot] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 10
+    while not all(in_threading_wait(sys._current_frames().get(t.ident)) for t in threads):
+        assert time.monotonic() < deadline, "threads never blocked"
+        time.sleep(0.001)
+    inner.release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_cache_single_flight_concurrent_same_key():
+    inner = GatedBackend()
+    results = generate_concurrently(CachingBackend(inner), "q", 8, inner)
+    assert inner.calls == 1
+    assert results == [["done q"]] * 8
+
+
+def test_cache_single_flight_leader_error_not_shared():
+    # the leader's error reaches only the leader; each follower calls afresh
+    inner = GatedBackend(fail_first=True)
+    backend = CachingBackend(inner)
+    results = generate_concurrently(backend, "q", 8, inner)
+    errors = [r for r in results if isinstance(r, BackendError)]
+    assert len(errors) == 1 and str(errors[0]) == "first call fails"
+    assert [r for r in results if not isinstance(r, BackendError)] == [["done q"]] * 7
+    assert inner.calls == 8
+    assert backend.generate("q") == ["done q"] and inner.calls == 8
+
+
+class CountingBackend:
+    backend_id = "counting"
+
+    def __init__(self):
+        self.calls: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def generate(self, prompt, params=GenerationParams()):
+        with self._lock:
+            self.calls[prompt] = self.calls.get(prompt, 0) + 1
+        time.sleep(0.001)  # the call is in flight: let the other threads run
+        return [f"done {prompt}"]
+
+
+def test_cache_single_flight_stress_one_inner_call_per_key():
+    inner = CountingBackend()
+    backend = CachingBackend(inner)
+    prompts = [f"q{i}" for i in range(20)]
+    n_threads = 8
+    results: list = [None] * n_threads
+
+    def worker(slot: int) -> None:
+        rng = random.Random(slot)
+        results[slot] = all(backend.generate(p) == [f"done {p}"]
+                            for p in rng.choices(prompts, k=300))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * n_threads
+    assert inner.calls == {p: 1 for p in prompts}
 
 
 class FakeResponse:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from lmpipe.modules import (
     chain_of_thought,
     parse_completion,
 )
-from lmpipe.retrieval import Passage, RetrieverIndex, deduplicate, load_corpus, retrieve, tokenize
+from lmpipe.retrieval import Passage, RetrieverIndex, deduplicate, load_corpus, retrieve
 from lmpipe.runtime import Program, RuntimeConfig, run_with_backtracking
 
 
@@ -126,6 +127,10 @@ CORPUS = [
 
 def brute_force_bm25(passages, query, k1=1.5, b=0.75):
     """Independent literal transcription of the scoring formula."""
+
+    def tokenize(text):
+        return re.findall(r"[a-z0-9]+", text.lower())
+
     docs = [tokenize(p.title + " " + p.text) for p in passages]
     avg = sum(len(d) for d in docs) / len(docs)
     n = len(docs)

@@ -1,16 +1,19 @@
-"""Retrieval microbenchmark: the BM25 postings index against the linear scan.
+"""Retrieval microbenchmark: ``lmpipe.retrieval`` against the code it replaced.
 
     python3 tools/bench_retrieval.py            # writes BENCH_retrieval.json
 
-On seeded corpora of 50, 2k and 20k passages it times, for the linear-scan
-oracle kept in ``tests/bm25_oracle.py`` (before) and ``lmpipe.retrieval``
-(after): the index build, the median over repetitions; top-3 queries at p50
-and p90; and the memory the built index holds, measured with ``tracemalloc``
-in a separate build. The postings index computes a term's weights on first
-use, so its queries are timed twice: on a fresh index (``query_ms_*``, what
-one eval run pays) and again once every query term is memoized
-(``warm_query_ms_*``). Before and after alternate, build by build and query
-by query, so drifts in the host's speed hit both sides alike. Every query's
+On seeded corpora of 50, 2k and 20k passages it times, for the oracles kept
+in ``tests/bm25_oracle.py`` (before) and ``lmpipe.retrieval`` (after): the
+index build (linear scan before, postings index after), tokenizing every
+passage (regex before, byte table after) and loading the corpus from a JSONL
+file (``json.loads`` per line before, ``raw_decode`` after), each the median
+over repetitions; top-3 queries at p50 and p90; and the memory the built
+index holds, measured with ``tracemalloc`` in a separate build. The postings
+index computes a term's weights on first use, so its queries are timed twice:
+on a fresh index (``query_ms_*``, what one eval run pays) and again once
+every query term is memoized (``warm_query_ms_*``). Before and after
+alternate, run by run and query by query, so drifts in the host's speed hit
+both sides alike. Every query's
 ranked list is checked against the oracle's.
 
 Passages are recombined from the bundled vocabulary like the benchmark's
@@ -24,11 +27,13 @@ multi-hop task's two hops send them. Not part of the tier-1 tests.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -37,8 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import gen  # noqa: E402  (perfbench's workload generator: vocabulary and fixtures)
-from bm25_oracle import OracleIndex, oracle_retrieve  # noqa: E402
-from lmpipe.retrieval import Passage, RetrieverIndex, retrieve  # noqa: E402
+from bm25_oracle import (  # noqa: E402
+    OracleIndex, oracle_load_corpus, oracle_retrieve, oracle_tokenize,
+)
+from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus, retrieve, tokenize  # noqa: E402
 
 SIZES = (50, 2000, 20000)
 QUERY_CHAINS = 50  # two queries each: 100 samples, 10 beyond the p90
@@ -46,8 +53,19 @@ K = 3
 SEED = 1
 
 
+def max_chains(vocab: dict) -> int:
+    """Chains with unique subjects and people: (3 stems, kind) and
+    (first, 2 middle names from the other firsts, last)."""
+    subjects = math.comb(len(vocab["stems"]), 3) * len(vocab["kinds"])
+    people = len(vocab["firsts"]) * math.comb(len(vocab["firsts"]) - 1, 2) * len(vocab["lasts"])
+    return min(subjects, people)
+
+
 def make_chains(rng: random.Random, count: int) -> list:
     vocab = gen._vocabulary()
+    limit = max_chains(vocab)
+    if count > limit:
+        raise ValueError(f"the vocabulary gives at most {limit} chains, not {count}")
     chains, subjects, people = [], set(), set()
     while len(chains) < count:
         stems = rng.sample(vocab["stems"], 3)
@@ -105,11 +123,25 @@ def index_mib(build, passages, queries=()) -> float:
 
 def measure(size: int) -> dict:
     passages, queries = workload(size)
-    reps = max(3, 15000 // size)
-    builds = {"before": [], "after": []}
-    for _ in range(reps):
-        builds["before"].append(timed_ms(OracleIndex.build, passages)[0])
-        builds["after"].append(timed_ms(RetrieverIndex.build, passages)[0])
+    texts = [p.title + " " + p.text for p in passages]
+    reps = max(5, 15000 // size)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for p in passages:
+                handle.write(json.dumps({"title": p.title, "text": p.text}) + "\n")
+        if load_corpus(corpus) != passages or oracle_load_corpus(corpus) != passages:
+            raise AssertionError("the corpus file does not load back as written")
+        sides = {
+            "build_ms": (lambda: OracleIndex.build(passages), lambda: RetrieverIndex.build(passages)),
+            "tokenize_ms": (lambda: [oracle_tokenize(t) for t in texts], lambda: [tokenize(t) for t in texts]),
+            "load_ms": (lambda: oracle_load_corpus(corpus), lambda: load_corpus(corpus)),
+        }
+        times = {key: {"before": [], "after": []} for key in sides}
+        for _ in range(reps):
+            for key, (before, after) in sides.items():
+                times[key]["before"].append(timed_ms(before)[0])
+                times[key]["after"].append(timed_ms(after)[0])
 
     oracle = OracleIndex.build(passages)
     index = RetrieverIndex.build(passages)
@@ -125,7 +157,7 @@ def measure(size: int) -> dict:
 
     def row(side: str) -> dict:
         return {
-            "build_ms": round(statistics.median(builds[side]), 3),
+            **{key: round(statistics.median(times[key][side]), 3) for key in times},
             "query_ms_p50": round(percentile(cold[side], 0.5), 4),
             "query_ms_p90": round(percentile(cold[side], 0.9), 4),
         }
@@ -137,11 +169,11 @@ def measure(size: int) -> dict:
     after["index_mib"] = round(index_mib(RetrieverIndex.build, passages), 3)
     after["index_mib_after_queries"] = round(index_mib(RetrieverIndex.build, passages, queries), 3)
     return {
-        "passages": size, "queries": len(queries), "build_reps": reps,
+        "passages": size, "queries": len(queries), "reps": reps,
         "before": before, "after": after,
         "after_over_before": {
             key: round(after[key] / before[key], 3)
-            for key in ("build_ms", "query_ms_p50", "query_ms_p90", "index_mib")
+            for key in ("build_ms", "tokenize_ms", "load_ms", "query_ms_p50", "query_ms_p90", "index_mib")
         },
     }
 
