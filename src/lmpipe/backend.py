@@ -9,6 +9,7 @@ response cache keyed on (backend id, prompt text, generation params).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -55,7 +56,7 @@ class GenerationParams:
     def __post_init__(self) -> None:
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be > 0")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN too: no endpoint accepts it
             raise ValueError("temperature must be >= 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -192,22 +193,95 @@ class EndpointConfig:
         return base.rstrip("/")
 
 
+class _Response(NamedTuple):
+    """What ``HTTPBackend`` reads of an HTTP reply."""
+
+    status_code: int
+    text: str
+
+    def json(self):
+        return json.loads(self.text)
+
+
+@functools.cache
+def _https_opener():
+    """Built on first use, as ``urlopen`` builds its own: TLS is verified
+    against the system CA store, loaded once."""
+    import ssl
+    import urllib.request
+
+    verified = urllib.request.HTTPSHandler(context=ssl.create_default_context())
+    return urllib.request.build_opener(verified)
+
+
+_to_json = json.dumps  # the transport's ``json`` parameter hides the module
+
+
+def _urllib_post(url: str, json: dict, headers: dict, timeout: float) -> _Response:
+    """POST ``json`` with the standard library: one connection per call, TLS
+    verified, the proxy variables honoured (``HTTP(S)_PROXY`` as they were at
+    the first call, ``NO_PROXY`` at every call). A non-2xx reply is returned,
+    not raised, so its status and body reach the error message."""
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=_to_json(json, allow_nan=False).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    for name, value in headers.items():
+        request.add_unredirected_header(name, value)  # a redirect never carries the credential
+    open_url = _https_opener().open if url.startswith("https:") else urllib.request.urlopen
+    try:
+        with open_url(request, timeout=timeout) as reply:
+            return _Response(reply.status, reply.read().decode("utf-8", "replace"))
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return _Response(exc.code, exc.read().decode("utf-8", "replace"))
+
+
+def _choice_texts(payload) -> list[str]:
+    """The completion texts of a chat completions payload; ``ValueError`` says
+    what is malformed."""
+    if not isinstance(payload, dict):
+        raise ValueError("the payload is not a JSON object")
+    choices = payload.get("choices", [])
+    if not isinstance(choices, list):
+        raise ValueError("'choices' is not a list")
+    texts = []
+    for i, choice in enumerate(choices):
+        if not isinstance(choice, dict):
+            raise ValueError(f"choice {i} is not an object")
+        message = choice.get("message") or {}
+        if not isinstance(message, dict):
+            raise ValueError(f"the message of choice {i} is not an object")
+        text = message.get("content") or choice.get("text") or ""
+        if not isinstance(text, str):
+            raise ValueError(f"the text of choice {i} is not a string")
+        texts.append(text)
+    return texts
+
+
 class HTTPBackend:
     """Live-LM mode against one OpenAI-compatible chat completions endpoint.
 
     The credential is read from the LM_API_KEY environment variable at call
-    time. ``post`` is injectable for testing; it defaults to requests.post.
+    time. ``post(url, json=, headers=, timeout=)`` is injectable for testing;
+    it returns an object with ``status_code``, ``text`` and ``json()``. The
+    default id names the model and the endpoint, so a response cache never
+    mixes two of them.
     """
 
-    def __init__(self, config: EndpointConfig, post: Optional[Callable] = None, backend_id: str = "http"):
+    def __init__(self, config: EndpointConfig, post: Optional[Callable] = None,
+                 backend_id: Optional[str] = None):
         self.config = config
-        self.backend_id = backend_id
+        self._backend_id = backend_id
         self.call_log = CallLog()
-        if post is None:
-            import requests
+        self._post = post or _urllib_post
 
-            post = requests.post
-        self._post = post
+    @property
+    def backend_id(self) -> str:
+        return self._backend_id or f"http:{self.config.model}@{self.config.resolve_base()}"
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         if not prompt:
@@ -232,19 +306,20 @@ class HTTPBackend:
             )
         except Exception as exc:  # transport failure: retryable, never cached
             raise BackendError(f"transport error calling {url}: {exc}", retryable=True) from exc
-        if response.status_code == 401:
+        status = response.status_code
+        if status == 401:
             raise BackendError(
                 f"credential rejected (401); check the {API_KEY_ENV} environment variable: "
                 f"{response.text}"
             )
-        if not 200 <= response.status_code < 300:
-            raise BackendError(f"endpoint returned {response.status_code}: {response.text}")
-        payload = response.json()
-        choices = payload.get("choices", [])
-        completions = []
-        for choice in choices:
-            message = choice.get("message") or {}
-            completions.append(message.get("content") or choice.get("text") or "")
+        if not 200 <= status < 300:
+            # rate limits and server errors may pass; other client errors will not
+            raise BackendError(f"endpoint returned {status}: {response.text}",
+                               retryable=status == 429 or status >= 500)
+        try:
+            completions = _choice_texts(response.json())
+        except ValueError as exc:
+            raise BackendError(f"malformed response from {url} (status {status}): {exc}") from exc
         if len(completions) != params.n:
             raise BackendError(
                 f"endpoint returned {len(completions)} choices, expected {params.n}"

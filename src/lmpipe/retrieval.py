@@ -188,6 +188,8 @@ def load_corpus(path: str | Path) -> list[Passage]:
                 if end != len(line):
                     # invalid, trailing data or a BOM: json.loads raises its own message
                     record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {line[:40]}")
                 passages.append(Passage(title=record["title"], text=record["text"]))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc

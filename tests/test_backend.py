@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from lmpipe import backend as backend_module
 from lmpipe.backend import (
     API_KEY_ENV,
     BackendError,
@@ -36,7 +44,7 @@ def test_generation_params_defaults():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_tokens": 0}, {"temperature": -0.1}, {"n": 0},
+    {"max_tokens": 0}, {"temperature": -0.1}, {"n": 0}, {"temperature": float("nan")},
 ])
 def test_generation_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -299,11 +307,10 @@ def test_cache_single_flight_stress_one_inner_call_per_key():
 class FakeResponse:
     def __init__(self, status_code: int, payload=None, text: str = ""):
         self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text or json.dumps(self._payload)
+        self.text = text or json.dumps(payload or {})
 
     def json(self):
-        return self._payload
+        return json.loads(self.text)
 
 
 def test_http_request_shape(monkeypatch):
@@ -359,15 +366,44 @@ def test_http_missing_key(monkeypatch):
         backend.generate("p")
 
 
-def test_http_non_2xx_carries_body(monkeypatch):
+@pytest.mark.parametrize("status, retryable", [(400, False), (429, True), (500, True), (503, True)])
+def test_http_non_2xx_carries_body(monkeypatch, status, retryable):
+    # a rate limit or a server error may pass on a retry; a bad request will not
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
     def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(500, text="upstream exploded")
+        return FakeResponse(status, text="upstream exploded")
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
-    with pytest.raises(BackendError, match="upstream exploded"):
+    with pytest.raises(BackendError, match=f"{status}: upstream exploded") as err:
         backend.generate("p")
+    assert err.value.retryable is retryable
+
+
+@pytest.mark.parametrize("body, problem", [
+    pytest.param("<html>bad gateway</html>", "Expecting value", id="not-json"),
+    pytest.param('["choices"]', "the payload is not a JSON object", id="payload-not-object"),
+    pytest.param('{"choices": {"0": {"message": {"content": "x"}}}}', "'choices' is not a list",
+                 id="choices-not-list"),
+    pytest.param('{"choices": ["Paris"]}', "choice 0 is not an object", id="choice-not-object"),
+    pytest.param('{"choices": [{"message": "Paris"}]}', "the message of choice 0 is not an object",
+                 id="message-not-object"),
+    pytest.param('{"choices": [{"message": {"content": 7}}]}',
+                 "the text of choice 0 is not a string", id="text-not-string"),
+])
+def test_http_malformed_2xx_body(monkeypatch, body, problem):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        return FakeResponse(200, text=body)
+
+    backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
+    with pytest.raises(BackendError) as err:
+        backend.generate("p")
+    assert str(err.value).startswith(
+        "malformed response from https://lm.example/chat/completions (status 200): ")
+    assert problem in str(err.value)
+    assert not err.value.retryable
 
 
 def test_http_timeout_is_retryable(monkeypatch):
@@ -390,3 +426,169 @@ def test_endpoint_base_from_env(monkeypatch):
     monkeypatch.delenv(API_BASE_ENV)
     with pytest.raises(BackendError, match=API_BASE_ENV):
         EndpointConfig(model="m").resolve_base()
+
+
+@pytest.mark.parametrize("other", [
+    EndpointConfig(model="other-model", api_base="https://lm.example/v1"),
+    EndpointConfig(model="m", api_base="https://other.example/v1"),
+])
+def test_http_cache_key_names_model_and_endpoint(other):
+    config = EndpointConfig(model="m", api_base="https://lm.example/v1/")
+    params = GenerationParams()
+    key = CachingBackend(HTTPBackend(config)).cache_key("p", params)
+    assert key.backend_id == "http:m@https://lm.example/v1"
+    assert key == CachingBackend(HTTPBackend(config)).cache_key("p", params)
+    assert key != CachingBackend(HTTPBackend(other)).cache_key("p", params)
+
+
+# The default transport, over a real socket to a server on loopback.
+
+class RecordingHandler(BaseHTTPRequestHandler):
+    """Records each request and answers with the server's next reply."""
+
+    def log_message(self, format, *args):
+        pass
+
+    def _answer(self) -> None:
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.seen.append((self.command, self.path, dict(self.headers), body))
+        status, headers, text = self.server.replies.pop(0)
+        data = text.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _answer
+
+
+@pytest.fixture
+def loopback_env(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+
+
+@pytest.fixture
+def endpoint(loopback_env):
+    """A loopback server: queue replies as (status, headers, text) on
+    ``server.replies``; ``server.seen`` holds (method, path, headers, body)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
+    server.seen, server.replies = [], []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+def loopback_backend(server, scheme: str = "http") -> HTTPBackend:
+    base = f"{scheme}://127.0.0.1:{server.server_address[1]}/v1"
+    return HTTPBackend(EndpointConfig(model="test-model", api_base=base, timeout=10))
+
+
+def chat_reply(*texts: str) -> tuple:
+    return 200, {"Content-Type": "application/json"}, json.dumps(
+        {"choices": [{"index": i, "message": {"content": t}} for i, t in enumerate(texts)]})
+
+
+def test_default_transport_round_trip(endpoint):
+    endpoint.replies.append(chat_reply("one", "two", "three"))
+    backend = loopback_backend(endpoint)
+    assert backend.generate("Where?", GenerationParams(n=3)) == ["one", "two", "three"]
+    [(method, path, headers, body)] = endpoint.seen
+    assert (method, path) == ("POST", "/v1/chat/completions")
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "test-model", "messages": [{"role": "user", "content": "Where?"}],
+        "max_tokens": 500, "temperature": 0.7, "n": 3,
+    }
+
+
+def test_default_transport_401_names_env_var(endpoint):
+    endpoint.replies.append((401, {}, "invalid api key"))
+    with pytest.raises(BackendError, match=f"{API_KEY_ENV}.*invalid api key") as err:
+        loopback_backend(endpoint).generate("p")
+    assert not err.value.retryable
+
+
+def test_default_transport_503_is_retryable(endpoint):
+    endpoint.replies.append((503, {}, "overloaded, try later"))
+    with pytest.raises(BackendError, match="503: overloaded, try later") as err:
+        loopback_backend(endpoint).generate("p")
+    assert err.value.retryable
+
+
+def test_default_transport_non_json_200(endpoint):
+    endpoint.replies.append((200, {"Content-Type": "text/html"}, "<html>hello</html>"))
+    with pytest.raises(BackendError, match=r"malformed response .* \(status 200\)") as err:
+        loopback_backend(endpoint).generate("p")
+    assert not err.value.retryable
+
+
+def test_default_transport_redirect_drops_credential(endpoint):
+    endpoint.replies += [(302, {"Location": "/elsewhere"}, ""), (404, {}, "gone")]
+    with pytest.raises(BackendError, match="404: gone"):
+        loopback_backend(endpoint).generate("p")
+    (_, _, first, _), (_, path, redirected, _) = endpoint.seen
+    assert first["Authorization"] == "Bearer sk-test"
+    assert path == "/elsewhere" and "Authorization" not in redirected
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_default_transport_closed_port_is_retryable(loopback_env):
+    config = EndpointConfig(model="m", api_base=f"http://127.0.0.1:{closed_port()}", timeout=10)
+    backend = HTTPBackend(config)
+    with pytest.raises(BackendError, match="transport error") as err:
+        backend.generate("p")
+    assert err.value.retryable
+
+
+def test_default_transport_verifies_tls(endpoint, monkeypatch):
+    # the server's certificate is self-signed: refused by the system CA store,
+    # accepted once the client context trusts it
+    cert = str(Path(__file__).parent / "selfsigned.pem")
+    server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_context.load_cert_chain(cert)
+    endpoint.socket = server_context.wrap_socket(endpoint.socket, server_side=True)
+    endpoint.replies.append(chat_reply("secure"))
+    with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED") as err:
+        loopback_backend(endpoint, "https").generate("p")
+    assert err.value.retryable and endpoint.seen == []
+    trusting = urllib.request.build_opener(
+        urllib.request.HTTPSHandler(context=ssl.create_default_context(cafile=cert)))
+    monkeypatch.setattr(backend_module, "_https_opener", lambda: trusting)
+    assert loopback_backend(endpoint, "https").generate("p") == ["secure"]
+
+
+LIVE_CALL = """\
+import sys
+import lmpipe.cli as cli
+from lmpipe.backend import BackendError
+config = cli.RunConfig(task="tweet", strategy=cli.strategy_from_label("vanilla"), out_dir="out",
+                       api_base=sys.argv[1])
+try:
+    cli.make_backend(config).generate("p")
+except BackendError:  # nothing listens there
+    pass
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "urllib3")))
+"""
+
+
+def test_live_backend_leaves_requests_unimported(tmp_path):
+    env = {**os.environ, API_KEY_ENV: "sk-test", "NO_PROXY": "127.0.0.1", "no_proxy": "127.0.0.1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", LIVE_CALL, f"http://127.0.0.1:{closed_port()}"],
+                            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -144,6 +144,8 @@ GOOD = '{"title": "A", "text": "x"}'
                  id="blank-lines"),
     pytest.param(GOOD + '\r\n{"title": "B", "text": "y"}\r\n\r\n[1, 2\r\n', 4,
                  "Expecting ',' delimiter: line 1 column 6 (char 5)", id="crlf"),
+    *(pytest.param(GOOD + "\n" + line + "\n", 2, f"expected a JSON object, got {line}",
+                   id=f"non-object-{line}") for line in ["null", "[]", '"s"', "1"]),
 ])
 def test_load_corpus_error_messages(tmp_path, body, lineno, message):
     path = tmp_path / "corpus.jsonl"
@@ -159,14 +161,17 @@ def test_load_corpus_crlf_and_blank_lines(tmp_path):
     assert load_corpus(path) == [Passage("A", "x"), Passage("B", "y")]
 
 
-# Corpus lines: valid records, alone or with JSON-like debris around them.
+# Corpus lines: valid records, alone or with JSON-like debris around them, and
+# valid JSON that is not an object.
 record_lines = st.builds(
     lambda title, text: json.dumps({"title": title, "text": text}, ensure_ascii=False),
     st.text(max_size=5), st.text(max_size=5),
 )
 debris = st.sampled_from(["", " ", "\t", "\ufeff", "\u00a0", "x", "{}", "[]", '"s"', "1", ",", "}", "null"])
+non_objects = st.sampled_from(["null", "[]", '"s"', "1"])
 corpus_lines = st.one_of(
     record_lines,
+    non_objects,
     st.tuples(debris, record_lines, debris).map("".join),
     st.just('{"title": "A"}'),
     st.text(alphabet='{}[]":, \tatitlextn1', max_size=30),
@@ -180,12 +185,30 @@ def outcome(load, path):
         return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
 
 
+def first_non_object(path):
+    """(line number, stripped line) of the first nonblank line of valid JSON
+    that is not an object."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line and not isinstance(json.loads(line), dict):
+                return lineno, line
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(corpus_lines, max_size=6), st.sampled_from(["\n", "\r\n"]))
 def test_load_corpus_matches_oracle(tmp_path_factory, lines, newline):
+    # the oracle lets a line of JSON that is not an object escape as a bare
+    # TypeError; load_corpus reports it as a bad record, like any other
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_bytes(newline.join(lines).encode("utf-8"))
-    assert outcome(load_corpus, path) == outcome(oracle_load_corpus, path)
+    expected = outcome(oracle_load_corpus, path)
+    if isinstance(expected, tuple) and expected[0] is TypeError:
+        lineno, line = first_non_object(path)
+        cause = f"expected a JSON object, got {line[:40]}"
+        message = f"bad corpus record at {path}:{lineno}: {cause}"
+        expected = ValueError, message, ValueError, cause
+    assert outcome(load_corpus, path) == expected
 
 
 def test_readme_cost_table_matches_bench_json():
