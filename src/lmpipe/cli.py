@@ -29,7 +29,7 @@ from .backend import (
 from .evaluation import bootstrap_metric, build_report, evaluate_dataset, run_task_example
 from .metrics import MetricReport, load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
-from .retrieval import RetrieverIndex, load_corpus
+from .retrieval import RetrieverIndex, load_corpus, load_index
 from .runtime import (
     BACKTRACK_DEFAULT,
     DISABLE_ALL,
@@ -154,8 +154,12 @@ def make_backend(config: RunConfig) -> CachingBackend:
 def make_program(config: RunConfig):
     index = None
     if TASKS[config.task].uses_index:
-        corpus = config.corpus_path or bundled_data_path("corpus.jsonl")
-        index = RetrieverIndex.build(load_corpus(corpus))
+        if config.corpus_path is None:
+            # the bundled corpus builds in well under a millisecond, and the
+            # package's data directory is never written to
+            index = RetrieverIndex.build(load_corpus(bundled_data_path("corpus.jsonl")))
+        else:
+            index = load_index(config.corpus_path)
     return build_program(config.task, index, config.instruction_variant)
 
 
@@ -177,6 +181,7 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     compile_config = replace(
         config.compile_config,
         teacher_assertions=teacher_assertions,
+        teacher_policy=config.runtime.handler_policy,
         collect_counterexamples=teacher_assertions and config.compile_config.collect_counterexamples,
     )
     compiled, report = random_search_compile(
@@ -204,8 +209,9 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
             raise ValueError(
                 f"artifact was compiled for task {artifact_task!r}, not {config.task!r}"
             )
-    policy = BACKTRACK_DEFAULT if strategy.student_assertions else DISABLE_ALL
-    runtime = RuntimeConfig(max_retries=config.runtime.max_retries, handler_policy=policy)
+    runtime = config.runtime
+    if not strategy.student_assertions:
+        runtime = replace(runtime, handler_policy=DISABLE_ALL)
 
     rows, results = evaluate_dataset(
         config.task, program, examples, runtime, backend, workers=config.workers

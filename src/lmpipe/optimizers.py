@@ -47,6 +47,7 @@ class CompileConfig:
     num_candidates: int = 6
     rng_seed: int = 0
     teacher_assertions: bool = False
+    teacher_policy: str = BACKTRACK_DEFAULT  # the teacher's handler policy when its assertions are on
     collect_counterexamples: bool = False
     max_retries: int = 2
 
@@ -141,7 +142,7 @@ def bootstrap_few_shot(
     `backend`.
     """
     compiled = program.clone()
-    policy = BACKTRACK_DEFAULT if config.teacher_assertions else DISABLE_ALL
+    policy = config.teacher_policy if config.teacher_assertions else DISABLE_ALL
     teacher_config = RuntimeConfig(max_retries=config.max_retries, handler_policy=policy)
 
     demos: DemoSet = {module_id: [] for module_id in compiled.modules}

@@ -5,9 +5,17 @@ over the tokens of ``title + " " + text``: the runs of ASCII ``a-z0-9`` in
 its ``str.lower()``, every other character separating tokens.
 
 Index layout: ``build`` makes one pass over each passage's tokens and
-appends the passage's index to the postings list of each token, so
-``term -> [doc index, ...]`` holds one entry per occurrence, in passage
-order. It also keeps every passage's token count and the mean count.
+appends the passage's index to the postings array of each token, so
+``term -> array('I', [doc index, ...])`` holds one entry per occurrence, in
+passage order. It also keeps every passage's token count and the mean count.
+
+Persistence: ``load_index`` keeps a built index in a sidecar file next to a
+corpus file (``<corpus>.bm25idx``) and loads it on later calls instead of
+re-reading and re-tokenizing the corpus. The sidecar is keyed by the
+corpus's sha256, the tokenizer version and the format version; any mismatch,
+or a sidecar that does not parse, means a rebuild and a rewrite. The loaded
+index has the same postings, lengths and passages as a build, so it scores
+and ranks the same.
 
 Per-term weights are lazy: the first query that uses a term counts its
 postings into term frequencies and document frequency, computes its BM25
@@ -23,17 +31,24 @@ equal (index, query, k) always give equal ranked lists. Matched passages
 always score above zero, so when fewer than k passages match, the rest of the
 list is the unmatched passages in insertion order.
 
-Thread safety: after ``build``, postings and lengths are never written. The
-weight memo only grows, through ``dict.setdefault``, which is atomic; two
-threads that race on a new term compute equal weights, and both go on with
-the one dict that was stored. So threads may share one index.
+Thread safety: after ``build`` or a load, postings and lengths are never
+written. The weight memo only grows, through ``dict.setdefault``, which is
+atomic; two threads that race on a new term compute equal weights, and both
+go on with the one dict that was stored. So threads may share one index.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import heapq
 import json
 import math
+import os
+import shutil
+import sys
+import tempfile
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -42,6 +57,14 @@ from typing import Iterable, Sequence
 
 BM25_K1 = 1.5
 BM25_B = 0.75
+
+# Sidecar key parts. Bump TOKENIZER_VERSION whenever ``tokenize`` could
+# return other tokens for some text, and INDEX_FORMAT whenever the sidecar's
+# layout changes: either makes every existing sidecar stale.
+TOKENIZER_VERSION = 1
+INDEX_FORMAT = 1
+SIDECAR_SUFFIX = ".bm25idx"
+_PASSAGES_PER_LINE = 512
 
 # Byte table for ``bytes.translate``: ASCII a-z and 0-9 stay, every other byte
 # becomes a space.
@@ -69,9 +92,12 @@ class Passage:
 @dataclass
 class RetrieverIndex:
     passages: list[Passage]
-    _postings: dict[str, list[int]] = field(default_factory=dict, repr=False)
-    _doc_lens: list[int] = field(default_factory=list, repr=False)
+    _postings: dict[str, array] = field(default_factory=dict, repr=False)
+    _doc_lens: array = field(default_factory=lambda: array("I"), repr=False)
     _avg_len: float = 0.0
+    # every doc index boxed once, to key the weight memos: keys boxed from the
+    # postings arrays would each be a new int object, held as long as the memo
+    _doc_ids: list[int] = field(default_factory=list, repr=False)
     _weights: dict[str, dict[int, float]] = field(default_factory=dict, repr=False)
 
     def __deepcopy__(self, memo):  # programs share one index; after build only the memo grows
@@ -92,11 +118,16 @@ class RetrieverIndex:
             for term in tokens:
                 docs = postings.get(term)
                 if docs is None:
-                    postings[term] = [doc]
+                    postings[term] = array("I", (doc,))
                 else:
                     docs.append(doc)
-        index._avg_len = sum(index._doc_lens) / len(passages) if passages else 0.0
+        index._finish()
         return index
+
+    def _finish(self) -> None:
+        """Set what follows from the passages and doc lengths."""
+        self._avg_len = sum(self._doc_lens) / len(self.passages) if self.passages else 0.0
+        self._doc_ids = list(range(len(self.passages)))
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -113,9 +144,9 @@ class RetrieverIndex:
         n_docs = len(self.passages)
         df = len(tfs)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        doc_lens, avg_len = self._doc_lens, self._avg_len
+        doc_ids, doc_lens, avg_len = self._doc_ids, self._doc_lens, self._avg_len
         weights = {
-            doc: idf * tf * (BM25_K1 + 1.0)
+            doc_ids[doc]: idf * tf * (BM25_K1 + 1.0)
             / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lens[doc] / avg_len))
             for doc, tf in tfs.items()
         }
@@ -194,3 +225,99 @@ def load_corpus(path: str | Path) -> list[Passage]:
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc
     return passages
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def load_index(corpus_path: str | Path) -> RetrieverIndex:
+    """The index of the JSONL corpus at ``corpus_path``.
+
+    Loaded from the sidecar ``<corpus_path>.bm25idx`` when its key matches
+    the corpus; otherwise built from the corpus, and the sidecar written
+    (only after a successful build, so a bad corpus never gets one). The
+    sidecar is written to a temp file in the same directory and moved into
+    place, so a reader sees the old file or the new one, never part of one;
+    if it cannot be written the built index is returned all the same.
+    """
+    corpus_path = Path(corpus_path)
+    sidecar = corpus_path.with_name(corpus_path.name + SIDECAR_SUFFIX)
+    key = {"format": INDEX_FORMAT, "tokenizer": TOKENIZER_VERSION,
+           "byteorder": sys.byteorder, "sha256": _sha256(corpus_path)}
+    index = _read_sidecar(sidecar, key)
+    if index is None:
+        index = RetrieverIndex.build(load_corpus(corpus_path))
+        if _sha256(corpus_path) == key["sha256"]:  # unchanged while it was read
+            _write_sidecar(sidecar, key, index, corpus_path)
+    return index
+
+
+def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
+    """The index a sidecar holds, or None if it is missing, stale or malformed.
+
+    Layout: a line of JSON, ``{"key", "passages", "terms": {term: postings
+    count}}``; the passages, as lines of JSON that each hold up to
+    ``_PASSAGES_PER_LINE`` of them as ``[title, text, title, text, ...]``, so
+    that no line costs memory in proportion to the corpus; then the doc
+    lengths and each term's postings, in header order, as raw ``array('I')``
+    bytes.
+    """
+    try:
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+            if not isinstance(header, dict) or header.get("key") != key:
+                return None
+            n_docs, counts = header["passages"], header["terms"]
+            passages: list[Passage] = []
+            while len(passages) < n_docs:
+                fields = iter(json.loads(handle.readline()))
+                passages += map(Passage, fields, fields)
+            if len(passages) != n_docs:
+                return None
+            if not all(type(count) is int and count > 0 for count in counts.values()):
+                return None
+            # every count is checked against the bytes left before any is read
+            left = os.fstat(handle.fileno()).st_size - handle.tell()
+            if left != array("I").itemsize * (n_docs + sum(counts.values())):
+                return None
+            index = RetrieverIndex(passages=passages)
+            index._doc_lens.fromfile(handle, n_docs)
+            for term, count in counts.items():
+                docs = index._postings[term] = array("I")
+                docs.fromfile(handle, count)
+    except (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        return None
+    index._finish()
+    return index
+
+
+def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Path) -> None:
+    passages = index.passages
+    header = {
+        "key": key,
+        "passages": len(passages),
+        "terms": {term: len(docs) for term, docs in index._postings.items()},
+    }
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(json.dumps(header).encode("ascii") + b"\n")
+            for start in range(0, len(passages), _PASSAGES_PER_LINE):
+                chunk = passages[start:start + _PASSAGES_PER_LINE]
+                fields = [field for p in chunk for field in (p.title, p.text)]
+                handle.write(json.dumps(fields).encode("ascii") + b"\n")
+            index._doc_lens.tofile(handle)
+            for docs in index._postings.values():
+                docs.tofile(handle)
+        shutil.copymode(corpus_path, tmp)  # readable by exactly who can read the corpus
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

@@ -6,19 +6,29 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from lmpipe import cli
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.cli import (
     _STRATEGIES,
     STRATEGY_LABELS,
     assemble_run_config,
     bundled_data_path,
+    cmd_compile,
     cmd_inspect_trace,
     main,
     strategy_from_label,
 )
 from lmpipe.core import parse_signature
+from lmpipe.evaluation import run_task_example
 from lmpipe.modules import PredictModule
-from lmpipe.runtime import Program, RuntimeConfig, run_with_backtracking, save_trace
+from lmpipe.runtime import (
+    DISABLE_ALL,
+    Program,
+    RuntimeConfig,
+    load_trace,
+    run_with_backtracking,
+    save_trace,
+)
 
 
 def data(name: str) -> str:
@@ -105,6 +115,53 @@ def test_eval_reports_are_deterministic(runner, tmp_path):
         return (into / "report.json").read_bytes()
 
     assert run(tmp_path / "a") == run(tmp_path / "b")
+
+
+def write_config(tmp_path: Path, payload: dict) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_eval_applies_configured_handler_policy(runner, tmp_path):
+    def dispositions(extra: list[str], out: Path) -> list[str]:
+        result = runner.invoke(main, [
+            "eval", "--task", "quiz", "--strategy", "infer_assert",
+            "--test", data("test.jsonl"), "--offline",
+            "--script", data("scripts/quiz_fix.json"), *extra, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return [
+            outcome.disposition
+            for path in sorted((out / "traces").glob("*.json"))
+            for step in load_trace(path)[0].steps
+            for outcome in step.constraint_outcomes
+        ]
+
+    assert "retried" in dispositions([], tmp_path / "default")
+    config = write_config(tmp_path, {"runtime": {"handler_policy": "bypass_suggest_only"}})
+    bypassed = dispositions(["--config", config], tmp_path / "bypass")
+    assert "retried" not in bypassed
+    assert "warned" in bypassed
+
+
+@pytest.mark.parametrize("policy", ["suppress_assert_log", "bypass_suggest_only"])
+def test_compile_teacher_runs_use_configured_handler_policy(tmp_path, monkeypatch, policy):
+    seen = []
+
+    def recording(program, example, runtime, backend):
+        seen.append(runtime.handler_policy)
+        return run_task_example(program, example, runtime, backend)
+
+    monkeypatch.setattr(cli, "run_task_example", recording)
+    config = assemble_run_config(
+        "multihop", "compile_assert", str(tmp_path / "out"),
+        write_config(tmp_path, {"runtime": {"handler_policy": policy}}),
+        offline=True, script=data("scripts/multihop_all_pass.json"),
+    )
+    cmd_compile(config, Path(data("train.jsonl")), Path(data("dev.jsonl")))
+    # the teacher runs under the configured policy; validation never retries
+    assert set(seen) == {policy, DISABLE_ALL}
 
 
 def test_eval_workers_match_serial(runner, tmp_path):

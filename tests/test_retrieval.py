@@ -1,9 +1,10 @@
-"""The BM25 postings index, the tokenizer and the corpus loader against the
-oracles they replaced.
+"""The BM25 postings index, the tokenizer, the corpus loader and the index
+sidecar against the oracles they replaced.
 
 Rankings must be equal, ties included, and every score the same float;
 tokens must be equal on any text; the loader must return the same passages
-and raise the same messages.
+and raise the same messages; an index loaded from its sidecar must be the
+index a build gives.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ import importlib.util
 import json
 import random
 import sys
+import os
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bm25_oracle import OracleIndex, oracle_load_corpus, oracle_retrieve, oracle_tokenize
-from lmpipe.cli import bundled_data_path
-from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus, retrieve, tokenize
+from lmpipe import retrieval
+from lmpipe.cli import assemble_run_config, bundled_data_path, make_program
+from lmpipe.retrieval import (
+    SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve, tokenize,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -211,24 +217,43 @@ def test_load_corpus_matches_oracle(tmp_path_factory, lines, newline):
     assert outcome(load_corpus, path) == expected
 
 
-def test_readme_cost_table_matches_bench_json():
+def readme_table(header_start: str) -> tuple[list[str], dict[str, dict[str, str]]]:
+    """The README table whose header starts ``header_start``: its column
+    names as JSON keys, and {passages cell: {column: cell}}."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    bench = json.loads((ROOT / "BENCH_retrieval.json").read_text(encoding="utf-8"))
-    lines = readme[readme.index("| passages "):].splitlines()
+    lines = readme[readme.index(header_start):].splitlines()
     header = [cell.strip() for cell in lines[0].strip("|").split("|")]
     columns = [name.lower().replace(" ", "_") for name in header[1:]]
-    assert all(columns == list(row["after_over_before"]) for row in bench["sizes"])
     table = {}
     for line in lines[2:]:  # after the header and its rule
         if not line.startswith("|"):
             break
         size, *cells = [cell.strip() for cell in line.strip("|").split("|")]
         table[size] = dict(zip(columns, cells))
+    return columns, table
+
+
+def bench_sizes() -> list[dict]:
+    return json.loads((ROOT / "BENCH_retrieval.json").read_text(encoding="utf-8"))["sizes"]
+
+
+def test_readme_cost_table_matches_bench_json():
+    columns, table = readme_table("| passages | build ms ")
+    assert all(columns == list(row["after_over_before"]) for row in bench_sizes())
     assert table == {
         f"{row['passages']:,}": {
             column: f"{row['before'][column]} \u2192 {row['after'][column]}" for column in columns
         }
-        for row in bench["sizes"]
+        for row in bench_sizes()
+    }
+
+
+def test_readme_sidecar_table_matches_bench_json():
+    columns, table = readme_table("| passages | load build ms ")
+    assert {"cold_ms", "warm_ms", "cold_peak_rss_mib", "warm_peak_rss_mib"} <= set(columns)
+    assert table == {
+        f"{row['passages']:,}": {column: str(row["sidecar"][column]) for column in columns}
+        for row in bench_sizes()
     }
 
 
@@ -244,3 +269,195 @@ def test_bench_make_chains_rejects_more_than_the_vocabulary_gives():
     limit = tool.max_chains(tool.gen._vocabulary())
     with pytest.raises(ValueError, match=f"at most {limit} chains"):
         tool.make_chains(random.Random(0), limit + 1)
+
+
+# --- the index sidecar --------------------------------------------------------
+
+def write_corpus(path: Path, passages) -> Path:
+    path.write_text("".join(json.dumps({"title": p.title, "text": p.text}) + "\n" for p in passages),
+                    encoding="utf-8")
+    return path
+
+
+def sidecar_of(corpus: Path) -> Path:
+    return corpus.with_name(corpus.name + SIDECAR_SUFFIX)
+
+
+class CountingBuild:
+    """Counts ``RetrieverIndex.build`` calls while it is entered."""
+
+    def __init__(self):
+        self.calls = 0
+        self._real = RetrieverIndex.build.__func__
+
+    def _build(self, cls, passages):
+        self.calls += 1
+        return self._real(cls, passages)
+
+    def __enter__(self):
+        self._patch = mock.patch.object(RetrieverIndex, "build", classmethod(self._build))
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+def index_state(index: RetrieverIndex):
+    return index.passages, index._postings, index._doc_lens, index._avg_len, index._doc_ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.lists(queries, min_size=1, max_size=4), st.data())
+def test_sidecar_index_matches_build_and_oracle(tmp_path_factory, passages, query_list, data):
+    corpus = write_corpus(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", passages)
+    with CountingBuild() as builds:
+        first = load_index(corpus)
+        loaded = load_index(corpus)
+    assert builds.calls == 1 and sidecar_of(corpus).exists()
+    built, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
+    assert index_state(loaded) == index_state(first) == index_state(built)
+    for query in query_list:
+        assert loaded.scores(query) == built.scores(query)
+        for doc in range(len(passages)):
+            assert loaded.score(query, doc) == oracle.score(query, doc)
+        k = data.draw(st.integers(min_value=1, max_value=len(passages) + 2), label="k")
+        assert retrieve(loaded, query, k) == retrieve(built, query, k) == oracle_retrieve(oracle, query, k)
+
+
+def test_sidecar_round_trips_any_text(tmp_path):
+    # lone surrogates, NUL, newlines and non-ASCII text survive the JSON lines;
+    # more passages than one line holds exercise the line split
+    texts = TRICKY + ["Caf\u00e9 No\u00ebl", "line\nbreak", '"quoted" \\ back']
+    passages = [Passage(f"T{i} {text}", f"{text} body {i % 7}") for i, text in
+                enumerate(texts * (2 * retrieval._PASSAGES_PER_LINE // len(texts) + 1))]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", passages)
+    load_index(corpus)
+    with CountingBuild() as builds:
+        loaded = load_index(corpus)
+    assert builds.calls == 0
+    assert index_state(loaded) == index_state(RetrieverIndex.build(passages))
+
+
+def same_size_edit(corpus: Path, sidecar: Path) -> None:
+    body = corpus.read_bytes()
+    edited = body.replace(b"viaduct", b"viaduck", 1)
+    assert edited != body and len(edited) == len(body)
+    corpus.write_bytes(edited)
+
+
+def truncate(corpus: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(sidecar.read_bytes()[:-3])
+
+
+def append_byte(corpus: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(sidecar.read_bytes() + b"\0")
+
+
+def garbage(corpus: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(random.Random(0).randbytes(sidecar.stat().st_size))
+
+
+def not_an_object(corpus: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(b"[1, 2]\n")
+
+
+def deeply_nested(corpus: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(b"[" * 100_000 + b"\n")
+
+
+def bigger_count(corpus: Path, sidecar: Path) -> None:
+    header, rest = sidecar.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    term = next(iter(fields["terms"]))
+    fields["terms"][term] += 2**40
+    sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+
+
+def fewer_passages(corpus: Path, sidecar: Path) -> None:
+    header, rest = sidecar.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["passages"] -= 1
+    sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+
+
+STALE = [same_size_edit, truncate, append_byte, garbage, not_an_object, deeply_nested,
+         bigger_count, fewer_passages]
+
+
+@pytest.fixture()
+def corpus(tmp_path) -> Path:
+    return write_corpus(tmp_path / "corpus.jsonl", load_corpus(bundled_data_path("corpus.jsonl")))
+
+
+@pytest.mark.parametrize("damage", STALE, ids=[f.__name__ for f in STALE])
+def test_stale_or_damaged_sidecar_is_rebuilt_and_rewritten(corpus, damage):
+    load_index(corpus)
+    damage(corpus, sidecar_of(corpus))
+    expected = index_state(RetrieverIndex.build(load_corpus(corpus)))
+    with CountingBuild() as builds:
+        assert index_state(load_index(corpus)) == expected
+        assert builds.calls == 1
+        assert index_state(load_index(corpus)) == expected  # from the rewritten sidecar
+        assert builds.calls == 1
+
+
+@pytest.mark.parametrize("constant", ["TOKENIZER_VERSION", "INDEX_FORMAT"])
+def test_sidecar_of_another_version_is_rebuilt(corpus, monkeypatch, constant):
+    load_index(corpus)
+    monkeypatch.setattr(retrieval, constant, getattr(retrieval, constant) + 1)
+    with CountingBuild() as builds:
+        load_index(corpus)
+        load_index(corpus)
+    assert builds.calls == 1
+
+
+@pytest.mark.parametrize("target", ["os.replace", "tempfile.mkstemp", "shutil.copymode"])
+def test_failed_sidecar_write_falls_back_to_the_built_index(corpus, monkeypatch, target):
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(target, fail)
+    expected = index_state(RetrieverIndex.build(load_corpus(corpus)))
+    assert index_state(load_index(corpus)) == expected
+    assert sorted(os.listdir(corpus.parent)) == ["corpus.jsonl"]  # no sidecar, no temp file
+
+
+def test_corpus_changed_while_read_gets_no_sidecar(corpus, monkeypatch):
+    real = retrieval.load_corpus
+
+    def load_then_edit(path):
+        passages = real(path)
+        same_size_edit(path, sidecar_of(path))
+        return passages
+
+    monkeypatch.setattr(retrieval, "load_corpus", load_then_edit)
+    load_index(corpus)
+    assert not sidecar_of(corpus).exists()
+
+
+def test_sidecar_keeps_the_corpus_mode(corpus):
+    corpus.chmod(0o640)
+    load_index(corpus)
+    assert sidecar_of(corpus).stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("line", ['{"title": "A", "text": "x"}', '{"title": "B"}'])
+def test_bad_corpus_gets_no_sidecar(tmp_path, line):
+    # a duplicate title, then a record without text
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"title": "A", "text": "x"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_index(corpus)
+    assert not sidecar_of(corpus).exists()
+
+
+def test_make_program_writes_a_configured_corpus_sidecar_only(corpus, tmp_path):
+    data_dir = bundled_data_path("corpus.jsonl").parent
+    before = sorted(p.relative_to(data_dir) for p in data_dir.rglob("*"))
+    for corpus_path in (None, str(corpus)):
+        config = assemble_run_config("multihop", "vanilla", str(tmp_path / "out"))
+        config.corpus_path = corpus_path and Path(corpus_path)
+        make_program(config)
+    assert sorted(p.relative_to(data_dir) for p in data_dir.rglob("*")) == before
+    assert sidecar_of(corpus).exists()

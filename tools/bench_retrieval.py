@@ -2,7 +2,7 @@
 
     python3 tools/bench_retrieval.py            # writes BENCH_retrieval.json
 
-On seeded corpora of 50, 2k and 20k passages it times, for the oracles kept
+On seeded corpora of 50, 2k, 5k and 20k passages it times, for the oracles kept
 in ``tests/bm25_oracle.py`` (before) and ``lmpipe.retrieval`` (after): the
 index build (linear scan before, postings index after), tokenizing every
 passage (regex before, byte table after) and loading the corpus from a JSONL
@@ -15,6 +15,15 @@ every query term is memoized (``warm_query_ms_*``). Before and after
 alternate, run by run and query by query, so drifts in the host's speed hit
 both sides alike. Every query's
 ranked list is checked against the oracle's.
+
+The index sidecar (``load_index``) is timed beside what every command paid
+before it: ``load_build_ms`` is ``load_corpus`` plus ``build``, ``cold_ms`` is
+``load_index`` with no sidecar (hash, load, build, hash again and write the
+sidecar: what the first command pays) and ``warm_ms`` is ``load_index`` from
+the sidecar (what every later command pays), medians over alternating
+repetitions. The peak RSS of each is taken in a fresh process that does
+nothing else, beside that of a process that only imports lmpipe
+(``import_peak_rss_mib``).
 
 Passages are recombined from the bundled vocabulary like the benchmark's
 corpora (``perfbench/gen.py``): each chain gives a landmark passage and a
@@ -31,7 +40,9 @@ import math
 import os
 import platform
 import random
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,9 +56,11 @@ import gen  # noqa: E402  (perfbench's workload generator: vocabulary and fixtur
 from bm25_oracle import (  # noqa: E402
     OracleIndex, oracle_load_corpus, oracle_retrieve, oracle_tokenize,
 )
-from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus, retrieve, tokenize  # noqa: E402
+from lmpipe.retrieval import (  # noqa: E402
+    SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve, tokenize,
+)
 
-SIZES = (50, 2000, 20000)
+SIZES = (50, 2000, 5000, 20000)
 QUERY_CHAINS = 50  # two queries each: 100 samples, 10 beyond the p90
 K = 3
 SEED = 1
@@ -142,6 +155,7 @@ def measure(size: int) -> dict:
             for key, (before, after) in sides.items():
                 times[key]["before"].append(timed_ms(before)[0])
                 times[key]["after"].append(timed_ms(after)[0])
+        sidecar = measure_sidecar(corpus, passages, reps)
 
     oracle = OracleIndex.build(passages)
     index = RetrieverIndex.build(passages)
@@ -170,12 +184,66 @@ def measure(size: int) -> dict:
     after["index_mib_after_queries"] = round(index_mib(RetrieverIndex.build, passages, queries), 3)
     return {
         "passages": size, "queries": len(queries), "reps": reps,
-        "before": before, "after": after,
+        "before": before, "after": after, "sidecar": sidecar,
         "after_over_before": {
             key: round(after[key] / before[key], 3)
             for key in ("build_ms", "tokenize_ms", "load_ms", "query_ms_p50", "query_ms_p90", "index_mib")
         },
     }
+
+
+SIDECAR_MODES = {
+    "import": lambda corpus: None,
+    "load_build": lambda corpus: RetrieverIndex.build(load_corpus(corpus)),
+    "cold": load_index,  # peak_rss_mib deletes the sidecar first
+    "warm": load_index,
+}
+
+
+def own_peak_rss_mib() -> float:
+    """This process's peak RSS. On Linux ``ru_maxrss`` carries over the
+    parent's peak through fork and exec, so read VmHWM, which does not."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def peak_rss_mib(mode: str, corpus: Path) -> float:
+    """Peak RSS of a fresh process that imports lmpipe and runs ``mode`` once."""
+    sidecar = corpus.with_name(corpus.name + SIDECAR_SUFFIX)
+    if mode == "cold":
+        sidecar.unlink(missing_ok=True)
+    elif mode == "warm" and not sidecar.exists():
+        load_index(corpus)
+    out = subprocess.run([sys.executable, __file__, "--peak-rss", mode, str(corpus)],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return float(out.split()[-1])
+
+
+def measure_sidecar(corpus: Path, passages: list[Passage], reps: int) -> dict:
+    sidecar = corpus.with_name(corpus.name + SIDECAR_SUFFIX)
+    times = {"load_build_ms": [], "cold_ms": [], "warm_ms": []}
+    for _ in range(reps):
+        times["load_build_ms"].append(timed_ms(lambda: RetrieverIndex.build(load_corpus(corpus)))[0])
+        sidecar.unlink(missing_ok=True)
+        times["cold_ms"].append(timed_ms(load_index, corpus)[0])
+        ms, index = timed_ms(load_index, corpus)
+        times["warm_ms"].append(ms)
+    built = RetrieverIndex.build(passages)
+    if (index.passages, index._postings, index._doc_lens) != (built.passages, built._postings, built._doc_lens):
+        raise AssertionError("the sidecar does not load back as the built index")
+    row = {key: round(statistics.median(values), 3) for key, values in times.items()}
+    row["cold_over_load_build"] = round(row["cold_ms"] / row["load_build_ms"], 3)
+    row["warm_over_load_build"] = round(row["warm_ms"] / row["load_build_ms"], 3)
+    row["sidecar_mib"] = round(sidecar.stat().st_size / 2**20, 3)
+    for mode in SIDECAR_MODES:
+        row[f"{mode}_peak_rss_mib"] = round(peak_rss_mib(mode, corpus), 2)
+    return row
 
 
 def cpu_model() -> str:
@@ -204,4 +272,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--peak-rss"]:
+        SIDECAR_MODES[sys.argv[2]](Path(sys.argv[3]))
+        print(own_peak_rss_mib())
+    else:
+        main()
