@@ -60,12 +60,16 @@ class GenerationParams:
             raise ValueError("temperature must be >= 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    def digest(self) -> str:
-        return stable_digest(json.dumps(
+        # computed once: every cached call keys on it. Equal params can differ
+        # in digest (temperature 1 against 1.0), so it is per instance, not
+        # memoized by value.
+        object.__setattr__(self, "_digest", stable_digest(json.dumps(
             {"max_tokens": self.max_tokens, "temperature": self.temperature, "n": self.n},
             sort_keys=True,
-        ))
+        )))
+
+    def digest(self) -> str:
+        return self._digest
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .runtime import (
     RuntimeConfig,
     load_trace,
     save_trace,
+    write_json as _write_json,
 )
 from .tasks import COMPLETE, TASKS, build_program
 
@@ -163,12 +164,6 @@ def make_program(config: RunConfig):
     return build_program(config.task, index, config.instruction_variant)
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False, sort_keys=True)
-        handle.write("\n")
-
-
 def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     """Compile per the strategy and write the artifact plus candidate scores."""
     if not config.strategy.compiled:
@@ -221,9 +216,14 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
     config.out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = config.out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
-    for index, result in enumerate(results):
-        if result is not None:
-            save_trace(result, traces_dir / f"example_{index:03d}.json")
+    traces = {
+        f"example_{index:03d}.json": result for index, result in enumerate(results) if result is not None
+    }
+    for stale in traces_dir.glob("example_*.json"):  # left by an earlier run into this directory
+        if stale.name not in traces:
+            stale.unlink()
+    for name, result in traces.items():
+        save_trace(result, traces_dir / name)
     _write_json(
         {
             "version": REPORT_VERSION,

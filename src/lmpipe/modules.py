@@ -35,7 +35,9 @@ class PredictModule:
     signature: Signature
     demos: list[Example] = field(default_factory=list)
     counterexamples: list[Counterexample] = field(default_factory=list)
-    params: GenerationParams = field(default_factory=GenerationParams)
+    # one shared default: params are immutable, and each instance computes its
+    # cache-key digest when it is made
+    params: GenerationParams = GenerationParams()
 
     def render(self, inputs: Mapping[str, str], feedback: Sequence[tuple[str, str]] = ()) -> str:
         return render_prompt(

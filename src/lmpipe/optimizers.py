@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from .core import Counterexample, Example, PASSED, RETRIED, Trace, payload_field
 from .evaluation import run_task_example
 from .metrics import TaskExample
-from .runtime import BACKTRACK_DEFAULT, DISABLE_ALL, Program, RunResult, RuntimeConfig
+from .runtime import BACKTRACK_DEFAULT, DISABLE_ALL, Program, RunResult, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -295,10 +295,7 @@ def compiled_program_to_dict(program: Program, task: str, config: CompileConfig)
 
 
 def save_compiled_program(program: Program, task: str, config: CompileConfig, path: str | Path) -> None:
-    payload = compiled_program_to_dict(program, task, config)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False, sort_keys=True)
-        handle.write("\n")
+    write_json(compiled_program_to_dict(program, task, config), path)
 
 
 def load_compiled_program(program: Program, path: str | Path) -> tuple[Program, str]:

@@ -27,9 +27,13 @@ linear scan that scores every passage (kept as the test oracle in
 ``tests/bm25_oracle.py``), so every score is the same float, bit for bit.
 
 Ranking: scores are non-increasing and ties break by insertion order, so
-equal (index, query, k) always give equal ranked lists. Matched passages
-always score above zero, so when fewer than k passages match, the rest of the
-list is the unmatched passages in insertion order.
+equal (index, query, k) always give equal ranked lists. When more than k
+passages match, ``heapq.nlargest`` finds the k-th best score, the cut; only
+the passages that score at least the cut are sorted, by score and then by
+insertion order, and the first k kept. Every passage that ties at the cut is
+among those sorted, so ties at the cut still break by insertion order.
+Matched passages always score above zero, so when fewer than k passages
+match, the rest of the list is the unmatched passages in insertion order.
 
 Thread safety: after ``build`` or a load, postings and lengths are never
 written. The weight memo only grows, through ``dict.setdefault``, which is
@@ -178,7 +182,14 @@ def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
     if not index.passages:
         raise ValueError("retriever index is empty")
     scores = index.scores(query)
-    top = [doc for _, doc in heapq.nsmallest(k, [(-s, doc) for doc, s in scores.items()])]
+    if len(scores) > k:
+        # only a passage that scores at least the k-th best score can rank
+        cut = heapq.nlargest(k, scores.values())[-1]
+        top = [doc for doc, score in scores.items() if score >= cut]
+    else:
+        top = list(scores)
+    top.sort(key=lambda doc: (-scores[doc], doc))
+    del top[k:]
     if len(top) < k:
         unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
         top += islice(unmatched, k - len(top))

@@ -496,11 +496,20 @@ def trace_from_dict(data: dict) -> tuple[Trace, bool, Optional[str]]:
     return Trace(steps=steps, final_prediction=final), data.get("halted", False), data.get("error")
 
 
+def write_json(payload: Any, path: str | Path) -> None:
+    """Write ``payload`` as UTF-8 JSON, indented by 2 with sorted keys, plus a
+    newline: the one format of every JSON artifact.
+
+    The bytes are encoded in full before the file is opened, so a payload that
+    cannot be encoded (a lone surrogate, say) raises and leaves the file as it
+    was, and the file gets one ``write`` rather than one per encoder chunk.
+    """
+    data = (json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
+
+
 def save_trace(result: RunResult, path: str | Path) -> None:
-    payload = trace_to_dict(result.trace, halted=result.halted, error=result.error)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, ensure_ascii=False, sort_keys=True)
-        handle.write("\n")
+    write_json(trace_to_dict(result.trace, halted=result.halted, error=result.error), path)
 
 
 def load_trace(path: str | Path) -> tuple[Trace, bool, Optional[str]]:

@@ -51,6 +51,26 @@ def test_generation_params_validation(kwargs):
         GenerationParams(**kwargs)
 
 
+@pytest.mark.parametrize("params", [
+    GenerationParams(), GenerationParams(temperature=1), GenerationParams(temperature=1.0),
+    GenerationParams(max_tokens=7, temperature=0.0, n=3),
+])
+def test_generation_params_digest_is_the_json_formula(params):
+    expected = stable_digest(json.dumps(
+        {"max_tokens": params.max_tokens, "temperature": params.temperature, "n": params.n},
+        sort_keys=True,
+    ))
+    assert params.digest() == expected
+
+
+def test_generation_params_digest_is_per_instance_not_per_value():
+    # equal as values, but JSON writes 1 and 1.0 apart: the digests must differ
+    as_int, as_float = GenerationParams(temperature=1), GenerationParams(temperature=1.0)
+    assert as_int == as_float
+    assert as_int.digest() != as_float.digest()
+    assert as_int.digest() == GenerationParams(temperature=1).digest()
+
+
 def test_scripted_substring_match():
     backend = scripted(ScriptEntry(match="Question: Where", responses=["Paris"]))
     assert backend.generate("Question: Where is it?") == ["Paris"]

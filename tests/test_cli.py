@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from lmpipe import cli
+from lmpipe import cli, evaluation
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.cli import (
     _STRATEGIES,
@@ -228,6 +228,41 @@ def test_eval_compiled_strategy_requires_artifact(runner, tmp_path):
     ])
     assert result.exit_code != 0
     assert "artifact" in result.output
+
+
+def test_eval_replaces_traces_of_an_earlier_run(runner, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+
+    def trace_names(test_path: str) -> list[str]:
+        result = runner.invoke(main, [
+            "eval", "--task", "multihop", "--strategy", "vanilla",
+            "--test", test_path, "--offline",
+            "--script", data("scripts/multihop_all_pass.json"),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return sorted(path.name for path in (out / "traces").iterdir())
+
+    assert trace_names(data("test.jsonl")) == [f"example_{i:03d}.json" for i in range(6)]
+    (out / "traces" / "notes.txt").write_text("not a trace")
+    lines = Path(data("test.jsonl")).read_text(encoding="utf-8").splitlines(keepends=True)
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(lines[:2]), encoding="utf-8")
+    assert trace_names(str(two)) == ["example_000.json", "example_001.json", "notes.txt"]
+
+    # an example that fails outside the backend has no trace: its old one goes too
+    first = json.loads(lines[0])["question"]
+    score = evaluation.score_example
+
+    def failing_first(task, example, *args):
+        if example.question == first:
+            raise RuntimeError("scoring bug")
+        return score(task, example, *args)
+
+    monkeypatch.setattr(evaluation, "score_example", failing_first)
+    assert trace_names(str(two)) == ["example_001.json", "notes.txt"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_examples"] == 2 and report["rows"][0]["error_type"] == "RuntimeError"
 
 
 def test_eval_empty_dataset_flagged(runner, tmp_path):

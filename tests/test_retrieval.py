@@ -64,10 +64,19 @@ def assert_matches_oracle(passages, query, ks):
         assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
 
 
+# for "oak river", five passages tie at the 3rd best score; "Oak River"
+# scores above them and comes between two of them, and "Mill" below them
+TIES_AT_THE_CUT = [
+    Passage("Red", "stone"), Passage("Oak", "river"), Passage("Oak River", "oak river"),
+    Passage("Oak*", "river"), Passage("Mill", "oak the a river stone"),
+    Passage("Oak**", "river"), Passage("Oak***", "river"), Passage("Oak****", "river"),
+]
+
+
 @settings(max_examples=300, deadline=None)
-@given(corpora(), queries, st.data())
-def test_postings_match_oracle(passages, query, data):
-    k = data.draw(st.integers(min_value=1, max_value=len(passages) + 2), label="k")
+@given(corpora(), queries, st.integers(min_value=1, max_value=14))  # up to 2 past 12 passages
+@example(TIES_AT_THE_CUT, "oak river", 3)
+def test_postings_match_oracle(passages, query, k):
     assert_matches_oracle(passages, query, [k])
 
 

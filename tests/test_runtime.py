@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.core import ConstraintDecl, FAILED, HALTED, PASSED, RETRIED, WARNED, parse_signature
@@ -22,6 +24,7 @@ from lmpipe.runtime import (
     save_trace,
     trace_from_dict,
     trace_to_dict,
+    write_json,
 )
 
 VALUE_MESSAGE = "Value should be ok"
@@ -557,6 +560,34 @@ def test_trace_save_load_round_trip(tmp_path):
     assert {s: [o.disposition for o in outs] for s, outs in trace.outcomes_by_site().items()} == \
         site_dispositions(result.trace)
     assert trace.final_prediction.outputs == result.prediction.outputs
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=15,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_write_json_bytes_equal_text_mode_dump(tmp_path_factory, payload):
+    # the writer every artifact used before: json.dump into a text-mode file
+    old, new = (tmp_path_factory.getbasetemp() / name for name in ("old.json", "new.json"))
+    with open(old, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, ensure_ascii=False, sort_keys=True)
+        handle.write("\n")
+    write_json(payload, new)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
+    path = tmp_path / "trace.json"
+    write_json({"value": "ok"}, path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_json({"value": "lone \ud800 surrogate"}, path)
+    assert path.read_bytes() == before
 
 
 def test_trace_version_mismatch_names_versions():
