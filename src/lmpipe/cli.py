@@ -97,11 +97,29 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("lmpipe").joinpath("data", name)))
 
 
+# the keys a config file may set, by section ("" is the top level)
+_CONFIG_KEYS = {
+    "": ("backend", "runtime", "compile", "instructions", "corpus"),
+    "backend": ("mode", "script", "model", "api_base"),
+    "runtime": ("max_retries", "handler_policy"),
+    "compile": ("max_bootstrapped_demos", "num_candidates", "rng_seed", "collect_counterexamples"),
+}
+
+
 def load_run_config_file(path: Optional[Path]) -> dict:
+    """Read a config file; an unknown key at any level raises ``ValueError``."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        raw = json.load(handle)
+    for section, known in _CONFIG_KEYS.items():
+        table = raw.get(section, {}) if section else raw  # the top level is checked first
+        if not isinstance(table, dict):
+            raise ValueError(f"config {section or 'file'} must be a JSON object")
+        for key in table:
+            if key not in known:
+                raise ValueError(f"unknown config key {section + '.' if section else ''}{key}")
+    return raw
 
 
 def assemble_run_config(
@@ -137,7 +155,6 @@ def assemble_run_config(
             num_candidates=compile_cfg.get("num_candidates", 6),
             rng_seed=compile_cfg.get("rng_seed", 0),
             collect_counterexamples=compile_cfg.get("collect_counterexamples", True),
-            max_retries=runtime_cfg.get("max_retries", 2),
         ),
         instruction_variant=raw.get("instructions", COMPLETE),
         workers=workers,
@@ -176,7 +193,7 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     compile_config = replace(
         config.compile_config,
         teacher_assertions=teacher_assertions,
-        teacher_policy=config.runtime.handler_policy,
+        teacher_runtime=config.runtime,
         collect_counterexamples=teacher_assertions and config.compile_config.collect_counterexamples,
     )
     compiled, report = random_search_compile(

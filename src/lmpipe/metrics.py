@@ -41,6 +41,8 @@ def load_dataset(path: str | Path) -> list[TaskExample]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {line[:40]}")
                 examples.append(TaskExample(
                     question=record["question"],
                     answer=record["answer"],

@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .core import Counterexample, Example, PASSED, RETRIED, Trace, payload_field
 from .evaluation import run_task_example
 from .metrics import TaskExample
-from .runtime import BACKTRACK_DEFAULT, DISABLE_ALL, Program, RunResult, RuntimeConfig, write_json
+from .runtime import DISABLE_ALL, Program, RunResult, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +47,10 @@ class CompileConfig:
     num_candidates: int = 6
     rng_seed: int = 0
     teacher_assertions: bool = False
-    teacher_policy: str = BACKTRACK_DEFAULT  # the teacher's handler policy when its assertions are on
     collect_counterexamples: bool = False
-    max_retries: int = 2
+    # teachers run under it (under DISABLE_ALL without teacher_assertions);
+    # validation runs under DISABLE_ALL with its retry budget
+    teacher_runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
         if self.max_bootstrapped_demos < 0:
@@ -142,8 +143,9 @@ def bootstrap_few_shot(
     `backend`.
     """
     compiled = program.clone()
-    policy = config.teacher_policy if config.teacher_assertions else DISABLE_ALL
-    teacher_config = RuntimeConfig(max_retries=config.max_retries, handler_policy=policy)
+    teacher_config = config.teacher_runtime
+    if not config.teacher_assertions:
+        teacher_config = replace(teacher_config, handler_policy=DISABLE_ALL)
 
     demos: DemoSet = {module_id: [] for module_id in compiled.modules}
     counterexamples: dict[str, list[Counterexample]] = {m: [] for m in compiled.modules}
@@ -229,7 +231,7 @@ def random_search_compile(
     """
     if not valset:
         raise ValueError("valset must be nonempty")
-    eval_config = RuntimeConfig(max_retries=config.max_retries, handler_policy=DISABLE_ALL)
+    eval_config = replace(config.teacher_runtime, handler_policy=DISABLE_ALL)
 
     rng = random.Random(config.rng_seed)
     candidates: list[tuple[float, Program]] = []
@@ -288,7 +290,7 @@ def compiled_program_to_dict(program: Program, task: str, config: CompileConfig)
             "rng_seed": config.rng_seed,
             "teacher_assertions": config.teacher_assertions,
             "collect_counterexamples": config.collect_counterexamples,
-            "max_retries": config.max_retries,
+            "max_retries": config.teacher_runtime.max_retries,
         },
         "modules": modules,
     }

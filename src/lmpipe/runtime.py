@@ -13,10 +13,17 @@ constraint site; a site is one evaluation slot within a forward pass, so the
 second hop of a loop is a fresh site with a fresh budget.
 
 The engine re-runs the program's forward pass to hand control back to a
-failing module. A journal of the previous pass lets completed work replay
-without re-recording trace steps or re-invoking the backend; everything at
-and after the backtrack target re-executes fresh, which rolls back any
-downstream state the discarded attempt produced.
+failing module. Each call position keeps its latest fresh invocation in a
+slot, so the work before the backtrack target replays from the slots without
+re-recording trace steps or re-invoking the backend; everything at and after
+the target re-executes fresh, which rolls back any downstream state the
+discarded attempt produced.
+
+Replay relies on one invariant: ``forward`` is a function of its inputs and of
+the predictions it receives. A replayed constraint keeps its recorded outcome
+and is not evaluated again. A call whose module or inputs differ from its
+slot's runs fresh and ends the replay; from there on every call and constraint
+runs fresh, and the target call still takes the retry's feedback.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -156,7 +163,6 @@ class Program:
 
     def __init__(self) -> None:
         self.modules: dict[str, PredictModule] = {}
-        self.handler_policy: Optional[str] = None
 
     def register(self, module: PredictModule) -> PredictModule:
         if module.module_id in self.modules:
@@ -171,22 +177,13 @@ class Program:
         return copy.deepcopy(self)
 
 
-def apply_handler(policy: str, program: Program) -> Program:
-    """Return a copy of the program pinned to the given handler policy."""
-    if policy not in HANDLER_POLICIES:
-        raise ValueError(f"unknown handler policy {policy!r}")
-    clone = program.clone()
-    clone.handler_policy = policy
-    return clone
-
-
 @dataclass
-class _JournalEvent:
-    kind: str  # "call" | "constraint"
-    position: int = -1
-    inputs: Optional[dict[str, str]] = None
-    step: Optional[TraceStep] = None
-    site: int = -1
+class _Slot:
+    """The latest fresh invocation at one call position."""
+
+    module: PredictModule
+    step: TraceStep
+    sites_before: int  # constraint sites evaluated earlier in that pass
 
 
 @dataclass
@@ -200,89 +197,56 @@ class RunResult:
 class ExecutionContext:
     """Per-run state handed to Program.forward.
 
-    ``call`` invokes a module (with journal replay across backtrack passes);
-    ``suggest`` / ``check_assert`` evaluate constraints. ``meta`` is rebuilt
-    every pass, so anything the program stores there reflects only the
-    surviving attempt; the run's ``Trace.meta`` keeps that pass's copy.
+    ``call`` invokes a module; ``suggest`` / ``check_assert`` evaluate
+    constraints. After a backtrack the pass replays up to the target call:
+    a call whose module and inputs equal its slot's returns the slot's
+    prediction, and a constraint evaluated before the target call keeps its
+    recorded outcome. This holds only while ``forward`` is a function of its
+    inputs and of the predictions it receives; a call whose module or inputs
+    differ runs fresh and ends the replay. ``meta`` is rebuilt every pass, so
+    anything the program stores there reflects only the surviving attempt;
+    the run's ``Trace.meta`` keeps that pass's copy.
     """
 
     def __init__(self, program: Program, backend, config: RuntimeConfig):
-        self._program = program
         self._backend = backend
         self._config = config
         self._registered = set(program.modules)
         # run-level state
         self.steps: list[TraceStep] = []
-        self._attempts_at_pos: dict[int, int] = {}
-        self._step_at_pos: dict[int, TraceStep] = {}
-        self._module_at_pos: dict[int, PredictModule] = {}
+        self._slots: dict[int, _Slot] = {}
         self._retry_states: dict[int, RetryState] = {}
         self._eval_seq = 0
-        # pass-level state, reset by _begin_pass
+        self._begin_pass(None)
+
+    def _begin_pass(self, backtrack: Optional[tuple[int, int]]) -> None:
+        """Start a pass; ``backtrack`` is the (site, position) a retry returns to."""
         self.meta: dict[str, Any] = {}
         self._pos = 0
         self._site_counter = 0
-        self._journal: list[_JournalEvent] = []
-        self._cursor = 0
-        self._new_journal: list[_JournalEvent] = []
-        self._replaying = False
-        self._pending_site: Optional[int] = None
-        self._pending_target: Optional[int] = None
-
-    @property
-    def config(self) -> RuntimeConfig:
-        return self._config
-
-    def _begin_pass(self, journal: list[_JournalEvent], pending: Optional[tuple[int, int]]) -> None:
-        self.meta = {}
-        self._pos = 0
-        self._site_counter = 0
-        self._journal = journal
-        self._cursor = 0
-        self._new_journal = []
-        self._replaying = bool(journal)
-        if pending:
-            self._pending_site, self._pending_target = pending
-        else:
-            self._pending_site = self._pending_target = None
-
-    def _next_event(self) -> Optional[_JournalEvent]:
-        if self._replaying and self._cursor < len(self._journal):
-            return self._journal[self._cursor]
-        return None
+        self._backtrack = backtrack
+        self._replaying = backtrack is not None
 
     def call(self, module: PredictModule, **inputs: str) -> Prediction:
         """Invoke a module. Replays the previous pass's result when possible."""
         position = self._pos
         self._pos += 1
-        diverge = self._pending_target is not None and position == self._pending_target
-        if diverge:
+        feedback = ()
+        if self._backtrack is not None and position == self._backtrack[1]:
             # feedback consumed here; nothing after this point replays
-            state = self._retry_states[self._pending_site]
-            feedback = state.past_failures
-            self._pending_site = self._pending_target = None
+            feedback = self._retry_states[self._backtrack[0]].past_failures
+            self._backtrack = None
             self._replaying = False
-        else:
-            feedback = ()
-            event = self._next_event()
-            if event is not None:
-                # a replayed call must be byte-identical: same slot, same module,
-                # same inputs (its own feedback, if it was a retry, is unchanged)
-                if (
-                    event.kind == "call"
-                    and event.position == position
-                    and event.step.module_id == module.module_id
-                    and event.inputs == dict(inputs)
-                ):
-                    self._cursor += 1
-                    self._new_journal.append(event)
-                    return event.step.prediction
-                self._replaying = False  # diverged earlier than expected
+        elif self._replaying:
+            step = self._slots[position].step
+            if step.module_id == module.module_id and step.inputs == inputs:
+                return step.prediction
+            self._replaying = False
 
         prompt = module.render(inputs, feedback=feedback)
         completions = self._backend.generate(prompt, module.params)
-        attempt = self._attempts_at_pos.get(position, 0)
-        self._attempts_at_pos[position] = attempt + 1
+        slot = self._slots.get(position)
+        attempt = slot.step.attempt + 1 if slot is not None else 0
         prediction = parse_completion(module.signature, completions[0], attempt=attempt)
         step = TraceStep(
             module_id=module.module_id,
@@ -293,11 +257,7 @@ class ExecutionContext:
             prompt_digest=stable_digest(prompt),
         )
         self.steps.append(step)
-        self._step_at_pos[position] = step
-        self._module_at_pos[position] = module
-        self._new_journal.append(
-            _JournalEvent(kind="call", position=position, inputs=dict(inputs), step=step)
-        )
+        self._slots[position] = _Slot(module, step, self._site_counter)
         return prediction
 
     def suggest(
@@ -310,18 +270,13 @@ class ExecutionContext:
     ) -> None:
         self._check("assert", condition, message, backtrack, label)
 
-    def _resolve_target(self, backtrack: Optional[str]) -> Optional[int]:
+    def _resolve_target(self, backtrack: Optional[str]) -> Optional[_Slot]:
         """The invocation a retry returns to: the most recent call of the named
         module, or of any registered module when no name was given."""
         for position in range(self._pos - 1, -1, -1):
-            module = self._module_at_pos.get(position)
-            if module is None:
-                continue
-            if backtrack is not None:
-                if module.module_id == backtrack:
-                    return position
-            elif module.module_id in self._registered:
-                return position
+            module_id = self._slots[position].module.module_id
+            if module_id == backtrack or (backtrack is None and module_id in self._registered):
+                return self._slots[position]
         return None
 
     def _check(
@@ -330,10 +285,7 @@ class ExecutionContext:
         site = self._site_counter
         self._site_counter += 1
         if self._replaying:
-            event = self._next_event()
-            if event is not None and event.kind == "constraint" and event.site == site:
-                self._cursor += 1
-                self._new_journal.append(event)
+            if site < self._slots[self._backtrack[1]].sites_before:
                 return  # outcome already recorded on an earlier pass
             self._replaying = False
 
@@ -341,28 +293,22 @@ class ExecutionContext:
             kind=kind, passed=bool(condition), message=message,
             backtrack_target=backtrack, label=label or message,
         )
-        target_pos = self._resolve_target(backtrack)
+        target = self._resolve_target(backtrack)
         state = self._retry_states.get(site)
         if state is None:
-            target_module = self._module_at_pos[target_pos].module_id if target_pos is not None else ""
-            state = RetryState(module_id=target_module)
+            state = RetryState(module_id=target.module.module_id if target is not None else "")
 
         failed_output = ""
-        target_step = self._step_at_pos.get(target_pos) if target_pos is not None else None
-        if target_step is not None and not decl.passed:
-            module = self._module_at_pos[target_pos]
-            failed_output = target_step.prediction.outputs.get(
-                payload_field(module.signature).name, ""
+        if target is not None and not decl.passed:
+            failed_output = target.step.prediction.outputs.get(
+                payload_field(target.module.signature).name, ""
             )
 
         transition = check_constraint(decl, state, self._config, failed_output=failed_output)
         action = transition.action
-        if action == RETRIED and target_pos is None:
+        if action == RETRIED and target is None:
             # nothing to hand control back to: fall through to the terminal rule
-            if kind == "assert":
-                action = HALTED
-            else:
-                action = WARNED
+            action = HALTED if kind == "assert" else WARNED
             transition = Transition(action, state.reset())
 
         outcome = ConstraintOutcome(
@@ -374,20 +320,19 @@ class ExecutionContext:
             seq=self._eval_seq,
         )
         self._eval_seq += 1
-        carrier = target_step if target_step is not None else (self.steps[-1] if self.steps else None)
+        carrier = target.step if target is not None else (self.steps[-1] if self.steps else None)
         if carrier is not None:
             carrier.constraint_outcomes.append(outcome)
 
         self._retry_states[site] = transition.state
         if action == RETRIED:
-            raise _Backtrack(site=site, target_pos=target_pos)
+            raise _Backtrack(site=site, target_pos=target.step.position)
         if action == HALTED:
             raise AssertionHalt(message)
         if action == WARNED:
             logger.warning("suggestion not satisfied after %d retries: %s", state.r, message)
         elif action == FAILED and self._config.handler_policy == SUPPRESS_ASSERT_LOG:
             logger.warning("assertion failure suppressed: %s", message)
-        self._new_journal.append(_JournalEvent(kind="constraint", site=site))
 
 
 def run_with_backtracking(
@@ -397,18 +342,12 @@ def run_with_backtracking(
     backend=None,
 ) -> RunResult:
     """Execute a program, backtracking on failed constraints per the transition rules."""
-    if program.handler_policy is not None:
-        config = replace(config, handler_policy=program.handler_policy)
     ctx = ExecutionContext(program, backend, config)
-    journal: list[_JournalEvent] = []
-    pending: Optional[tuple[int, int]] = None
     for _ in range(_MAX_PASSES):
-        ctx._begin_pass(journal, pending)
         try:
             prediction = program.forward(ctx, **inputs)
         except _Backtrack as b:
-            journal = ctx._new_journal
-            pending = (b.site, b.target_pos)
+            ctx._begin_pass((b.site, b.target_pos))
             continue
         except BackendError as exc:
             exc.partial_trace = Trace(steps=ctx.steps, final_prediction=None)

@@ -427,6 +427,10 @@ def build_program(task: str, index: Optional[RetrieverIndex] = None,
                   instruction_variant: str = COMPLETE) -> Program:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    if instruction_variant not in (PRIMITIVE, COMPLETE):
+        raise ValueError(
+            f"unknown instruction variant {instruction_variant!r}; expected one of {(PRIMITIVE, COMPLETE)}"
+        )
     spec = TASKS[task]
     if spec.uses_index:
         return spec.program(index, instruction_variant)

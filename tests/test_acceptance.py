@@ -494,10 +494,9 @@ def test_criterion_10_handler_policies(index, testset, caplog):
         ScriptEntry(match="Prompt: go", responses=["Value: bad"] * halting_fails + ["Value: ok"]),
     ]))
     program = OneConstraintProgram("assert")
-    program.handler_policy = SUPPRESS_ASSERT_LOG
+    config = RuntimeConfig(max_retries=max_retries, handler_policy=SUPPRESS_ASSERT_LOG)
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
-        suppressed = run_with_backtracking(program, {"prompt": "go"},
-                                           RuntimeConfig(max_retries=max_retries), backend)
+        suppressed = run_with_backtracking(program, {"prompt": "go"}, config, backend)
     assert not suppressed.halted
     assert suppressed.prediction is not None
     assert any("Value should be ok" in message for message in caplog.messages)

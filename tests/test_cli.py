@@ -419,6 +419,34 @@ def test_inspect_trace_cli_renders(runner, tmp_path):
     assert "gen" in result.output
 
 
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme[readme.index("can set any of:"):].split("```")[1]
+    payload = json.loads(block.removeprefix("json"))
+    config = assemble_run_config("multihop", "vanilla", str(tmp_path), write_config(tmp_path, payload))
+    assert (config.model, config.corpus_path) == ("gpt-3.5-turbo", Path("optional/path/corpus.jsonl"))
+    assert config.compile_config.num_candidates == 6
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"runtime": {"max_retry": 0}}, "unknown config key runtime.max_retry"),
+    ({"backend": {"model": "m", "apibase": "http://127.0.0.1:9"}}, "unknown config key backend.apibase"),
+    ({"corpus": "c.jsonl", "retries": 1}, "unknown config key retries"),
+    ({"runtime": 0}, "config runtime must be a JSON object"),
+    ([], "config file must be a JSON object"),
+    ({"instructions": "bogus"},
+     "unknown instruction variant 'bogus'; expected one of ('primitive', 'complete')"),
+])
+def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
+    result = runner.invoke(main, [
+        "eval", "--task", "quiz", "--strategy", "vanilla", "--test", data("test.jsonl"),
+        "--offline", "--script", data("scripts/quiz_all_pass.json"),
+        "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {error}\n"
+
+
 def test_config_file_drives_backend_and_seeds(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -223,6 +223,15 @@ def test_dataset_loading(tmp_path):
     assert examples[1].gold_titles == frozenset()
 
 
+@pytest.mark.parametrize("line", ["[]", "null", "1", '"s"'])
+def test_dataset_record_not_an_object_names_path_and_line(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"question": "Q1?", "answer": "A1"}\n' + line + "\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"bad dataset record at {path}:2: expected a JSON object, got {line}"
+
+
 def test_task_example_validation():
     with pytest.raises(ValueError):
         TaskExample(question="", answer="x")

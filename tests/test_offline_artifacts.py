@@ -1,0 +1,72 @@
+"""Byte-identical offline artifacts, locked by digest.
+
+Runs the offline CLI matrix in process, through ``cli.assemble_run_config``,
+``cmd_compile`` and ``cmd_eval``, and compares the sha256 of every file it
+writes with ``tests/golden/offline_artifacts.sha256``.
+
+The digest file is a regression lock, not a hand-made oracle: it records what
+the code wrote when the file was generated, so a change that alters any
+artifact, report, summary or trace byte fails here. Regenerate it only for a
+deliberate format change, with::
+
+    python tests/test_offline_artifacts.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+from lmpipe import cli
+from lmpipe.tasks import TASKS
+
+DIGESTS = Path(__file__).parent / "golden" / "offline_artifacts.sha256"
+
+
+def matrix() -> list[tuple[str, str, str]]:
+    """(task, script file, strategy) for every run of the matrix."""
+    runs = [(task, f"{task}_all_pass.json", label) for task in TASKS for label in cli.STRATEGY_LABELS]
+    runs += [(task, f"{task}_{kind}.json", label)
+             for task, kind in (("multihop", "retry"), ("quiz", "fix"))
+             for label in ("vanilla", "infer_assert")]
+    runs += [("multihop", "multihop_teacher_assert.json", label)
+             for label in ("compile_assert", "compile_infer_assert")]
+    return runs
+
+
+def run_matrix(out: Path) -> dict[str, str]:
+    """Run every entry of the matrix under ``out``; sha256 by relative path."""
+    data = cli.bundled_data_path
+    for task, script_name, label in matrix():
+        run_dir = out / Path(script_name).stem / label
+        script = str(data(f"scripts/{script_name}"))
+        artifact = None
+        if cli.strategy_from_label(label).compiled:
+            config = cli.assemble_run_config(task, label, str(run_dir / "compile"),
+                                             offline=True, script=script)
+            artifact = cli.cmd_compile(config, data("train.jsonl"), data("dev.jsonl"))
+        config = cli.assemble_run_config(task, label, str(run_dir / "eval"), offline=True, script=script)
+        cli.cmd_eval(config, data("test.jsonl"), artifact)
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+
+
+def format_digests(digests: dict[str, str]) -> str:
+    return "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+
+
+def test_offline_artifacts_match_locked_digests(tmp_path):
+    lines = DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert run_matrix(tmp_path) == {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = run_matrix(Path(scratch))
+    DIGESTS.write_text(format_digests(digests), encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)

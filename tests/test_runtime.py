@@ -17,7 +17,6 @@ from lmpipe.runtime import (
     Program,
     RetryState,
     RuntimeConfig,
-    apply_handler,
     check_constraint,
     load_trace,
     run_with_backtracking,
@@ -456,21 +455,73 @@ def test_replay_does_not_duplicate_warned_outcomes():
     ]
 
 
-def test_apply_handler_disable_all_performs_zero_retries():
-    program = apply_handler(DISABLE_ALL, EchoProgram("suggest"))
+class DriftingProgram(Program):
+    """Breaks the replay invariant on purpose: the first call's input reads a
+    pass counter, and the first constraint reads verdicts kept outside the run."""
+
+    def __init__(self, verdicts: list[bool]):
+        super().__init__()
+        self.passes = 0
+        self.verdicts = verdicts
+        self.first = self.register(PredictModule(
+            module_id="first", signature=parse_signature("prompt -> draft")))
+        self.second = self.register(PredictModule(
+            module_id="second", signature=parse_signature("draft -> value")))
+
+    def forward(self, ctx, prompt):
+        self.passes += 1
+        draft = ctx.call(self.first, prompt=f"{prompt} {self.passes}")
+        ctx.suggest(self.verdicts.pop(0), "Draft should please the outside", label="outside")
+        pred = ctx.call(self.second, draft=draft.outputs["draft"])
+        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        return pred
+
+
+def test_replay_ends_at_a_call_whose_inputs_changed():
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Prompt: go", responses=["Draft: d"]),
+        ScriptEntry(match="Draft: d", responses=["Value: bad", "Value: ok"]),
+    ]))
+    program = DriftingProgram([True, False, True, True])
+    result = run_with_backtracking(program, {"prompt": "go"}, RuntimeConfig(max_retries=2), backend)
+    # pass 1: value_ok fails and retries `second`. Pass 2: `first` sees a new
+    # input, so it runs fresh and the replay ends; `outside` is evaluated again,
+    # fails and retries `first`. Pass 3: `first` takes that feedback and the
+    # rest runs fresh (`second`'s prompt is pass 1's, a cache hit), value_ok
+    # retries `second` again. Pass 4: `first` drifts again, and `second` still
+    # takes value_ok's feedback, now two failures long.
+    assert program.passes == 4 and program.verdicts == []
+    assert [(s.module_id, s.attempt, s.inputs) for s in result.trace.steps] == [
+        ("first", 0, {"prompt": "go 1"}), ("second", 0, {"draft": "d"}),
+        ("first", 1, {"prompt": "go 2"}), ("first", 2, {"prompt": "go 3"}),
+        ("second", 1, {"draft": "d"}), ("first", 3, {"prompt": "go 4"}),
+        ("second", 2, {"draft": "d"}),
+    ]
+    assert site_dispositions(result.trace) == {
+        0: ["passed", "retried", "passed", "passed"],
+        1: ["retried", "retried", "passed"],
+    }
+    assert [s.prediction.outputs.get("value") for s in result.trace.steps if s.module_id == "second"] \
+        == ["bad", "bad", "ok"]
+    assert len(backend.call_log) == 6  # `second` attempt 1 came from the cache
+    assert backend.call_log.records()[-1].prompt.count("Past Value: bad") == 2
+    assert result.prediction.outputs == {"value": "ok"}
+
+
+def test_handler_policy_disable_all_performs_zero_retries():
     backend = echo_backend(5)
-    result = run_with_backtracking(program, {"prompt": "go"}, RuntimeConfig(), backend)
+    result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
+                                   RuntimeConfig(handler_policy=DISABLE_ALL), backend)
     assert len(backend.call_log) == 1
     assert site_dispositions(result.trace)[0] == ["failed"]
     assert result.prediction is not None
 
 
-def test_apply_handler_suppress_assert_completes_with_log(caplog):
-    program = apply_handler(SUPPRESS_ASSERT_LOG, EchoProgram("assert"))
+def test_handler_policy_suppress_assert_completes_with_log(caplog):
     backend = echo_backend(5)
+    config = RuntimeConfig(max_retries=1, handler_policy=SUPPRESS_ASSERT_LOG)
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
-        result = run_with_backtracking(program, {"prompt": "go"},
-                                       RuntimeConfig(max_retries=1), backend)
+        result = run_with_backtracking(EchoProgram("assert"), {"prompt": "go"}, config, backend)
     assert not result.halted and result.prediction is not None
     assert site_dispositions(result.trace)[0] == ["retried", "failed"]
     assert any(VALUE_MESSAGE in message for message in caplog.messages)
@@ -507,10 +558,10 @@ def test_assert_without_target_halts():
     assert result.error == "Input should be well-formed"
 
 
-def test_apply_handler_default_policy_is_identity():
-    program = apply_handler(BACKTRACK_DEFAULT, EchoProgram("suggest"))
-    result = run_with_backtracking(program, {"prompt": "go"},
-                                   RuntimeConfig(max_retries=2), echo_backend(1))
+def test_handler_policy_default_is_identity():
+    result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
+                                   RuntimeConfig(max_retries=2, handler_policy=BACKTRACK_DEFAULT),
+                                   echo_backend(1))
     assert site_dispositions(result.trace)[0] == ["retried", "passed"]
 
 
