@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .core import read_json
+
 DEFAULT_MAX_TOKENS = 500
 DEFAULT_TEMPERATURE = 0.7
 
@@ -159,8 +161,10 @@ class ScriptedBackend:
 
 def load_script(path: str | Path) -> list[ScriptEntry]:
     """Read a script file: {"version": 1, "entries": [{match, mode, responses}, ...]}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    return read_json(path, _script_entries)
+
+
+def _script_entries(data: dict) -> list[ScriptEntry]:
     version = data.get("version")
     if version != SCRIPT_VERSION:
         raise ValueError(f"script version mismatch: file has {version}, supported is {SCRIPT_VERSION}")

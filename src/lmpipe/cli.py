@@ -4,13 +4,12 @@ Five strategies (``_STRATEGIES``) select where constraints are active: in the
 compiled program's student runs, in the teacher runs that compile harvests
 demonstrations from, or neither.
 
-Offline runs (--offline with a script file) are fully deterministic: repeated
-invocations produce byte-identical artifacts and reports.
+Scripted runs (--script, or backend.script in the config file) are fully
+deterministic: repeated invocations produce byte-identical artifacts and reports.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -26,6 +25,7 @@ from .backend import (
     ScriptedBackend,
     load_script,
 )
+from .core import read_json
 from .evaluation import bootstrap_metric, build_report, evaluate_dataset, run_task_example
 from .metrics import MetricReport, load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
@@ -79,18 +79,13 @@ class RunConfig:
     strategy: Strategy
     out_dir: Path
     corpus_path: Optional[Path] = None
-    script_path: Optional[Path] = None
-    offline: bool = False
+    script_path: Optional[Path] = None  # scripted backend when set, else live
     model: str = "gpt-3.5-turbo"
     api_base: Optional[str] = None
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     compile_config: CompileConfig = field(default_factory=CompileConfig)
     instruction_variant: str = COMPLETE
     workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.offline and self.script_path is None:
-            raise ValueError("offline mode requires a script file")
 
 
 def bundled_data_path(name: str) -> Path:
@@ -100,7 +95,7 @@ def bundled_data_path(name: str) -> Path:
 # the keys a config file may set, by section ("" is the top level)
 _CONFIG_KEYS = {
     "": ("backend", "runtime", "compile", "instructions", "corpus"),
-    "backend": ("mode", "script", "model", "api_base"),
+    "backend": ("script", "model", "api_base"),
     "runtime": ("max_retries", "handler_policy"),
     "compile": ("max_bootstrapped_demos", "num_candidates", "rng_seed", "collect_counterexamples"),
 }
@@ -108,10 +103,10 @@ _CONFIG_KEYS = {
 
 def load_run_config_file(path: Optional[Path]) -> dict:
     """Read a config file; an unknown key at any level raises ``ValueError``."""
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    return read_json(path, _checked_config) if path is not None else {}
+
+
+def _checked_config(raw) -> dict:
     for section, known in _CONFIG_KEYS.items():
         table = raw.get(section, {}) if section else raw  # the top level is checked first
         if not isinstance(table, dict):
@@ -135,15 +130,15 @@ def assemble_run_config(
     backend_cfg = raw.get("backend", {})
     runtime_cfg = raw.get("runtime", {})
     compile_cfg = raw.get("compile", {})
-    script_path = script or (backend_cfg.get("script") if backend_cfg.get("mode") == "scripted" else None)
-    offline = offline or backend_cfg.get("mode") == "scripted"
+    script_path = script or backend_cfg.get("script")
+    if offline and script_path is None:
+        raise ValueError("offline mode requires a script file")
     return RunConfig(
         task=task,
         strategy=strategy_from_label(strategy_label),
         out_dir=Path(out_dir),
         corpus_path=Path(raw["corpus"]) if raw.get("corpus") else None,
         script_path=Path(script_path) if script_path else None,
-        offline=offline,
         model=backend_cfg.get("model", "gpt-3.5-turbo"),
         api_base=backend_cfg.get("api_base"),
         runtime=RuntimeConfig(
@@ -164,8 +159,6 @@ def assemble_run_config(
 def make_backend(config: RunConfig) -> CachingBackend:
     if config.script_path is not None:
         return CachingBackend(ScriptedBackend(load_script(config.script_path)))
-    if config.offline:
-        raise ValueError("offline mode requires a script file")
     return CachingBackend(HTTPBackend(EndpointConfig(model=config.model, api_base=config.api_base)))
 
 

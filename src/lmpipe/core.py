@@ -9,9 +9,11 @@ golden-file tests are meaningful. The template is documented in the README
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 
 class SignatureError(ValueError):
@@ -219,7 +221,7 @@ class ConstraintOutcome:
     """What one evaluation of a constraint did, tagged with its site for grouping."""
 
     decl: ConstraintDecl
-    attempt: int
+    attempt: int  # the site's retry count r, which a pass resets; not a step's attempt
     disposition: str
     site: int
     target_module: str = ""
@@ -378,3 +380,16 @@ def passages_to_text(passages: Iterable) -> str:
         body = " ".join(str(body).split())
         rendered.append(f"[{i}] {title} | {body}")
     return "\n".join(rendered) if rendered else "N/A"
+
+
+def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
+    """Read a JSON input file (compiled program, script, trace, config) through
+    ``parse``. A file that is not JSON, or whose value ``parse`` rejects (a
+    missing key, a wrong type, a bad version), raises ``ValueError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(json.load(handle))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -14,14 +14,13 @@ orders and keeps the one scoring best on the validation set.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .core import Counterexample, Example, PASSED, RETRIED, Trace, payload_field
+from .core import Counterexample, Example, PASSED, RETRIED, Trace, read_json
 from .evaluation import run_task_example
 from .metrics import TaskExample
 from .runtime import DISABLE_ALL, Program, RunResult, RuntimeConfig, write_json
@@ -49,7 +48,7 @@ class CompileConfig:
     teacher_assertions: bool = False
     collect_counterexamples: bool = False
     # teachers run under it (under DISABLE_ALL without teacher_assertions);
-    # validation runs under DISABLE_ALL with its retry budget
+    # validation runs under DISABLE_ALL, which never retries
     teacher_runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
@@ -84,45 +83,31 @@ def _all_sites_ultimately_passed(trace: Trace) -> bool:
 def collect_counterexamples(
     traces: Sequence[Trace], payload_fields: Optional[dict[str, str]] = None
 ) -> list[Counterexample]:
-    """One counterexample per site that failed at least once and then passed.
+    """One counterexample per site that retried and then passed: the output its
+    first retry judged, that retry's message, and the output its final pass
+    judged.
 
-    ``payload_fields`` maps module id to the output field the constraint spoke
-    about; without it the last output field of the recorded prediction is used.
+    The engine stores each outcome on the step it judged, so both outputs are
+    read from the steps that carry those two outcomes. ``payload_fields`` maps
+    module id to the output field the constraint spoke about; without it the
+    last output field of the judged prediction is used.
     """
     found = []
     for trace in traces:
-        steps_by_pos: dict[int, dict[int, object]] = {}
-        for step in trace.steps:
-            steps_by_pos.setdefault(step.position, {})[step.attempt] = step
+        judged = {id(o): step for step in trace.steps for o in step.constraint_outcomes}
         for outcomes in trace.outcomes_by_site().values():
-            if outcomes[-1].disposition != PASSED:
-                continue
             retried = [o for o in outcomes if o.disposition == RETRIED]
-            if not retried:
+            if outcomes[-1].disposition != PASSED or not retried:
                 continue
-            first_failure = retried[0]
-            final = outcomes[-1]
-            module_id = final.target_module
-            attempts = None
-            for steps in steps_by_pos.values():
-                sample = next(iter(steps.values()))
-                if sample.module_id == module_id and first_failure.attempt in steps:
-                    attempts = steps
-                    break
-            if attempts is None:
-                continue
-            failed_step = attempts[first_failure.attempt]
-            fixed_step = attempts[final.attempt]
-            field_name = None
-            if payload_fields:
-                field_name = payload_fields.get(module_id)
-            if field_name is None:
-                for name in fixed_step.prediction.outputs:
-                    field_name = name  # predictions key outputs in signature order
+            failed_step, fixed_step = judged[id(retried[0])], judged[id(outcomes[-1])]
+            module_id = fixed_step.module_id
+            field_name = (payload_fields or {}).get(module_id)
+            if field_name is None:  # predictions key outputs in signature order
+                field_name = next(reversed(fixed_step.prediction.outputs), None)
             found.append(Counterexample(
                 module_id=module_id,
                 failed_output=failed_step.prediction.outputs.get(field_name, ""),
-                message=first_failure.decl.message,
+                message=retried[0].decl.message,
                 corrected_output=fixed_step.prediction.outputs.get(field_name, ""),
             ))
     return found
@@ -173,10 +158,7 @@ def bootstrap_few_shot(
             input_names = frozenset(f.name for f in module.signature.input_fields)
             demos[step.module_id].append(Example(values=values, input_keys=input_names))
         if config.collect_counterexamples:
-            payload_names = {
-                mid: payload_field(mod.signature).name for mid, mod in compiled.modules.items()
-            }
-            for ce in collect_counterexamples([result.trace], payload_fields=payload_names):
+            for ce in collect_counterexamples([result.trace]):
                 bucket = counterexamples.get(ce.module_id)
                 if bucket is not None and len(bucket) < COUNTEREXAMPLES_PER_MODULE:
                     bucket.append(ce)
@@ -302,8 +284,10 @@ def save_compiled_program(program: Program, task: str, config: CompileConfig, pa
 
 def load_compiled_program(program: Program, path: str | Path) -> tuple[Program, str]:
     """Attach a saved artifact's demos/counterexamples/instructions to a fresh program."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    return read_json(path, lambda data: compiled_program_from_dict(program, data))
+
+
+def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, str]:
     version = data.get("version")
     if version != ARTIFACT_VERSION:
         raise ValueError(

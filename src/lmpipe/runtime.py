@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -48,6 +48,7 @@ from .core import (
     Trace,
     TraceStep,
     payload_field,
+    read_json,
 )
 from .modules import PredictModule, parse_completion
 
@@ -304,13 +305,10 @@ class ExecutionContext:
                 payload_field(target.module.signature).name, ""
             )
 
-        transition = check_constraint(decl, state, self._config, failed_output=failed_output)
+        # with nothing to hand control back to, no retry is left: the terminal rule applies
+        config = self._config if target is not None else replace(self._config, max_retries=state.r)
+        transition = check_constraint(decl, state, config, failed_output=failed_output)
         action = transition.action
-        if action == RETRIED and target is None:
-            # nothing to hand control back to: fall through to the terminal rule
-            action = HALTED if kind == "assert" else WARNED
-            transition = Transition(action, state.reset())
-
         outcome = ConstraintOutcome(
             decl=decl,
             attempt=state.r,
@@ -452,5 +450,4 @@ def save_trace(result: RunResult, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> tuple[Trace, bool, Optional[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_dict(json.load(handle))
+    return read_json(path, trace_from_dict)

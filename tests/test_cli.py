@@ -436,21 +436,85 @@ def test_readme_config_example_loads(tmp_path):
     ([], "config file must be a JSON object"),
     ({"instructions": "bogus"},
      "unknown instruction variant 'bogus'; expected one of ('primitive', 'complete')"),
+    ({"backend": {"mode": "scripted"}}, "unknown config key backend.mode"),
 ])
 def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
+    config = write_config(tmp_path, payload)
     result = runner.invoke(main, [
         "eval", "--task", "quiz", "--strategy", "vanilla", "--test", data("test.jsonl"),
         "--offline", "--script", data("scripts/quiz_all_pass.json"),
-        "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out"),
+        "--config", config, "--out", str(tmp_path / "out"),
     ])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.output == f"Error: {error}\n"
+    # errors found reading the file name it; the variant is checked when the program is built
+    named = "" if error.startswith("unknown instruction") else f"{config}: "
+    assert result.output == f"Error: {named}{error}\n"
+
+
+def test_config_script_alone_selects_the_scripted_backend(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("LM_API_BASE", raising=False)
+    config = write_config(tmp_path, {"backend": {"script": data("scripts/quiz_all_pass.json")}})
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "quiz", "--strategy", "vanilla", "--test", data("test.jsonl"),
+        "--config", config, "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_examples"] == 6 and not any("error" in row for row in report["rows"])
+
+
+@pytest.mark.parametrize("kind, content, error", [
+    ("artifact", {"version": 1, "task": "multihop"}, "missing key 'modules'"),
+    ("script", {"version": 1}, "missing key 'entries'"),
+    ("trace", {"version": 1}, "missing key 'steps'"),
+    ("trace", "{not json", "Expecting property name enclosed in double quotes"),
+    ("config", "{not json", "Expecting property name enclosed in double quotes"),
+])
+def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    run = ["--task", "multihop", "--test", data("test.jsonl"), "--out", str(tmp_path / "out")]
+    script = ["--script", data("scripts/multihop_all_pass.json")]
+    args = {
+        "artifact": ["eval", "--strategy", "compile", "--artifact", str(path), *script, *run],
+        "script": ["eval", "--strategy", "vanilla", "--script", str(path), *run],
+        "trace": ["inspect-trace", str(path)],
+        "config": ["eval", "--strategy", "vanilla", "--config", str(path), *script, *run],
+    }[kind]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {path}: {error}")
+
+
+def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(runner, tmp_path):
+    # hop 2 first repeats hop 1's query, fails query_distinct, and is fixed on retry
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"match": "Past Query: alpha", "responses": ["Reasoning: r\nQuery: beta"]},
+        {"match": "Write a simple search query", "responses": ["Reasoning: r\nQuery: alpha"]},
+        {"match": "Answer questions", "responses": ["Reasoning: r\nAnswer: Paris"]},
+    ]}), encoding="utf-8")
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"question": "Q?", "answer": "Paris", "gold_titles": []}) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "compile", "--task", "multihop", "--strategy", "compile_assert",
+        "--train", str(dataset), "--dev", str(dataset), "--script", str(script), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    artifact = json.loads((out / "compiled_program.json").read_text())
+    assert artifact["modules"]["generate_query"]["counterexamples"] == [{
+        "module_id": "generate_query", "failed_output": "alpha",
+        "message": "Query should be distinct from ['Q?', 'alpha']", "corrected_output": "beta",
+    }]
 
 
 def test_config_file_drives_backend_and_seeds(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "backend": {"mode": "scripted", "script": data("scripts/multihop_all_pass.json")},
+        "backend": {"script": data("scripts/multihop_all_pass.json")},
         "compile": {"rng_seed": 3, "num_candidates": 2},
         "runtime": {"max_retries": 2},
         "instructions": "complete",

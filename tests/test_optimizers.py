@@ -5,10 +5,11 @@ import logging
 
 import pytest
 
-from lmpipe.backend import CachingBackend, ScriptedBackend, load_script
+from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.checks import is_query_distinct
-from lmpipe.core import Counterexample
+from lmpipe.core import Counterexample, parse_signature
 from lmpipe.metrics import load_dataset
+from lmpipe.modules import PredictModule
 from lmpipe.evaluation import bootstrap_metric, run_task_example
 from lmpipe.optimizers import (
     CompileConfig,
@@ -20,7 +21,7 @@ from lmpipe.optimizers import (
     save_compiled_program,
 )
 from lmpipe.retrieval import RetrieverIndex, load_corpus
-from lmpipe.runtime import RuntimeConfig
+from lmpipe.runtime import Program, RuntimeConfig, run_with_backtracking
 from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen
 
 from lmpipe.cli import bundled_data_path
@@ -237,6 +238,35 @@ def test_collect_counterexamples_respects_payload_fields():
     ces = collect_counterexamples([trace], payload_fields={"gen": "value"})
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]
+
+
+class TwoSiteProgram(Program):
+    """One call judged by two suggestions, each rejecting one value."""
+
+    def __init__(self):
+        super().__init__()
+        self.gen = self.register(PredictModule(
+            module_id="gen", signature=parse_signature("prompt -> value")))
+
+    def forward(self, ctx, prompt):
+        pred = ctx.call(self.gen, prompt=prompt)
+        ctx.suggest(pred.outputs["value"] != "v0", "not v0")
+        ctx.suggest(pred.outputs["value"] != "v1", "not v1")
+        return pred
+
+
+def test_counterexamples_of_two_sites_retrying_one_call():
+    # v0 fails the first site; its retry v1 passes it but fails the second; v2
+    # passes both. Each site's first retry and final pass judged different steps.
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Prompt: go", responses=["Value: v0", "Value: v1", "Value: v2"]),
+    ]))
+    result = run_with_backtracking(TwoSiteProgram(), {"prompt": "go"}, RuntimeConfig(), backend)
+    assert result.prediction.outputs["value"] == "v2"
+    assert collect_counterexamples([result.trace]) == [
+        Counterexample(module_id="gen", failed_output="v0", message="not v0", corrected_output="v2"),
+        Counterexample(module_id="gen", failed_output="v1", message="not v1", corrected_output="v2"),
+    ]
 
 
 @pytest.mark.parametrize("task,make_program", [

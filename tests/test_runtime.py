@@ -558,6 +558,15 @@ def test_assert_without_target_halts():
     assert result.error == "Input should be well-formed"
 
 
+def test_assert_without_target_under_suppress_assert_log_logs_and_completes(caplog):
+    config = RuntimeConfig(max_retries=2, handler_policy=SUPPRESS_ASSERT_LOG)
+    with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
+        result = run_with_backtracking(NoTargetProgram("assert"), {"prompt": "go"}, config,
+                                       echo_backend(0))
+    assert not result.halted and result.prediction is not None
+    assert caplog.messages == ["assertion failure suppressed: Input should be well-formed"]
+
+
 def test_handler_policy_default_is_identity():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2, handler_policy=BACKTRACK_DEFAULT),

@@ -137,7 +137,7 @@ def index_mib(build, passages, queries=()) -> float:
 def measure(size: int) -> dict:
     passages, queries = workload(size)
     texts = [p.title + " " + p.text for p in passages]
-    reps = max(5, 15000 // size)
+    reps = max(9, 15000 // size)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as handle:
