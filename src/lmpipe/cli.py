@@ -31,8 +31,8 @@ from .metrics import MetricReport, load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
 from .retrieval import RetrieverIndex, load_corpus, load_index
 from .runtime import (
-    BACKTRACK_DEFAULT,
     DISABLE_ALL,
+    RunResult,
     RuntimeConfig,
     load_trace,
     save_trace,
@@ -92,28 +92,39 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("lmpipe").joinpath("data", name)))
 
 
-# the keys a config file may set, by section ("" is the top level)
+_OPTIONAL_STR = (str, type(None))
+
+# the keys a config file may set, by section ("" is the top level), with the
+# type of each value
 _CONFIG_KEYS = {
-    "": ("backend", "runtime", "compile", "instructions", "corpus"),
-    "backend": ("script", "model", "api_base"),
-    "runtime": ("max_retries", "handler_policy"),
-    "compile": ("max_bootstrapped_demos", "num_candidates", "rng_seed", "collect_counterexamples"),
+    "": {"backend": dict, "runtime": dict, "compile": dict, "instructions": str, "corpus": _OPTIONAL_STR},
+    "backend": {"script": _OPTIONAL_STR, "model": str, "api_base": _OPTIONAL_STR},
+    "runtime": {"max_retries": int, "handler_policy": str},
+    "compile": {"max_bootstrapped_demos": int, "num_candidates": int, "rng_seed": int,
+                "collect_counterexamples": bool},
 }
+_TYPE_NAMES = {dict: "a JSON object", str: "a string", _OPTIONAL_STR: "a string or null",
+               int: "an integer", bool: "true or false"}
 
 
 def load_run_config_file(path: Optional[Path]) -> dict:
-    """Read a config file; an unknown key at any level raises ``ValueError``."""
+    """Read a config file; an unknown key at any level, or a value of the wrong
+    type, raises ``ValueError`` naming the key."""
     return read_json(path, _checked_config) if path is not None else {}
 
 
 def _checked_config(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError("config file must be a JSON object")
     for section, known in _CONFIG_KEYS.items():
-        table = raw.get(section, {}) if section else raw  # the top level is checked first
-        if not isinstance(table, dict):
-            raise ValueError(f"config {section or 'file'} must be a JSON object")
-        for key in table:
+        for key, value in (raw.get(section, {}) if section else raw).items():  # top level first
+            name = f"{section}.{key}" if section else key
             if key not in known:
-                raise ValueError(f"unknown config key {section + '.' if section else ''}{key}")
+                raise ValueError(f"unknown config key {name}")
+            expected = known[key]
+            # JSON true and false are Python ints too
+            if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+                raise ValueError(f"config {name} must be {_TYPE_NAMES[expected]}")
     return raw
 
 
@@ -128,8 +139,6 @@ def assemble_run_config(
 ) -> RunConfig:
     raw = load_run_config_file(Path(config_file) if config_file else None)
     backend_cfg = raw.get("backend", {})
-    runtime_cfg = raw.get("runtime", {})
-    compile_cfg = raw.get("compile", {})
     script_path = script or backend_cfg.get("script")
     if offline and script_path is None:
         raise ValueError("offline mode requires a script file")
@@ -139,19 +148,12 @@ def assemble_run_config(
         out_dir=Path(out_dir),
         corpus_path=Path(raw["corpus"]) if raw.get("corpus") else None,
         script_path=Path(script_path) if script_path else None,
-        model=backend_cfg.get("model", "gpt-3.5-turbo"),
+        model=backend_cfg.get("model", RunConfig.model),
         api_base=backend_cfg.get("api_base"),
-        runtime=RuntimeConfig(
-            max_retries=runtime_cfg.get("max_retries", 2),
-            handler_policy=runtime_cfg.get("handler_policy", BACKTRACK_DEFAULT),
-        ),
-        compile_config=CompileConfig(
-            max_bootstrapped_demos=compile_cfg.get("max_bootstrapped_demos", 2),
-            num_candidates=compile_cfg.get("num_candidates", 6),
-            rng_seed=compile_cfg.get("rng_seed", 0),
-            collect_counterexamples=compile_cfg.get("collect_counterexamples", True),
-        ),
-        instruction_variant=raw.get("instructions", COMPLETE),
+        runtime=RuntimeConfig(**raw.get("runtime", {})),
+        # the CLI collects counterexamples unless told not to; the API does not
+        compile_config=CompileConfig(**{"collect_counterexamples": True, **raw.get("compile", {})}),
+        instruction_variant=raw.get("instructions", RunConfig.instruction_variant),
         workers=workers,
     )
 
@@ -268,9 +270,9 @@ def format_summary(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_trace(trace, halted: bool, error: Optional[str]) -> str:
+def format_trace(result: RunResult) -> str:
     lines = []
-    for step in trace.steps:
+    for step in result.trace.steps:
         lines.append(f"step {step.position}.{step.attempt}  {step.module_id}  "
                      f"prompt={step.prompt_digest[:12]}")
         for name, value in step.prediction.outputs.items():
@@ -281,19 +283,18 @@ def format_trace(trace, halted: bool, error: Optional[str]) -> str:
             if outcome.disposition == "retried":
                 tag = "RETRY"
             lines.append(f"    [{outcome.decl.kind}/{tag}] {outcome.decl.message}")
-    if halted:
-        lines.append(f"assertion failed: {error}")
+    if result.halted:
+        lines.append(f"assertion failed: {result.error}")
         lines.append("HALTED")
-    elif error:
-        lines.append(f"error: {error}")
+    elif result.error:
+        lines.append(f"error: {result.error}")
     else:
         lines.append("completed")
     return "\n".join(lines) + "\n"
 
 
 def cmd_inspect_trace(path: Path) -> str:
-    trace, halted, error = load_trace(path)
-    return format_trace(trace, halted, error)
+    return format_trace(load_trace(path))
 
 
 @click.group()

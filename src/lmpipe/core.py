@@ -128,10 +128,6 @@ def parse_signature(spec: str, instructions: str = "") -> Signature:
     overlap = set(inputs) & set(outputs)
     if overlap:
         raise SignatureError(f"field name {sorted(overlap)[0]!r} appears on both sides")
-    if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
-        names = inputs + outputs
-        dupe = next(n for n in names if names.count(n) > 1)
-        raise SignatureError(f"duplicate field name {dupe!r}")
     if not instructions:
         instructions = "Given the fields {}, produce the fields {}.".format(
             ", ".join("`%s`" % n for n in inputs), ", ".join("`%s`" % n for n in outputs)
@@ -177,12 +173,9 @@ class Prediction:
 
     outputs: Mapping[str, str]
     raw_completion: str = ""
-    attempt: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", dict(self.outputs))
-        if self.attempt < 0:
-            raise ValueError("attempt must be >= 0")
 
     def __getitem__(self, key: str) -> str:
         return self.outputs[key]
@@ -195,7 +188,6 @@ class ConstraintDecl:
     kind: str  # "assert" | "suggest"
     passed: bool
     message: str
-    backtrack_target: Optional[str] = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -261,15 +253,16 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """Ordered record of one pipeline run; ``final_prediction`` is None when halted.
+    """The steps of one pipeline run, in the order they were invoked.
 
-    ``meta`` is what the program stored in ``ctx.meta`` on the surviving pass
-    (the retrieved ``context_passages``, say). It lives in memory only: trace
-    files do not carry it.
+    The run's outcome (its prediction, or the halt or error that ended it) is
+    held by the ``RunResult`` that carries the trace, not here. ``meta`` is what
+    the program stored in ``ctx.meta`` on the surviving pass (the retrieved
+    ``context_passages``, say). It lives in memory only: trace files do not
+    carry it.
     """
 
     steps: list[TraceStep] = field(default_factory=list)
-    final_prediction: Optional[Prediction] = None
     meta: dict[str, Any] = field(default_factory=dict)
 
     def outcomes(self) -> list[ConstraintOutcome]:

@@ -51,8 +51,9 @@ def evaluate_dataset(
 ) -> tuple[list[dict], list[Optional[RunResult]]]:
     """Run and score every example. Any exception while running or scoring an
     example becomes that example's error row, with the exception's type and
-    message; the other examples still run. A backend error keeps the steps
-    completed before it as that example's result, with the error message."""
+    message; the other examples still run. A backend error's ``partial_result``,
+    the steps completed before it with the error message, is that example's
+    result."""
 
     def error_row(example: TaskExample, exc: Exception) -> dict:
         return {"question": example.question, "error": str(exc),
@@ -64,8 +65,7 @@ def evaluate_dataset(
             result = run_task_example(program, example, config, backend)
             row = score_example(task, example, result.prediction, result.trace)
         except BackendError as exc:
-            partial = RunResult(prediction=None, trace=exc.partial_trace, error=str(exc))
-            return error_row(example, exc), partial
+            return error_row(example, exc), exc.partial_result
         except Exception as exc:  # a bug in a program or predicate: keep evaluating
             logger.exception("example %d failed", index)
             return error_row(example, exc), None

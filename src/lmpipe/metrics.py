@@ -152,8 +152,7 @@ def citation_metrics(
     """
     ks = cited_indices(paragraph)
     if not ks:
-        recall = 0.0 if gold_titles else 0.0
-        return CitationMetrics(faithfulness=None, precision=None, recall=recall)
+        return CitationMetrics(faithfulness=None, precision=None, recall=0.0)
     cited_titles = set()
     valid = 0
     for k in ks:
@@ -163,10 +162,8 @@ def citation_metrics(
     gold = set(gold_titles)
     hits = len(cited_titles & gold)
     # every distinct in-range title counts once; each out-of-range marker counts
-    # as one incorrect citation
-    out_of_range = len(ks) - valid
-    denominator = len(cited_titles) + out_of_range
-    precision = hits / denominator if denominator else None
+    # as one incorrect citation, so with any citation the denominator is >= 1
+    precision = hits / (len(cited_titles) + len(ks) - valid)
     recall = hits / len(gold) if gold else 0.0
     faithfulness = None
     if faithful_flags is not None and len(faithful_flags) > 0:

@@ -70,7 +70,7 @@ def _find_marker(text: str, token: str, start: int) -> int:
         pos = idx + 1
 
 
-def parse_completion(sig: Signature, completion: str, attempt: int = 0) -> Prediction:
+def parse_completion(sig: Signature, completion: str) -> Prediction:
     """Scan the completion for each output prefix in order.
 
     Text between consecutive matched prefixes belongs to the earlier field;
@@ -105,4 +105,4 @@ def parse_completion(sig: Signature, completion: str, attempt: int = 0) -> Predi
         outputs[first.name] = completion[:lead_end].strip()
     # keyed in signature order so the final (payload) field is always last
     ordered = {spec.name: outputs.get(spec.name, "") for spec in sig.output_fields}
-    return Prediction(outputs=ordered, raw_completion=completion, attempt=attempt)
+    return Prediction(outputs=ordered, raw_completion=completion)

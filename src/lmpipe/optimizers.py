@@ -139,7 +139,7 @@ def bootstrap_few_shot(
         if all(len(d) >= config.max_bootstrapped_demos for d in demos.values()):
             break
         result = run_example(program, example, teacher_config, backend)
-        if result.halted or result.prediction is None:
+        if result.prediction is None:  # halted
             continue
         value = metric(example, result.prediction, result.trace)
         if not _metric_passes(value):
@@ -227,7 +227,7 @@ def random_search_compile(
         scores = []
         for example in valset:
             result = run_example(compiled, example, eval_config, backend)
-            if result.halted or result.prediction is None:
+            if result.prediction is None:  # halted
                 scores.append(0.0)
                 continue
             value = metric(example, result.prediction, result.trace)

@@ -24,6 +24,10 @@ the predictions it receives. A replayed constraint keeps its recorded outcome
 and is not evaluated again. A call whose module or inputs differ from its
 slot's runs fresh and ends the replay; from there on every call and constraint
 runs fresh, and the target call still takes the retry's feedback.
+
+Every run ends in one ``RunResult``: a prediction, a halt, or a backend error
+that carries the run so far. Its ``Trace`` holds the steps. ``save_trace``
+writes a ``RunResult`` as a trace file and ``load_trace`` reads it back.
 """
 
 from __future__ import annotations
@@ -70,17 +74,15 @@ _MAX_PASSES = 10_000
 
 @dataclass(frozen=True)
 class RetryState:
-    """Retry bookkeeping for one constraint site: count r and the failures so far."""
+    """Retry bookkeeping for one constraint site: the failures so far, oldest first."""
 
     module_id: str = ""
-    r: int = 0
     past_failures: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("retry count must be >= 0")
-        if len(self.past_failures) != self.r:
-            raise ValueError("past_failures length must equal the retry count")
+    @property
+    def r(self) -> int:
+        """The site's retry count: one retry per recorded failure."""
+        return len(self.past_failures)
 
     def reset(self) -> "RetryState":
         return RetryState(module_id=self.module_id)
@@ -88,7 +90,6 @@ class RetryState:
     def extended(self, failed_output: str, message: str) -> "RetryState":
         return RetryState(
             module_id=self.module_id,
-            r=self.r + 1,
             past_failures=self.past_failures + ((failed_output, message),),
         )
 
@@ -137,11 +138,7 @@ def check_constraint(
 
 
 class AssertionHalt(RuntimeError):
-    """An assert constraint exhausted its retries; the run stops here."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.constraint_message = message
+    """An assert constraint exhausted its retries; the run stops here with its message."""
 
 
 class _Backtrack(Exception):
@@ -189,6 +186,13 @@ class _Slot:
 
 @dataclass
 class RunResult:
+    """The one record of a run: its trace, and its prediction or why it has none.
+
+    An assertion that halts the run sets ``halted`` and its message as ``error``.
+    A run a backend error stopped is that error's ``partial_result``, with the
+    error's message as ``error``.
+    """
+
     prediction: Optional[Prediction]
     trace: Trace
     halted: bool = False
@@ -248,7 +252,7 @@ class ExecutionContext:
         completions = self._backend.generate(prompt, module.params)
         slot = self._slots.get(position)
         attempt = slot.step.attempt + 1 if slot is not None else 0
-        prediction = parse_completion(module.signature, completions[0], attempt=attempt)
+        prediction = parse_completion(module.signature, completions[0])
         step = TraceStep(
             module_id=module.module_id,
             inputs=dict(inputs),
@@ -290,10 +294,7 @@ class ExecutionContext:
                 return  # outcome already recorded on an earlier pass
             self._replaying = False
 
-        decl = ConstraintDecl(
-            kind=kind, passed=bool(condition), message=message,
-            backtrack_target=backtrack, label=label or message,
-        )
+        decl = ConstraintDecl(kind=kind, passed=bool(condition), message=message, label=label or message)
         target = self._resolve_target(backtrack)
         state = self._retry_states.get(site)
         if state is None:
@@ -339,7 +340,9 @@ def run_with_backtracking(
     config: RuntimeConfig = RuntimeConfig(),
     backend=None,
 ) -> RunResult:
-    """Execute a program, backtracking on failed constraints per the transition rules."""
+    """Execute a program, backtracking on failed constraints per the transition rules.
+
+    A backend error propagates with the run so far as its ``partial_result``."""
     ctx = ExecutionContext(program, backend, config)
     for _ in range(_MAX_PASSES):
         try:
@@ -348,19 +351,20 @@ def run_with_backtracking(
             ctx._begin_pass((b.site, b.target_pos))
             continue
         except BackendError as exc:
-            exc.partial_trace = Trace(steps=ctx.steps, final_prediction=None)
+            exc.partial_result = RunResult(prediction=None, trace=Trace(steps=ctx.steps), error=str(exc))
             raise
         except AssertionHalt as halt:
-            trace = Trace(steps=ctx.steps, final_prediction=None, meta=dict(ctx.meta))
+            trace = Trace(steps=ctx.steps, meta=dict(ctx.meta))
             return RunResult(prediction=None, trace=trace, halted=True, error=str(halt))
-        trace = Trace(steps=ctx.steps, final_prediction=prediction, meta=dict(ctx.meta))
-        return RunResult(prediction=prediction, trace=trace)
+        return RunResult(prediction=prediction, trace=Trace(steps=ctx.steps, meta=dict(ctx.meta)))
     raise RuntimeError("backtracking did not terminate within the pass budget")
 
 
-def trace_to_dict(trace: Trace, halted: bool = False, error: Optional[str] = None) -> dict:
+def trace_to_dict(result: RunResult) -> dict:
+    """A run as a trace file's JSON object: its steps, how it ended, and the
+    final prediction's outputs (null for a halted or failed run)."""
     steps = []
-    for step in trace.steps:
+    for step in result.trace.steps:
         steps.append({
             "module_id": step.module_id,
             "attempt": step.attempt,
@@ -384,26 +388,23 @@ def trace_to_dict(trace: Trace, halted: bool = False, error: Optional[str] = Non
                 for o in step.constraint_outcomes
             ],
         })
-    final = dict(trace.final_prediction.outputs) if trace.final_prediction else None
+    final = dict(result.prediction.outputs) if result.prediction else None
     return {
         "version": TRACE_VERSION,
-        "halted": halted,
-        "error": error,
+        "halted": result.halted,
+        "error": result.error,
         "steps": steps,
         "final_outputs": final,
     }
 
 
-def trace_from_dict(data: dict) -> tuple[Trace, bool, Optional[str]]:
+def trace_from_dict(data: dict) -> RunResult:
     version = data.get("version")
     if version != TRACE_VERSION:
         raise ValueError(f"trace version mismatch: file has {version}, supported is {TRACE_VERSION}")
     steps = []
     for raw in data["steps"]:
-        prediction = Prediction(
-            outputs=raw["outputs"], raw_completion=raw.get("raw_completion", ""),
-            attempt=raw["attempt"],
-        )
+        prediction = Prediction(outputs=raw["outputs"], raw_completion=raw.get("raw_completion", ""))
         outcomes = [
             ConstraintOutcome(
                 decl=ConstraintDecl(
@@ -430,7 +431,8 @@ def trace_from_dict(data: dict) -> tuple[Trace, bool, Optional[str]]:
     final = None
     if data.get("final_outputs") is not None:
         final = Prediction(outputs=data["final_outputs"])
-    return Trace(steps=steps, final_prediction=final), data.get("halted", False), data.get("error")
+    return RunResult(prediction=final, trace=Trace(steps=steps),
+                     halted=data.get("halted", False), error=data.get("error"))
 
 
 def write_json(payload: Any, path: str | Path) -> None:
@@ -446,8 +448,8 @@ def write_json(payload: Any, path: str | Path) -> None:
 
 
 def save_trace(result: RunResult, path: str | Path) -> None:
-    write_json(trace_to_dict(result.trace, halted=result.halted, error=result.error), path)
+    write_json(trace_to_dict(result), path)
 
 
-def load_trace(path: str | Path) -> tuple[Trace, bool, Optional[str]]:
+def load_trace(path: str | Path) -> RunResult:
     return read_json(path, trace_from_dict)

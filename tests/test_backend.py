@@ -14,9 +14,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from lmpipe import backend as backend_module
+from lmpipe import cli
 from lmpipe.backend import (
+    API_BASE_ENV,
     API_KEY_ENV,
     BackendError,
     CachingBackend,
@@ -527,6 +530,27 @@ def test_default_transport_round_trip(endpoint):
         "model": "test-model", "messages": [{"role": "user", "content": "Where?"}],
         "max_tokens": 500, "temperature": 0.7, "n": 3,
     }
+
+
+def test_config_model_and_api_base_reach_the_endpoint(endpoint, tmp_path, monkeypatch):
+    monkeypatch.delenv(API_BASE_ENV, raising=False)
+    question = "In which city was the designer of the Oakhaven Amphitheatre born?"
+    dataset = tmp_path / "one.jsonl"
+    dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {
+        "model": "configured-model", "api_base": f"http://127.0.0.1:{endpoint.server_address[1]}/v1"}}))
+    endpoint.replies.extend([chat_reply("Reasoning: r\nQuery: q\nAnswer: Seabrink")] * 3)
+    result = CliRunner().invoke(cli.main, [
+        "eval", "--task", "multihop", "--strategy", "vanilla", "--test", str(dataset),
+        "--config", str(config), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    # two hops of query generation and one answer, all at the configured endpoint and model
+    assert [(method, path) for method, path, _, _ in endpoint.seen] == [("POST", "/v1/chat/completions")] * 3
+    assert {json.loads(body)["model"] for _, _, _, body in endpoint.seen} == {"configured-model"}
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metrics"]["answer_em"] == 1.0
 
 
 def test_default_transport_401_names_env_var(endpoint):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from click.testing import CliRunner
@@ -29,6 +30,7 @@ from lmpipe.runtime import (
     run_with_backtracking,
     save_trace,
 )
+from lmpipe.tasks import COMPLETE, INSTRUCTIONS, PRIMITIVE
 
 
 def data(name: str) -> str:
@@ -134,7 +136,7 @@ def test_eval_applies_configured_handler_policy(runner, tmp_path):
         return [
             outcome.disposition
             for path in sorted((out / "traces").glob("*.json"))
-            for step in load_trace(path)[0].steps
+            for step in load_trace(path).trace.steps
             for outcome in step.constraint_outcomes
         ]
 
@@ -437,6 +439,11 @@ def test_readme_config_example_loads(tmp_path):
     ({"instructions": "bogus"},
      "unknown instruction variant 'bogus'; expected one of ('primitive', 'complete')"),
     ({"backend": {"mode": "scripted"}}, "unknown config key backend.mode"),
+    ({"runtime": {"max_retries": "2"}}, "config runtime.max_retries must be an integer"),
+    ({"runtime": {"max_retries": 0.5}}, "config runtime.max_retries must be an integer"),
+    ({"runtime": {"max_retries": True}}, "config runtime.max_retries must be an integer"),
+    ({"compile": {"num_candidates": "3"}}, "config compile.num_candidates must be an integer"),
+    ({"corpus": 5}, "config corpus must be a string or null"),
 ])
 def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
     config = write_config(tmp_path, payload)
@@ -529,3 +536,92 @@ def test_config_file_drives_backend_and_seeds(runner, tmp_path):
     candidates = json.loads((out / "candidates.json").read_text())
     assert candidates["rng_seed"] == 3
     assert len(candidates["candidates"]) == 2
+
+
+# --- one test per config key: each changes what a command does -------------------
+
+def run_command(runner, command: str, task: str, strategy: str, script: str, out: Path,
+                payload: Optional[dict] = None) -> Path:
+    """Run ``compile`` or ``eval`` offline over the bundled data into ``out``;
+    ``payload`` is written beside ``out`` as the config file."""
+    datasets = {"compile": ["--train", data("train.jsonl"), "--dev", data("dev.jsonl")],
+                "eval": ["--test", data("test.jsonl")]}[command]
+    config = ["--config", write_config(out.parent, payload)] if payload is not None else []
+    result = runner.invoke(main, [
+        command, "--task", task, "--strategy", strategy, *datasets,
+        "--offline", "--script", script, *config, "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def saved_steps(out: Path) -> list:
+    return [step for path in sorted((out / "traces").glob("*.json"))
+            for step in load_trace(path).trace.steps]
+
+
+def test_config_max_retries_zero_retries_nothing(runner, tmp_path):
+    script = data("scripts/multihop_retry.json")
+    default = run_command(runner, "eval", "multihop", "infer_assert", script, tmp_path / "default")
+    assert any(step.attempt > 0 for step in saved_steps(default))
+    zero = run_command(runner, "eval", "multihop", "infer_assert", script, tmp_path / "zero",
+                       {"runtime": {"max_retries": 0}})
+    steps = saved_steps(zero)
+    assert steps and all(step.attempt == 0 for step in steps)
+    dispositions = {o.disposition for step in steps for o in step.constraint_outcomes}
+    assert "warned" in dispositions and "retried" not in dispositions
+
+
+def compiled_modules(runner, tmp_path: Path, name: str, strategy: str, script: str,
+                     compile_section: dict, extra: Optional[dict] = None) -> dict:
+    payload = {"compile": {"num_candidates": 1, **compile_section}, **(extra or {})}
+    out = run_command(runner, "compile", "multihop", strategy, data(f"scripts/{script}"),
+                      tmp_path / name, payload)
+    return json.loads((out / "compiled_program.json").read_text())["modules"]
+
+
+def test_config_max_bootstrapped_demos_caps_the_demos(runner, tmp_path):
+    def demo_counts(name: str, section: dict) -> dict:
+        modules = compiled_modules(runner, tmp_path, name, "compile", "multihop_all_pass.json", section)
+        return {module_id: len(module["demos"]) for module_id, module in modules.items()}
+
+    assert demo_counts("default", {}) == {"generate_query": 2, "generate_answer": 2}
+    assert demo_counts("one", {"max_bootstrapped_demos": 1}) == {"generate_query": 1, "generate_answer": 1}
+
+
+def test_config_collect_counterexamples_false_keeps_none(runner, tmp_path):
+    def counterexamples(name: str, section: dict) -> int:
+        modules = compiled_modules(runner, tmp_path, name, "compile_assert",
+                                   "multihop_teacher_assert.json", section)
+        return sum(len(module["counterexamples"]) for module in modules.values())
+
+    assert counterexamples("default", {}) > 0
+    assert counterexamples("off", {"collect_counterexamples": False}) == 0
+
+
+def test_config_instructions_primitive_reaches_the_program(runner, tmp_path):
+    def instructions(name: str, extra: Optional[dict]) -> dict:
+        modules = compiled_modules(runner, tmp_path, name, "compile", "multihop_all_pass.json", {}, extra)
+        return {module_id: module["instructions"] for module_id, module in modules.items()}
+
+    query = INSTRUCTIONS["multihop"]["query"]
+    assert instructions("default", None)["generate_query"] == query[COMPLETE]
+    assert instructions("primitive", {"instructions": PRIMITIVE})["generate_query"] == query[PRIMITIVE]
+
+
+def test_config_corpus_is_the_one_retrieved_from(runner, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"title": "Zephyr Annex", "text": "The Zephyr Annex stands alone."}) + "\n",
+                      encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"match": "Question:", "responses": ["Reasoning: r\nQuery: zephyr annex\nAnswer: a"]},
+    ]}), encoding="utf-8")
+
+    def contexts(name: str, payload: Optional[dict]) -> set:
+        out = run_command(runner, "eval", "multihop", "vanilla", str(script), tmp_path / name, payload)
+        return {step.inputs["context"] for step in saved_steps(out)}
+
+    assert not any("Zephyr" in context for context in contexts("bundled", None))
+    assert "[1] Zephyr Annex | The Zephyr Annex stands alone." in \
+        contexts("configured", {"corpus": str(corpus)})

@@ -39,7 +39,7 @@ def outcome(kind: str, disposition: str, site: int, seq: int, attempt: int = 0,
 def trace_with(outcomes: list[ConstraintOutcome], inputs=None) -> Trace:
     step = TraceStep(module_id="m", inputs=inputs or {}, prediction=Prediction(outputs={}),
                      constraint_outcomes=outcomes)
-    return Trace(steps=[step], final_prediction=Prediction(outputs={}))
+    return Trace(steps=[step])
 
 
 def test_suggestions_passed_all_final_pass():
@@ -132,7 +132,7 @@ def test_multihop_recall_reads_context_passages_from_trace_meta():
     # the program kept for its final pass, titles verbatim
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"},
                            prediction=Prediction(outputs={}))
-    trace = Trace(steps=[judge_step], final_prediction=Prediction(outputs={}),
+    trace = Trace(steps=[judge_step],
                   meta={"context_passages": [("Gold | Annex", "b"), ("Other", "c")]})
     example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))
     row = score_example("multihop", example, Prediction(outputs={"answer": "Paris"}), trace)

@@ -234,7 +234,7 @@ def test_collect_counterexamples_respects_payload_fields():
     fixed.constraint_outcomes.append(ConstraintOutcome(
         decl=ConstraintDecl(kind="suggest", passed=True, message="be good"),
         attempt=1, disposition="passed", site=0, target_module="gen", seq=1))
-    trace = Trace(steps=[failed, fixed], final_prediction=fixed.prediction)
+    trace = Trace(steps=[failed, fixed])
     ces = collect_counterexamples([trace], payload_fields={"gen": "value"})
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]

@@ -36,7 +36,7 @@ def decl(kind: str, passed: bool) -> ConstraintDecl:
 # --- check_constraint: the transition rules as a pure function ---------------
 
 def test_pass_resets_retry_count():
-    state = RetryState(module_id="m", r=1, past_failures=(("bad", VALUE_MESSAGE),))
+    state = RetryState(module_id="m", past_failures=(("bad", VALUE_MESSAGE),))
     tr = check_constraint(decl("assert", True), state, RuntimeConfig())
     assert tr.action == PASSED
     assert tr.state.r == 0 and tr.state.past_failures == ()
@@ -51,13 +51,13 @@ def test_suggest_failure_under_budget_retries():
 
 
 def test_assert_failure_at_budget_halts():
-    state = RetryState(module_id="m", r=2, past_failures=(("a", "m1"), ("b", "m2")))
+    state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
     tr = check_constraint(decl("assert", False), state, RuntimeConfig(max_retries=2))
     assert tr.action == HALTED
 
 
 def test_suggest_failure_at_budget_warns_and_resets():
-    state = RetryState(module_id="m", r=2, past_failures=(("a", "m1"), ("b", "m2")))
+    state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
     tr = check_constraint(decl("suggest", False), state, RuntimeConfig(max_retries=2))
     assert tr.action == WARNED
     assert tr.state.r == 0
@@ -91,10 +91,12 @@ def test_bypass_suggest_only():
 
 
 def test_retry_state_invariants():
-    with pytest.raises(ValueError):
-        RetryState(module_id="m", r=2, past_failures=(("a", "m"),))
-    with pytest.raises(ValueError):
-        RetryState(module_id="m", r=-1)
+    # the retry count is the number of recorded failures, so the two cannot disagree
+    state = RetryState(module_id="m").extended("a", "m1").extended("b", "m2")
+    assert state.r == 2 and state.past_failures == (("a", "m1"), ("b", "m2"))
+    assert state.reset() == RetryState(module_id="m") and state.reset().r == 0
+    with pytest.raises(TypeError):
+        RetryState(module_id="m", r=2)
 
 
 # --- the execution engine ------------------------------------------------------
@@ -215,7 +217,7 @@ def test_suggest_never_prevents_final_prediction():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(max_retries=1), echo_backend(5))
     assert result.prediction is not None
-    assert result.trace.final_prediction is result.prediction
+    assert not result.halted and result.error is None
 
 
 def test_retry_attempts_recorded_with_distinct_prompts():
@@ -585,7 +587,7 @@ def test_replay_determinism():
     def run_once():
         result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                        RuntimeConfig(max_retries=2), echo_backend(2))
-        return trace_to_dict(result.trace, result.halted, result.error)
+        return trace_to_dict(result)
 
     assert run_once() == run_once()
 
@@ -601,9 +603,10 @@ def test_backend_errors_carry_partial_trace():
     with pytest.raises(UnscriptedPromptError) as err:
         run_with_backtracking(PipelineProgram(), {"prompt": "go"},
                               RuntimeConfig(max_retries=2), backend)
-    partial = err.value.partial_trace
-    assert [s.module_id for s in partial.steps] == ["first"]
-    assert partial.final_prediction is None
+    partial = err.value.partial_result
+    assert [s.module_id for s in partial.trace.steps] == ["first"]
+    assert partial.prediction is None and not partial.halted
+    assert partial.error == str(err.value)
 
 
 # --- trace serialization -------------------------------------------------------
@@ -613,13 +616,13 @@ def test_trace_save_load_round_trip(tmp_path):
                                    RuntimeConfig(max_retries=2), echo_backend(1))
     path = tmp_path / "trace.json"
     save_trace(result, path)
-    trace, halted, error = load_trace(path)
-    assert not halted and error is None
-    assert [(s.module_id, s.attempt) for s in trace.steps] == \
+    loaded = load_trace(path)
+    assert not loaded.halted and loaded.error is None
+    assert [(s.module_id, s.attempt) for s in loaded.trace.steps] == \
         [(s.module_id, s.attempt) for s in result.trace.steps]
-    assert {s: [o.disposition for o in outs] for s, outs in trace.outcomes_by_site().items()} == \
+    assert {s: [o.disposition for o in outs] for s, outs in loaded.trace.outcomes_by_site().items()} == \
         site_dispositions(result.trace)
-    assert trace.final_prediction.outputs == result.prediction.outputs
+    assert loaded.prediction.outputs == result.prediction.outputs
 
 
 json_values = st.recursive(

@@ -26,7 +26,6 @@ from lmpipe.core import parse_signature
 from lmpipe.modules import PredictModule
 from lmpipe.runtime import (
     Program,
-    RunResult,
     RuntimeConfig,
     load_trace,
     run_with_backtracking,
@@ -74,13 +73,12 @@ def test_trace_files_round_trip_and_render_as_locked(tmp_path):
     traces = write_traces(tmp_path / "runs")
     kinds = {"error": 0, "halted": 0}
     for name, path in traces.items():
-        trace, halted, error = load_trace(path)
+        result = load_trace(path)
         copy = tmp_path / "copy.json"
-        save_trace(RunResult(prediction=trace.final_prediction, trace=trace,
-                             halted=halted, error=error), copy)
+        save_trace(result, copy)
         assert copy.read_bytes() == path.read_bytes(), name
-        kinds["halted"] += halted
-        kinds["error"] += error is not None and not halted
+        kinds["halted"] += result.halted
+        kinds["error"] += result.error is not None and not result.halted
     assert len(traces) == 157
     assert kinds == {"error": 20, "halted": 1}
 
