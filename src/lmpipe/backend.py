@@ -174,18 +174,6 @@ def _script_entries(data: dict) -> list[ScriptEntry]:
     ]
 
 
-def save_script(entries: Sequence[ScriptEntry], path: str | Path) -> None:
-    data = {
-        "version": SCRIPT_VERSION,
-        "entries": [
-            {"match": e.match, "mode": e.mode, "responses": list(e.responses)} for e in entries
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
-
-
 @dataclass(frozen=True)
 class EndpointConfig:
     """Where and how to reach an OpenAI-compatible completions endpoint."""

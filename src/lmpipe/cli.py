@@ -168,7 +168,7 @@ def make_program(config: RunConfig):
     index = None
     if TASKS[config.task].uses_index:
         if config.corpus_path is None:
-            # the bundled corpus builds in well under a millisecond, and the
+            # the bundled corpus loads and builds in under 2 ms, and the
             # package's data directory is never written to
             index = RetrieverIndex.build(load_corpus(bundled_data_path("corpus.jsonl")))
         else:

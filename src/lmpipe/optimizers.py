@@ -18,7 +18,7 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import Counterexample, Example, PASSED, RETRIED, Trace, read_json
 from .evaluation import run_task_example
@@ -80,17 +80,14 @@ def _all_sites_ultimately_passed(trace: Trace) -> bool:
     )
 
 
-def collect_counterexamples(
-    traces: Sequence[Trace], payload_fields: Optional[dict[str, str]] = None
-) -> list[Counterexample]:
+def collect_counterexamples(traces: Sequence[Trace]) -> list[Counterexample]:
     """One counterexample per site that retried and then passed: the output its
     first retry judged, that retry's message, and the output its final pass
     judged.
 
     The engine stores each outcome on the step it judged, so both outputs are
-    read from the steps that carry those two outcomes. ``payload_fields`` maps
-    module id to the output field the constraint spoke about; without it the
-    last output field of the judged prediction is used.
+    read from the steps that carry those two outcomes. The payload is the last
+    output field of the judged prediction, as ``core.payload_field`` picks it.
     """
     found = []
     for trace in traces:
@@ -100,12 +97,10 @@ def collect_counterexamples(
             if outcomes[-1].disposition != PASSED or not retried:
                 continue
             failed_step, fixed_step = judged[id(retried[0])], judged[id(outcomes[-1])]
-            module_id = fixed_step.module_id
-            field_name = (payload_fields or {}).get(module_id)
-            if field_name is None:  # predictions key outputs in signature order
-                field_name = next(reversed(fixed_step.prediction.outputs), None)
+            # predictions key outputs in signature order
+            field_name = next(reversed(fixed_step.prediction.outputs), None)
             found.append(Counterexample(
-                module_id=module_id,
+                module_id=fixed_step.module_id,
                 failed_output=failed_step.prediction.outputs.get(field_name, ""),
                 message=retried[0].decl.message,
                 corrected_output=fixed_step.prediction.outputs.get(field_name, ""),

@@ -4,27 +4,24 @@ Passages are scored with BM25 (k1=1.5, b=0.75, Robertson & Zaragoza 2009)
 over the tokens of ``title + " " + text``: the runs of ASCII ``a-z0-9`` in
 its ``str.lower()``, every other character separating tokens.
 
-Index layout: ``build`` makes one pass over each passage's tokens and
-appends the passage's index to the postings array of each token, so
-``term -> array('I', [doc index, ...])`` holds one entry per occurrence, in
-passage order. It also keeps every passage's token count and the mean count.
+Index layout: ``build`` computes every BM25 weight once. Each term maps to
+a ``(start, end)`` span of two flat arrays: ``_docs`` (``array('I')``, the
+passages that hold the term, ascending) and ``_weights`` (``array('d')``,
+the term's weight in each of them). Each weight is the same expression,
+evaluated in the same order, as in a linear scan that scores every passage
+(kept as the test oracle in ``tests/bm25_oracle.py``); only each passage's
+length norm, which does not depend on the term, is computed once. A query
+sums the weights of its tokens, in query order and counting a repeated token
+again, over only the passages that share a token with it, so every score is
+the same float as the oracle's, bit for bit.
 
 Persistence: ``load_index`` keeps a built index in a sidecar file next to a
 corpus file (``<corpus>.bm25idx``) and loads it on later calls instead of
 re-reading and re-tokenizing the corpus. The sidecar is keyed by the
 corpus's sha256, the tokenizer version and the format version; any mismatch,
 or a sidecar that does not parse, means a rebuild and a rewrite. The loaded
-index has the same postings, lengths and passages as a build, so it scores
-and ranks the same.
-
-Per-term weights are lazy: the first query that uses a term counts its
-postings into term frequencies and document frequency, computes its BM25
-weight in every passage that holds it, and keeps the weights for later
-queries. A query sums the weights of its tokens, in query order and counting
-a repeated token again, over only the passages that share a token with it.
-Each weight is the same expression, evaluated in the same order, as in a
-linear scan that scores every passage (kept as the test oracle in
-``tests/bm25_oracle.py``), so every score is the same float, bit for bit.
+index has the same passages, spans, doc ids and weights as a build, so it
+scores and ranks the same.
 
 Ranking: scores are non-increasing and ties break by insertion order, so
 equal (index, query, k) always give equal ranked lists. When more than k
@@ -35,10 +32,8 @@ among those sorted, so ties at the cut still break by insertion order.
 Matched passages always score above zero, so when fewer than k passages
 match, the rest of the list is the unmatched passages in insertion order.
 
-Thread safety: after ``build`` or a load, postings and lengths are never
-written. The weight memo only grows, through ``dict.setdefault``, which is
-atomic; two threads that race on a new term compute equal weights, and both
-go on with the one dict that was stored. So threads may share one index.
+Thread safety: nothing writes to an index after ``build`` or a load, so
+threads may share one.
 """
 
 from __future__ import annotations
@@ -55,9 +50,9 @@ import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -66,9 +61,11 @@ BM25_B = 0.75
 # return other tokens for some text, and INDEX_FORMAT whenever the sidecar's
 # layout changes: either makes every existing sidecar stale.
 TOKENIZER_VERSION = 1
-INDEX_FORMAT = 1
+INDEX_FORMAT = 2
 SIDECAR_SUFFIX = ".bm25idx"
 _PASSAGES_PER_LINE = 512
+# sidecar bytes per (term, passage) entry: its doc id and its weight
+_ENTRY_BYTES = array("I").itemsize + array("d").itemsize
 
 # Byte table for ``bytes.translate``: ASCII a-z and 0-9 stay, every other byte
 # becomes a space.
@@ -87,8 +84,7 @@ def tokenize(text: str) -> list[str]:
     return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     title: str
     text: str
 
@@ -96,15 +92,12 @@ class Passage:
 @dataclass
 class RetrieverIndex:
     passages: list[Passage]
-    _postings: dict[str, array] = field(default_factory=dict, repr=False)
-    _doc_lens: array = field(default_factory=lambda: array("I"), repr=False)
-    _avg_len: float = 0.0
-    # every doc index boxed once, to key the weight memos: keys boxed from the
-    # postings arrays would each be a new int object, held as long as the memo
-    _doc_ids: list[int] = field(default_factory=list, repr=False)
-    _weights: dict[str, dict[int, float]] = field(default_factory=dict, repr=False)
+    # term -> (start, end): its slice of _docs and _weights
+    _spans: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
+    _docs: array = field(default_factory=lambda: array("I"), repr=False)
+    _weights: array = field(default_factory=lambda: array("d"), repr=False)
 
-    def __deepcopy__(self, memo):  # programs share one index; after build only the memo grows
+    def __deepcopy__(self, memo):  # programs share one index; nothing writes to it
         return self
 
     @classmethod
@@ -114,60 +107,55 @@ class RetrieverIndex:
         if len(set(titles)) != len(titles):
             dupe = next(t for t in titles if titles.count(t) > 1)
             raise ValueError(f"duplicate passage title {dupe!r}")
-        index = cls(passages=passages)
-        postings = index._postings
+        postings: dict[str, list[int]] = {}  # term -> doc index per occurrence
+        doc_lens = []
         for doc, passage in enumerate(passages):
             tokens = tokenize(passage.title + " " + passage.text)
-            index._doc_lens.append(len(tokens))
+            doc_lens.append(len(tokens))
             for term in tokens:
                 docs = postings.get(term)
                 if docs is None:
-                    postings[term] = array("I", (doc,))
+                    postings[term] = [doc]
                 else:
                     docs.append(doc)
-        index._finish()
+        n_docs = len(passages)
+        avg_len = sum(doc_lens) / n_docs if n_docs else 0.0
+        # with no tokens at all there are no terms, and no norm is read
+        norms = [BM25_K1 * (1.0 - BM25_B + BM25_B * n / avg_len) for n in doc_lens] if avg_len else []
+        index = cls(passages=passages)
+        spans, doc_ids, weights = index._spans, index._docs, index._weights
+        k1_plus_1 = BM25_K1 + 1.0
+        for term, docs in postings.items():
+            tfs = Counter(docs)
+            docs.clear()  # counted: free it before the arrays grow
+            df = len(tfs)
+            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+            start = len(doc_ids)
+            doc_ids.extend(tfs)
+            weights.extend([idf * tf * k1_plus_1 / (tf + norms[doc]) for doc, tf in tfs.items()])
+            spans[term] = (start, len(doc_ids))
         return index
-
-    def _finish(self) -> None:
-        """Set what follows from the passages and doc lengths."""
-        self._avg_len = sum(self._doc_lens) / len(self.passages) if self.passages else 0.0
-        self._doc_ids = list(range(len(self.passages)))
 
     def __len__(self) -> int:
         return len(self.passages)
-
-    def _term_weights(self, term: str) -> dict[int, float]:
-        """BM25 weight of ``term`` in every passage that holds it; {} if none does."""
-        weights = self._weights.get(term)
-        if weights is not None:
-            return weights
-        docs = self._postings.get(term)
-        if docs is None:
-            return {}
-        tfs = Counter(docs)
-        n_docs = len(self.passages)
-        df = len(tfs)
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        doc_ids, doc_lens, avg_len = self._doc_ids, self._doc_lens, self._avg_len
-        weights = {
-            doc_ids[doc]: idf * tf * (BM25_K1 + 1.0)
-            / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lens[doc] / avg_len))
-            for doc, tf in tfs.items()
-        }
-        return self._weights.setdefault(term, weights)
 
     def scores(self, query: str) -> dict[int, float]:
         """BM25 score of every passage that shares a token with ``query``;
         every other passage scores 0.0."""
         scores: dict[int, float] = {}
         for term in tokenize(query):
-            weights = self._term_weights(term)
+            span = self._spans.get(term)
+            if span is None:
+                continue
+            start, end = span
+            weights = zip(self._docs[start:end], self._weights[start:end])
             if not scores:
                 # every weight is > 0, so 0.0 + weight == weight: a copy sums the same
                 scores = dict(weights)
                 continue
-            for doc, weight in weights.items():
-                scores[doc] = scores.get(doc, 0.0) + weight
+            get = scores.get
+            for doc, weight in weights:
+                scores[doc] = get(doc, 0.0) + weight
         return scores
 
     def score(self, query: str, doc_index: int) -> float:
@@ -198,14 +186,7 @@ def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
 
 def deduplicate(passages: Sequence[Passage]) -> list[Passage]:
     """Drop exact-text duplicates, keeping first occurrences."""
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for passage in passages:
-        key = (passage.title, passage.text)
-        if key not in seen:
-            seen.add(key)
-            unique.append(passage)
-    return unique
+    return list(dict.fromkeys(passages))
 
 
 # json.loads without its two whitespace scans; shared, as json.loads shares its
@@ -232,7 +213,7 @@ def load_corpus(path: str | Path) -> list[Passage]:
                     record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"expected a JSON object, got {line[:40]}")
-                passages.append(Passage(title=record["title"], text=record["text"]))
+                passages.append(Passage(record["title"], record["text"]))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc
     return passages
@@ -271,12 +252,12 @@ def load_index(corpus_path: str | Path) -> RetrieverIndex:
 def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
     """The index a sidecar holds, or None if it is missing, stale or malformed.
 
-    Layout: a line of JSON, ``{"key", "passages", "terms": {term: postings
-    count}}``; the passages, as lines of JSON that each hold up to
+    Layout: a line of JSON, ``{"key", "passages", "terms": {term: document
+    frequency}}``; the passages, as lines of JSON that each hold up to
     ``_PASSAGES_PER_LINE`` of them as ``[title, text, title, text, ...]``, so
-    that no line costs memory in proportion to the corpus; then the doc
-    lengths and each term's postings, in header order, as raw ``array('I')``
-    bytes.
+    that no line costs memory in proportion to the corpus; then every term's
+    doc ids, in header order, as raw ``array('I')`` bytes, and after them
+    every term's weights, in the same order, as raw ``array('d')`` bytes.
     """
     try:
         with open(path, "rb") as handle:
@@ -287,23 +268,26 @@ def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
             passages: list[Passage] = []
             while len(passages) < n_docs:
                 fields = iter(json.loads(handle.readline()))
-                passages += map(Passage, fields, fields)
+                # tuple.__new__ skips Passage.__new__'s Python frame: half the cost
+                passages += map(tuple.__new__, repeat(Passage), zip(fields, fields))
             if len(passages) != n_docs:
                 return None
             if not all(type(count) is int and count > 0 for count in counts.values()):
                 return None
             # every count is checked against the bytes left before any is read
+            total = sum(counts.values())
             left = os.fstat(handle.fileno()).st_size - handle.tell()
-            if left != array("I").itemsize * (n_docs + sum(counts.values())):
+            if left != _ENTRY_BYTES * total:
                 return None
             index = RetrieverIndex(passages=passages)
-            index._doc_lens.fromfile(handle, n_docs)
-            for term, count in counts.items():
-                docs = index._postings[term] = array("I")
-                docs.fromfile(handle, count)
+            index._docs.fromfile(handle, total)
+            index._weights.fromfile(handle, total)
     except (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
-    index._finish()
+    end = 0
+    for term, count in counts.items():
+        index._spans[term] = (end, end + count)
+        end += count
     return index
 
 
@@ -312,7 +296,7 @@ def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Pa
     header = {
         "key": key,
         "passages": len(passages),
-        "terms": {term: len(docs) for term, docs in index._postings.items()},
+        "terms": {term: end - start for term, (start, end) in index._spans.items()},
     }
     tmp = None
     try:
@@ -321,11 +305,10 @@ def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Pa
             handle.write(json.dumps(header).encode("ascii") + b"\n")
             for start in range(0, len(passages), _PASSAGES_PER_LINE):
                 chunk = passages[start:start + _PASSAGES_PER_LINE]
-                fields = [field for p in chunk for field in (p.title, p.text)]
+                fields = [field for p in chunk for field in p]
                 handle.write(json.dumps(fields).encode("ascii") + b"\n")
-            index._doc_lens.tofile(handle)
-            for docs in index._postings.values():
-                docs.tofile(handle)
+            index._docs.tofile(handle)
+            index._weights.tofile(handle)
         shutil.copymode(corpus_path, tmp)  # readable by exactly who can read the corpus
         os.replace(tmp, path)
     except OSError:

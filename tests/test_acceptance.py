@@ -257,8 +257,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
 def test_criterion_5_counterexample_bootstrapping(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
     result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    payloads = {"generate_query": "query", "generate_answer": "answer"}
-    counterexamples = collect_counterexamples([result.trace], payload_fields=payloads)
+    counterexamples = collect_counterexamples([result.trace])
     by_module = {}
     for ce in counterexamples:
         by_module.setdefault(ce.module_id, []).append(ce)

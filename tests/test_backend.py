@@ -26,11 +26,11 @@ from lmpipe.backend import (
     EndpointConfig,
     GenerationParams,
     HTTPBackend,
+    SCRIPT_VERSION,
     ScriptEntry,
     ScriptedBackend,
     UnscriptedPromptError,
     load_script,
-    save_script,
     stable_digest,
 )
 
@@ -139,7 +139,10 @@ def test_script_file_round_trip(tmp_path):
         ScriptEntry(match="full", responses=["x"], mode="exact"),
     ]
     path = tmp_path / "script.json"
-    save_script(entries, path)
+    path.write_text(json.dumps({
+        "version": SCRIPT_VERSION,
+        "entries": [{"match": e.match, "mode": e.mode, "responses": e.responses} for e in entries],
+    }), encoding="utf-8")
     loaded = load_script(path)
     assert [(e.match, e.mode, e.responses) for e in loaded] == \
         [(e.match, e.mode, e.responses) for e in entries]

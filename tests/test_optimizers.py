@@ -217,7 +217,7 @@ def test_artifact_version_mismatch(index, tmp_path):
 
 
 def test_collect_counterexamples_respects_payload_fields():
-    # synthetic trace exercising the explicit payload-field mapping
+    # a synthetic trace: the payload is the last output field, not the rationale
     from lmpipe.core import ConstraintDecl, ConstraintOutcome, Prediction, Trace, TraceStep
 
     def step(attempt, value):
@@ -235,7 +235,7 @@ def test_collect_counterexamples_respects_payload_fields():
         decl=ConstraintDecl(kind="suggest", passed=True, message="be good"),
         attempt=1, disposition="passed", site=0, target_module="gen", seq=1))
     trace = Trace(steps=[failed, fixed])
-    ces = collect_counterexamples([trace], payload_fields={"gen": "value"})
+    ces = collect_counterexamples([trace])
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]
 

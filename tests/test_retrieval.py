@@ -9,12 +9,14 @@ index a build gives.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import random
 import sys
 import os
 import threading
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -76,6 +78,7 @@ TIES_AT_THE_CUT = [
 @settings(max_examples=300, deadline=None)
 @given(corpora(), queries, st.integers(min_value=1, max_value=14))  # up to 2 past 12 passages
 @example(TIES_AT_THE_CUT, "oak river", 3)
+@example([Passage("", ""), Passage("*", "!")], "oak", 2)  # no tokens at all: mean length 0
 def test_postings_match_oracle(passages, query, k):
     assert_matches_oracle(passages, query, [k])
 
@@ -91,7 +94,7 @@ def test_concurrent_queries_on_fresh_index_match_oracle():
     queries = [p.title for p in passages] + [p.text for p in passages[:10]]
     oracle = OracleIndex.build(passages)
     expected = [oracle_retrieve(oracle, q, 3) for q in queries]
-    index = RetrieverIndex.build(passages)  # empty weight memo: threads race to fill it
+    index = RetrieverIndex.build(passages)  # shared by every thread, read only
     n_threads = 8
     start = threading.Barrier(n_threads)
     results: list = [None] * n_threads
@@ -298,7 +301,7 @@ def counting_build():
 
 
 def index_state(index: RetrieverIndex):
-    return index.passages, index._postings, index._doc_lens, index._avg_len, index._doc_ids
+    return index.passages, index._spans, index._docs, index._weights
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,6 +397,44 @@ def test_stale_or_damaged_sidecar_is_rebuilt_and_rewritten(corpus, damage):
         assert builds.call_count == 1
         assert index_state(load_index(corpus)) == expected  # from the rewritten sidecar
         assert builds.call_count == 1
+
+
+def write_format_1_sidecar(corpus: Path) -> None:
+    """The sidecar as format 1 laid it out: the passage lines, then doc lengths
+    and each term's postings (one doc index per occurrence) as ``array('I')``."""
+    passages = load_corpus(corpus)
+    doc_lens, postings = array("I"), {}
+    for doc, passage in enumerate(passages):
+        tokens = tokenize(passage.title + " " + passage.text)
+        doc_lens.append(len(tokens))
+        for term in tokens:
+            postings.setdefault(term, array("I")).append(doc)
+    key = {"format": 1, "tokenizer": retrieval.TOKENIZER_VERSION, "byteorder": sys.byteorder,
+           "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+    header = {"key": key, "passages": len(passages),
+              "terms": {term: len(docs) for term, docs in postings.items()}}
+    with open(sidecar_of(corpus), "wb") as handle:
+        handle.write(json.dumps(header).encode("ascii") + b"\n")
+        for start in range(0, len(passages), retrieval._PASSAGES_PER_LINE):
+            chunk = passages[start:start + retrieval._PASSAGES_PER_LINE]
+            handle.write(json.dumps([field for p in chunk for field in p]).encode("ascii") + b"\n")
+        doc_lens.tofile(handle)
+        for docs in postings.values():
+            docs.tofile(handle)
+
+
+def test_format_1_sidecar_is_rebuilt_as_format_2(corpus):
+    write_format_1_sidecar(corpus)
+    with counting_build() as builds:
+        index = load_index(corpus)
+        assert builds.call_count == 1
+        assert index_state(load_index(corpus)) == index_state(index)  # from the rewritten sidecar
+        assert builds.call_count == 1
+    header = json.loads(sidecar_of(corpus).read_bytes().split(b"\n", 1)[0])
+    assert header["key"]["format"] == 2
+    oracle = OracleIndex.build(load_corpus(corpus))
+    for passage in index.passages:
+        assert retrieve(index, passage.title, 3) == oracle_retrieve(oracle, passage.title, 3)
 
 
 @pytest.mark.parametrize("constant", ["TOKENIZER_VERSION", "INDEX_FORMAT"])
