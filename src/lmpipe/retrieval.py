@@ -18,10 +18,14 @@ the same float as the oracle's, bit for bit.
 Persistence: ``load_index`` keeps a built index in a sidecar file next to a
 corpus file (``<corpus>.bm25idx``) and loads it on later calls instead of
 re-reading and re-tokenizing the corpus. The sidecar is keyed by the
-corpus's sha256, the tokenizer version and the format version; any mismatch,
-or a sidecar that does not parse, means a rebuild and a rewrite. The loaded
-index has the same passages, spans, doc ids and weights as a build, so it
-scores and ranks the same.
+corpus's sha256, the tokenizer version, the format version and the byte
+order; any mismatch, or a sidecar whose sizes or passage offsets do not
+check out, means a rebuild and a rewrite. It stores the index's arrays as
+raw bytes and every passage in one UTF-8 block, so a load reads them into
+arrays sized in advance and decodes the block with one call, and builds
+nothing per passage: ``Passages`` slices a passage out of the block when it
+is read. The loaded index has the same passages, spans, doc ids and weights
+as a build, so it scores and ranks the same.
 
 Ranking: scores are non-increasing and ties break by insertion order, so
 equal (index, query, k) always give equal ranked lists. When more than k
@@ -49,10 +53,11 @@ import sys
 import tempfile
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, NamedTuple
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -61,10 +66,11 @@ BM25_B = 0.75
 # return other tokens for some text, and INDEX_FORMAT whenever the sidecar's
 # layout changes: either makes every existing sidecar stale.
 TOKENIZER_VERSION = 1
-INDEX_FORMAT = 2
+INDEX_FORMAT = 3
 SIDECAR_SUFFIX = ".bm25idx"
-_PASSAGES_PER_LINE = 512
-# sidecar bytes per (term, passage) entry: its doc id and its weight
+# sidecar bytes per passage offset, and per (term, passage) entry: its doc id
+# and its weight
+_OFFSET_BYTES = array("I").itemsize
 _ENTRY_BYTES = array("I").itemsize + array("d").itemsize
 
 # Byte table for ``bytes.translate``: ASCII a-z and 0-9 stay, every other byte
@@ -89,13 +95,54 @@ class Passage(NamedTuple):
     text: str
 
 
+class Passages(Sequence):
+    """An index's passages, held as one string and one offset array.
+
+    Passage ``i`` is ``Passage(block[ends[2i]:ends[2i+1]],
+    block[ends[2i+1]:ends[2i+2]])``: ``ends`` starts at 0 and holds the end
+    of every title and text, in code points of ``block``. A passage is
+    sliced out of the block when it is read. Equal contents compare equal.
+    Immutable; a block of 2**32 code points or more does not fit the offsets
+    and raises ``OverflowError``.
+    """
+
+    __slots__ = ("_block", "_ends")
+
+    def __init__(self, block: str, ends: array):
+        self._block, self._ends = block, ends
+
+    @classmethod
+    def of(cls, passages: Iterable[Passage]) -> "Passages":
+        fields = list(chain.from_iterable(passages))
+        return cls("".join(fields), array("I", accumulate(map(len, fields), initial=0)))
+
+    def __len__(self) -> int:
+        return len(self._ends) // 2
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[doc] for doc in range(len(self))[i]]
+        n = len(self._ends) // 2
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("passage index out of range")
+        start, mid, end = self._ends[2 * i:2 * i + 3]
+        return Passage(self._block[start:mid], self._block[mid:end])
+
+    def __eq__(self, other):  # and so unhashable, as a list is
+        if not isinstance(other, Passages):
+            return NotImplemented
+        return self._ends == other._ends and self._block == other._block
+
+
 @dataclass
 class RetrieverIndex:
-    passages: list[Passage]
+    passages: Passages
     # term -> (start, end): its slice of _docs and _weights
-    _spans: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
-    _docs: array = field(default_factory=lambda: array("I"), repr=False)
-    _weights: array = field(default_factory=lambda: array("d"), repr=False)
+    _spans: dict[str, tuple[int, int]] = field(repr=False)
+    _docs: array = field(repr=False)  # array('I')
+    _weights: array = field(repr=False)  # array('d')
 
     def __deepcopy__(self, memo):  # programs share one index; nothing writes to it
         return self
@@ -122,8 +169,8 @@ class RetrieverIndex:
         avg_len = sum(doc_lens) / n_docs if n_docs else 0.0
         # with no tokens at all there are no terms, and no norm is read
         norms = [BM25_K1 * (1.0 - BM25_B + BM25_B * n / avg_len) for n in doc_lens] if avg_len else []
-        index = cls(passages=passages)
-        spans, doc_ids, weights = index._spans, index._docs, index._weights
+        spans: dict[str, tuple[int, int]] = {}
+        doc_ids, weights = array("I"), array("d")
         k1_plus_1 = BM25_K1 + 1.0
         for term, docs in postings.items():
             tfs = Counter(docs)
@@ -134,7 +181,8 @@ class RetrieverIndex:
             doc_ids.extend(tfs)
             weights.extend([idf * tf * k1_plus_1 / (tf + norms[doc]) for doc, tf in tfs.items()])
             spans[term] = (start, len(doc_ids))
-        return index
+        # the block is made last, once the occurrence lists are freed
+        return cls(Passages.of(passages), spans, doc_ids, weights)
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -157,9 +205,6 @@ class RetrieverIndex:
             for doc, weight in weights:
                 scores[doc] = get(doc, 0.0) + weight
         return scores
-
-    def score(self, query: str, doc_index: int) -> float:
-        return self.scores(query).get(doc_index, 0.0)
 
 
 def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
@@ -252,50 +297,59 @@ def load_index(corpus_path: str | Path) -> RetrieverIndex:
 def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
     """The index a sidecar holds, or None if it is missing, stale or malformed.
 
-    Layout: a line of JSON, ``{"key", "passages", "terms": {term: document
-    frequency}}``; the passages, as lines of JSON that each hold up to
-    ``_PASSAGES_PER_LINE`` of them as ``[title, text, title, text, ...]``, so
-    that no line costs memory in proportion to the corpus; then every term's
-    doc ids, in header order, as raw ``array('I')`` bytes, and after them
-    every term's weights, in the same order, as raw ``array('d')`` bytes.
+    Layout: a line of JSON, ``{"key", "passages", "block_bytes", "terms":
+    {term: document frequency}}``; the passages' offsets (``Passages``'s
+    ``ends``, ``2 * passages + 1`` of them) as raw ``array('I')`` bytes; the
+    passages' block, ``block_bytes`` of UTF-8 (``surrogatepass``); then every
+    term's doc ids, in header order, as raw ``array('I')`` bytes, and after
+    them every term's weights, in the same order, as raw ``array('d')`` bytes.
     """
     try:
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
             if not isinstance(header, dict) or header.get("key") != key:
                 return None
-            n_docs, counts = header["passages"], header["terms"]
-            passages: list[Passage] = []
-            while len(passages) < n_docs:
-                fields = iter(json.loads(handle.readline()))
-                # tuple.__new__ skips Passage.__new__'s Python frame: half the cost
-                passages += map(tuple.__new__, repeat(Passage), zip(fields, fields))
-            if len(passages) != n_docs:
+            n_docs, n_bytes, counts = header["passages"], header["block_bytes"], header["terms"]
+            if not all(type(size) is int and size >= 0 for size in (n_docs, n_bytes)):
                 return None
             if not all(type(count) is int and count > 0 for count in counts.values()):
                 return None
-            # every count is checked against the bytes left before any is read
-            total = sum(counts.values())
+            # every size is checked against the bytes left before anything is read
+            n_ends, total = 2 * n_docs + 1, sum(counts.values())
             left = os.fstat(handle.fileno()).st_size - handle.tell()
-            if left != _ENTRY_BYTES * total:
+            if left != _OFFSET_BYTES * n_ends + n_bytes + _ENTRY_BYTES * total:
                 return None
-            index = RetrieverIndex(passages=passages)
-            index._docs.fromfile(handle, total)
-            index._weights.fromfile(handle, total)
+            ends = _read_array(handle, "I", n_ends)
+            block = handle.read(n_bytes).decode("utf-8", "surrogatepass")
+            docs = _read_array(handle, "I", total)
+            weights = _read_array(handle, "d", total)
     except (OSError, EOFError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
-    end = 0
+    bounds = ends.tolist()
+    if bounds[0] != 0 or bounds[-1] != len(block) or bounds != sorted(bounds):
+        return None
+    spans, end = {}, 0
     for term, count in counts.items():
-        index._spans[term] = (end, end + count)
+        spans[term] = (end, end + count)
         end += count
-    return index
+    return RetrieverIndex(Passages(block, ends), spans, docs, weights)
+
+
+def _read_array(handle: BinaryIO, typecode: str, count: int) -> array:
+    """``count`` items read straight into an array made at full size."""
+    items = array(typecode, [0]) * count
+    if handle.readinto(items) != items.itemsize * count:
+        raise EOFError
+    return items
 
 
 def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Path) -> None:
     passages = index.passages
+    block = passages._block.encode("utf-8", "surrogatepass")
     header = {
         "key": key,
         "passages": len(passages),
+        "block_bytes": len(block),
         "terms": {term: end - start for term, (start, end) in index._spans.items()},
     }
     tmp = None
@@ -303,10 +357,8 @@ def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Pa
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(header).encode("ascii") + b"\n")
-            for start in range(0, len(passages), _PASSAGES_PER_LINE):
-                chunk = passages[start:start + _PASSAGES_PER_LINE]
-                fields = [field for p in chunk for field in p]
-                handle.write(json.dumps(fields).encode("ascii") + b"\n")
+            passages._ends.tofile(handle)
+            handle.write(block)
             index._docs.tofile(handle)
             index._weights.tofile(handle)
         shutil.copymode(corpus_path, tmp)  # readable by exactly who can read the corpus

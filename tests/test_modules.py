@@ -181,7 +181,7 @@ def test_retrieve_deterministic():
 def test_retrieve_scores_non_increasing():
     index = RetrieverIndex.build(CORPUS)
     ranked = retrieve(index, "river stone", 3)
-    scores = [index.score("river stone", index.passages.index(p)) for p in ranked]
+    scores = [index.scores("river stone").get(index.passages.index(p), 0.0) for p in ranked]
     assert scores == sorted(scores, reverse=True)
 
 

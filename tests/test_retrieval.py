@@ -60,8 +60,9 @@ queries = st.one_of(
 
 def assert_matches_oracle(passages, query, ks):
     index, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
+    scores = index.scores(query)
     for doc in range(len(passages)):
-        assert index.score(query, doc) == oracle.score(query, doc)
+        assert scores.get(doc, 0.0) == oracle.score(query, doc)
     for k in ks:
         assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
 
@@ -304,8 +305,33 @@ def index_state(index: RetrieverIndex):
     return index.passages, index._spans, index._docs, index._weights
 
 
+def through_json(text: str) -> str:
+    """``text`` as a corpus file gives it back: JSON joins an escaped
+    surrogate pair into one character."""
+    return json.loads(json.dumps(text))
+
+
+@st.composite
+def any_text_corpora(draw) -> list[Passage]:
+    """1-8 passages of any text, lone surrogates, NUL, newlines and empty
+    strings included, with unique titles."""
+    fields = st.tuples(any_text.map(through_json), any_text.map(through_json))
+    pairs = draw(st.lists(fields, min_size=1, max_size=8, unique_by=lambda pair: pair[0]))
+    return [Passage(title, text) for title, text in pairs]
+
+
+def assert_passages_match_oracle(passages, oracle: OracleIndex) -> None:
+    """An index's ``passages`` against the oracle's list, item by item and by
+    ``len``, iteration and ``index``."""
+    expected = oracle.passages
+    assert len(passages) == len(expected)
+    assert list(passages) == expected
+    assert [passages[i] for i in range(len(expected))] == expected
+    assert [passages.index(p) for p in expected] == [expected.index(p) for p in expected]
+
+
 @settings(max_examples=150, deadline=None)
-@given(corpora(), st.lists(queries, min_size=1, max_size=4), st.data())
+@given(st.one_of(corpora(), any_text_corpora()), st.lists(queries, min_size=1, max_size=4), st.data())
 def test_sidecar_index_matches_build_and_oracle(tmp_path_factory, passages, query_list, data):
     corpus = write_corpus(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", passages)
     with counting_build() as builds:
@@ -314,26 +340,63 @@ def test_sidecar_index_matches_build_and_oracle(tmp_path_factory, passages, quer
     assert builds.call_count == 1 and sidecar_of(corpus).exists()
     built, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
     assert index_state(loaded) == index_state(first) == index_state(built)
+    assert_passages_match_oracle(loaded.passages, oracle)
     for query in query_list:
-        assert loaded.scores(query) == built.scores(query)
+        scores = loaded.scores(query)
+        assert scores == built.scores(query)
         for doc in range(len(passages)):
-            assert loaded.score(query, doc) == oracle.score(query, doc)
+            assert scores.get(doc, 0.0) == oracle.score(query, doc)
         k = data.draw(st.integers(min_value=1, max_value=len(passages) + 2), label="k")
         assert retrieve(loaded, query, k) == retrieve(built, query, k) == oracle_retrieve(oracle, query, k)
 
 
+ROUND_TRIP = TRICKY + ["Caf\u00e9 No\u00ebl", "line\nbreak", '"quoted" \\ back', "\U0001f600"]
+
+
+ROUND_TRIP_CORPORA = {
+    "any text": [Passage(f"T{i} {text}", f"{text} body {i % 7}") for i, text in enumerate(ROUND_TRIP)],
+    "text as title": [Passage(text, f"body {i}") for i, text in enumerate(ROUND_TRIP)],
+    "empty fields": [Passage("", "empty title"), Passage("empty text", ""), Passage("\x00", "\x00")],
+    "one empty passage": [Passage("", "")],
+    # a surrogate pair split between title and text is two characters in the block
+    "split surrogate pair": [Passage("\ud800", "\udfff"), Passage("x\udbff", "\udc00y")],
+    "empty corpus": [],
+}
+
+
 def test_sidecar_round_trips_any_text(tmp_path):
-    # lone surrogates, NUL, newlines and non-ASCII text survive the JSON lines;
-    # more passages than one line holds exercise the line split
-    texts = TRICKY + ["Caf\u00e9 No\u00ebl", "line\nbreak", '"quoted" \\ back']
-    passages = [Passage(f"T{i} {text}", f"{text} body {i % 7}") for i, text in
-                enumerate(texts * (2 * retrieval._PASSAGES_PER_LINE // len(texts) + 1))]
-    corpus = write_corpus(tmp_path / "corpus.jsonl", passages)
-    load_index(corpus)
-    with counting_build() as builds:
-        loaded = load_index(corpus)
-    assert builds.call_count == 0
-    assert index_state(loaded) == index_state(RetrieverIndex.build(passages))
+    for name, passages in ROUND_TRIP_CORPORA.items():
+        corpus = write_corpus(tmp_path / f"{name}.jsonl", passages)
+        load_index(corpus)
+        with counting_build() as builds:
+            loaded = load_index(corpus)
+        assert builds.call_count == 0, name
+        built, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
+        assert index_state(loaded) == index_state(built), name
+        assert_passages_match_oracle(loaded.passages, oracle)
+        assert_passages_match_oracle(built.passages, oracle)
+        for query in ["body", "caf no l", "empty", ""]:
+            for k in (1, 3, len(passages) + 1):
+                assert outcome(lambda i: retrieve(i, query, k), loaded) == \
+                    outcome(lambda i: oracle_retrieve(i, query, k), oracle), (name, query, k)
+
+
+def test_passages_sequence():
+    passages = [Passage("A", "x"), Passage("B", ""), Passage("", "y")]
+    seq = RetrieverIndex.build(passages).passages
+    assert seq[-1] == passages[-1] and seq[1:] == passages[1:] and seq[::-2] == passages[::-2]
+    assert ("B", "") in seq and Passage("B", "x") not in seq and seq.count(passages[0]) == 1
+    assert list(reversed(seq)) == passages[::-1]
+    with pytest.raises(IndexError):
+        seq[3]
+    with pytest.raises(IndexError):
+        seq[-4]
+    assert seq == retrieval.Passages.of(passages) and seq != RetrieverIndex.build(passages[:2]).passages
+    assert seq != passages  # a Passages equals only a Passages, as a range equals only a range
+    with pytest.raises(AttributeError):
+        seq.extra = 1
+    with pytest.raises(TypeError):
+        hash(seq)
 
 
 def same_size_edit(corpus: Path, sidecar: Path) -> None:
@@ -378,8 +441,60 @@ def fewer_passages(corpus: Path, sidecar: Path) -> None:
     sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
 
 
+def sidecar_parts(sidecar: Path) -> tuple[dict, array, bytes, bytes]:
+    """A format-3 sidecar's header, passage offsets, block, and the doc id and
+    weight bytes after them."""
+    line, rest = sidecar.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    ends = array("I")
+    ends.frombytes(rest[:ends.itemsize * (2 * header["passages"] + 1)])
+    rest = rest[ends.itemsize * len(ends):]
+    return header, ends, rest[:header["block_bytes"]], rest[header["block_bytes"]:]
+
+
+def write_sidecar_parts(sidecar: Path, header: dict, ends: array, block: bytes, rest: bytes) -> None:
+    sidecar.write_bytes(json.dumps(header).encode() + b"\n" + ends.tobytes() + block + rest)
+
+
+def offsets_out_of_order(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    assert ends[1] < ends[2]  # the first title ends before the first text
+    ends[1], ends[2] = ends[2], ends[1]
+    write_sidecar_parts(sidecar, header, ends, block, rest)
+
+
+def first_offset_not_zero(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    ends[0] = 1
+    write_sidecar_parts(sidecar, header, ends, block, rest)
+
+
+def offset_past_the_block(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    ends[-1] += 1
+    write_sidecar_parts(sidecar, header, ends, block, rest)
+
+
+def last_offset_short_of_the_block(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    ends[-1] -= 1
+    write_sidecar_parts(sidecar, header, ends, block, rest)
+
+
+def block_not_utf8(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    write_sidecar_parts(sidecar, header, ends, b"\xff" + block[1:], rest)
+
+
+def block_bytes_disagree(corpus: Path, sidecar: Path) -> None:
+    header, ends, block, rest = sidecar_parts(sidecar)
+    header["block_bytes"] += 1
+    write_sidecar_parts(sidecar, header, ends, block, rest)
+
+
 STALE = [same_size_edit, truncate, append_byte, garbage, not_an_object, deeply_nested,
-         bigger_count, fewer_passages]
+         bigger_count, fewer_passages, offsets_out_of_order, first_offset_not_zero,
+         offset_past_the_block, last_offset_short_of_the_block, block_not_utf8, block_bytes_disagree]
 
 
 @pytest.fixture()
@@ -399,6 +514,23 @@ def test_stale_or_damaged_sidecar_is_rebuilt_and_rewritten(corpus, damage):
         assert builds.call_count == 1
 
 
+# the passages per JSON line in a format-1 or format-2 sidecar
+PASSAGES_PER_LINE = 512
+
+
+def legacy_key(corpus: Path, index_format: int) -> dict:
+    return {"format": index_format, "tokenizer": retrieval.TOKENIZER_VERSION,
+            "byteorder": sys.byteorder, "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+
+
+def write_passage_lines(handle, passages) -> None:
+    """The passages as formats 1 and 2 kept them: JSON lines of up to
+    ``PASSAGES_PER_LINE`` passages, each ``[title, text, title, text, ...]``."""
+    for start in range(0, len(passages), PASSAGES_PER_LINE):
+        chunk = passages[start:start + PASSAGES_PER_LINE]
+        handle.write(json.dumps([field for p in chunk for field in p]).encode("ascii") + b"\n")
+
+
 def write_format_1_sidecar(corpus: Path) -> None:
     """The sidecar as format 1 laid it out: the passage lines, then doc lengths
     and each term's postings (one doc index per occurrence) as ``array('I')``."""
@@ -409,32 +541,43 @@ def write_format_1_sidecar(corpus: Path) -> None:
         doc_lens.append(len(tokens))
         for term in tokens:
             postings.setdefault(term, array("I")).append(doc)
-    key = {"format": 1, "tokenizer": retrieval.TOKENIZER_VERSION, "byteorder": sys.byteorder,
-           "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
-    header = {"key": key, "passages": len(passages),
+    header = {"key": legacy_key(corpus, 1), "passages": len(passages),
               "terms": {term: len(docs) for term, docs in postings.items()}}
     with open(sidecar_of(corpus), "wb") as handle:
         handle.write(json.dumps(header).encode("ascii") + b"\n")
-        for start in range(0, len(passages), retrieval._PASSAGES_PER_LINE):
-            chunk = passages[start:start + retrieval._PASSAGES_PER_LINE]
-            handle.write(json.dumps([field for p in chunk for field in p]).encode("ascii") + b"\n")
+        write_passage_lines(handle, passages)
         doc_lens.tofile(handle)
         for docs in postings.values():
             docs.tofile(handle)
 
 
-def test_format_1_sidecar_is_rebuilt_as_format_2(corpus):
-    write_format_1_sidecar(corpus)
-    with counting_build() as builds:
-        index = load_index(corpus)
-        assert builds.call_count == 1
-        assert index_state(load_index(corpus)) == index_state(index)  # from the rewritten sidecar
-        assert builds.call_count == 1
-    header = json.loads(sidecar_of(corpus).read_bytes().split(b"\n", 1)[0])
-    assert header["key"]["format"] == 2
+def write_format_2_sidecar(corpus: Path) -> None:
+    """The sidecar as format 2 laid it out: the passage lines, then every
+    term's doc ids and after them every term's weights."""
+    passages = load_corpus(corpus)
+    index = RetrieverIndex.build(passages)
+    header = {"key": legacy_key(corpus, 2), "passages": len(passages),
+              "terms": {term: end - start for term, (start, end) in index._spans.items()}}
+    with open(sidecar_of(corpus), "wb") as handle:
+        handle.write(json.dumps(header).encode("ascii") + b"\n")
+        write_passage_lines(handle, passages)
+        index._docs.tofile(handle)
+        index._weights.tofile(handle)
+
+
+def test_format_1_and_2_sidecars_are_rebuilt_as_format_3(corpus):
     oracle = OracleIndex.build(load_corpus(corpus))
-    for passage in index.passages:
-        assert retrieve(index, passage.title, 3) == oracle_retrieve(oracle, passage.title, 3)
+    for write_legacy in (write_format_1_sidecar, write_format_2_sidecar):
+        write_legacy(corpus)
+        with counting_build() as builds:
+            index = load_index(corpus)
+            assert builds.call_count == 1
+            assert index_state(load_index(corpus)) == index_state(index)  # from the rewritten sidecar
+            assert builds.call_count == 1
+        header = json.loads(sidecar_of(corpus).read_bytes().split(b"\n", 1)[0])
+        assert header["key"]["format"] == 3
+        for passage in index.passages:
+            assert retrieve(index, passage.title, 3) == oracle_retrieve(oracle, passage.title, 3)
 
 
 @pytest.mark.parametrize("constant", ["TOKENIZER_VERSION", "INDEX_FORMAT"])
