@@ -36,8 +36,16 @@ among those sorted, so ties at the cut still break by insertion order.
 Matched passages always score above zero, so when fewer than k passages
 match, the rest of the list is the unmatched passages in insertion order.
 
-Thread safety: nothing writes to an index after ``build`` or a load, so
-threads may share one.
+Ranked memo: an index keeps the doc ids of its last ``RANKED_MEMO_CAP``
+rankings, keyed by ``(query, k)``, so a query that a retry or another
+program run sends again is not scored again. The passages, spans, doc ids
+and weights never change after ``build`` or a load, so a remembered ranking
+is always the one a fresh ranking would give. The memo holds doc ids only,
+never text, and once full it drops its oldest entry for each new one.
+
+Thread safety: threads may share one index. Only the memo is written after
+``build`` or a load; a lock guards each insert and eviction, and a lookup is
+one ``dict.get``.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -68,6 +77,9 @@ BM25_B = 0.75
 TOKENIZER_VERSION = 1
 INDEX_FORMAT = 3
 SIDECAR_SUFFIX = ".bm25idx"
+# rankings an index remembers (doc ids only): far more than the distinct
+# queries of one eval or compile command over the bundled tasks
+RANKED_MEMO_CAP = 256
 # sidecar bytes per passage offset, and per (term, passage) entry: its doc id
 # and its weight
 _OFFSET_BYTES = array("I").itemsize
@@ -143,8 +155,13 @@ class RetrieverIndex:
     _spans: dict[str, tuple[int, int]] = field(repr=False)
     _docs: array = field(repr=False)  # array('I')
     _weights: array = field(repr=False)  # array('d')
+    # (query, k) -> ranked doc ids, oldest first; written under _memo_lock
+    _memo: dict[tuple[str, int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _memo_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
-    def __deepcopy__(self, memo):  # programs share one index; nothing writes to it
+    def __deepcopy__(self, memo):  # programs share one index, and so its ranked memo
         return self
 
     @classmethod
@@ -209,23 +226,34 @@ class RetrieverIndex:
 
 def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
     """Top-k passages by BM25 score; for an empty or unseen query, the first k
-    passages in insertion order (everything scores zero and ties keep order)."""
+    passages in insertion order (everything scores zero and ties keep order).
+    Each call returns a new list, from the index's memo when this (query, k)
+    was ranked before."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.passages:
         raise ValueError("retriever index is empty")
-    scores = index.scores(query)
-    if len(scores) > k:
-        # only a passage that scores at least the k-th best score can rank
-        cut = heapq.nlargest(k, scores.values())[-1]
-        top = [doc for doc, score in scores.items() if score >= cut]
-    else:
-        top = list(scores)
-    top.sort(key=lambda doc: (-scores[doc], doc))
-    del top[k:]
-    if len(top) < k:
-        unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
-        top += islice(unmatched, k - len(top))
+    key = (query, k)
+    top = index._memo.get(key)
+    if top is None:
+        scores = index.scores(query)
+        if len(scores) > k:
+            # only a passage that scores at least the k-th best score can rank
+            cut = heapq.nlargest(k, scores.values())[-1]
+            ranked = [doc for doc, score in scores.items() if score >= cut]
+        else:
+            ranked = list(scores)
+        ranked.sort(key=lambda doc: (-scores[doc], doc))
+        del ranked[k:]
+        if len(ranked) < k:
+            unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
+            ranked += islice(unmatched, k - len(ranked))
+        top = tuple(ranked)
+        with index._memo_lock:
+            if key not in index._memo:
+                if len(index._memo) >= RANKED_MEMO_CAP:
+                    del index._memo[next(iter(index._memo))]  # the oldest
+                index._memo[key] = top
     return [index.passages[doc] for doc in top]
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -443,8 +444,84 @@ def write_json(payload: Any, path: str | Path) -> None:
     cannot be encoded (a lone surrogate, say) raises and leaves the file as it
     was, and the file gets one ``write`` rather than one per encoder chunk.
     """
-    data = (json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    Path(path).write_bytes(data)
+    Path(path).write_bytes((dumps_json(payload) + "\n").encode("utf-8"))
+
+
+def dumps_json(payload: Any) -> str:
+    """``json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)``,
+    the same text, without the pure-Python encoder that ``indent`` selects.
+
+    Encodes str, int, float (NaN and infinities as ``json`` writes them),
+    bool, None, lists, tuples and dicts whose keys ``json`` accepts; any
+    other value raises ``TypeError``.
+    """
+    out: list[str] = []
+    _encode_json(payload, out, "\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_json(key: Any) -> str:
+    """A dict key as ``json`` writes it: a str as is, a number, bool or None
+    as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return dumps_json(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode_json(value: Any, out: list[str], indent: str) -> None:
+    """Append ``value``'s JSON text to ``out``; ``indent`` is the newline and
+    spaces that start each line at the value's depth."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _encode_str(_key_json(key)) + ": ")
+            _encode_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_trace(result: RunResult, path: str | Path) -> None:

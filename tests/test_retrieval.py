@@ -4,7 +4,8 @@ sidecar against the oracles they replaced.
 Rankings must be equal, ties included, and every score the same float;
 tokens must be equal on any text; the loader must return the same passages
 and raise the same messages; an index loaded from its sidecar must be the
-index a build gives.
+index a build gives; a ranking remembered by an index's memo must be the
+ranking a fresh index gives.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import os
 import threading
 from array import array
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -24,11 +26,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bm25_oracle import OracleIndex, oracle_load_corpus, oracle_retrieve, oracle_tokenize
-from lmpipe import retrieval
+from lmpipe import retrieval, tasks
+from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.cli import assemble_run_config, bundled_data_path, make_program
+from lmpipe.core import passages_to_text
+from lmpipe.evaluation import run_task_example
+from lmpipe.metrics import load_dataset
 from lmpipe.retrieval import (
-    SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve, tokenize,
+    RANKED_MEMO_CAP, SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve,
+    tokenize,
 )
+from lmpipe.runtime import BACKTRACK_DEFAULT, RuntimeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,35 +98,111 @@ def test_bundled_corpus_titles_match_oracle():
         assert_matches_oracle(passages, passage.title, [1, 3, len(passages) + 1])
 
 
-def test_concurrent_queries_on_fresh_index_match_oracle():
+def test_concurrent_queries_on_fresh_index_match_oracle(monkeypatch):
     passages = load_corpus(bundled_data_path("corpus.jsonl"))
     queries = [p.title for p in passages] + [p.text for p in passages[:10]]
     oracle = OracleIndex.build(passages)
     expected = [oracle_retrieve(oracle, q, 3) for q in queries]
-    index = RetrieverIndex.build(passages)  # shared by every thread, read only
+    index = RetrieverIndex.build(passages)  # shared by every thread
     n_threads = 8
-    start = threading.Barrier(n_threads)
-    results: list = [None] * n_threads
 
-    def worker(slot: int) -> None:
-        start.wait(timeout=10)
-        # each thread walks the queries from a different point
-        order = queries[slot:] + queries[:slot]
-        got = {q: retrieve(index, q, 3) for q in order}
-        results[slot] = [got[q] for q in queries]
+    def run_threads() -> list:
+        start = threading.Barrier(n_threads)
+        results: list = [None] * n_threads
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == [expected] * n_threads
+        def worker(slot: int) -> None:
+            start.wait(timeout=10)
+            # each thread walks the queries from a different point
+            order = queries[slot:] + queries[:slot]
+            got = {q: retrieve(index, q, 3) for q in order}
+            results[slot] = [got[q] for q in queries]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    assert run_threads() == [expected] * n_threads
+    assert len(index._memo) == len(queries)
+    assert run_threads() == [expected] * n_threads  # every query a memo hit
+    # a memo smaller than the query list evicts while the threads read it
+    monkeypatch.setattr(retrieval, "RANKED_MEMO_CAP", 8)
+    index._memo.clear()
+    assert run_threads() == [expected] * n_threads
+    assert len(index._memo) == 8
+
+
+def bundled_index() -> RetrieverIndex:
+    return RetrieverIndex.build(load_corpus(bundled_data_path("corpus.jsonl")))
+
+
+def test_retried_run_scores_each_distinct_query_once(monkeypatch):
+    # hop 2 first repeats the hop-1 query; the distinctness suggestion sends
+    # the run back, and the second pass retrieves the hop-1 query again
+    example = load_dataset(bundled_data_path("test.jsonl"))[0]
+    subject, person = "Oakhaven Amphitheatre", "Anton Marwick"
+    hop2_ctx_line = passages_to_text(retrieve(bundled_index(), subject, 3)).split("\n")[-1]
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match=f"\nPast Query: {subject}", responses=[f"Reasoning: r\nQuery: {person}"]),
+        ScriptEntry(match=f"Context: N/A\nQuestion: {example.question}",
+                    responses=[f"Reasoning: r\nQuery: {subject}"]),
+        ScriptEntry(match=f"{hop2_ctx_line}\nQuestion: {example.question}",
+                    responses=[f"Reasoning: r\nQuery: {subject}"]),
+        ScriptEntry(match=f"Question: {example.question}",
+                    responses=[f"Reasoning: r\nAnswer: {example.answer}"]),
+    ]))
+    retrieved, scored = Counter(), Counter()
+    monkeypatch.setattr(tasks, "retrieve",
+                        lambda index, query, k: retrieved.update([query]) or retrieve(index, query, k))
+    scores = RetrieverIndex.scores
+    monkeypatch.setattr(RetrieverIndex, "scores",
+                        lambda self, query: scored.update([query]) or scores(self, query))
+    result = run_task_example(tasks.MultiHopQA(bundled_index()), example,
+                              RuntimeConfig(handler_policy=BACKTRACK_DEFAULT), backend)
+    assert [o.disposition for o in result.trace.outcomes_by_site()[3]] == ["retried", "passed"]
+    assert retrieved == {subject: 2, person: 1}  # hop 1 in each pass, then hop 2
+    assert scored == {subject: 1, person: 1}
+
+
+def test_memo_hit_returns_a_new_list():
+    passages = load_corpus(bundled_data_path("corpus.jsonl"))
+    index, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
+    query = passages[0].title
+    first = retrieve(index, query, 3)
+    first.reverse()
+    first.append(Passage("Made", "up"))
+    second = retrieve(index, query, 3)
+    assert second is not first and second == oracle_retrieve(oracle, query, 3)
+    second.clear()
+    assert retrieve(index, query, 3) == oracle_retrieve(oracle, query, 3)
+
+
+def test_memo_keeps_the_newest_cap_rankings():
+    passages = load_corpus(bundled_data_path("corpus.jsonl"))
+    index, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
+    titles = [p.title for p in passages]
+    queries = [f"{a} {b}" for a in titles for b in titles][:RANKED_MEMO_CAP + 1]
+    assert len(set(queries)) == RANKED_MEMO_CAP + 1
+    for k, query in enumerate(queries):
+        k = 1 + k % 4
+        assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
+    assert len(index._memo) == RANKED_MEMO_CAP
+    assert (queries[0], 1) not in index._memo  # the oldest went first
+    assert list(index._memo) == [(q, 1 + k % 4) for k, q in enumerate(queries)][1:]
+    for k, query in enumerate(queries):  # hits, then the evicted one again
+        k = 1 + k % 4
+        assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
+    assert len(index._memo) == RANKED_MEMO_CAP
+    # the same query at another k is another entry, and ranks afresh
+    assert retrieve(index, queries[1], 5) == oracle_retrieve(oracle, queries[1], 5)
 
 
 # Characters whose lowercase or UTF-8 form could trip a byte-level tokenizer:
@@ -348,6 +432,10 @@ def test_sidecar_index_matches_build_and_oracle(tmp_path_factory, passages, quer
             assert scores.get(doc, 0.0) == oracle.score(query, doc)
         k = data.draw(st.integers(min_value=1, max_value=len(passages) + 2), label="k")
         assert retrieve(loaded, query, k) == retrieve(built, query, k) == oracle_retrieve(oracle, query, k)
+    # the memo is no part of an index's value: queried or not, a loaded index
+    # equals a built one
+    assert loaded._memo and not first._memo
+    assert loaded == first == built and index_state(loaded) == index_state(built)
 
 
 ROUND_TRIP = TRICKY + ["Caf\u00e9 No\u00ebl", "line\nbreak", '"quoted" \\ back', "\U0001f600"]

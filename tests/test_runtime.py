@@ -18,6 +18,7 @@ from lmpipe.runtime import (
     RetryState,
     RuntimeConfig,
     check_constraint,
+    dumps_json,
     load_trace,
     run_with_backtracking,
     save_trace,
@@ -642,6 +643,52 @@ def test_write_json_bytes_equal_text_mode_dump(tmp_path_factory, payload):
         handle.write("\n")
     write_json(payload, new)
     assert new.read_bytes() == old.read_bytes()
+
+
+# every code point, lone surrogates included
+any_text = st.text(st.characters(blacklist_categories=()))
+json_keys = any_text | st.integers() | st.floats() | st.booleans() | st.none()
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(any_text, inner) | st.dictionaries(json_keys, inner, max_size=3)),
+    max_leaves=20,
+)
+
+
+def json_dumps_outcome(dumps, payload):
+    """The text, or the type of the error: a dict whose keys do not sort
+    (say, str beside int) raises ``TypeError`` in both encoders."""
+    try:
+        return dumps(payload)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_json)
+def test_dumps_json_equals_json_dumps(payload):
+    expected = json_dumps_outcome(
+        lambda value: json.dumps(value, indent=2, ensure_ascii=False, sort_keys=True), payload)
+    assert json_dumps_outcome(dumps_json, payload) == expected
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), "", {"a": {}, "b": [], "c": [{}]}, [float("nan"), float("inf"), -float("inf"), -0.0],
+    {"\ud800": "\udfff x \u2028 \x00"}, {1: "a", 2.5: "b"}, {True: 1}, {None: None}, 10 ** 30,
+])
+def test_dumps_json_examples(payload):
+    assert dumps_json(payload) == json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    object(), {1, 2}, b"bytes", 1j, {"nested": [1, {"deep": frozenset()}]}, {(1, 2): "tuple key"},
+])
+def test_dumps_json_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
+    with pytest.raises(TypeError):
+        dumps_json(payload)
 
 
 def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
