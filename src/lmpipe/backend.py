@@ -2,8 +2,8 @@
 
 The scripted backend is the offline oracle: a list of (matcher, responses)
 entries drives every completion deterministically, so semantics tests never
-touch a network. The HTTP backend talks to one OpenAI-compatible endpoint.
-Both record every call in an append-only log, and both can be wrapped in a
+touch a network, and records every call in an append-only log. The HTTP
+backend talks to one OpenAI-compatible endpoint. Both can be wrapped in a
 response cache keyed on (backend id, prompt text, generation params).
 """
 
@@ -76,14 +76,9 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class CallRecord:
-    backend_id: str
     prompt: str
     params: GenerationParams
     completions: tuple[str, ...]
-
-    @property
-    def prompt_digest(self) -> str:
-        return stable_digest(self.prompt)
 
 
 class CallLog:
@@ -139,8 +134,9 @@ class ScriptEntry:
 class ScriptedBackend:
     """Deterministic backend: first declared matching entry wins."""
 
-    def __init__(self, entries: Sequence[ScriptEntry], backend_id: str = "scripted"):
-        self.backend_id = backend_id
+    backend_id = "scripted"
+
+    def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = list(entries)
         self.call_log = CallLog()
         self._lock = threading.Lock()
@@ -155,7 +151,7 @@ class ScriptedBackend:
                     break
             else:
                 raise UnscriptedPromptError(stable_digest(prompt))
-        self.call_log.append(CallRecord(self.backend_id, prompt, params, completions))
+        self.call_log.append(CallRecord(prompt, params, completions))
         return list(completions)
 
 
@@ -264,20 +260,17 @@ class HTTPBackend:
     The credential is read from the LM_API_KEY environment variable at call
     time. ``post(url, json=, headers=, timeout=)`` is injectable for testing;
     it returns an object with ``status_code``, ``text`` and ``json()``. The
-    default id names the model and the endpoint, so a response cache never
-    mixes two of them.
+    id names the model and the endpoint, so a response cache never mixes two
+    of them.
     """
 
-    def __init__(self, config: EndpointConfig, post: Optional[Callable] = None,
-                 backend_id: Optional[str] = None):
+    def __init__(self, config: EndpointConfig, post: Optional[Callable] = None):
         self.config = config
-        self._backend_id = backend_id
-        self.call_log = CallLog()
         self._post = post or _urllib_post
 
     @property
     def backend_id(self) -> str:
-        return self._backend_id or f"http:{self.config.model}@{self.config.resolve_base()}"
+        return f"http:{self.config.model}@{self.config.resolve_base()}"
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         if not prompt:
@@ -320,8 +313,6 @@ class HTTPBackend:
             raise BackendError(
                 f"endpoint returned {len(completions)} choices, expected {params.n}"
             )
-        record = CallRecord(self.backend_id, prompt, params, tuple(completions))
-        self.call_log.append(record)
         return completions
 
 

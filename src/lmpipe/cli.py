@@ -236,18 +236,7 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
             stale.unlink()
     for name, result in traces.items():
         save_trace(result, traces_dir / name)
-    _write_json(
-        {
-            "version": REPORT_VERSION,
-            "task": report.task,
-            "strategy": report.strategy,
-            "n_examples": report.n_examples,
-            "metrics": report.metrics,
-            "flags": report.flags,
-            "rows": report.rows,
-        },
-        config.out_dir / "report.json",
-    )
+    _write_json({"version": REPORT_VERSION, **vars(report)}, config.out_dir / "report.json")
     with open(config.out_dir / "summary.txt", "w", encoding="utf-8") as handle:
         handle.write(format_summary(report))
     return report
@@ -282,7 +271,7 @@ def format_trace(result: RunResult) -> str:
             tag = outcome.disposition.upper()
             if outcome.disposition == "retried":
                 tag = "RETRY"
-            lines.append(f"    [{outcome.decl.kind}/{tag}] {outcome.decl.message}")
+            lines.append(f"    [{outcome.kind}/{tag}] {outcome.message}")
     if result.halted:
         lines.append(f"assertion failed: {result.error}")
         lines.append("HALTED")

@@ -181,22 +181,6 @@ class Prediction:
         return self.outputs[key]
 
 
-@dataclass(frozen=True)
-class ConstraintDecl:
-    """One evaluated Assert/Suggest: its kind, the condition's value, and message."""
-
-    kind: str  # "assert" | "suggest"
-    passed: bool
-    message: str
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("assert", "suggest"):
-            raise ValueError(f"constraint kind must be assert or suggest, got {self.kind!r}")
-        if not self.message:
-            raise ValueError("constraint message must be nonempty")
-
-
 # Outcomes of one constraint evaluation. "failed" records a violation that a
 # handler policy kept from retrying or halting.
 PASSED = "passed"
@@ -210,21 +194,29 @@ DISPOSITIONS = (PASSED, RETRIED, HALTED, WARNED, FAILED)
 
 @dataclass(frozen=True)
 class ConstraintOutcome:
-    """What one evaluation of a constraint did, tagged with its site for grouping."""
+    """One evaluation of an Assert/Suggest and what it did; its fields are the
+    keys of a constraint object in a trace file."""
 
-    decl: ConstraintDecl
+    kind: str  # "assert" | "suggest"
+    passed: bool  # the condition's value
+    message: str
+    label: str
     attempt: int  # the site's retry count r, which a pass resets; not a step's attempt
     disposition: str
     site: int
-    target_module: str = ""
-    seq: int = 0  # global evaluation order within a run
+    target_module: str
+    seq: int  # global evaluation order within a run
 
     def __post_init__(self) -> None:
+        if self.kind not in ("assert", "suggest"):
+            raise ValueError(f"constraint kind must be assert or suggest, got {self.kind!r}")
+        if not self.message:
+            raise ValueError("constraint message must be nonempty")
         if self.disposition not in DISPOSITIONS:
             raise ValueError(f"unknown disposition {self.disposition!r}")
-        if self.disposition == HALTED and self.decl.kind != "assert":
+        if self.disposition == HALTED and self.kind != "assert":
             raise ValueError("only assert constraints can halt")
-        if self.disposition == WARNED and self.decl.kind != "suggest":
+        if self.disposition == WARNED and self.kind != "suggest":
             raise ValueError("only suggest constraints can warn")
 
 
@@ -357,20 +349,16 @@ def render_prompt(
     return SECTION_SEPARATOR.join(sections)
 
 
-def passages_to_text(passages: Iterable) -> str:
+def passages_to_text(passages: Iterable[tuple[str, str]]) -> str:
     """Flatten passages into the single numbered-list encoding used for context values.
 
-    Each entry becomes ``[k] title | body`` (1-based); an empty list renders
-    as ``N/A``. Newlines inside bodies are collapsed so each passage stays on
-    one line.
+    Each ``(title, text)`` pair (a ``Passage``, say) becomes ``[k] title | text``
+    (1-based); an empty list renders as ``N/A``. Newlines inside texts are
+    collapsed so each passage stays on one line.
     """
     rendered = []
-    for i, passage in enumerate(passages, start=1):
-        title = getattr(passage, "title", None)
-        body = getattr(passage, "text", None)
-        if title is None:
-            title, body = passage  # (title, text) tuples are accepted too
-        body = " ".join(str(body).split())
+    for i, (title, body) in enumerate(passages, start=1):
+        body = " ".join(body.split())
         rendered.append(f"[{i}] {title} | {body}")
     return "\n".join(rendered) if rendered else "N/A"
 

@@ -78,7 +78,7 @@ def suggestions_passed(trace: Trace) -> tuple[float, bool]:
     """
     sites = trace.outcomes_by_site()
     suggest_sites = [
-        outcomes for outcomes in sites.values() if outcomes[0].decl.kind == "suggest"
+        outcomes for outcomes in sites.values() if outcomes[0].kind == "suggest"
     ]
     if not suggest_sites:
         return 1.0, True
@@ -95,7 +95,7 @@ def final_label_outcomes(trace: Trace) -> dict[str, list[bool]]:
     results: dict[str, list[bool]] = {}
     for outcomes in trace.outcomes_by_site().values():
         last = outcomes[-1]
-        results.setdefault(last.decl.label, []).append(last.disposition == PASSED)
+        results.setdefault(last.label, []).append(last.disposition == PASSED)
     return results
 
 

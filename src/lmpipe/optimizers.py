@@ -102,7 +102,7 @@ def collect_counterexamples(traces: Sequence[Trace]) -> list[Counterexample]:
             found.append(Counterexample(
                 module_id=fixed_step.module_id,
                 failed_output=failed_step.prediction.outputs.get(field_name, ""),
-                message=retried[0].decl.message,
+                message=retried[0].message,
                 corrected_output=fixed_step.prediction.outputs.get(field_name, ""),
             ))
     return found
@@ -184,10 +184,7 @@ class SearchReport:
             "version": ARTIFACT_VERSION,
             "rng_seed": self.rng_seed,
             "best_index": self.best_index,
-            "candidates": [
-                {"index": c.index, "score": c.score, "demo_counts": c.demo_counts}
-                for c in self.candidates
-            ],
+            "candidates": [dict(vars(c)) for c in self.candidates],
         }
 
 
@@ -248,15 +245,7 @@ def compiled_program_to_dict(program: Program, task: str, config: CompileConfig)
                 {"values": dict(demo.values), "input_keys": sorted(demo.input_keys)}
                 for demo in module.demos
             ],
-            "counterexamples": [
-                {
-                    "module_id": ce.module_id,
-                    "failed_output": ce.failed_output,
-                    "message": ce.message,
-                    "corrected_output": ce.corrected_output,
-                }
-                for ce in module.counterexamples
-            ],
+            "counterexamples": [dict(vars(ce)) for ce in module.counterexamples],
         }
     return {
         "version": ARTIFACT_VERSION,
@@ -283,7 +272,7 @@ def load_compiled_program(program: Program, path: str | Path) -> tuple[Program, 
 
 
 def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, str]:
-    version = data.get("version")
+    version = data["version"]
     if version != ARTIFACT_VERSION:
         raise ValueError(
             f"artifact version mismatch: file has {version}, supported is {ARTIFACT_VERSION}"
@@ -298,13 +287,5 @@ def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, s
             Example(values=d["values"], input_keys=frozenset(d["input_keys"]))
             for d in spec["demos"]
         ]
-        module.counterexamples = [
-            Counterexample(
-                module_id=c["module_id"],
-                failed_output=c["failed_output"],
-                message=c["message"],
-                corrected_output=c["corrected_output"],
-            )
-            for c in spec["counterexamples"]
-        ]
+        module.counterexamples = [Counterexample(**c) for c in spec["counterexamples"]]
     return loaded, data["task"]

@@ -47,7 +47,6 @@ from .core import (
     PASSED,
     RETRIED,
     WARNED,
-    ConstraintDecl,
     ConstraintOutcome,
     Prediction,
     Trace,
@@ -114,7 +113,9 @@ class Transition:
 
 
 def check_constraint(
-    decl: ConstraintDecl,
+    kind: str,
+    passed: bool,
+    message: str,
     state: RetryState,
     config: RuntimeConfig,
     failed_output: str = "",
@@ -122,16 +123,16 @@ def check_constraint(
     """Apply the transition rules (adjusted by the handler policy) to one evaluation."""
     if state.r > config.max_retries:
         raise ValueError(f"retry count {state.r} exceeds budget {config.max_retries}")
-    if decl.passed:
+    if passed:
         return Transition(PASSED, state.reset())
     policy = config.handler_policy
     if policy == DISABLE_ALL:
         return Transition(FAILED, state.reset())
-    if policy == BYPASS_SUGGEST_ONLY and decl.kind == "suggest":
+    if policy == BYPASS_SUGGEST_ONLY and kind == "suggest":
         return Transition(WARNED, state.reset())
     if state.r < config.max_retries:
-        return Transition(RETRIED, state.extended(failed_output, decl.message))
-    if decl.kind == "assert":
+        return Transition(RETRIED, state.extended(failed_output, message))
+    if kind == "assert":
         if policy == SUPPRESS_ASSERT_LOG:
             return Transition(FAILED, state.reset())
         return Transition(HALTED, state.reset())
@@ -295,24 +296,27 @@ class ExecutionContext:
                 return  # outcome already recorded on an earlier pass
             self._replaying = False
 
-        decl = ConstraintDecl(kind=kind, passed=bool(condition), message=message, label=label or message)
+        passed = bool(condition)
         target = self._resolve_target(backtrack)
         state = self._retry_states.get(site)
         if state is None:
             state = RetryState(module_id=target.module.module_id if target is not None else "")
 
         failed_output = ""
-        if target is not None and not decl.passed:
+        if target is not None and not passed:
             failed_output = target.step.prediction.outputs.get(
                 payload_field(target.module.signature).name, ""
             )
 
         # with nothing to hand control back to, no retry is left: the terminal rule applies
         config = self._config if target is not None else replace(self._config, max_retries=state.r)
-        transition = check_constraint(decl, state, config, failed_output=failed_output)
+        transition = check_constraint(kind, passed, message, state, config, failed_output)
         action = transition.action
         outcome = ConstraintOutcome(
-            decl=decl,
+            kind=kind,
+            passed=passed,
+            message=message,
+            label=label or message,
             attempt=state.r,
             disposition=action,
             site=site,
@@ -374,20 +378,7 @@ def trace_to_dict(result: RunResult) -> dict:
             "inputs": dict(step.inputs),
             "outputs": dict(step.prediction.outputs),
             "raw_completion": step.prediction.raw_completion,
-            "constraints": [
-                {
-                    "site": o.site,
-                    "kind": o.decl.kind,
-                    "label": o.decl.label,
-                    "message": o.decl.message,
-                    "passed": o.decl.passed,
-                    "attempt": o.attempt,
-                    "disposition": o.disposition,
-                    "target_module": o.target_module,
-                    "seq": o.seq,
-                }
-                for o in step.constraint_outcomes
-            ],
+            "constraints": [dict(vars(o)) for o in step.constraint_outcomes],
         })
     final = dict(result.prediction.outputs) if result.prediction else None
     return {
@@ -400,40 +391,26 @@ def trace_to_dict(result: RunResult) -> dict:
 
 
 def trace_from_dict(data: dict) -> RunResult:
-    version = data.get("version")
+    """The inverse of ``trace_to_dict``. A missing key, or an unknown key in a
+    constraint object, raises."""
+    version = data["version"]
     if version != TRACE_VERSION:
         raise ValueError(f"trace version mismatch: file has {version}, supported is {TRACE_VERSION}")
-    steps = []
-    for raw in data["steps"]:
-        prediction = Prediction(outputs=raw["outputs"], raw_completion=raw.get("raw_completion", ""))
-        outcomes = [
-            ConstraintOutcome(
-                decl=ConstraintDecl(
-                    kind=o["kind"], passed=o["passed"], message=o["message"],
-                    label=o.get("label", ""),
-                ),
-                attempt=o["attempt"],
-                disposition=o["disposition"],
-                site=o["site"],
-                target_module=o.get("target_module", ""),
-                seq=o.get("seq", 0),
-            )
-            for o in raw.get("constraints", [])
-        ]
-        steps.append(TraceStep(
+    steps = [
+        TraceStep(
             module_id=raw["module_id"],
-            inputs=raw.get("inputs", {}),
-            prediction=prediction,
-            constraint_outcomes=outcomes,
+            inputs=raw["inputs"],
+            prediction=Prediction(outputs=raw["outputs"], raw_completion=raw["raw_completion"]),
+            constraint_outcomes=[ConstraintOutcome(**o) for o in raw["constraints"]],
             attempt=raw["attempt"],
-            position=raw.get("position", 0),
-            prompt_digest=raw.get("prompt_digest", ""),
-        ))
-    final = None
-    if data.get("final_outputs") is not None:
-        final = Prediction(outputs=data["final_outputs"])
-    return RunResult(prediction=final, trace=Trace(steps=steps),
-                     halted=data.get("halted", False), error=data.get("error"))
+            position=raw["position"],
+            prompt_digest=raw["prompt_digest"],
+        )
+        for raw in data["steps"]
+    ]
+    final = data["final_outputs"]
+    return RunResult(prediction=None if final is None else Prediction(outputs=final),
+                     trace=Trace(steps=steps), halted=data["halted"], error=data["error"])
 
 
 def write_json(payload: Any, path: str | Path) -> None:

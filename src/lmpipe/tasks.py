@@ -222,10 +222,8 @@ class LongFormQA(Program):
 class QuizGen(Program):
     inputs = ("question", "answer")
 
-    def __init__(self, instruction_variant: str = COMPLETE,
-                 number_of_choices: int = DEFAULT_CHOICE_COUNT):
+    def __init__(self, instruction_variant: str = COMPLETE):
         super().__init__()
-        self.number_of_choices = number_of_choices
         self.generate_choices = self.register(chain_of_thought(
             "question, correct_answer, number_of_choices -> answer_choices",
             module_id="generate_choices",
@@ -237,7 +235,7 @@ class QuizGen(Program):
 
     def forward(self, ctx: ExecutionContext, question: str, answer: str) -> Prediction:
         pred = ctx.call(self.generate_choices, question=question, correct_answer=answer,
-                        number_of_choices=str(self.number_of_choices))
+                        number_of_choices=str(DEFAULT_CHOICE_COUNT))
         choices = pred.outputs["answer_choices"]
         ctx.suggest(format_checker(choices),
                     "The format of the answer choices should be in JSON format. "

@@ -471,12 +471,41 @@ def test_config_script_alone_selects_the_scripted_backend(runner, tmp_path, monk
     assert report["n_examples"] == 6 and not any("error" in row for row in report["rows"])
 
 
+def trace_file(step_change: Optional[dict] = None, constraint_change: Optional[dict] = None) -> dict:
+    """A one-step trace whose step and constraint objects take the changes;
+    a value of None drops the key."""
+    constraint = {"kind": "suggest", "passed": True, "message": "m", "label": "m", "attempt": 0,
+                  "disposition": "passed", "site": 0, "target_module": "m", "seq": 0}
+    step = {"module_id": "m", "attempt": 0, "position": 0, "prompt_digest": "d", "inputs": {},
+            "outputs": {}, "raw_completion": "", "constraints": [constraint]}
+    for record, change in ((constraint, constraint_change), (step, step_change)):
+        for key, value in (change or {}).items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+    return {"version": 1, "halted": False, "error": None, "steps": [step], "final_outputs": {}}
+
+
+def artifact_file(counterexample: dict) -> dict:
+    module = {"instructions": "i", "demos": [], "counterexamples": [counterexample]}
+    return {"version": 1, "task": "multihop", "modules": {"generate_query": module}}
+
+
 @pytest.mark.parametrize("kind, content, error", [
     ("artifact", {"version": 1, "task": "multihop"}, "missing key 'modules'"),
     ("script", {"version": 1}, "missing key 'entries'"),
     ("trace", {"version": 1}, "missing key 'steps'"),
     ("trace", "{not json", "Expecting property name enclosed in double quotes"),
     ("config", "{not json", "Expecting property name enclosed in double quotes"),
+    ("artifact", artifact_file({"module_id": "generate_query", "failed_output": "a", "message": "m",
+                                "corrected_output": "b", "note": "n"}),
+     "Counterexample.__init__() got an unexpected keyword argument 'note'"),
+    ("trace", trace_file(step_change={"position": None}), "missing key 'position'"),
+    ("trace", trace_file(constraint_change={"seq": None}),
+     "ConstraintOutcome.__init__() missing 1 required positional argument: 'seq'"),
+    ("trace", trace_file(constraint_change={"note": "n"}),
+     "ConstraintOutcome.__init__() got an unexpected keyword argument 'note'"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lmpipe.core import (
     INPUT,
     OUTPUT,
+    ConstraintOutcome,
     Counterexample,
     Example,
     FieldSpec,
@@ -220,6 +221,19 @@ def test_render_prompt_deterministic_bytes(inputs):
 def test_example_input_keys_must_exist():
     with pytest.raises(ValueError):
         Example({"a": "1"}, input_keys={"missing"})
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"kind": "require"}, "constraint kind must be assert or suggest, got 'require'"),
+    ({"message": ""}, "constraint message must be nonempty"),
+    ({"disposition": "halted"}, "only assert constraints can halt"),
+])
+def test_constraint_outcome_rejects_bad_records(change, error):
+    fields = dict(kind="suggest", passed=False, message="m", label="m", attempt=2,
+                  disposition="warned", site=0, target_module="m", seq=0)
+    ConstraintOutcome(**fields)
+    with pytest.raises(ValueError, match=error):
+        ConstraintOutcome(**{**fields, **change})
 
 
 def test_passages_to_text_numbering_and_empty():

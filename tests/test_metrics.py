@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmpipe.core import (
-    ConstraintDecl,
     ConstraintOutcome,
     Prediction,
     Trace,
@@ -30,9 +29,8 @@ from lmpipe.metrics import (
 def outcome(kind: str, disposition: str, site: int, seq: int, attempt: int = 0,
             label: str = "") -> ConstraintOutcome:
     return ConstraintOutcome(
-        decl=ConstraintDecl(kind=kind, passed=disposition == "passed", message="m",
-                            label=label or f"c{site}"),
-        attempt=attempt, disposition=disposition, site=site, seq=seq,
+        kind=kind, passed=disposition == "passed", message="m", label=label or f"c{site}",
+        attempt=attempt, disposition=disposition, site=site, target_module="m", seq=seq,
     )
 
 

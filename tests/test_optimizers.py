@@ -218,7 +218,7 @@ def test_artifact_version_mismatch(index, tmp_path):
 
 def test_collect_counterexamples_respects_payload_fields():
     # a synthetic trace: the payload is the last output field, not the rationale
-    from lmpipe.core import ConstraintDecl, ConstraintOutcome, Prediction, Trace, TraceStep
+    from lmpipe.core import ConstraintOutcome, Prediction, Trace, TraceStep
 
     def step(attempt, value):
         return TraceStep(
@@ -229,10 +229,10 @@ def test_collect_counterexamples_respects_payload_fields():
 
     failed, fixed = step(0, "bad"), step(1, "good")
     failed.constraint_outcomes.append(ConstraintOutcome(
-        decl=ConstraintDecl(kind="suggest", passed=False, message="be good"),
+        kind="suggest", passed=False, message="be good", label="be good",
         attempt=0, disposition="retried", site=0, target_module="gen", seq=0))
     fixed.constraint_outcomes.append(ConstraintOutcome(
-        decl=ConstraintDecl(kind="suggest", passed=True, message="be good"),
+        kind="suggest", passed=True, message="be good", label="be good",
         attempt=1, disposition="passed", site=0, target_module="gen", seq=1))
     trace = Trace(steps=[failed, fixed])
     ces = collect_counterexamples([trace])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
-from lmpipe.core import ConstraintDecl, FAILED, HALTED, PASSED, RETRIED, WARNED, parse_signature
+from lmpipe.core import FAILED, HALTED, PASSED, RETRIED, WARNED, parse_signature
 from lmpipe.modules import PredictModule, chain_of_thought
 from lmpipe.runtime import (
     BACKTRACK_DEFAULT,
@@ -30,21 +30,22 @@ from lmpipe.runtime import (
 VALUE_MESSAGE = "Value should be ok"
 
 
-def decl(kind: str, passed: bool) -> ConstraintDecl:
-    return ConstraintDecl(kind=kind, passed=passed, message=VALUE_MESSAGE)
+def evaluated(kind: str, passed: bool) -> tuple[str, bool, str]:
+    """check_constraint's leading arguments: kind, passed, message."""
+    return kind, passed, VALUE_MESSAGE
 
 
 # --- check_constraint: the transition rules as a pure function ---------------
 
 def test_pass_resets_retry_count():
     state = RetryState(module_id="m", past_failures=(("bad", VALUE_MESSAGE),))
-    tr = check_constraint(decl("assert", True), state, RuntimeConfig())
+    tr = check_constraint(*evaluated("assert", True), state, RuntimeConfig())
     assert tr.action == PASSED
     assert tr.state.r == 0 and tr.state.past_failures == ()
 
 
 def test_suggest_failure_under_budget_retries():
-    tr = check_constraint(decl("suggest", False), RetryState(module_id="m"),
+    tr = check_constraint(*evaluated("suggest", False), RetryState(module_id="m"),
                           RuntimeConfig(max_retries=2), failed_output="toolong")
     assert tr.action == RETRIED
     assert tr.state.r == 1
@@ -53,42 +54,42 @@ def test_suggest_failure_under_budget_retries():
 
 def test_assert_failure_at_budget_halts():
     state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
-    tr = check_constraint(decl("assert", False), state, RuntimeConfig(max_retries=2))
+    tr = check_constraint(*evaluated("assert", False), state, RuntimeConfig(max_retries=2))
     assert tr.action == HALTED
 
 
 def test_suggest_failure_at_budget_warns_and_resets():
     state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
-    tr = check_constraint(decl("suggest", False), state, RuntimeConfig(max_retries=2))
+    tr = check_constraint(*evaluated("suggest", False), state, RuntimeConfig(max_retries=2))
     assert tr.action == WARNED
     assert tr.state.r == 0
 
 
 def test_zero_budget_goes_straight_to_terminal():
     cfg = RuntimeConfig(max_retries=0)
-    assert check_constraint(decl("assert", False), RetryState(), cfg).action == HALTED
-    assert check_constraint(decl("suggest", False), RetryState(), cfg).action == WARNED
+    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == HALTED
+    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == WARNED
 
 
 def test_disable_all_records_failure_without_retry():
     cfg = RuntimeConfig(handler_policy=DISABLE_ALL)
-    assert check_constraint(decl("assert", False), RetryState(), cfg).action == FAILED
-    assert check_constraint(decl("suggest", False), RetryState(), cfg).action == FAILED
-    assert check_constraint(decl("suggest", True), RetryState(), cfg).action == PASSED
+    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == FAILED
+    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == FAILED
+    assert check_constraint(*evaluated("suggest", True), RetryState(), cfg).action == PASSED
 
 
 def test_suppress_assert_log_converts_halt():
     cfg = RuntimeConfig(max_retries=0, handler_policy=SUPPRESS_ASSERT_LOG)
-    assert check_constraint(decl("assert", False), RetryState(), cfg).action == FAILED
+    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == FAILED
     # under budget the retry path is untouched
     cfg2 = RuntimeConfig(max_retries=2, handler_policy=SUPPRESS_ASSERT_LOG)
-    assert check_constraint(decl("assert", False), RetryState(), cfg2).action == RETRIED
+    assert check_constraint(*evaluated("assert", False), RetryState(), cfg2).action == RETRIED
 
 
 def test_bypass_suggest_only():
     cfg = RuntimeConfig(handler_policy=BYPASS_SUGGEST_ONLY)
-    assert check_constraint(decl("suggest", False), RetryState(), cfg).action == WARNED
-    assert check_constraint(decl("assert", False), RetryState(), cfg).action == RETRIED
+    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == WARNED
+    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == RETRIED
 
 
 def test_retry_state_invariants():

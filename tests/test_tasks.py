@@ -58,7 +58,7 @@ def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
                               script_backend("multihop_all_pass.json"))
     sites = result.trace.outcomes_by_site()
     assert len(sites) == 4  # length and distinctness per hop
-    labels = [outcomes[0].decl.label for outcomes in sites.values()]
+    labels = [outcomes[0].label for outcomes in sites.values()]
     assert labels == ["query_length", "query_distinct"] * 2
 
 
@@ -94,7 +94,7 @@ def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
     sites = result.trace.outcomes_by_site()
     # site 3 is hop-2 distinctness: the duplicate retried, the fix passed
     assert [o.disposition for o in sites[3]] == ["retried", "passed"]
-    assert [o.decl.label for o in sites[3]] == ["query_distinct", "query_distinct"]
+    assert [o.label for o in sites[3]] == ["query_distinct", "query_distinct"]
     assert result.trace.meta["queries"] == [subject, person]
 
 
@@ -196,7 +196,7 @@ def test_tweet_deduplicates_context(index, test_examples):
 def test_tweet_suggestion_order(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    labels = [outcomes[0].decl.label for outcomes in result.trace.outcomes_by_site().values()]
+    labels = [outcomes[0].label for outcomes in result.trace.outcomes_by_site().values()]
     assert labels == ["no_hashtags", "within_limit", "has_answer", "engaging", "faithful"]
 
 
@@ -267,7 +267,7 @@ def test_longform_out_of_range_citation_counts_failed(index, test_examples):
     ]))
     result = run_task_example(LongFormQA(index), ex, RECORD_ONLY, backend)
     row = score_example("longform", ex, result.prediction, result.trace)
-    labels = {o.decl.label for outs in result.trace.outcomes_by_site().values() for o in outs}
+    labels = {o.label for outs in result.trace.outcomes_by_site().values() for o in outs}
     assert "citation_faithful" in labels
     assert row["citation_faithfulness"] == 0.5  # [9] failed, [1] judged yes
     assert row["citation_precision"] == 0.5     # one gold title, one dangling marker
