@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import read_json
+from .core import read_json, reject_unknown_keys
 
 DEFAULT_MAX_TOKENS = 500
 DEFAULT_TEMPERATURE = 0.7
@@ -161,13 +161,16 @@ def load_script(path: str | Path) -> list[ScriptEntry]:
 
 
 def _script_entries(data: dict) -> list[ScriptEntry]:
-    version = data.get("version")
+    version = data["version"]
     if version != SCRIPT_VERSION:
         raise ValueError(f"script version mismatch: file has {version}, supported is {SCRIPT_VERSION}")
-    return [
-        ScriptEntry(match=e["match"], responses=list(e["responses"]), mode=e.get("mode", "substring"))
-        for e in data["entries"]
-    ]
+    reject_unknown_keys(data, ("version", "entries"), "script")
+    entries = []
+    for e in data["entries"]:
+        reject_unknown_keys(e, ("match", "mode", "responses"), "script entry")
+        entries.append(ScriptEntry(match=e["match"], responses=list(e["responses"]),
+                                   mode=e.get("mode", "substring")))
+    return entries
 
 
 @dataclass(frozen=True)

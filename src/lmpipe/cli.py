@@ -261,7 +261,7 @@ def format_summary(report: MetricReport) -> str:
 
 def format_trace(result: RunResult) -> str:
     lines = []
-    for step in result.trace.steps:
+    for step in result.steps:
         lines.append(f"step {step.position}.{step.attempt}  {step.module_id}  "
                      f"prompt={step.prompt_digest[:12]}")
         for name, value in step.prediction.outputs.items():

@@ -150,24 +150,6 @@ def prepend_output_field(sig: Signature, new_field: FieldSpec) -> Signature:
 
 
 @dataclass(frozen=True)
-class Example:
-    """A record of named text values; ``input_keys`` marks which are inputs."""
-
-    values: Mapping[str, str]
-    input_keys: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        object.__setattr__(self, "input_keys", frozenset(self.input_keys))
-        missing = self.input_keys - set(self.values)
-        if missing:
-            raise ValueError(f"input_keys not present in values: {sorted(missing)}")
-
-    def inputs(self) -> dict[str, str]:
-        return {k: v for k, v in self.values.items() if k in self.input_keys}
-
-
-@dataclass(frozen=True)
 class Prediction:
     """Parsed module output: one text per output field plus the raw completion."""
 
@@ -244,18 +226,19 @@ class TraceStep:
 
 
 @dataclass
-class Trace:
-    """The steps of one pipeline run, in the order they were invoked.
+class RunResult:
+    """The one record of a run: its steps in invocation order, and its
+    prediction or why it has none. A halting assertion sets ``halted`` and its
+    message as ``error``; a run a backend error stopped is that error's
+    ``partial_result``, with its message as ``error``. ``meta`` is what the
+    program stored in ``ctx.meta`` on the surviving pass (``context_passages``,
+    say); trace files do not carry it."""
 
-    The run's outcome (its prediction, or the halt or error that ended it) is
-    held by the ``RunResult`` that carries the trace, not here. ``meta`` is what
-    the program stored in ``ctx.meta`` on the surviving pass (the retrieved
-    ``context_passages``, say). It lives in memory only: trace files do not
-    carry it.
-    """
-
-    steps: list[TraceStep] = field(default_factory=list)
+    prediction: Optional[Prediction]
+    steps: list[TraceStep]
     meta: dict[str, Any] = field(default_factory=dict)
+    halted: bool = False
+    error: Optional[str] = None
 
     def outcomes(self) -> list[ConstraintOutcome]:
         """All constraint outcomes in evaluation order."""
@@ -294,8 +277,8 @@ def _header(sig: Signature) -> str:
     return sig.instructions + "\n\n" + FORMAT_SENTENCE + "\n\n" + "\n".join(lines)
 
 
-def _demo_block(sig: Signature, demo: Example) -> str:
-    lines = [_field_line(f, demo.values[f.name]) for f in sig.fields if f.name in demo.values]
+def _demo_block(sig: Signature, demo: Mapping[str, str]) -> str:
+    lines = [_field_line(f, demo[f.name]) for f in sig.fields if f.name in demo]
     return "\n".join(lines)
 
 
@@ -328,7 +311,7 @@ def _live_block(
 
 def render_prompt(
     sig: Signature,
-    demos: Sequence[Example] = (),
+    demos: Sequence[Mapping[str, str]] = (),
     counterexamples: Sequence[Counterexample] = (),
     inputs: Optional[Mapping[str, str]] = None,
     feedback: Sequence[tuple[str, str]] = (),
@@ -374,3 +357,40 @@ def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def reject_unknown_keys(record: Mapping[str, Any], known: Iterable[str], what: str) -> None:
+    """Raise ``ValueError`` naming a key of ``record``, a file's ``what``, not in ``known``."""
+    unknown = sorted(set(record).difference(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+
+
+# json.loads without its two whitespace scans; shared, as json.loads shares its
+# own decoder
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def read_jsonl(path: str | Path, what: str, make: Callable[[dict], Any]) -> list:
+    """Read one JSON object per line through ``make``; blank lines are skipped.
+    A bad record raises ``ValueError`` naming the ``what``, path and line."""
+    records = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    record, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    # invalid, trailing data or a BOM: json.loads raises its own message
+                    record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {line[:40]}")
+                records.append(make(record))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"bad {what} record at {path}:{lineno}: {exc}") from exc
+    return records

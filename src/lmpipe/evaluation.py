@@ -12,9 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .backend import BackendError
-from .core import Prediction, Trace
+from .core import RunResult
 from .metrics import MetricReport, TaskExample, suggestions_passed, summarize_rows
-from .runtime import Program, RunResult, RuntimeConfig, run_with_backtracking
+from .runtime import Program, RuntimeConfig, run_with_backtracking
 from .tasks import TASKS
 
 logger = logging.getLogger(__name__)
@@ -28,16 +28,14 @@ def run_task_example(
     return run_with_backtracking(program, inputs, config, backend)
 
 
-def score_example(
-    task: str, example: TaskExample, prediction: Optional[Prediction], trace: Trace
-) -> dict:
-    """Build one report row from a run's final prediction (None when halted) and trace."""
-    sp, vacuous = suggestions_passed(trace)
+def score_example(task: str, example: TaskExample, run: RunResult) -> dict:
+    """Build one report row from a run; a halted run has no prediction."""
+    sp, vacuous = suggestions_passed(run)
     row: dict = {"question": example.question, "suggestions_passed": sp}
     if vacuous:
         row["suggestions_vacuous"] = True
-    outputs = prediction.outputs if prediction else {}
-    row.update(TASKS[task].score(example, outputs, trace))
+    outputs = run.prediction.outputs if run.prediction else {}
+    row.update(TASKS[task].score(example, outputs, run))
     return row
 
 
@@ -63,7 +61,7 @@ def evaluate_dataset(
         example = examples[index]
         try:
             result = run_task_example(program, example, config, backend)
-            row = score_example(task, example, result.prediction, result.trace)
+            row = score_example(task, example, result)
         except BackendError as exc:
             return error_row(example, exc), exc.partial_result
         except Exception as exc:  # a bug in a program or predicate: keep evaluating
@@ -100,10 +98,10 @@ def build_report(task: str, strategy: str, rows: Sequence[dict]) -> MetricReport
 
 
 def bootstrap_metric(task: str):
-    """The extrinsic pass/fail metric used when harvesting demonstrations."""
+    """The extrinsic pass/fail metric used when harvesting demonstrations; it scores ``run``."""
     column = TASKS[task].bootstrap_column
 
-    def metric(example: TaskExample, prediction, trace: Trace) -> float:
-        return score_example(task, example, prediction, trace).get(column, 0.0)
+    def metric(example: TaskExample, prediction, run: RunResult) -> float:
+        return score_example(task, example, run).get(column, 0.0)
 
     return metric

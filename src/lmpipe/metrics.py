@@ -8,13 +8,12 @@ recall, citation precision/recall, and the gated composite scores.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .checks import cited_indices, normalize_answer
-from .core import PASSED, Trace
+from .core import PASSED, RunResult, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -33,24 +32,11 @@ class TaskExample:
 
 def load_dataset(path: str | Path) -> list[TaskExample]:
     """One JSON record per line with fields {question, answer, gold_titles}."""
-    examples = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"expected a JSON object, got {line[:40]}")
-                examples.append(TaskExample(
-                    question=record["question"],
-                    answer=record["answer"],
-                    gold_titles=frozenset(record.get("gold_titles", [])),
-                ))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"bad dataset record at {path}:{lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(path, "dataset", lambda record: TaskExample(
+        question=record["question"],
+        answer=record["answer"],
+        gold_titles=frozenset(record.get("gold_titles", [])),
+    ))
 
 
 @dataclass
@@ -70,13 +56,13 @@ def answer_em(prediction_text: str, gold: str) -> float:
     return 1.0 if normalize_answer(prediction_text) == normalize_answer(gold) else 0.0
 
 
-def suggestions_passed(trace: Trace) -> tuple[float, bool]:
+def suggestions_passed(run: RunResult) -> tuple[float, bool]:
     """Fraction of suggestion sites whose final-attempt disposition is passed.
 
     Only the last run of the self-refinement loop at each site counts. With no
     suggestion sites the value is vacuously 1.0, flagged by the second element.
     """
-    sites = trace.outcomes_by_site()
+    sites = run.outcomes_by_site()
     suggest_sites = [
         outcomes for outcomes in sites.values() if outcomes[0].kind == "suggest"
     ]
@@ -86,14 +72,14 @@ def suggestions_passed(trace: Trace) -> tuple[float, bool]:
     return passed / len(suggest_sites), False
 
 
-def final_label_outcomes(trace: Trace) -> dict[str, list[bool]]:
+def final_label_outcomes(run: RunResult) -> dict[str, list[bool]]:
     """Final-attempt pass/fail per constraint label, in site order.
 
     A label guarding several sites (one per loop iteration, say) contributes
     one boolean per site.
     """
     results: dict[str, list[bool]] = {}
-    for outcomes in trace.outcomes_by_site().values():
+    for outcomes in run.outcomes_by_site().values():
         last = outcomes[-1]
         results.setdefault(last.label, []).append(last.disposition == PASSED)
     return results

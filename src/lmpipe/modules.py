@@ -14,7 +14,6 @@ from .backend import GenerationParams
 from .core import (
     OUTPUT,
     Counterexample,
-    Example,
     FieldSpec,
     Prediction,
     Signature,
@@ -33,7 +32,7 @@ class PredictModule:
 
     module_id: str
     signature: Signature
-    demos: list[Example] = field(default_factory=list)
+    demos: list[dict[str, str]] = field(default_factory=list)  # field name -> value
     counterexamples: list[Counterexample] = field(default_factory=list)
     # one shared default: params are immutable, and each instance computes its
     # cache-key digest when it is made

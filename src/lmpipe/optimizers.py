@@ -20,22 +20,22 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Counterexample, Example, PASSED, RETRIED, Trace, read_json
+from .core import Counterexample, PASSED, RETRIED, RunResult, read_json, reject_unknown_keys
 from .evaluation import run_task_example
 from .metrics import TaskExample
-from .runtime import DISABLE_ALL, Program, RunResult, RuntimeConfig, write_json
+from .runtime import DISABLE_ALL, Program, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 1
 
-# metric(example, prediction, trace) -> bool | float
-Metric = Callable[[TaskExample, object, Trace], object]
+# metric(example, prediction, run) -> bool | float
+Metric = Callable[[TaskExample, object, RunResult], object]
 
 # run_example(program, example, runtime config, backend) -> RunResult
 RunExample = Callable[[Program, TaskExample, RuntimeConfig, object], RunResult]
 
-DemoSet = dict[str, list[Example]]
+DemoSet = dict[str, list[dict[str, str]]]
 
 COUNTEREXAMPLES_PER_MODULE = 1
 
@@ -66,21 +66,21 @@ def _metric_passes(value: object) -> bool:
     return bool(value)
 
 
-def _final_steps(trace: Trace) -> list:
+def _final_steps(run: RunResult) -> list:
     """The steps that produced the final prediction: the last attempt per position."""
     latest = {}
-    for step in trace.steps:
+    for step in run.steps:
         latest[step.position] = step
     return [latest[pos] for pos in sorted(latest)]
 
 
-def _all_sites_ultimately_passed(trace: Trace) -> bool:
+def _all_sites_ultimately_passed(run: RunResult) -> bool:
     return all(
-        outcomes[-1].disposition == PASSED for outcomes in trace.outcomes_by_site().values()
+        outcomes[-1].disposition == PASSED for outcomes in run.outcomes_by_site().values()
     )
 
 
-def collect_counterexamples(traces: Sequence[Trace]) -> list[Counterexample]:
+def collect_counterexamples(runs: Sequence[RunResult]) -> list[Counterexample]:
     """One counterexample per site that retried and then passed: the output its
     first retry judged, that retry's message, and the output its final pass
     judged.
@@ -90,9 +90,9 @@ def collect_counterexamples(traces: Sequence[Trace]) -> list[Counterexample]:
     output field of the judged prediction, as ``core.payload_field`` picks it.
     """
     found = []
-    for trace in traces:
-        judged = {id(o): step for step in trace.steps for o in step.constraint_outcomes}
-        for outcomes in trace.outcomes_by_site().values():
+    for run in runs:
+        judged = {id(o): step for step in run.steps for o in step.constraint_outcomes}
+        for outcomes in run.outcomes_by_site().values():
             retried = [o for o in outcomes if o.disposition == RETRIED]
             if outcomes[-1].disposition != PASSED or not retried:
                 continue
@@ -136,24 +136,20 @@ def bootstrap_few_shot(
         result = run_example(program, example, teacher_config, backend)
         if result.prediction is None:  # halted
             continue
-        value = metric(example, result.prediction, result.trace)
+        value = metric(example, result.prediction, result)
         if not _metric_passes(value):
             continue
-        if config.teacher_assertions and not _all_sites_ultimately_passed(result.trace):
+        if config.teacher_assertions and not _all_sites_ultimately_passed(result):
             continue
         harvested_any = True
-        for step in _final_steps(result.trace):
+        for step in _final_steps(result):
             if step.module_id not in demos:
                 continue  # auxiliary predictors (judges) never carry demos
             if len(demos[step.module_id]) >= config.max_bootstrapped_demos:
                 continue
-            module = compiled.modules[step.module_id]
-            values = dict(step.inputs)
-            values.update(step.prediction.outputs)
-            input_names = frozenset(f.name for f in module.signature.input_fields)
-            demos[step.module_id].append(Example(values=values, input_keys=input_names))
+            demos[step.module_id].append({**step.inputs, **step.prediction.outputs})
         if config.collect_counterexamples:
-            for ce in collect_counterexamples([result.trace]):
+            for ce in collect_counterexamples([result]):
                 bucket = counterexamples.get(ce.module_id)
                 if bucket is not None and len(bucket) < COUNTEREXAMPLES_PER_MODULE:
                     bucket.append(ce)
@@ -222,7 +218,7 @@ def random_search_compile(
             if result.prediction is None:  # halted
                 scores.append(0.0)
                 continue
-            value = metric(example, result.prediction, result.trace)
+            value = metric(example, result.prediction, result)
             scores.append(float(value))
         score = sum(scores) / len(scores)
         candidates.append((score, compiled))
@@ -239,12 +235,10 @@ def random_search_compile(
 def compiled_program_to_dict(program: Program, task: str, config: CompileConfig) -> dict:
     modules = {}
     for module_id, module in program.modules.items():
+        inputs = sorted(f.name for f in module.signature.input_fields)  # each demo's input_keys
         modules[module_id] = {
             "instructions": module.signature.instructions,
-            "demos": [
-                {"values": dict(demo.values), "input_keys": sorted(demo.input_keys)}
-                for demo in module.demos
-            ],
+            "demos": [{"values": dict(demo), "input_keys": inputs} for demo in module.demos],
             "counterexamples": [dict(vars(ce)) for ce in module.counterexamples],
         }
     return {
@@ -277,15 +271,21 @@ def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, s
         raise ValueError(
             f"artifact version mismatch: file has {version}, supported is {ARTIFACT_VERSION}"
         )
+    reject_unknown_keys(data, ("version", "task", "compile_config", "modules"), "compiled program")
     loaded = program.clone()
     for module_id, spec in data["modules"].items():
         if module_id not in loaded.modules:
             raise ValueError(f"artifact names unknown module {module_id!r}")
+        reject_unknown_keys(spec, ("instructions", "demos", "counterexamples"), "module spec")
         module = loaded.modules[module_id]
+        inputs = sorted(f.name for f in module.signature.input_fields)
         module.signature = module.signature.with_instructions(spec["instructions"])
-        module.demos = [
-            Example(values=d["values"], input_keys=frozenset(d["input_keys"]))
-            for d in spec["demos"]
-        ]
+        module.demos = []
+        for demo in spec["demos"]:
+            reject_unknown_keys(demo, ("values", "input_keys"), "demo")
+            if demo["input_keys"] != inputs or not demo["values"].keys() >= set(inputs):
+                raise ValueError(f"demo of module {module_id!r}: input_keys must be its inputs "
+                                 f"{inputs}, each in values; got {demo['input_keys']}")
+            module.demos.append(dict(demo["values"]))
         module.counterexamples = [Counterexample(**c) for c in spec["counterexamples"]]
     return loaded, data["task"]

@@ -68,6 +68,8 @@ from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple
 
+from .core import read_jsonl
+
 BM25_K1 = 1.5
 BM25_B = 0.75
 
@@ -262,34 +264,10 @@ def deduplicate(passages: Sequence[Passage]) -> list[Passage]:
     return list(dict.fromkeys(passages))
 
 
-# json.loads without its two whitespace scans; shared, as json.loads shares its
-# own decoder
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def load_corpus(path: str | Path) -> list[Passage]:
     """Read one JSON record per line with fields {title, text}; blank lines are
     skipped. A bad record raises ``ValueError`` naming the path and line."""
-    passages = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                try:
-                    record, end = _raw_decode(line)
-                except ValueError:
-                    end = -1
-                if end != len(line):
-                    # invalid, trailing data or a BOM: json.loads raises its own message
-                    record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"expected a JSON object, got {line[:40]}")
-                passages.append(Passage(record["title"], record["text"]))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc
-    return passages
+    return read_jsonl(path, "corpus", lambda record: Passage(record["title"], record["text"]))
 
 
 def _sha256(path: Path) -> str:

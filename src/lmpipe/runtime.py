@@ -25,9 +25,9 @@ and is not evaluated again. A call whose module or inputs differ from its
 slot's runs fresh and ends the replay; from there on every call and constraint
 runs fresh, and the target call still takes the retry's feedback.
 
-Every run ends in one ``RunResult``: a prediction, a halt, or a backend error
-that carries the run so far. Its ``Trace`` holds the steps. ``save_trace``
-writes a ``RunResult`` as a trace file and ``load_trace`` reads it back.
+Every run ends in one ``RunResult`` holding its steps: a prediction, a halt,
+or a backend error that carries the run so far. ``save_trace`` writes a
+``RunResult`` as a trace file and ``load_trace`` reads it back.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from .core import (
     WARNED,
     ConstraintOutcome,
     Prediction,
-    Trace,
+    RunResult,
     TraceStep,
     payload_field,
     read_json,
+    reject_unknown_keys,
 )
 from .modules import PredictModule, parse_completion
 
@@ -186,21 +187,6 @@ class _Slot:
     sites_before: int  # constraint sites evaluated earlier in that pass
 
 
-@dataclass
-class RunResult:
-    """The one record of a run: its trace, and its prediction or why it has none.
-
-    An assertion that halts the run sets ``halted`` and its message as ``error``.
-    A run a backend error stopped is that error's ``partial_result``, with the
-    error's message as ``error``.
-    """
-
-    prediction: Optional[Prediction]
-    trace: Trace
-    halted: bool = False
-    error: Optional[str] = None
-
-
 class ExecutionContext:
     """Per-run state handed to Program.forward.
 
@@ -212,7 +198,7 @@ class ExecutionContext:
     inputs and of the predictions it receives; a call whose module or inputs
     differ runs fresh and ends the replay. ``meta`` is rebuilt every pass, so
     anything the program stores there reflects only the surviving attempt;
-    the run's ``Trace.meta`` keeps that pass's copy.
+    the run's ``RunResult.meta`` keeps that pass's copy.
     """
 
     def __init__(self, program: Program, backend, config: RuntimeConfig):
@@ -356,12 +342,12 @@ def run_with_backtracking(
             ctx._begin_pass((b.site, b.target_pos))
             continue
         except BackendError as exc:
-            exc.partial_result = RunResult(prediction=None, trace=Trace(steps=ctx.steps), error=str(exc))
+            exc.partial_result = RunResult(prediction=None, steps=ctx.steps, error=str(exc))
             raise
         except AssertionHalt as halt:
-            trace = Trace(steps=ctx.steps, meta=dict(ctx.meta))
-            return RunResult(prediction=None, trace=trace, halted=True, error=str(halt))
-        return RunResult(prediction=prediction, trace=Trace(steps=ctx.steps, meta=dict(ctx.meta)))
+            return RunResult(prediction=None, steps=ctx.steps, meta=dict(ctx.meta),
+                             halted=True, error=str(halt))
+        return RunResult(prediction=prediction, steps=ctx.steps, meta=dict(ctx.meta))
     raise RuntimeError("backtracking did not terminate within the pass budget")
 
 
@@ -369,7 +355,7 @@ def trace_to_dict(result: RunResult) -> dict:
     """A run as a trace file's JSON object: its steps, how it ended, and the
     final prediction's outputs (null for a halted or failed run)."""
     steps = []
-    for step in result.trace.steps:
+    for step in result.steps:
         steps.append({
             "module_id": step.module_id,
             "attempt": step.attempt,
@@ -390,14 +376,20 @@ def trace_to_dict(result: RunResult) -> dict:
     }
 
 
+_STEP_KEYS = ("module_id", "attempt", "position", "prompt_digest", "inputs", "outputs",
+              "raw_completion", "constraints")
+
+
 def trace_from_dict(data: dict) -> RunResult:
-    """The inverse of ``trace_to_dict``. A missing key, or an unknown key in a
-    constraint object, raises."""
+    """The inverse of ``trace_to_dict``. A missing or an unknown key raises."""
     version = data["version"]
     if version != TRACE_VERSION:
         raise ValueError(f"trace version mismatch: file has {version}, supported is {TRACE_VERSION}")
-    steps = [
-        TraceStep(
+    reject_unknown_keys(data, ("version", "halted", "error", "steps", "final_outputs"), "trace")
+    steps = []
+    for raw in data["steps"]:
+        reject_unknown_keys(raw, _STEP_KEYS, "trace step")
+        steps.append(TraceStep(
             module_id=raw["module_id"],
             inputs=raw["inputs"],
             prediction=Prediction(outputs=raw["outputs"], raw_completion=raw["raw_completion"]),
@@ -405,12 +397,10 @@ def trace_from_dict(data: dict) -> RunResult:
             attempt=raw["attempt"],
             position=raw["position"],
             prompt_digest=raw["prompt_digest"],
-        )
-        for raw in data["steps"]
-    ]
+        ))
     final = data["final_outputs"]
     return RunResult(prediction=None if final is None else Prediction(outputs=final),
-                     trace=Trace(steps=steps), halted=data["halted"], error=data["error"])
+                     steps=steps, halted=data["halted"], error=data["error"])
 
 
 def write_json(payload: Any, path: str | Path) -> None:

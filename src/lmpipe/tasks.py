@@ -34,7 +34,7 @@ from .checks import (
     is_query_distinct,
     is_within_length_limit,
 )
-from .core import Prediction, Trace, passages_to_text
+from .core import Prediction, RunResult, passages_to_text
 from .metrics import (
     TaskExample,
     answer_em,
@@ -316,26 +316,26 @@ class TweetGen(Program):
         return pred
 
 
-def _context_titles(trace: Trace) -> list[str]:
-    return [title for title, _ in trace.meta.get("context_passages", [])]
+def _context_titles(run: RunResult) -> list[str]:
+    return [title for title, _ in run.meta.get("context_passages", [])]
 
 
 def _first_true(flags: Sequence[bool], default: bool = False) -> bool:
     return flags[0] if flags else default
 
 
-def _score_multihop(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+def _score_multihop(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
     row = {"answer_em": answer_em(outputs.get("answer", ""), example.answer)}
-    recall = retrieval_recall(_context_titles(trace), example.gold_titles)
+    recall = retrieval_recall(_context_titles(run), example.gold_titles)
     if recall is not None:
         row["retrieval_recall"] = recall
     return row
 
 
-def _score_longform(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+def _score_longform(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
     paragraph = outputs.get("paragraph", "")
-    faithful_flags = final_label_outcomes(trace).get("citation_faithful", [])
-    cm = citation_metrics(paragraph, _context_titles(trace), example.gold_titles,
+    faithful_flags = final_label_outcomes(run).get("citation_faithful", [])
+    cm = citation_metrics(paragraph, _context_titles(run), example.gold_titles,
                           faithful_flags=faithful_flags)
     row = {}
     if cm.faithfulness is not None:
@@ -349,11 +349,11 @@ def _score_longform(example: TaskExample, outputs: Mapping[str, str], trace: Tra
     return row
 
 
-def _score_quiz(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+def _score_quiz(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
     choices = outputs.get("answer_choices", "")
     fmt = format_checker(choices)
     inc = is_correct_answer_included(example.answer, choices)
-    plausible = _first_true(final_label_outcomes(trace).get("plausible", []))
+    plausible = _first_true(final_label_outcomes(run).get("plausible", []))
     return {
         "format": float(fmt),
         "has_answer": float(inc),
@@ -362,9 +362,9 @@ def _score_quiz(example: TaskExample, outputs: Mapping[str, str], trace: Trace) 
     }
 
 
-def _score_tweet(example: TaskExample, outputs: Mapping[str, str], trace: Trace) -> dict:
+def _score_tweet(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
     tweet = outputs.get("tweet", "")
-    labels = final_label_outcomes(trace)
+    labels = final_label_outcomes(run)
     booleans = {
         "no_hashtags": has_no_hashtags(tweet),
         "within_limit": is_within_length_limit(tweet, TWEET_LIMIT),
@@ -381,7 +381,7 @@ def _score_tweet(example: TaskExample, outputs: Mapping[str, str], trace: Trace)
 class TaskSpec:
     """Everything the CLI, evaluation and compilation know about one task.
 
-    ``score`` turns a run's final outputs and trace into the task's report
+    ``score`` turns a run's final outputs and the run into the task's report
     columns; ``bootstrap_column`` is the column whose value decides whether a
     teacher run passes; ``flags`` are added to every report of the task.
     """
@@ -389,7 +389,7 @@ class TaskSpec:
     program: type[Program]
     uses_index: bool
     columns: tuple[str, ...]
-    score: Callable[[TaskExample, Mapping[str, str], Trace], dict]
+    score: Callable[[TaskExample, Mapping[str, str], RunResult], dict]
     bootstrap_column: str
     flags: tuple[str, ...] = ()
 

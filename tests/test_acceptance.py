@@ -118,7 +118,7 @@ def run_one_constraint(kind: str, fails: int, max_retries: int):
     program = OneConstraintProgram(kind)
     result = run_with_backtracking(program, {"prompt": "go"},
                                    RuntimeConfig(max_retries=max_retries), backend)
-    dispositions = [o.disposition for o in result.trace.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
     return result, dispositions
 
 
@@ -151,7 +151,7 @@ def test_criterion_1_semantics_conformance():
     ]))
     result = run_with_backtracking(TwoSiteProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    site_a = result.trace.outcomes_by_site()[0]
+    site_a = result.outcomes_by_site()[0]
     assert [o.disposition for o in site_a] == ["passed", "retried", "passed"]
     assert [o.attempt for o in site_a] == [0, 0, 1]
 
@@ -174,7 +174,7 @@ def test_criterion_2_retry_end_to_end(index, testset):
     result = run_task_example(MultiHopQA(index), example, ASSERTIVE, retry_backend)
     retry_calls = retry_backend.call_log.records()
 
-    value, vacuous = suggestions_passed(result.trace)
+    value, vacuous = suggestions_passed(result)
     assert value == 1.0 and not vacuous
 
     clean_query_calls = [r for r in clean_calls if is_query_prompt(r.prompt)]
@@ -202,8 +202,8 @@ def test_criterion_3_rollback(index, testset):
 
     result = run_task_example(MultiHopQA(index), example, ASSERTIVE,
                               script_backend("multihop_retry.json"))
-    passages = result.trace.meta["context_passages"]
-    assert result.trace.steps[-1].inputs["context"] == passages_to_text(passages)
+    passages = result.meta["context_passages"]
+    assert result.steps[-1].inputs["context"] == passages_to_text(passages)
     titles = [title for title, _ in passages]
     assert len(titles) == 6
 
@@ -212,8 +212,8 @@ def test_criterion_3_rollback(index, testset):
 
     # provenance: first three titles come from the fixed hop-1 query, last three
     # from the hop-2 query
-    hop1 = [p.title for p in retrieve(index, result.trace.meta["queries"][0], 3)]
-    hop2 = [p.title for p in retrieve(index, result.trace.meta["queries"][1], 3)]
+    hop1 = [p.title for p in retrieve(index, result.meta["queries"][0], 3)]
+    hop2 = [p.title for p in retrieve(index, result.meta["queries"][1], 3)]
     assert titles == hop1 + hop2
 
 
@@ -222,8 +222,8 @@ def test_criterion_3_rollback(index, testset):
 def demo_predicates_pass(module_id: str, demo) -> bool:
     if module_id != "generate_query":
         return True
-    query = demo.values["query"]
-    return len(query) < 100 and is_query_distinct(query, [demo.values["question"]])
+    query = demo["query"]
+    return len(query) < 100 and is_query_distinct(query, [demo["question"]])
 
 
 @pytest.mark.criterion(4, "teacher assertions filter demos to 100% constraint-passing; the naive teacher keeps a violator")
@@ -257,7 +257,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
 def test_criterion_5_counterexample_bootstrapping(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
     result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    counterexamples = collect_counterexamples([result.trace])
+    counterexamples = collect_counterexamples([result])
     by_module = {}
     for ce in counterexamples:
         by_module.setdefault(ce.module_id, []).append(ce)
@@ -480,9 +480,9 @@ def test_criterion_10_handler_policies(index, testset, caplog):
     backend = script_backend("multihop_retry.json")
     result = run_task_example(MultiHopQA(index), testset[0],
                               RuntimeConfig(handler_policy=DISABLE_ALL), backend)
-    module_invocations = len(result.trace.steps)
+    module_invocations = len(result.steps)
     assert len(backend.call_log) == module_invocations == 3
-    assert all(step.attempt == 0 for step in result.trace.steps)
+    assert all(step.attempt == 0 for step in result.steps)
 
     # the halting scenario from criterion 1 (assert, fails > R) completes instead
     halting_fails, max_retries = 3, 1
@@ -499,5 +499,5 @@ def test_criterion_10_handler_policies(index, testset, caplog):
     assert not suppressed.halted
     assert suppressed.prediction is not None
     assert any("Value should be ok" in message for message in caplog.messages)
-    dispositions = [o.disposition for o in suppressed.trace.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in suppressed.outcomes_by_site()[0]]
     assert dispositions == ["retried", "failed"]

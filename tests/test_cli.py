@@ -136,7 +136,7 @@ def test_eval_applies_configured_handler_policy(runner, tmp_path):
         return [
             outcome.disposition
             for path in sorted((out / "traces").glob("*.json"))
-            for step in load_trace(path).trace.steps
+            for step in load_trace(path).steps
             for outcome in step.constraint_outcomes
         ]
 
@@ -487,9 +487,15 @@ def trace_file(step_change: Optional[dict] = None, constraint_change: Optional[d
     return {"version": 1, "halted": False, "error": None, "steps": [step], "final_outputs": {}}
 
 
-def artifact_file(counterexample: dict) -> dict:
-    module = {"instructions": "i", "demos": [], "counterexamples": [counterexample]}
+def artifact_file(counterexample: Optional[dict] = None, demo: Optional[dict] = None,
+                  **module_change) -> dict:
+    module = {"instructions": "i", "demos": [demo] if demo else [],
+              "counterexamples": [counterexample] if counterexample else [], **module_change}
     return {"version": 1, "task": "multihop", "modules": {"generate_query": module}}
+
+
+QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"},
+              "input_keys": ["context", "question"]}
 
 
 @pytest.mark.parametrize("kind, content, error", [
@@ -506,6 +512,18 @@ def artifact_file(counterexample: dict) -> dict:
      "ConstraintOutcome.__init__() missing 1 required positional argument: 'seq'"),
     ("trace", trace_file(constraint_change={"note": "n"}),
      "ConstraintOutcome.__init__() got an unexpected keyword argument 'note'"),
+    ("trace", trace_file(step_change={"positon": 3}), "unknown key 'positon' in trace step"),
+    ("trace", {**trace_file(), "extra_top": 1}, "unknown key 'extra_top' in trace"),
+    ("artifact", artifact_file(note="n"), "unknown key 'note' in module spec"),
+    ("artifact", artifact_file(demo={**QUERY_DEMO, "note": "n"}), "unknown key 'note' in demo"),
+    ("artifact", artifact_file(demo={**QUERY_DEMO, "input_keys": ["question"]}),
+     "demo of module 'generate_query': input_keys must be its inputs ['context', 'question'], "
+     "each in values; got ['question']"),
+    ("script", {"entries": []}, "missing key 'version'"),
+    ("script", {"version": 1, "entries": [{"match": "x", "responses": ["y"], "note": "n"}]},
+     "unknown key 'note' in script entry"),
+    ("script", {"version": 1, "entries": [], "note": "n"}, "unknown key 'note' in script"),
+    ("artifact", {**artifact_file(), "note": "n"}, "unknown key 'note' in compiled program"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
@@ -586,7 +604,7 @@ def run_command(runner, command: str, task: str, strategy: str, script: str, out
 
 def saved_steps(out: Path) -> list:
     return [step for path in sorted((out / "traces").glob("*.json"))
-            for step in load_trace(path).trace.steps]
+            for step in load_trace(path).steps]
 
 
 def test_config_max_retries_zero_retries_nothing(runner, tmp_path):

@@ -10,7 +10,6 @@ from lmpipe.core import (
     OUTPUT,
     ConstraintOutcome,
     Counterexample,
-    Example,
     FieldSpec,
     PromptError,
     Signature,
@@ -138,8 +137,7 @@ def test_render_missing_input_names_field():
 def test_render_is_pure():
     sig = prepend_output_field(parse_signature("context, question -> query"), RATIONALE)
     args = dict(
-        demos=[Example({"context": "N/A", "question": "Q1", "rationale": "R", "query": "X"},
-                       input_keys={"context", "question"})],
+        demos=[{"context": "N/A", "question": "Q1", "rationale": "R", "query": "X"}],
         inputs={"context": "N/A", "question": "Q2"},
         feedback=[("too long", "shorter please")],
     )
@@ -168,10 +166,8 @@ def test_feedback_sits_between_inputs_and_generation_cue():
 def test_two_demo_golden_prompt():
     sig = parse_signature("question -> answer")
     demos = [
-        Example({"question": "What color is a clear daytime sky?", "answer": "Blue"},
-                input_keys={"question"}),
-        Example({"question": "How many legs does a spider have?", "answer": "Eight"},
-                input_keys={"question"}),
+        {"question": "What color is a clear daytime sky?", "answer": "Blue"},
+        {"question": "How many legs does a spider have?", "answer": "Eight"},
     ]
     rendered = render_prompt(sig, demos=demos, inputs={"question": "Where is the Eiffel Tower?"})
     golden = (GOLDEN / "two_demo_prompt.txt").read_bytes().decode("utf-8")
@@ -180,8 +176,7 @@ def test_two_demo_golden_prompt():
 
 def test_demo_order_preserved():
     sig = parse_signature("question -> answer")
-    demos = [Example({"question": f"Q{i}", "answer": f"A{i}"}, input_keys={"question"})
-             for i in range(2)]
+    demos = [{"question": f"Q{i}", "answer": f"A{i}"} for i in range(2)]
     prompt = render_prompt(sig, demos=demos, inputs={"question": "live"})
     assert prompt.index("Q0") < prompt.index("Q1") < prompt.index("live")
 
@@ -190,7 +185,7 @@ def test_counterexample_blocks_render_before_demos():
     sig = parse_signature("question -> query")
     ce = Counterexample(module_id="m", failed_output="way too long",
                         message="shorter", corrected_output="short")
-    demo = Example({"question": "Qd", "query": "qd"}, input_keys={"question"})
+    demo = {"question": "Qd", "query": "qd"}
     prompt = render_prompt(sig, demos=[demo], counterexamples=[ce], inputs={"question": "Q"})
     past = prompt.index("Past Query: way too long")
     assert past < prompt.index("Qd")
@@ -216,11 +211,6 @@ def test_render_prompt_deterministic_bytes(inputs):
     a = render_prompt(sig, inputs=inputs)
     b = render_prompt(sig, inputs=dict(inputs))
     assert a == b
-
-
-def test_example_input_keys_must_exist():
-    with pytest.raises(ValueError):
-        Example({"a": "1"}, input_keys={"missing"})
 
 
 @pytest.mark.parametrize("change, error", [

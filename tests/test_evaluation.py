@@ -55,7 +55,7 @@ def test_evaluate_dataset_error_rows(index, testset):
     assert all("error" in row for row in rows)
     assert all(row["error_type"] == "UnscriptedPromptError" for row in rows)
     # each example keeps the steps completed before the error (none here) and the message
-    assert all(result.trace.steps == [] and result.error == row["error"]
+    assert all(result.steps == [] and result.error == row["error"]
                for row, result in zip(rows, results))
     report = build_report("multihop", "vanilla", rows)
     assert "6_examples_failed" in report.flags
@@ -138,7 +138,7 @@ def test_bootstrap_metric_passes_on_clean_runs(index, testset, task, script, pro
     example = testset[0]
     result = run_task_example(program, example, RuntimeConfig(), backend)
     metric = bootstrap_metric(task)
-    assert metric(example, result.prediction, result.trace) == expected
+    assert metric(example, result.prediction, result) == expected
 
 
 def test_bootstrap_metric_fails_on_wrong_answer(index, testset):
@@ -148,7 +148,7 @@ def test_bootstrap_metric_fails_on_wrong_answer(index, testset):
     result = run_task_example(MultiHopQA(index), example, RuntimeConfig(), backend)
     metric = bootstrap_metric("multihop")
     # score the run against a different example's gold answer
-    assert metric(other, result.prediction, result.trace) == 0.0
+    assert metric(other, result.prediction, result) == 0.0
 
 
 def test_vanilla_vs_infer_assert_on_retry_fixture(index, testset, tmp_path):

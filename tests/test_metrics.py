@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from lmpipe.core import (
     ConstraintOutcome,
     Prediction,
-    Trace,
+    RunResult,
     TraceStep,
 )
 from lmpipe.evaluation import score_example
@@ -34,10 +34,10 @@ def outcome(kind: str, disposition: str, site: int, seq: int, attempt: int = 0,
     )
 
 
-def trace_with(outcomes: list[ConstraintOutcome], inputs=None) -> Trace:
+def trace_with(outcomes: list[ConstraintOutcome], inputs=None) -> RunResult:
     step = TraceStep(module_id="m", inputs=inputs or {}, prediction=Prediction(outputs={}),
                      constraint_outcomes=outcomes)
-    return Trace(steps=[step])
+    return RunResult(prediction=None, steps=[step])
 
 
 def test_suggestions_passed_all_final_pass():
@@ -130,10 +130,10 @@ def test_multihop_recall_reads_context_passages_from_trace_meta():
     # the program kept for its final pass, titles verbatim
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"},
                            prediction=Prediction(outputs={}))
-    trace = Trace(steps=[judge_step],
-                  meta={"context_passages": [("Gold | Annex", "b"), ("Other", "c")]})
+    run = RunResult(prediction=Prediction(outputs={"answer": "Paris"}), steps=[judge_step],
+                    meta={"context_passages": [("Gold | Annex", "b"), ("Other", "c")]})
     example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))
-    row = score_example("multihop", example, Prediction(outputs={"answer": "Paris"}), trace)
+    row = score_example("multihop", example, run)
     assert row["retrieval_recall"] == 1.0
     assert row["answer_em"] == 1.0
 

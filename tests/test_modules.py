@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
-from lmpipe.core import Example, SignatureError, render_prompt
+from lmpipe.core import SignatureError, render_prompt
 from lmpipe.modules import (
     RATIONALE_PREFIX,
     chain_of_thought,
@@ -80,12 +80,9 @@ def test_parse_completion_prefix_must_start_line():
 
 def test_parse_round_trips_rendered_demo():
     module = chain_of_thought("context, question -> query", module_id="gen")
-    demo = Example(
-        {"context": "N/A", "question": "Q?", "rationale": "step", "query": "find it"},
-        input_keys={"context", "question"},
-    )
+    demo = {"context": "N/A", "question": "Q?", "rationale": "step", "query": "find it"}
     block = "\n".join(
-        f"{f.prefix} {demo.values[f.name]}" for f in module.signature.fields
+        f"{f.prefix} {demo[f.name]}" for f in module.signature.fields
     )
     pred = parse_completion(module.signature, block)
     assert pred.outputs == {"rationale": "step", "query": "find it"}

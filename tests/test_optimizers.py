@@ -58,8 +58,8 @@ def test_bootstrap_with_assertions_filters_to_passing_demos(index, trainset):
     demos = compiled.modules["generate_query"].demos
     assert 1 <= len(demos) <= 2
     for demo in demos:
-        assert len(demo.values["query"]) < 100
-        assert is_query_distinct(demo.values["query"], [demo.values["question"]])
+        assert len(demo["query"]) < 100
+        assert is_query_distinct(demo["query"], [demo["question"]])
     assert 1 <= len(compiled.modules["generate_answer"].demos) <= 2
 
 
@@ -69,7 +69,7 @@ def test_bootstrap_naive_keeps_violating_demo(index, trainset):
         CompileConfig(teacher_assertions=False), script_backend("multihop_teacher_naive.json"),
         run_task_example,
     )
-    queries = [d.values["query"] for d in compiled.modules["generate_query"].demos]
+    queries = [d["query"] for d in compiled.modules["generate_query"].demos]
     assert any(len(q) >= 100 for q in queries)
 
 
@@ -110,7 +110,7 @@ def test_bootstrap_failing_metric_harvests_nothing(index, trainset):
 def test_counterexamples_from_recovered_failure(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
     result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    counterexamples = collect_counterexamples([result.trace])
+    counterexamples = collect_counterexamples([result])
     assert len(counterexamples) == 1
     ce = counterexamples[0]
     assert ce.module_id == "generate_query"
@@ -122,14 +122,14 @@ def test_counterexamples_from_recovered_failure(index, trainset):
 def test_counterexamples_all_pass_trace_empty(index, trainset):
     backend = script_backend("multihop_all_pass.json")
     result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    assert collect_counterexamples([result.trace]) == []
+    assert collect_counterexamples([result]) == []
 
 
 def test_counterexamples_unrecovered_failure_empty(index, trainset):
     # never fixed: budget exhausts, the site warns, no counterexample exists
     backend = script_backend("multihop_teacher_naive.json")
     result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    assert collect_counterexamples([result.trace]) == []
+    assert collect_counterexamples([result]) == []
 
 
 def test_bootstrap_attaches_counterexamples_and_renders_them(index, trainset):
@@ -145,7 +145,7 @@ def test_bootstrap_attaches_counterexamples_and_renders_them(index, trainset):
     assert f"Instruction: {ces[0].message}" in prompt
     assert f"Query: {ces[0].corrected_output}" in prompt
     # counterexample block precedes the first ordinary demo block
-    demo_q = compiled.modules["generate_query"].demos[0].values["question"]
+    demo_q = compiled.modules["generate_query"].demos[0]["question"]
     assert prompt.index("Past Query:") < prompt.index(demo_q)
 
 
@@ -204,7 +204,7 @@ def test_compiled_artifact_round_trip(index, trainset, tmp_path):
     assert task == "multihop"
     for module_id, module in compiled.modules.items():
         other = loaded.modules[module_id]
-        assert [d.values for d in other.demos] == [d.values for d in module.demos]
+        assert other.demos == module.demos
         assert other.counterexamples == module.counterexamples
         assert other.signature.instructions == module.signature.instructions
 
@@ -216,9 +216,22 @@ def test_artifact_version_mismatch(index, tmp_path):
         load_compiled_program(MultiHopQA(index), path)
 
 
+def test_example_input_keys_must_exist(index, tmp_path):
+    # a demo holds a value for each of its module's input fields
+    demo = {"values": {"question": "Q", "rationale": "r", "query": "q"},
+            "input_keys": ["context", "question"]}
+    module = {"instructions": "i", "demos": [demo], "counterexamples": []}
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps({"version": 1, "task": "multihop",
+                                "modules": {"generate_query": module}}))
+    with pytest.raises(ValueError, match=r"input_keys must be its inputs \['context', 'question'\], "
+                                         r"each in values"):
+        load_compiled_program(MultiHopQA(index), path)
+
+
 def test_collect_counterexamples_respects_payload_fields():
     # a synthetic trace: the payload is the last output field, not the rationale
-    from lmpipe.core import ConstraintOutcome, Prediction, Trace, TraceStep
+    from lmpipe.core import ConstraintOutcome, Prediction, RunResult, TraceStep
 
     def step(attempt, value):
         return TraceStep(
@@ -234,8 +247,8 @@ def test_collect_counterexamples_respects_payload_fields():
     fixed.constraint_outcomes.append(ConstraintOutcome(
         kind="suggest", passed=True, message="be good", label="be good",
         attempt=1, disposition="passed", site=0, target_module="gen", seq=1))
-    trace = Trace(steps=[failed, fixed])
-    ces = collect_counterexamples([trace])
+    run = RunResult(prediction=None, steps=[failed, fixed])
+    ces = collect_counterexamples([run])
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]
 
@@ -263,7 +276,7 @@ def test_counterexamples_of_two_sites_retrying_one_call():
     ]))
     result = run_with_backtracking(TwoSiteProgram(), {"prompt": "go"}, RuntimeConfig(), backend)
     assert result.prediction.outputs["value"] == "v2"
-    assert collect_counterexamples([result.trace]) == [
+    assert collect_counterexamples([result]) == [
         Counterexample(module_id="gen", failed_output="v0", message="not v0", corrected_output="v2"),
         Counterexample(module_id="gen", failed_output="v1", message="not v1", corrected_output="v2"),
     ]

@@ -167,7 +167,7 @@ def test_retried_run_scores_each_distinct_query_once(monkeypatch):
                         lambda self, query: scored.update([query]) or scores(self, query))
     result = run_task_example(tasks.MultiHopQA(bundled_index()), example,
                               RuntimeConfig(handler_policy=BACKTRACK_DEFAULT), backend)
-    assert [o.disposition for o in result.trace.outcomes_by_site()[3]] == ["retried", "passed"]
+    assert [o.disposition for o in result.outcomes_by_site()[3]] == ["retried", "passed"]
     assert retrieved == {subject: 2, person: 1}  # hop 1 in each pass, then hop 2
     assert scored == {subject: 1, person: 1}
 

@@ -172,9 +172,9 @@ def test_call_retry_prompt_lists_failures_in_order():
     assert retry.index("Query has 120 characters") < retry.index("Query has 130 characters")
 
 
-def site_dispositions(trace) -> dict[int, list[str]]:
+def site_dispositions(run) -> dict[int, list[str]]:
     return {site: [o.disposition for o in outcomes]
-            for site, outcomes in trace.outcomes_by_site().items()}
+            for site, outcomes in run.outcomes_by_site().items()}
 
 
 def transition_oracle(kind: str, fails: int, max_retries: int) -> list[str]:
@@ -203,13 +203,13 @@ def test_engine_matches_transition_oracle(kind, fails, max_retries):
     backend = echo_backend(fails)
     result = run_with_backtracking(program, {"prompt": "go"},
                                    RuntimeConfig(max_retries=max_retries), backend)
-    assert site_dispositions(result.trace)[0] == transition_oracle(kind, fails, max_retries)
+    assert site_dispositions(result)[0] == transition_oracle(kind, fails, max_retries)
     should_halt = kind == "assert" and fails > max_retries
     assert result.halted == should_halt
     if should_halt:
         assert result.prediction is None
         assert result.error == VALUE_MESSAGE
-        last = result.trace.steps[-1]
+        last = result.steps[-1]
         assert last.constraint_outcomes[-1].disposition == HALTED
     else:
         assert result.prediction is not None
@@ -225,7 +225,7 @@ def test_suggest_never_prevents_final_prediction():
 def test_retry_attempts_recorded_with_distinct_prompts():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), echo_backend(2))
-    steps = result.trace.steps
+    steps = result.steps
     assert [s.attempt for s in steps] == [0, 1, 2]
     assert len({s.prompt_digest for s in steps}) == 3  # feedback changes the prompt
     assert steps[-1].prediction.outputs["value"] == "ok"
@@ -261,7 +261,7 @@ def test_first_failing_constraint_skips_later_ones():
     ]))
     result = run_with_backtracking(TwoConstraintProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    sites = site_dispositions(result.trace)
+    sites = site_dispositions(result)
     assert sites[0] == ["retried", "passed"]   # has_a failed once
     assert sites[1] == ["passed"]              # has_b only ever saw the fixed value
 
@@ -274,10 +274,10 @@ def test_retry_count_resets_after_pass_at_same_site():
     ]))
     result = run_with_backtracking(TwoConstraintProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    sites = site_dispositions(result.trace)
+    sites = site_dispositions(result)
     assert sites[0] == ["passed", "retried", "passed"]
     assert sites[1] == ["retried", "passed"]
-    outcomes_a = result.trace.outcomes_by_site()[0]
+    outcomes_a = result.outcomes_by_site()[0]
     # the failure after a pass records retry count 0 and transitions to r=1
     assert [o.attempt for o in outcomes_a] == [0, 0, 1]
 
@@ -306,7 +306,7 @@ def test_backtracking_replays_upstream_without_duplicates():
     ]))
     result = run_with_backtracking(PipelineProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert [(s.module_id, s.attempt) for s in result.trace.steps] == [
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
         ("first", 0), ("second", 0), ("second", 1),
     ]
     # upstream module was executed by the backend exactly once
@@ -340,7 +340,7 @@ def test_rollback_discards_state_from_failed_attempts():
     ]))
     result = run_with_backtracking(AccumulatingProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert result.trace.meta["collected"] == ["fine", "better"]
+    assert result.meta["collected"] == ["fine", "better"]
 
 
 class JudgedProgram(Program):
@@ -370,13 +370,13 @@ def test_default_backtrack_target_skips_unregistered_judges():
     ]))
     result = run_with_backtracking(JudgedProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert [(s.module_id, s.attempt) for s in result.trace.steps] == [
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
         ("gen", 0), ("judge", 0), ("gen", 1), ("judge", 1),
     ]
     # the retry prompt carries the generator's failed output, not the judge's
     retry_prompt = backend.call_log.records()[2].prompt
     assert "Past Value: draft one" in retry_prompt
-    assert site_dispositions(result.trace)[0] == ["retried", "passed"]
+    assert site_dispositions(result)[0] == ["retried", "passed"]
 
 
 class ExplicitTargetProgram(Program):
@@ -405,7 +405,7 @@ def test_explicit_backtrack_target_reruns_downstream():
     ]))
     result = run_with_backtracking(ExplicitTargetProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert [(s.module_id, s.attempt) for s in result.trace.steps] == [
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
         ("first", 0), ("second", 0), ("first", 1), ("second", 1),
     ]
     retry_prompt = backend.call_log.records()[2].prompt
@@ -420,7 +420,7 @@ def test_warned_site_gets_fresh_budget_on_reentry():
     ]))
     result = run_with_backtracking(TwoConstraintProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=1), backend)
-    sites = site_dispositions(result.trace)
+    sites = site_dispositions(result)
     assert sites[0] == ["retried", "warned", "retried", "warned"]
     assert sites[1] == ["retried", "passed"]
     assert result.prediction.outputs["value"] == "b"
@@ -451,10 +451,10 @@ def test_replay_does_not_duplicate_warned_outcomes():
     ]))
     result = run_with_backtracking(TwoModuleProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=1), backend)
-    sites = site_dispositions(result.trace)
+    sites = site_dispositions(result)
     assert sites[0] == ["retried", "warned"]   # not re-recorded by the replay
     assert sites[1] == ["retried", "passed"]
-    assert [(s.module_id, s.attempt) for s in result.trace.steps] == [
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
         ("first", 0), ("first", 1), ("second", 0), ("second", 1),
     ]
 
@@ -495,17 +495,17 @@ def test_replay_ends_at_a_call_whose_inputs_changed():
     # retries `second` again. Pass 4: `first` drifts again, and `second` still
     # takes value_ok's feedback, now two failures long.
     assert program.passes == 4 and program.verdicts == []
-    assert [(s.module_id, s.attempt, s.inputs) for s in result.trace.steps] == [
+    assert [(s.module_id, s.attempt, s.inputs) for s in result.steps] == [
         ("first", 0, {"prompt": "go 1"}), ("second", 0, {"draft": "d"}),
         ("first", 1, {"prompt": "go 2"}), ("first", 2, {"prompt": "go 3"}),
         ("second", 1, {"draft": "d"}), ("first", 3, {"prompt": "go 4"}),
         ("second", 2, {"draft": "d"}),
     ]
-    assert site_dispositions(result.trace) == {
+    assert site_dispositions(result) == {
         0: ["passed", "retried", "passed", "passed"],
         1: ["retried", "retried", "passed"],
     }
-    assert [s.prediction.outputs.get("value") for s in result.trace.steps if s.module_id == "second"] \
+    assert [s.prediction.outputs.get("value") for s in result.steps if s.module_id == "second"] \
         == ["bad", "bad", "ok"]
     assert len(backend.call_log) == 6  # `second` attempt 1 came from the cache
     assert backend.call_log.records()[-1].prompt.count("Past Value: bad") == 2
@@ -517,7 +517,7 @@ def test_handler_policy_disable_all_performs_zero_retries():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(handler_policy=DISABLE_ALL), backend)
     assert len(backend.call_log) == 1
-    assert site_dispositions(result.trace)[0] == ["failed"]
+    assert site_dispositions(result)[0] == ["failed"]
     assert result.prediction is not None
 
 
@@ -527,7 +527,7 @@ def test_handler_policy_suppress_assert_completes_with_log(caplog):
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
         result = run_with_backtracking(EchoProgram("assert"), {"prompt": "go"}, config, backend)
     assert not result.halted and result.prediction is not None
-    assert site_dispositions(result.trace)[0] == ["retried", "failed"]
+    assert site_dispositions(result)[0] == ["retried", "failed"]
     assert any(VALUE_MESSAGE in message for message in caplog.messages)
 
 
@@ -575,7 +575,7 @@ def test_handler_policy_default_is_identity():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2, handler_policy=BACKTRACK_DEFAULT),
                                    echo_backend(1))
-    assert site_dispositions(result.trace)[0] == ["retried", "passed"]
+    assert site_dispositions(result)[0] == ["retried", "passed"]
 
 
 def test_warned_suggestion_logs(caplog):
@@ -606,7 +606,7 @@ def test_backend_errors_carry_partial_trace():
         run_with_backtracking(PipelineProgram(), {"prompt": "go"},
                               RuntimeConfig(max_retries=2), backend)
     partial = err.value.partial_result
-    assert [s.module_id for s in partial.trace.steps] == ["first"]
+    assert [s.module_id for s in partial.steps] == ["first"]
     assert partial.prediction is None and not partial.halted
     assert partial.error == str(err.value)
 
@@ -620,10 +620,10 @@ def test_trace_save_load_round_trip(tmp_path):
     save_trace(result, path)
     loaded = load_trace(path)
     assert not loaded.halted and loaded.error is None
-    assert [(s.module_id, s.attempt) for s in loaded.trace.steps] == \
-        [(s.module_id, s.attempt) for s in result.trace.steps]
-    assert {s: [o.disposition for o in outs] for s, outs in loaded.trace.outcomes_by_site().items()} == \
-        site_dispositions(result.trace)
+    assert [(s.module_id, s.attempt) for s in loaded.steps] == \
+        [(s.module_id, s.attempt) for s in result.steps]
+    assert {s: [o.disposition for o in outs] for s, outs in loaded.outcomes_by_site().items()} == \
+        site_dispositions(result)
     assert loaded.prediction.outputs == result.prediction.outputs
 
 

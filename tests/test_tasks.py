@@ -45,10 +45,10 @@ def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
                               script_backend("multihop_all_pass.json"))
     assert not result.halted
-    passages = result.trace.meta["context_passages"]
+    passages = result.meta["context_passages"]
     assert len(passages) == 6
-    assert result.trace.steps[-1].inputs["context"] == passages_to_text(passages)
-    assert suggestions_passed(result.trace) == (1.0, False)
+    assert result.steps[-1].inputs["context"] == passages_to_text(passages)
+    assert suggestions_passed(result) == (1.0, False)
     assert answer_em(result.prediction.outputs["answer"], ex.answer) == 1.0
     assert retrieval_recall([title for title, _ in passages], ex.gold_titles) == 1.0
 
@@ -56,7 +56,7 @@ def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
 def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
     result = run_task_example(MultiHopQA(index), test_examples[1], ASSERTIVE,
                               script_backend("multihop_all_pass.json"))
-    sites = result.trace.outcomes_by_site()
+    sites = result.outcomes_by_site()
     assert len(sites) == 4  # length and distinctness per hop
     labels = [outcomes[0].label for outcomes in sites.values()]
     assert labels == ["query_length", "query_distinct"] * 2
@@ -66,9 +66,9 @@ def test_multihop_retry_scenario(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("multihop_retry.json")
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
-    dispositions = [o.disposition for o in result.trace.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
     assert dispositions == ["retried", "passed"]
-    assert [s.attempt for s in result.trace.steps if s.module_id == "generate_query"] == [0, 1, 0]
+    assert [s.attempt for s in result.steps if s.module_id == "generate_query"] == [0, 1, 0]
     assert len(backend.call_log) == 4
 
 
@@ -91,11 +91,11 @@ def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
                     responses=[f"Reasoning: r\nAnswer: {ex.answer}"]),
     ]))
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
-    sites = result.trace.outcomes_by_site()
+    sites = result.outcomes_by_site()
     # site 3 is hop-2 distinctness: the duplicate retried, the fix passed
     assert [o.disposition for o in sites[3]] == ["retried", "passed"]
     assert [o.label for o in sites[3]] == ["query_distinct", "query_distinct"]
-    assert result.trace.meta["queries"] == [subject, person]
+    assert result.meta["queries"] == [subject, person]
 
 
 def test_multihop_without_assertions_records_but_never_retries(index, test_examples):
@@ -103,9 +103,9 @@ def test_multihop_without_assertions_records_but_never_retries(index, test_examp
     backend = script_backend("multihop_retry.json")
     result = run_task_example(MultiHopQA(index), ex, RECORD_ONLY, backend)
     assert len(backend.call_log) == 3  # one call per module invocation
-    dispositions = [o.disposition for o in result.trace.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
     assert dispositions == ["failed"]
-    value, vacuous = suggestions_passed(result.trace)
+    value, vacuous = suggestions_passed(result)
     assert not vacuous and value < 1.0
 
 
@@ -114,18 +114,18 @@ def test_longform_citations_pass(index, test_examples):
     result = run_task_example(LongFormQA(index), ex, ASSERTIVE,
                               script_backend("longform_all_pass.json"))
     assert not result.halted
-    row = score_example("longform", ex, result.prediction, result.trace)
+    row = score_example("longform", ex, result)
     assert row["citation_faithfulness"] == 1.0
     assert row["citation_precision"] == 1.0
     assert row["citation_recall"] == 1.0
     assert row["has_answer"] == 1.0
-    assert suggestions_passed(result.trace) == (1.0, False)
+    assert suggestions_passed(result) == (1.0, False)
 
 
 def test_longform_judge_steps_are_traced_but_not_demo_modules(index, test_examples):
     result = run_task_example(LongFormQA(index), test_examples[0], ASSERTIVE,
                               script_backend("longform_all_pass.json"))
-    module_ids = [s.module_id for s in result.trace.steps]
+    module_ids = [s.module_id for s in result.steps]
     assert module_ids.count("faithfulness_judge") == 2  # one per citation pair
     program = LongFormQA(index)
     assert "faithfulness_judge" not in program.modules
@@ -134,7 +134,7 @@ def test_longform_judge_steps_are_traced_but_not_demo_modules(index, test_exampl
 def test_quiz_all_checks_pass(index, test_examples):
     ex = test_examples[0]
     result = run_task_example(QuizGen(), ex, ASSERTIVE, script_backend("quiz_all_pass.json"))
-    row = score_example("quiz", ex, result.prediction, result.trace)
+    row = score_example("quiz", ex, result)
     assert row["format"] == 1.0
     assert row["has_answer"] == 1.0
     assert row["plausible"] == 1.0
@@ -145,14 +145,14 @@ def test_quiz_fix_scenario_retries_then_passes(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("quiz_fix.json")
     result = run_task_example(QuizGen(), ex, ASSERTIVE, backend)
-    sites = result.trace.outcomes_by_site()
+    sites = result.outcomes_by_site()
     assert [o.disposition for o in sites[0]] == ["retried", "passed"]   # format site
     assert [o.disposition for o in sites[1]] == ["passed"]              # inclusion
     assert [o.disposition for o in sites[2]] == ["passed"]              # plausibility
-    row = score_example("quiz", ex, result.prediction, result.trace)
+    row = score_example("quiz", ex, result)
     assert row["validity"] == 1.0
     # first failing constraint short-circuits: the judge never saw the bad attempt
-    judge_steps = [s for s in result.trace.steps if s.module_id == "plausibility_judge"]
+    judge_steps = [s for s in result.steps if s.module_id == "plausibility_judge"]
     assert len(judge_steps) == 1
 
 
@@ -160,27 +160,27 @@ def test_quiz_without_assertions_single_attempt(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("quiz_fix.json")
     result = run_task_example(QuizGen(), ex, RECORD_ONLY, backend)
-    row = score_example("quiz", ex, result.prediction, result.trace)
+    row = score_example("quiz", ex, result)
     assert row["format"] == 0.0
     assert row["validity"] == 0.0
     # constraints recorded on the single attempt; judge still consulted once
-    assert [s.module_id for s in result.trace.steps] == ["generate_choices", "plausibility_judge"]
+    assert [s.module_id for s in result.steps] == ["generate_choices", "plausibility_judge"]
 
 
 def test_tweet_all_checks_pass(index, test_examples):
     ex = test_examples[0]
     result = run_task_example(TweetGen(index), ex, ASSERTIVE, script_backend("tweet_all_pass.json"))
-    row = score_example("tweet", ex, result.prediction, result.trace)
+    row = score_example("tweet", ex, result)
     for name in ("no_hashtags", "within_limit", "has_answer", "engaging", "faithful"):
         assert row[name] == 1.0
     assert row["quality"] == 1.0
-    assert suggestions_passed(result.trace) == (1.0, False)
+    assert suggestions_passed(result) == (1.0, False)
 
 
 def test_tweet_uses_per_hop_query_modules(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    module_ids = [s.module_id for s in result.trace.steps]
+    module_ids = [s.module_id for s in result.steps]
     assert "generate_query_0" in module_ids and "generate_query_1" in module_ids
     assert module_ids.count("engaging_judge") == 1
     assert module_ids.count("faithful_judge") == 1
@@ -189,14 +189,14 @@ def test_tweet_uses_per_hop_query_modules(index, test_examples):
 def test_tweet_deduplicates_context(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    titles_and_bodies = result.trace.meta["context_passages"]
+    titles_and_bodies = result.meta["context_passages"]
     assert len(titles_and_bodies) == len(set(titles_and_bodies))
 
 
 def test_tweet_suggestion_order(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    labels = [outcomes[0].label for outcomes in result.trace.outcomes_by_site().values()]
+    labels = [outcomes[0].label for outcomes in result.outcomes_by_site().values()]
     assert labels == ["no_hashtags", "within_limit", "has_answer", "engaging", "faithful"]
 
 
@@ -207,7 +207,7 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
     ex = test_examples[0]
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
                               script_backend("multihop_retry.json"))
-    queries = result.trace.meta["queries"]
+    queries = result.meta["queries"]
     history = [ex.question]
     recounted = []
     for query in queries:
@@ -215,7 +215,7 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
         recounted.append(is_query_distinct(query, history))
         history.append(query)
     recorded = [outcomes[-1].disposition == "passed"
-                for outcomes in result.trace.outcomes_by_site().values()]
+                for outcomes in result.outcomes_by_site().values()]
     assert recorded == recounted
 
 
@@ -266,8 +266,8 @@ def test_longform_out_of_range_citation_counts_failed(index, test_examples):
         ScriptEntry(match="Assessment Question:", responses=["Assessment Answer: Yes"]),
     ]))
     result = run_task_example(LongFormQA(index), ex, RECORD_ONLY, backend)
-    row = score_example("longform", ex, result.prediction, result.trace)
-    labels = {o.label for outs in result.trace.outcomes_by_site().values() for o in outs}
+    row = score_example("longform", ex, result)
+    labels = {o.label for outs in result.outcomes_by_site().values() for o in outs}
     assert "citation_faithful" in labels
     assert row["citation_faithfulness"] == 0.5  # [9] failed, [1] judged yes
     assert row["citation_precision"] == 0.5     # one gold title, one dangling marker
