@@ -272,6 +272,10 @@ def format_trace(result: RunResult) -> str:
             if outcome.disposition == "retried":
                 tag = "RETRY"
             lines.append(f"    [{outcome.kind}/{tag}] {outcome.message}")
+    for found in result.retrievals:
+        lines.append(f"retrieve k={found.k}  {found.query}")
+        lines.extend(f"    [{rank}] {title}" for rank, title in enumerate(found.titles, start=1))
+    lines.append(f"passes: {result.passes}")
     if result.halted:
         lines.append(f"assertion failed: {result.error}")
         lines.append("HALTED")

@@ -226,19 +226,29 @@ class TraceStep:
 
 
 @dataclass
+class Retrieval:
+    """One search of a run's surviving pass: query, k, and the titles it found, best first."""
+
+    query: str
+    k: int
+    titles: list[str]
+
+
+@dataclass
 class RunResult:
-    """The one record of a run: its steps in invocation order, and its
-    prediction or why it has none. A halting assertion sets ``halted`` and its
-    message as ``error``; a run a backend error stopped is that error's
-    ``partial_result``, with its message as ``error``. ``meta`` is what the
-    program stored in ``ctx.meta`` on the surviving pass (``context_passages``,
-    say); trace files do not carry it."""
+    """The one record of a run: its steps in invocation order, its surviving
+    pass's searches, its pass count, and its prediction or why it has none. A
+    halting assertion sets ``halted`` and ``error``; a run an error stopped (a
+    backend's, or the pass budget's) is that error's ``partial_result``, with
+    its message and class name as ``error`` and ``error_type``."""
 
     prediction: Optional[Prediction]
     steps: list[TraceStep]
-    meta: dict[str, Any] = field(default_factory=dict)
+    retrievals: list[Retrieval] = field(default_factory=list)
+    passes: int = 1
     halted: bool = False
     error: Optional[str] = None
+    error_type: Optional[str] = None
 
     def outcomes(self) -> list[ConstraintOutcome]:
         """All constraint outcomes in evaluation order."""

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .backend import BackendError
 from .core import RunResult
 from .metrics import MetricReport, TaskExample, suggestions_passed, summarize_rows
-from .runtime import Program, RuntimeConfig, run_with_backtracking
+from .runtime import PassBudgetExceeded, Program, RuntimeConfig, run_with_backtracking
 from .tasks import TASKS
 
 logger = logging.getLogger(__name__)
@@ -28,14 +28,24 @@ def run_task_example(
     return run_with_backtracking(program, inputs, config, backend)
 
 
+def error_row(example: TaskExample, error: str, error_type: str) -> dict:
+    return {"question": example.question, "error": error, "error_type": error_type}
+
+
 def score_example(task: str, example: TaskExample, run: RunResult) -> dict:
-    """Build one report row from a run; a halted run has no prediction."""
+    """Build one report row from a run: the error of a run an error stopped,
+    or else the run's scores, flagged ``halted`` for a halted run (which has
+    no prediction)."""
+    if run.error_type is not None:
+        return error_row(example, run.error, run.error_type)
     sp, vacuous = suggestions_passed(run)
     row: dict = {"question": example.question, "suggestions_passed": sp}
     if vacuous:
         row["suggestions_vacuous"] = True
     outputs = run.prediction.outputs if run.prediction else {}
     row.update(TASKS[task].score(example, outputs, run))
+    if run.halted:
+        row["halted"] = True
     return row
 
 
@@ -49,27 +59,21 @@ def evaluate_dataset(
 ) -> tuple[list[dict], list[Optional[RunResult]]]:
     """Run and score every example. Any exception while running or scoring an
     example becomes that example's error row, with the exception's type and
-    message; the other examples still run. A backend error's ``partial_result``,
-    the steps completed before it with the error message, is that example's
-    result."""
-
-    def error_row(example: TaskExample, exc: Exception) -> dict:
-        return {"question": example.question, "error": str(exc),
-                "error_type": type(exc).__name__}
+    message; the other examples still run. For a backend error or a run over
+    the pass budget, the error's ``partial_result`` (the run so far, with the
+    error) is that example's result, and scores as its error row."""
 
     def run_one(index: int) -> tuple[dict, Optional[RunResult]]:
         example = examples[index]
         try:
-            result = run_task_example(program, example, config, backend)
-            row = score_example(task, example, result)
-        except BackendError as exc:
-            return error_row(example, exc), exc.partial_result
+            try:
+                result = run_task_example(program, example, config, backend)
+            except (BackendError, PassBudgetExceeded) as exc:
+                result = exc.partial_result
+            return score_example(task, example, result), result
         except Exception as exc:  # a bug in a program or predicate: keep evaluating
             logger.exception("example %d failed", index)
-            return error_row(example, exc), None
-        if result.halted:
-            row["halted"] = True
-        return row, result
+            return error_row(example, str(exc), type(exc).__name__), None
 
     indices = range(len(examples))
     if workers <= 1:

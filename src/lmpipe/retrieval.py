@@ -19,8 +19,9 @@ Persistence: ``load_index`` keeps a built index in a sidecar file next to a
 corpus file (``<corpus>.bm25idx``) and loads it on later calls instead of
 re-reading and re-tokenizing the corpus. The sidecar is keyed by the
 corpus's sha256, the tokenizer version, the format version and the byte
-order; any mismatch, or a sidecar whose sizes or passage offsets do not
-check out, means a rebuild and a rewrite. It stores the index's arrays as
+order; any mismatch, or a sidecar whose sizes, passage offsets or doc-id
+checksum (CRC-32) do not check out, means a rebuild and a rewrite. It
+stores the index's arrays as
 raw bytes and every passage in one UTF-8 block, so a load reads them into
 arrays sized in advance and decodes the block with one call, and builds
 nothing per passage: ``Passages`` slices a passage out of the block when it
@@ -36,16 +37,9 @@ among those sorted, so ties at the cut still break by insertion order.
 Matched passages always score above zero, so when fewer than k passages
 match, the rest of the list is the unmatched passages in insertion order.
 
-Ranked memo: an index keeps the doc ids of its last ``RANKED_MEMO_CAP``
-rankings, keyed by ``(query, k)``, so a query that a retry or another
-program run sends again is not scored again. The passages, spans, doc ids
-and weights never change after ``build`` or a load, so a remembered ranking
-is always the one a fresh ranking would give. The memo holds doc ids only,
-never text, and once full it drops its oldest entry for each new one.
-
-Thread safety: threads may share one index. Only the memo is written after
-``build`` or a load; a lock guards each insert and eviction, and a lookup is
-one ``dict.get``.
+Thread safety: an index never changes after ``build`` or a load, so threads
+share one without a lock. A retried run's earlier searches are replayed by
+the engine (``ExecutionContext.retrieve``), not remembered by the index.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
+import zlib
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -77,11 +71,8 @@ BM25_B = 0.75
 # return other tokens for some text, and INDEX_FORMAT whenever the sidecar's
 # layout changes: either makes every existing sidecar stale.
 TOKENIZER_VERSION = 1
-INDEX_FORMAT = 3
+INDEX_FORMAT = 4
 SIDECAR_SUFFIX = ".bm25idx"
-# rankings an index remembers (doc ids only): far more than the distinct
-# queries of one eval or compile command over the bundled tasks
-RANKED_MEMO_CAP = 256
 # sidecar bytes per passage offset, and per (term, passage) entry: its doc id
 # and its weight
 _OFFSET_BYTES = array("I").itemsize
@@ -157,13 +148,8 @@ class RetrieverIndex:
     _spans: dict[str, tuple[int, int]] = field(repr=False)
     _docs: array = field(repr=False)  # array('I')
     _weights: array = field(repr=False)  # array('d')
-    # (query, k) -> ranked doc ids, oldest first; written under _memo_lock
-    _memo: dict[tuple[str, int], tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _memo_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
-    def __deepcopy__(self, memo):  # programs share one index, and so its ranked memo
+    def __deepcopy__(self, memo):  # immutable: program copies share one index
         return self
 
     @classmethod
@@ -228,35 +214,24 @@ class RetrieverIndex:
 
 def retrieve(index: RetrieverIndex, query: str, k: int) -> list[Passage]:
     """Top-k passages by BM25 score; for an empty or unseen query, the first k
-    passages in insertion order (everything scores zero and ties keep order).
-    Each call returns a new list, from the index's memo when this (query, k)
-    was ranked before."""
+    passages in insertion order (everything scores zero and ties keep order)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.passages:
         raise ValueError("retriever index is empty")
-    key = (query, k)
-    top = index._memo.get(key)
-    if top is None:
-        scores = index.scores(query)
-        if len(scores) > k:
-            # only a passage that scores at least the k-th best score can rank
-            cut = heapq.nlargest(k, scores.values())[-1]
-            ranked = [doc for doc, score in scores.items() if score >= cut]
-        else:
-            ranked = list(scores)
-        ranked.sort(key=lambda doc: (-scores[doc], doc))
-        del ranked[k:]
-        if len(ranked) < k:
-            unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
-            ranked += islice(unmatched, k - len(ranked))
-        top = tuple(ranked)
-        with index._memo_lock:
-            if key not in index._memo:
-                if len(index._memo) >= RANKED_MEMO_CAP:
-                    del index._memo[next(iter(index._memo))]  # the oldest
-                index._memo[key] = top
-    return [index.passages[doc] for doc in top]
+    scores = index.scores(query)
+    if len(scores) > k:
+        # only a passage that scores at least the k-th best score can rank
+        cut = heapq.nlargest(k, scores.values())[-1]
+        ranked = [doc for doc, score in scores.items() if score >= cut]
+    else:
+        ranked = list(scores)
+    ranked.sort(key=lambda doc: (-scores[doc], doc))
+    del ranked[k:]
+    if len(ranked) < k:
+        unmatched = (doc for doc in range(len(index.passages)) if doc not in scores)
+        ranked += islice(unmatched, k - len(ranked))
+    return [index.passages[doc] for doc in ranked]
 
 
 def deduplicate(passages: Sequence[Passage]) -> list[Passage]:
@@ -304,7 +279,8 @@ def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
     """The index a sidecar holds, or None if it is missing, stale or malformed.
 
     Layout: a line of JSON, ``{"key", "passages", "block_bytes", "terms":
-    {term: document frequency}}``; the passages' offsets (``Passages``'s
+    {term: document frequency}, "docs_crc32"}``, the last the CRC-32 of the
+    doc-id bytes; the passages' offsets (``Passages``'s
     ``ends``, ``2 * passages + 1`` of them) as raw ``array('I')`` bytes; the
     passages' block, ``block_bytes`` of UTF-8 (``surrogatepass``); then every
     term's doc ids, in header order, as raw ``array('I')`` bytes, and after
@@ -316,6 +292,7 @@ def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
             if not isinstance(header, dict) or header.get("key") != key:
                 return None
             n_docs, n_bytes, counts = header["passages"], header["block_bytes"], header["terms"]
+            crc = header["docs_crc32"]
             if not all(type(size) is int and size >= 0 for size in (n_docs, n_bytes)):
                 return None
             if not all(type(count) is int and count > 0 for count in counts.values()):
@@ -333,6 +310,8 @@ def _read_sidecar(path: Path, key: dict) -> RetrieverIndex | None:
         return None
     bounds = ends.tolist()
     if bounds[0] != 0 or bounds[-1] != len(block) or bounds != sorted(bounds):
+        return None
+    if zlib.crc32(docs) != crc:  # a damaged doc id would drop or misplace a passage
         return None
     spans, end = {}, 0
     for term, count in counts.items():
@@ -357,6 +336,7 @@ def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Pa
         "passages": len(passages),
         "block_bytes": len(block),
         "terms": {term: end - start for term, (start, end) in index._spans.items()},
+        "docs_crc32": zlib.crc32(index._docs),
     }
     tmp = None
     try:

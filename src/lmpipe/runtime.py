@@ -14,20 +14,20 @@ second hop of a loop is a fresh site with a fresh budget.
 
 The engine re-runs the program's forward pass to hand control back to a
 failing module. Each call position keeps its latest fresh invocation in a
-slot, so the work before the backtrack target replays from the slots without
-re-recording trace steps or re-invoking the backend; everything at and after
-the target re-executes fresh, which rolls back any downstream state the
-discarded attempt produced.
+slot, so the work before the backtrack target replays from the slots (and
+searches from the previous pass) without re-recording trace steps or
+re-invoking the backend; everything at and after the target re-executes
+fresh, which rolls back any downstream state the discarded attempt produced.
 
 Replay relies on one invariant: ``forward`` is a function of its inputs and of
-the predictions it receives. A replayed constraint keeps its recorded outcome
-and is not evaluated again. A call whose module or inputs differ from its
-slot's runs fresh and ends the replay; from there on every call and constraint
-runs fresh, and the target call still takes the retry's feedback.
+the predictions and passages it receives. A replayed constraint keeps its
+recorded outcome and is not evaluated again. A call or search whose arguments
+differ from the previous pass's runs fresh and ends the replay; from there on
+everything runs fresh, and the target call still takes the retry's feedback.
 
-Every run ends in one ``RunResult`` holding its steps: a prediction, a halt,
-or a backend error that carries the run so far. ``save_trace`` writes a
-``RunResult`` as a trace file and ``load_trace`` reads it back.
+Every run ends in one ``RunResult``: a prediction, a halt, or an error (a
+backend's, or the pass budget's) that carries the run so far. ``save_trace``
+writes a ``RunResult`` as a trace file and ``load_trace`` reads it back.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .backend import BackendError, stable_digest
 from .core import (
@@ -49,6 +49,7 @@ from .core import (
     WARNED,
     ConstraintOutcome,
     Prediction,
+    Retrieval,
     RunResult,
     TraceStep,
     payload_field,
@@ -59,7 +60,7 @@ from .modules import PredictModule, parse_completion
 
 logger = logging.getLogger(__name__)
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 BACKTRACK_DEFAULT = "backtrack_default"
 SUPPRESS_ASSERT_LOG = "suppress_assert_log"
@@ -144,6 +145,10 @@ class AssertionHalt(RuntimeError):
     """An assert constraint exhausted its retries; the run stops here with its message."""
 
 
+class PassBudgetExceeded(RuntimeError):
+    """A run still backtracked after ``_MAX_PASSES`` passes; ``partial_result`` is the run so far."""
+
+
 class _Backtrack(Exception):
     def __init__(self, site: int, target_pos: int):
         self.site = site
@@ -190,15 +195,12 @@ class _Slot:
 class ExecutionContext:
     """Per-run state handed to Program.forward.
 
-    ``call`` invokes a module; ``suggest`` / ``check_assert`` evaluate
-    constraints. After a backtrack the pass replays up to the target call:
-    a call whose module and inputs equal its slot's returns the slot's
-    prediction, and a constraint evaluated before the target call keeps its
-    recorded outcome. This holds only while ``forward`` is a function of its
-    inputs and of the predictions it receives; a call whose module or inputs
-    differ runs fresh and ends the replay. ``meta`` is rebuilt every pass, so
-    anything the program stores there reflects only the surviving attempt;
-    the run's ``RunResult.meta`` keeps that pass's copy.
+    ``call`` invokes a module; ``retrieve`` searches; ``suggest`` /
+    ``check_assert`` evaluate constraints. After a backtrack the pass replays
+    up to the target call: a call or search whose arguments equal the
+    previous pass's returns its prediction or passages, and a constraint
+    evaluated before the target call keeps its recorded outcome. A call or
+    search that differs runs fresh and ends the replay.
     """
 
     def __init__(self, program: Program, backend, config: RuntimeConfig):
@@ -210,11 +212,14 @@ class ExecutionContext:
         self._slots: dict[int, _Slot] = {}
         self._retry_states: dict[int, RetryState] = {}
         self._eval_seq = 0
+        self._passes = 0
+        self._found: list[tuple[Retrieval, tuple]] = []  # this pass's searches
         self._begin_pass(None)
 
     def _begin_pass(self, backtrack: Optional[tuple[int, int]]) -> None:
         """Start a pass; ``backtrack`` is the (site, position) a retry returns to."""
-        self.meta: dict[str, Any] = {}
+        self._passes += 1
+        self._found_before, self._found = self._found, []
         self._pos = 0
         self._site_counter = 0
         self._backtrack = backtrack
@@ -252,6 +257,24 @@ class ExecutionContext:
         self.steps.append(step)
         self._slots[position] = _Slot(module, step, self._site_counter)
         return prediction
+
+    def retrieve(self, search: Callable, index: Any, query: str, k: int) -> list:
+        """``search(index, query, k)``'s passages as a new list, recorded on the run.
+        Before the backtrack target, the previous pass's for this (query, k) instead."""
+        if self._replaying and len(self._found) < len(self._found_before):
+            found, passages = self._found_before[len(self._found)]
+            if (found.query, found.k) == (query, k):
+                self._found.append((found, passages))
+                return list(passages)
+        self._replaying = False
+        passages = tuple(search(index, query, k))
+        self._found.append((Retrieval(query, k, [p.title for p in passages]), passages))
+        return list(passages)
+
+    def _result(self, prediction: Optional[Prediction], **ending: Any) -> RunResult:
+        return RunResult(prediction=prediction, steps=self.steps,
+                         retrievals=[found for found, _ in self._found], passes=self._passes,
+                         **ending)
 
     def suggest(
         self, condition: bool, message: str, backtrack: Optional[str] = None, label: str = ""
@@ -333,27 +356,28 @@ def run_with_backtracking(
 ) -> RunResult:
     """Execute a program, backtracking on failed constraints per the transition rules.
 
-    A backend error propagates with the run so far as its ``partial_result``."""
+    A backend error, or ``PassBudgetExceeded``, propagates with the run so far
+    as its ``partial_result``."""
     ctx = ExecutionContext(program, backend, config)
-    for _ in range(_MAX_PASSES):
-        try:
-            prediction = program.forward(ctx, **inputs)
-        except _Backtrack as b:
-            ctx._begin_pass((b.site, b.target_pos))
-            continue
-        except BackendError as exc:
-            exc.partial_result = RunResult(prediction=None, steps=ctx.steps, error=str(exc))
-            raise
-        except AssertionHalt as halt:
-            return RunResult(prediction=None, steps=ctx.steps, meta=dict(ctx.meta),
-                             halted=True, error=str(halt))
-        return RunResult(prediction=prediction, steps=ctx.steps, meta=dict(ctx.meta))
-    raise RuntimeError("backtracking did not terminate within the pass budget")
+    try:
+        while True:
+            try:
+                return ctx._result(program.forward(ctx, **inputs))
+            except _Backtrack as b:
+                if ctx._passes >= _MAX_PASSES:
+                    raise PassBudgetExceeded(
+                        "backtracking did not terminate within the pass budget") from None
+                ctx._begin_pass((b.site, b.target_pos))
+            except AssertionHalt as halt:
+                return ctx._result(None, halted=True, error=str(halt))
+    except (BackendError, PassBudgetExceeded) as exc:
+        exc.partial_result = ctx._result(None, error=str(exc), error_type=type(exc).__name__)
+        raise
 
 
 def trace_to_dict(result: RunResult) -> dict:
-    """A run as a trace file's JSON object: its steps, how it ended, and the
-    final prediction's outputs (null for a halted or failed run)."""
+    """A run as a trace file's JSON object: its steps, searches and passes, how
+    it ended, and the final prediction's outputs (null for a halted or failed run)."""
     steps = []
     for step in result.steps:
         steps.append({
@@ -371,7 +395,10 @@ def trace_to_dict(result: RunResult) -> dict:
         "version": TRACE_VERSION,
         "halted": result.halted,
         "error": result.error,
+        "error_type": result.error_type,
+        "passes": result.passes,
         "steps": steps,
+        "retrievals": [dict(vars(r)) for r in result.retrievals],
         "final_outputs": final,
     }
 
@@ -385,7 +412,8 @@ def trace_from_dict(data: dict) -> RunResult:
     version = data["version"]
     if version != TRACE_VERSION:
         raise ValueError(f"trace version mismatch: file has {version}, supported is {TRACE_VERSION}")
-    reject_unknown_keys(data, ("version", "halted", "error", "steps", "final_outputs"), "trace")
+    reject_unknown_keys(data, ("version", "halted", "error", "error_type", "passes", "steps",
+                               "retrievals", "final_outputs"), "trace")
     steps = []
     for raw in data["steps"]:
         reject_unknown_keys(raw, _STEP_KEYS, "trace step")
@@ -400,7 +428,9 @@ def trace_from_dict(data: dict) -> RunResult:
         ))
     final = data["final_outputs"]
     return RunResult(prediction=None if final is None else Prediction(outputs=final),
-                     steps=steps, halted=data["halted"], error=data["error"])
+                     steps=steps, retrievals=[Retrieval(**raw) for raw in data["retrievals"]],
+                     passes=data["passes"],
+                     halted=data["halted"], error=data["error"], error_type=data["error_type"])
 
 
 def write_json(payload: Any, path: str | Path) -> None:

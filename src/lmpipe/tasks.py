@@ -163,10 +163,8 @@ class MultiHopQA(Program):
             ctx.suggest(is_query_distinct(query, queries),
                         f"Query should be distinct from {queries}",
                         label="query_distinct")
-            context += retrieve(self.index, query, PASSAGES_PER_HOP)
+            context += ctx.retrieve(retrieve, self.index, query, PASSAGES_PER_HOP)
             queries.append(query)
-        ctx.meta["context_passages"] = [(p.title, p.text) for p in context]
-        ctx.meta["queries"] = queries[1:]
         return ctx.call(self.generate_answer,
                         context=passages_to_text(context), question=question)
 
@@ -194,8 +192,7 @@ class LongFormQA(Program):
         for _hop in range(HOPS):
             pred = ctx.call(self.generate_query,
                             context=passages_to_text(context), question=question)
-            context += retrieve(self.index, pred.outputs["query"], PASSAGES_PER_HOP)
-        ctx.meta["context_passages"] = [(p.title, p.text) for p in context]
+            context += ctx.retrieve(retrieve, self.index, pred.outputs["query"], PASSAGES_PER_HOP)
         pred = ctx.call(self.generate_cited_paragraph,
                         context=passages_to_text(context), question=question)
         paragraph = pred.outputs["paragraph"]
@@ -285,9 +282,8 @@ class TweetGen(Program):
         for hop in range(HOPS):
             pred = ctx.call(self.query_modules[hop],
                             context=passages_to_text(context), question=question)
-            passages = retrieve(self.index, pred.outputs["query"], PASSAGES_PER_HOP)
+            passages = ctx.retrieve(retrieve, self.index, pred.outputs["query"], PASSAGES_PER_HOP)
             context = deduplicate(context + passages)
-        ctx.meta["context_passages"] = [(p.title, p.text) for p in context]
         context_text = passages_to_text(context)
         pred = ctx.call(self.generate_tweet, question=question, context=context_text)
         tweet = pred.outputs["tweet"]
@@ -317,7 +313,8 @@ class TweetGen(Program):
 
 
 def _context_titles(run: RunResult) -> list[str]:
-    return [title for title, _ in run.meta.get("context_passages", [])]
+    """The answer's context: every title the surviving pass retrieved, in order."""
+    return [title for found in run.retrievals for title in found.titles]
 
 
 def _first_true(flags: Sequence[bool], default: bool = False) -> bool:

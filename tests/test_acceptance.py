@@ -202,9 +202,10 @@ def test_criterion_3_rollback(index, testset):
 
     result = run_task_example(MultiHopQA(index), example, ASSERTIVE,
                               script_backend("multihop_retry.json"))
-    passages = result.meta["context_passages"]
-    assert result.steps[-1].inputs["context"] == passages_to_text(passages)
-    titles = [title for title, _ in passages]
+    hop1_query, hop2_query = [found.query for found in result.retrievals]
+    hop1, hop2 = (retrieve(index, query, 3) for query in (hop1_query, hop2_query))
+    assert result.steps[-1].inputs["context"] == passages_to_text(hop1 + hop2)
+    titles = [title for found in result.retrievals for title in found.titles]
     assert len(titles) == 6
 
     would_have_retrieved = {p.title for p in retrieve(index, discarded_query, 3)}
@@ -212,9 +213,8 @@ def test_criterion_3_rollback(index, testset):
 
     # provenance: first three titles come from the fixed hop-1 query, last three
     # from the hop-2 query
-    hop1 = [p.title for p in retrieve(index, result.meta["queries"][0], 3)]
-    hop2 = [p.title for p in retrieve(index, result.meta["queries"][1], 3)]
-    assert titles == hop1 + hop2
+    assert hop1_query != discarded_query
+    assert titles == [p.title for p in hop1 + hop2]
 
 
 # --- criteria 4 and 5: bootstrapping ---------------------------------------------

@@ -22,8 +22,10 @@ from lmpipe.cli import (
 from lmpipe.core import parse_signature
 from lmpipe.evaluation import run_task_example
 from lmpipe.modules import PredictModule
+from lmpipe import runtime
 from lmpipe.runtime import (
     DISABLE_ALL,
+    TRACE_VERSION,
     Program,
     RuntimeConfig,
     load_trace,
@@ -317,7 +319,7 @@ def test_eval_backend_error_rows_leave_traces(runner, tmp_path):
     errors = [json.loads(path.read_text())["error"] for path in traces]
     assert errors == [row.get("error") for row in rows]
     assert errors.count(None) == 1
-    assert cmd_inspect_trace(traces[1]) == f"error: {rows[1]['error']}\n"
+    assert cmd_inspect_trace(traces[1]) == f"passes: 1\nerror: {rows[1]['error']}\n"
 
 
 def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
@@ -343,6 +345,37 @@ def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
     assert "Oakhaven Amphitheatre" in rendered
     assert rendered.splitlines()[-1] == f"error: {saved['error']}"
     assert saved["error"].startswith("unscripted prompt")
+    # the hop-1 search ran before the error, so the partial run records it
+    assert [r["query"] for r in saved["retrievals"]] == ["Oakhaven Amphitheatre"]
+    assert "retrieve k=3  Oakhaven Amphitheatre" in rendered
+
+
+def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(runner, tmp_path, monkeypatch):
+    # every query is too long: a pass budget of 4 stops the run in hop 2's
+    # retries, after hop 1's query warned and its search ran
+    question = "In which city was the designer of the Oakhaven Amphitheatre born?"
+    script = tmp_path / "long_queries.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"match": "Query: ${query}", "responses": ["Reasoning: r\nQuery: " + "x" * 120]},
+    ]}))
+    dataset = tmp_path / "one.jsonl"
+    dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
+    monkeypatch.setattr(runtime, "_MAX_PASSES", 4)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "multihop", "--strategy", "infer_assert", "--test", str(dataset),
+        "--offline", "--script", str(script), "--out", str(out),
+    ])
+    assert result.exit_code == 1  # the only example failed
+    row = json.loads((out / "report.json").read_text())["rows"][0]
+    assert row["error_type"] == "PassBudgetExceeded"
+    path = out / "traces" / "example_000.json"
+    saved = load_trace(path)
+    assert saved.error == row["error"] and saved.prediction is None and not saved.halted
+    assert saved.passes == 4
+    assert [s.attempt for s in saved.steps] == [0, 1, 2, 0, 1]
+    assert [r.query for r in saved.retrievals] == ["x" * 120]
+    assert cmd_inspect_trace(path).splitlines()[-2:] == ["passes: 4", f"error: {row['error']}"]
 
 
 def test_eval_all_failures_exits_nonzero(runner, tmp_path):
@@ -411,7 +444,7 @@ def test_inspect_trace_cli_version_mismatch(runner, tmp_path):
     path.write_text(json.dumps({"version": 9, "steps": []}))
     result = runner.invoke(main, ["inspect-trace", str(path)])
     assert result.exit_code != 0
-    assert "9" in result.output and "1" in result.output
+    assert f"file has 9, supported is {TRACE_VERSION}" in result.output
 
 
 def test_inspect_trace_cli_renders(runner, tmp_path):
@@ -484,7 +517,9 @@ def trace_file(step_change: Optional[dict] = None, constraint_change: Optional[d
                 del record[key]
             else:
                 record[key] = value
-    return {"version": 1, "halted": False, "error": None, "steps": [step], "final_outputs": {}}
+    return {"version": TRACE_VERSION, "halted": False, "error": None, "error_type": None,
+            "passes": 1, "steps": [step],
+            "retrievals": [{"query": "q", "k": 1, "titles": ["T"]}], "final_outputs": {}}
 
 
 def artifact_file(counterexample: Optional[dict] = None, demo: Optional[dict] = None,
@@ -501,7 +536,7 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
 @pytest.mark.parametrize("kind, content, error", [
     ("artifact", {"version": 1, "task": "multihop"}, "missing key 'modules'"),
     ("script", {"version": 1}, "missing key 'entries'"),
-    ("trace", {"version": 1}, "missing key 'steps'"),
+    ("trace", {"version": TRACE_VERSION}, "missing key 'steps'"),
     ("trace", "{not json", "Expecting property name enclosed in double quotes"),
     ("config", "{not json", "Expecting property name enclosed in double quotes"),
     ("artifact", artifact_file({"module_id": "generate_query", "failed_output": "a", "message": "m",
@@ -524,6 +559,9 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
      "unknown key 'note' in script entry"),
     ("script", {"version": 1, "entries": [], "note": "n"}, "unknown key 'note' in script"),
     ("artifact", {**artifact_file(), "note": "n"}, "unknown key 'note' in compiled program"),
+    ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": 1, "titles": [], "note": "n"}]},
+     "Retrieval.__init__() got an unexpected keyword argument 'note'"),
+    ("trace", {k: v for k, v in trace_file().items() if k != "passes"}, "missing key 'passes'"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"

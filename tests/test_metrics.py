@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lmpipe.core import (
     ConstraintOutcome,
     Prediction,
+    Retrieval,
     RunResult,
     TraceStep,
 )
@@ -125,13 +126,13 @@ def test_retrieval_recall_empty_gold_absent():
     assert retrieval_recall(["A"], frozenset()) is None
 
 
-def test_multihop_recall_reads_context_passages_from_trace_meta():
-    # the last step is a judge with an "N/A" context; recall reads the passages
-    # the program kept for its final pass, titles verbatim
+def test_multihop_recall_reads_context_titles_from_recorded_retrievals():
+    # the last step is a judge with an "N/A" context; recall reads the titles
+    # the surviving pass retrieved, verbatim
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"},
                            prediction=Prediction(outputs={}))
     run = RunResult(prediction=Prediction(outputs={"answer": "Paris"}), steps=[judge_step],
-                    meta={"context_passages": [("Gold | Annex", "b"), ("Other", "c")]})
+                    retrievals=[Retrieval("q1", 1, ["Gold | Annex"]), Retrieval("q2", 1, ["Other"])])
     example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))
     row = score_example("multihop", example, run)
     assert row["retrieval_recall"] == 1.0

@@ -4,8 +4,7 @@ sidecar against the oracles they replaced.
 Rankings must be equal, ties included, and every score the same float;
 tokens must be equal on any text; the loader must return the same passages
 and raise the same messages; an index loaded from its sidecar must be the
-index a build gives; a ranking remembered by an index's memo must be the
-ranking a fresh index gives.
+index a build gives.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from lmpipe.core import passages_to_text
 from lmpipe.evaluation import run_task_example
 from lmpipe.metrics import load_dataset
 from lmpipe.retrieval import (
-    RANKED_MEMO_CAP, SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve,
-    tokenize,
+    SIDECAR_SUFFIX, Passage, RetrieverIndex, load_corpus, load_index, retrieve, tokenize,
 )
 from lmpipe.runtime import BACKTRACK_DEFAULT, RuntimeConfig
 
@@ -98,7 +96,7 @@ def test_bundled_corpus_titles_match_oracle():
         assert_matches_oracle(passages, passage.title, [1, 3, len(passages) + 1])
 
 
-def test_concurrent_queries_on_fresh_index_match_oracle(monkeypatch):
+def test_concurrent_queries_on_fresh_index_match_oracle():
     passages = load_corpus(bundled_data_path("corpus.jsonl"))
     queries = [p.title for p in passages] + [p.text for p in passages[:10]]
     oracle = OracleIndex.build(passages)
@@ -131,13 +129,7 @@ def test_concurrent_queries_on_fresh_index_match_oracle(monkeypatch):
         return results
 
     assert run_threads() == [expected] * n_threads
-    assert len(index._memo) == len(queries)
-    assert run_threads() == [expected] * n_threads  # every query a memo hit
-    # a memo smaller than the query list evicts while the threads read it
-    monkeypatch.setattr(retrieval, "RANKED_MEMO_CAP", 8)
-    index._memo.clear()
-    assert run_threads() == [expected] * n_threads
-    assert len(index._memo) == 8
+    assert run_threads() == [expected] * n_threads  # the queries again, on the same index
 
 
 def bundled_index() -> RetrieverIndex:
@@ -146,7 +138,7 @@ def bundled_index() -> RetrieverIndex:
 
 def test_retried_run_scores_each_distinct_query_once(monkeypatch):
     # hop 2 first repeats the hop-1 query; the distinctness suggestion sends
-    # the run back, and the second pass retrieves the hop-1 query again
+    # the run back, and the second pass replays its hop-1 search
     example = load_dataset(bundled_data_path("test.jsonl"))[0]
     subject, person = "Oakhaven Amphitheatre", "Anton Marwick"
     hop2_ctx_line = passages_to_text(retrieve(bundled_index(), subject, 3)).split("\n")[-1]
@@ -168,41 +160,11 @@ def test_retried_run_scores_each_distinct_query_once(monkeypatch):
     result = run_task_example(tasks.MultiHopQA(bundled_index()), example,
                               RuntimeConfig(handler_policy=BACKTRACK_DEFAULT), backend)
     assert [o.disposition for o in result.outcomes_by_site()[3]] == ["retried", "passed"]
-    assert retrieved == {subject: 2, person: 1}  # hop 1 in each pass, then hop 2
+    assert retrieved == {subject: 1, person: 1}  # pass 2 replays hop 1, then searches hop 2
     assert scored == {subject: 1, person: 1}
-
-
-def test_memo_hit_returns_a_new_list():
-    passages = load_corpus(bundled_data_path("corpus.jsonl"))
-    index, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
-    query = passages[0].title
-    first = retrieve(index, query, 3)
-    first.reverse()
-    first.append(Passage("Made", "up"))
-    second = retrieve(index, query, 3)
-    assert second is not first and second == oracle_retrieve(oracle, query, 3)
-    second.clear()
-    assert retrieve(index, query, 3) == oracle_retrieve(oracle, query, 3)
-
-
-def test_memo_keeps_the_newest_cap_rankings():
-    passages = load_corpus(bundled_data_path("corpus.jsonl"))
-    index, oracle = RetrieverIndex.build(passages), OracleIndex.build(passages)
-    titles = [p.title for p in passages]
-    queries = [f"{a} {b}" for a in titles for b in titles][:RANKED_MEMO_CAP + 1]
-    assert len(set(queries)) == RANKED_MEMO_CAP + 1
-    for k, query in enumerate(queries):
-        k = 1 + k % 4
-        assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
-    assert len(index._memo) == RANKED_MEMO_CAP
-    assert (queries[0], 1) not in index._memo  # the oldest went first
-    assert list(index._memo) == [(q, 1 + k % 4) for k, q in enumerate(queries)][1:]
-    for k, query in enumerate(queries):  # hits, then the evicted one again
-        k = 1 + k % 4
-        assert retrieve(index, query, k) == oracle_retrieve(oracle, query, k)
-    assert len(index._memo) == RANKED_MEMO_CAP
-    # the same query at another k is another entry, and ranks afresh
-    assert retrieve(index, queries[1], 5) == oracle_retrieve(oracle, queries[1], 5)
+    assert [(r.query, r.titles) for r in result.retrievals] == [
+        (q, [p.title for p in retrieve(bundled_index(), q, 3)]) for q in (subject, person)
+    ]
 
 
 # Characters whose lowercase or UTF-8 form could trip a byte-level tokenizer:
@@ -432,9 +394,6 @@ def test_sidecar_index_matches_build_and_oracle(tmp_path_factory, passages, quer
             assert scores.get(doc, 0.0) == oracle.score(query, doc)
         k = data.draw(st.integers(min_value=1, max_value=len(passages) + 2), label="k")
         assert retrieve(loaded, query, k) == retrieve(built, query, k) == oracle_retrieve(oracle, query, k)
-    # the memo is no part of an index's value: queried or not, a loaded index
-    # equals a built one
-    assert loaded._memo and not first._memo
     assert loaded == first == built and index_state(loaded) == index_state(built)
 
 
@@ -530,7 +489,7 @@ def fewer_passages(corpus: Path, sidecar: Path) -> None:
 
 
 def sidecar_parts(sidecar: Path) -> tuple[dict, array, bytes, bytes]:
-    """A format-3 sidecar's header, passage offsets, block, and the doc id and
+    """A format-4 sidecar's header, passage offsets, block, and the doc id and
     weight bytes after them."""
     line, rest = sidecar.read_bytes().split(b"\n", 1)
     header = json.loads(line)
@@ -653,9 +612,19 @@ def write_format_2_sidecar(corpus: Path) -> None:
         index._weights.tofile(handle)
 
 
-def test_format_1_and_2_sidecars_are_rebuilt_as_format_3(corpus):
+def write_format_3_sidecar(corpus: Path) -> None:
+    """The sidecar as format 3 laid it out: format 4's, without the doc-id
+    checksum."""
+    load_index(corpus)
+    header, ends, block, rest = sidecar_parts(sidecar_of(corpus))
+    del header["docs_crc32"]
+    header["key"] = legacy_key(corpus, 3)
+    write_sidecar_parts(sidecar_of(corpus), header, ends, block, rest)
+
+
+def test_format_1_2_and_3_sidecars_are_rebuilt_as_format_4(corpus):
     oracle = OracleIndex.build(load_corpus(corpus))
-    for write_legacy in (write_format_1_sidecar, write_format_2_sidecar):
+    for write_legacy in (write_format_1_sidecar, write_format_2_sidecar, write_format_3_sidecar):
         write_legacy(corpus)
         with counting_build() as builds:
             index = load_index(corpus)
@@ -663,9 +632,37 @@ def test_format_1_and_2_sidecars_are_rebuilt_as_format_3(corpus):
             assert index_state(load_index(corpus)) == index_state(index)  # from the rewritten sidecar
             assert builds.call_count == 1
         header = json.loads(sidecar_of(corpus).read_bytes().split(b"\n", 1)[0])
-        assert header["key"]["format"] == 3
+        assert header["key"]["format"] == 4
         for passage in index.passages:
             assert retrieve(index, passage.title, 3) == oracle_retrieve(oracle, passage.title, 3)
+
+
+def test_sidecar_with_a_doc_id_out_of_range_is_rebuilt(tmp_path):
+    # one doc id of "oak" rewritten to 99 in a 4-passage index keeps every size
+    # and offset check, and "oak" would rank without the passage it replaced
+    passages = [Passage("T0", "oak"), Passage("T1", "oak river"), Passage("T2", "mill"),
+                Passage("T3", "oak oak stone")]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", passages)
+    load_index(corpus)
+    header, ends, block, rest = sidecar_parts(sidecar_of(corpus))
+    start = 0
+    for term, count in header["terms"].items():
+        if term == "oak":
+            break
+        start += count
+    docs = array("I")
+    docs.frombytes(rest[:docs.itemsize * sum(header["terms"].values())])
+    assert docs[start] == 0  # oak's first passage, T0
+    docs[start] = 99
+    write_sidecar_parts(sidecar_of(corpus), header, ends, block,
+                        docs.tobytes() + rest[len(docs.tobytes()):])
+    built = RetrieverIndex.build(passages)
+    with counting_build() as builds:
+        loaded = load_index(corpus)
+        assert builds.call_count == 1
+    assert index_state(loaded) == index_state(built)
+    assert retrieve(loaded, "oak", 3) == retrieve(built, "oak", 3)
+    assert retrieve(loaded, "oak", 3) == oracle_retrieve(OracleIndex.build(passages), "oak", 3)
 
 
 @pytest.mark.parametrize("constant", ["TOKENIZER_VERSION", "INDEX_FORMAT"])

@@ -6,14 +6,29 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
-from lmpipe.core import FAILED, HALTED, PASSED, RETRIED, WARNED, parse_signature
+from lmpipe import runtime, tasks
+from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
+from lmpipe.cli import bundled_data_path
+from lmpipe.core import (
+    FAILED,
+    HALTED,
+    PASSED,
+    RETRIED,
+    WARNED,
+    Retrieval,
+    parse_signature,
+    passages_to_text,
+)
+from lmpipe.evaluation import evaluate_dataset
+from lmpipe.metrics import load_dataset
 from lmpipe.modules import PredictModule, chain_of_thought
+from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus, retrieve
 from lmpipe.runtime import (
     BACKTRACK_DEFAULT,
     BYPASS_SUGGEST_ONLY,
     DISABLE_ALL,
     SUPPRESS_ASSERT_LOG,
+    PassBudgetExceeded,
     Program,
     RetryState,
     RuntimeConfig,
@@ -314,6 +329,11 @@ def test_backtracking_replays_upstream_without_duplicates():
     assert len(first_prompts) == 1
 
 
+def echo_search(index, query: str, k: int) -> list[Passage]:
+    """A search that finds k passages titled after the query."""
+    return [Passage(f"{query} {rank}", index) for rank in range(k)]
+
+
 class AccumulatingProgram(Program):
     """Loop that accumulates state; retries must rebuild it from scratch."""
 
@@ -328,8 +348,7 @@ class AccumulatingProgram(Program):
             pred = ctx.call(self.gen, prompt=f"{prompt} step{i}")
             ctx.suggest("bad" not in pred.outputs["value"], "Value should not be bad",
                         label="not_bad")
-            collected.append(pred.outputs["value"])
-        ctx.meta["collected"] = collected
+            collected += ctx.retrieve(echo_search, "", pred.outputs["value"], 1)
         return pred
 
 
@@ -340,7 +359,8 @@ def test_rollback_discards_state_from_failed_attempts():
     ]))
     result = run_with_backtracking(AccumulatingProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    assert result.meta["collected"] == ["fine", "better"]
+    # the run records only the surviving pass's searches
+    assert result.retrievals == [Retrieval("fine", 1, ["fine 0"]), Retrieval("better", 1, ["better 0"])]
 
 
 class JudgedProgram(Program):
@@ -594,6 +614,17 @@ def test_replay_determinism():
     assert run_once() == run_once()
 
 
+def test_pass_budget_carries_the_run_so_far(monkeypatch):
+    monkeypatch.setattr(runtime, "_MAX_PASSES", 3)
+    with pytest.raises(PassBudgetExceeded) as err:
+        run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
+                              RuntimeConfig(max_retries=5), echo_backend(10))
+    partial = err.value.partial_result
+    assert partial.passes == 3 and [s.attempt for s in partial.steps] == [0, 1, 2]
+    assert partial.prediction is None and not partial.halted
+    assert partial.error == str(err.value)
+
+
 def test_backend_errors_carry_partial_trace():
     from lmpipe.backend import UnscriptedPromptError
 
@@ -611,6 +642,159 @@ def test_backend_errors_carry_partial_trace():
     assert partial.error == str(err.value)
 
 
+# --- searches as engine steps ----------------------------------------------------
+
+class SearchingProgram(Program):
+    """Two hops of query then search, then an answer; a query or an answer
+    holding "bad" is retried. ``mangle`` makes forward reorder and extend each
+    list a search returns, after keeping a copy of it."""
+
+    def __init__(self, mangle: bool = False):
+        super().__init__()
+        self.mangle = mangle
+        self.searched: list[str] = []
+        self.returned: list[tuple[list, list]] = []  # (list returned, its contents then)
+        self.query = self.register(PredictModule(
+            module_id="query", signature=parse_signature("context, question -> query")))
+        self.answer = self.register(PredictModule(
+            module_id="answer", signature=parse_signature("context, question -> answer")))
+
+    def search(self, index, query, k):
+        self.searched.append(query)
+        return echo_search(index, query, k)
+
+    def forward(self, ctx, question):
+        context = []
+        for _hop in range(2):
+            query = ctx.call(self.query, context=passages_to_text(context),
+                             question=question).outputs["query"]
+            ctx.suggest("bad" not in query, "Query should not be bad", label="query_ok")
+            found = ctx.retrieve(self.search, "text", query, 2)
+            self.returned.append((found, list(found)))
+            if self.mangle:
+                found.reverse()
+                found.append(Passage("Made", "up"))
+            context += self.returned[-1][1]
+        answer = ctx.call(self.answer, context=passages_to_text(context), question=question)
+        ctx.suggest("bad" not in answer.outputs["answer"], "Answer should not be bad",
+                    label="answer_ok")
+        return answer
+
+
+def searching_backend(hop_2_queries: list[str], answers: list[str]) -> CachingBackend:
+    return CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Answer: ${answer}", responses=[f"Answer: {a}" for a in answers]),
+        ScriptEntry(match="Context: N/A", responses=["Query: first"]),
+        ScriptEntry(match="[2] first 1", responses=[f"Query: {q}" for q in hop_2_queries]),
+    ]))
+
+
+def run_searching(hop_2_queries: list[str], answers: list[str], mangle: bool = False):
+    program = SearchingProgram(mangle)
+    result = run_with_backtracking(program, {"question": "Q"}, RuntimeConfig(max_retries=2),
+                                   searching_backend(hop_2_queries, answers))
+    return program, result
+
+
+FOUND_FIRST = Retrieval("first", 2, ["first 0", "first 1"])
+FOUND_SECOND = Retrieval("second", 2, ["second 0", "second 1"])
+
+
+def test_retried_pass_does_not_search_before_its_target():
+    # the answer is retried: both searches come before its call, and replay
+    program, result = run_searching(["second"], ["bad", "good"])
+    assert result.passes == 2 and result.prediction.outputs == {"answer": "good"}
+    assert program.searched == ["first", "second"]
+    assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
+    # the replayed passages are the ones the first pass found
+    assert [copy for _, copy in program.returned[2:]] == [copy for _, copy in program.returned[:2]]
+
+
+def test_two_deep_retries_replay_from_the_pass_before():
+    # pass 1 retries hop 2's query; pass 2 searches the new query fresh and
+    # retries the answer; pass 3 replays both searches, hop 2's from pass 2
+    program, result = run_searching(["bad second", "second"], ["bad", "good"])
+    assert result.passes == 3 and result.prediction.outputs == {"answer": "good"}
+    assert program.searched == ["first", "second"]
+    assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
+
+
+def test_every_search_returns_a_new_list():
+    # forward reorders and extends each list it gets; the replayed lists are
+    # new, and hold what the searches found
+    program, result = run_searching(["second"], ["bad", "good"], mangle=True)
+    assert program.searched == ["first", "second"]
+    lists = [found for found, _ in program.returned]
+    assert len({id(found) for found in lists}) == 4
+    assert [copy for _, copy in program.returned] == [echo_search("text", q, 2)
+                                                       for q in ("first", "second") * 2]
+    assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
+
+
+class DriftingSearchProgram(Program):
+    """Breaks the replay invariant on purpose: the search's query reads a
+    pass counter."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = 0
+        self.searched: list[str] = []
+        self.first = self.register(PredictModule(
+            module_id="first", signature=parse_signature("prompt -> draft")))
+        self.second = self.register(PredictModule(
+            module_id="second", signature=parse_signature("draft -> value")))
+
+    def search(self, index, query, k):
+        self.searched.append(query)
+        return echo_search(index, query, k)
+
+    def forward(self, ctx, prompt):
+        self.passes += 1
+        draft = ctx.call(self.first, prompt=prompt).outputs["draft"]
+        found = ctx.retrieve(self.search, "", f"{draft} {self.passes}", 1)
+        ctx.suggest(found[0].title.startswith("d"), "Draft should be found", label="found")
+        pred = ctx.call(self.second, draft=draft)
+        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        return pred
+
+
+def test_replay_ends_at_a_search_whose_query_changed():
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Prompt: go", responses=["Draft: d"]),
+        ScriptEntry(match="Draft: d", responses=["Value: bad", "Value: ok"]),
+    ]))
+    program = DriftingSearchProgram()
+    result = run_with_backtracking(program, {"prompt": "go"}, RuntimeConfig(max_retries=2), backend)
+    # pass 2 replays `first`, but its search has a new query: it runs fresh
+    # and ends the replay, so `found` is evaluated again before `second`
+    # takes value_ok's feedback
+    assert program.passes == 2 and program.searched == ["d 1", "d 2"]
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
+        ("first", 0), ("second", 0), ("second", 1),
+    ]
+    assert site_dispositions(result) == {0: ["passed", "passed"], 1: ["retried", "passed"]}
+    assert result.retrievals == [Retrieval("d 2", 1, ["d 2 0"])]
+    assert result.prediction.outputs == {"value": "ok"}
+
+
+def test_workers_share_one_index_and_rank_as_one_worker():
+    index = RetrieverIndex.build(load_corpus(bundled_data_path("corpus.jsonl")))
+    fresh = RetrieverIndex.build(load_corpus(bundled_data_path("corpus.jsonl")))
+    examples = load_dataset(bundled_data_path("test.jsonl")) * 4
+    script = load_script(bundled_data_path("scripts/multihop_retry.json"))
+    runs = {}
+    for workers in (1, 4):
+        program = tasks.MultiHopQA(index)
+        rows, results = evaluate_dataset("multihop", program, examples, RuntimeConfig(),
+                                         CachingBackend(ScriptedBackend(script)), workers=workers)
+        runs[workers] = (rows, [r.retrievals for r in results])
+    assert runs[4] == runs[1]
+    retrievals = [found for run in runs[1][1] for found in run]
+    assert len(retrievals) == 8  # two hops in each of the four runs the script answers
+    for found in retrievals:
+        assert found.titles == [p.title for p in retrieve(fresh, found.query, found.k)]
+
+
 # --- trace serialization -------------------------------------------------------
 
 def test_trace_save_load_round_trip(tmp_path):
@@ -619,7 +803,7 @@ def test_trace_save_load_round_trip(tmp_path):
     path = tmp_path / "trace.json"
     save_trace(result, path)
     loaded = load_trace(path)
-    assert not loaded.halted and loaded.error is None
+    assert not loaded.halted and loaded.error is None and loaded.passes == result.passes == 2
     assert [(s.module_id, s.attempt) for s in loaded.steps] == \
         [(s.module_id, s.attempt) for s in result.steps]
     assert {s: [o.disposition for o in outs] for s, outs in loaded.outcomes_by_site().items()} == \

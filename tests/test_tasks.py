@@ -9,7 +9,7 @@ from lmpipe.cli import bundled_data_path
 from lmpipe.core import passages_to_text
 from lmpipe.evaluation import run_task_example, score_example
 from lmpipe.metrics import answer_em, load_dataset, retrieval_recall, suggestions_passed
-from lmpipe.retrieval import RetrieverIndex, load_corpus
+from lmpipe.retrieval import RetrieverIndex, load_corpus, retrieve
 from lmpipe.runtime import BACKTRACK_DEFAULT, DISABLE_ALL, RuntimeConfig
 from lmpipe.tasks import (
     COMPLETE,
@@ -45,12 +45,13 @@ def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
                               script_backend("multihop_all_pass.json"))
     assert not result.halted
-    passages = result.meta["context_passages"]
+    passages = [p for found in result.retrievals for p in retrieve(index, found.query, found.k)]
     assert len(passages) == 6
+    assert [p.title for p in passages] == [t for found in result.retrievals for t in found.titles]
     assert result.steps[-1].inputs["context"] == passages_to_text(passages)
     assert suggestions_passed(result) == (1.0, False)
     assert answer_em(result.prediction.outputs["answer"], ex.answer) == 1.0
-    assert retrieval_recall([title for title, _ in passages], ex.gold_titles) == 1.0
+    assert retrieval_recall([p.title for p in passages], ex.gold_titles) == 1.0
 
 
 def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
@@ -95,7 +96,7 @@ def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
     # site 3 is hop-2 distinctness: the duplicate retried, the fix passed
     assert [o.disposition for o in sites[3]] == ["retried", "passed"]
     assert [o.label for o in sites[3]] == ["query_distinct", "query_distinct"]
-    assert result.meta["queries"] == [subject, person]
+    assert [found.query for found in result.retrievals] == [subject, person]
 
 
 def test_multihop_without_assertions_records_but_never_retries(index, test_examples):
@@ -189,8 +190,13 @@ def test_tweet_uses_per_hop_query_modules(index, test_examples):
 def test_tweet_deduplicates_context(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    titles_and_bodies = result.meta["context_passages"]
-    assert len(titles_and_bodies) == len(set(titles_and_bodies))
+    # the tweet's context holds each retrieved passage once
+    titles = [title for found in result.retrievals for title in found.titles]
+    context = next(s for s in result.steps if s.module_id == "generate_tweet").inputs["context"]
+    assert len(titles) == 6 and len(set(titles)) < 6
+    assert [line.split(" | ")[0] for line in context.split("\n")] == [
+        f"[{rank}] {title}" for rank, title in enumerate(dict.fromkeys(titles), start=1)
+    ]
 
 
 def test_tweet_suggestion_order(index, test_examples):
@@ -207,7 +213,7 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
     ex = test_examples[0]
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE,
                               script_backend("multihop_retry.json"))
-    queries = result.meta["queries"]
+    queries = [found.query for found in result.retrievals]
     history = [ex.question]
     recounted = []
     for query in queries:

@@ -9,9 +9,9 @@ passage (regex before, byte table after) and loading the corpus from a JSONL
 file (``json.loads`` per line before, ``raw_decode`` after), each the median
 over repetitions; top-3 queries at p50 and p90; and the memory the built
 index holds, measured with ``tracemalloc`` in a separate build. The queries
-are distinct and the index fresh, so each query is timed the first time the
-index sees it: the figures are BM25 scoring and ranking, never a hit in the
-index's memo of ranked results. Before and after alternate, run by run and
+are distinct, so each is one sample of BM25 scoring and ranking (an index
+keeps no ranked results; a retried run replays its searches in the engine,
+not here). Before and after alternate, run by run and
 query by query, so drifts in the host's speed hit both sides alike. Every
 query's ranked list is checked against the oracle's. The 20k row's absolute
 milliseconds move between runs with the host's load; its
@@ -110,7 +110,7 @@ def workload(size: int) -> tuple[list[Passage], list[str]]:
     assert len(passages) == size
     queries = [q for c in rng.sample(chains, min(QUERY_CHAINS, len(chains)))
                for q in (c.subject, c.person)]
-    if len(set(queries)) != len(queries):  # a repeat would time a memo hit
+    if len(set(queries)) != len(queries):  # a repeat would weigh one query twice
         raise AssertionError("the queries are not distinct")
     return passages, queries
 
@@ -160,7 +160,7 @@ def measure(size: int) -> dict:
         sidecar = measure_sidecar(corpus, passages, reps)
 
     oracle = OracleIndex.build(passages)
-    index = RetrieverIndex.build(passages)  # fresh: an empty memo
+    index = RetrieverIndex.build(passages)
     query_ms = {"before": [], "after": []}
     for query in queries:
         ms_before, expected = timed_ms(oracle_retrieve, oracle, query, K)
