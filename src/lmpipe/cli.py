@@ -19,6 +19,7 @@ from typing import Optional
 import click
 
 from .backend import (
+    BackendError,
     CachingBackend,
     EndpointConfig,
     HTTPBackend,
@@ -26,12 +27,19 @@ from .backend import (
     load_script,
 )
 from .core import read_json
-from .evaluation import bootstrap_metric, build_report, evaluate_dataset, run_task_example
+from .evaluation import (
+    BOOTSTRAP_MAX_SCORE,
+    bootstrap_metric,
+    build_report,
+    evaluate_dataset,
+    run_task_example,
+)
 from .metrics import MetricReport, load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
 from .retrieval import RetrieverIndex, load_corpus, load_index
 from .runtime import (
     DISABLE_ALL,
+    PassBudgetExceeded,
     RunResult,
     RuntimeConfig,
     load_trace,
@@ -194,6 +202,7 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     compiled, report = random_search_compile(
         program, trainset, devset, bootstrap_metric(config.task),
         config=compile_config, backend=backend, run_example=run_task_example,
+        max_score=BOOTSTRAP_MAX_SCORE,
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     artifact_path = config.out_dir / "compiled_program.json"
@@ -311,6 +320,8 @@ def compile_command(task, strategy_label, train_path, dev_path, config_file, off
         artifact = cmd_compile(config, Path(train_path), Path(dev_path))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
+    except (BackendError, PassBudgetExceeded) as exc:  # from a teacher or validation run
+        raise click.ClickException(f"{type(exc).__name__}: {exc}")
     click.echo(f"wrote {artifact}")
 
 

@@ -101,8 +101,13 @@ def build_report(task: str, strategy: str, rows: Sequence[dict]) -> MetricReport
     return report
 
 
+# every task's bootstrap column scores in [0, 1]
+BOOTSTRAP_MAX_SCORE = 1.0
+
+
 def bootstrap_metric(task: str):
-    """The extrinsic pass/fail metric used when harvesting demonstrations; it scores ``run``."""
+    """The extrinsic pass/fail metric used when harvesting demonstrations; it
+    scores ``run``, at most ``BOOTSTRAP_MAX_SCORE``."""
     column = TASKS[task].bootstrap_column
 
     def metric(example: TaskExample, prediction, run: RunResult) -> float:

@@ -9,7 +9,9 @@ as counterexamples: the failed output, the instruction that fixed it, and the
 corrected output, rendered into prompts ahead of the ordinary demos.
 
 `random_search_compile` builds several candidates under different training
-orders and keeps the one scoring best on the validation set.
+orders and keeps the one scoring best on the validation set. Given the
+metric's maximum, it stops validating a candidate once that candidate can no
+longer win.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .runtime import DISABLE_ALL, Program, RuntimeConfig, write_json
 logger = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 1
+CANDIDATES_VERSION = 2
 
 # metric(example, prediction, run) -> bool | float
 Metric = Callable[[TaskExample, object, RunResult], object]
@@ -170,17 +173,30 @@ class CandidateReport:
 
 
 @dataclass
+class PrunedReport:
+    """A candidate whose validation stopped after ``dev_scored`` examples,
+    because its mean could reach at most ``bound``, no more than the best so far."""
+
+    index: int
+    demo_counts: dict[str, int]
+    dev_scored: int
+    bound: float
+
+
+@dataclass
 class SearchReport:
     rng_seed: int
     candidates: list[CandidateReport]
     best_index: int
+    pruned: list[PrunedReport]
 
     def to_dict(self) -> dict:
         return {
-            "version": ARTIFACT_VERSION,
+            "version": CANDIDATES_VERSION,
             "rng_seed": self.rng_seed,
             "best_index": self.best_index,
             "candidates": [dict(vars(c)) for c in self.candidates],
+            "pruned": [dict(vars(p)) for p in self.pruned],
         }
 
 
@@ -192,44 +208,58 @@ def random_search_compile(
     config: CompileConfig = CompileConfig(),
     backend=None,
     run_example: RunExample = run_task_example,
+    max_score: float | None = None,
 ) -> tuple[Program, SearchReport]:
     """Bootstrap ``num_candidates`` variants under seeded shuffles and keep the
     one with the best mean validation metric (ties: lowest candidate index).
 
     Candidates are scored with constraints recorded but never retried, so the
     extrinsic metric alone drives selection.
+
+    ``max_score`` declares the most ``metric`` can score; a higher value
+    raises ``ValueError``. With it, every candidate is still bootstrapped, but
+    before a candidate scores dev example ``j`` its validation stops once
+    ``sum(scores + [max_score] * (n - j)) / n`` is at most the best mean so
+    far. That is the same ``sum``, in dev order, as the candidate's own mean,
+    and float addition rounds monotonically, so a stopped candidate could not
+    have won: the selected candidate is the one the full search selects.
     """
     if not valset:
         raise ValueError("valset must be nonempty")
     eval_config = replace(config.teacher_runtime, handler_policy=DISABLE_ALL)
+    n = len(valset)
 
     rng = random.Random(config.rng_seed)
-    candidates: list[tuple[float, Program]] = []
-    reports: list[CandidateReport] = []
+    scored: list[tuple[CandidateReport, Program]] = []
+    pruned: list[PrunedReport] = []
     for index in range(config.num_candidates):
         order = list(trainset)
         rng.shuffle(order)
         compiled = bootstrap_few_shot(
             program, order, metric, config=config, backend=backend, run_example=run_example
         )
-        scores = []
-        for example in valset:
+        demo_counts = {m: len(mod.demos) for m, mod in compiled.modules.items()}
+        best = max(report.score for report, _ in scored) if scored else None
+        scores: list[float] = []
+        for j, example in enumerate(valset):
+            if best is not None and max_score is not None:
+                bound = sum(scores + [max_score] * (n - j)) / n
+                if bound <= best:
+                    pruned.append(PrunedReport(index, demo_counts, dev_scored=j, bound=bound))
+                    break
             result = run_example(compiled, example, eval_config, backend)
-            if result.prediction is None:  # halted
-                scores.append(0.0)
-                continue
-            value = metric(example, result.prediction, result)
-            scores.append(float(value))
-        score = sum(scores) / len(scores)
-        candidates.append((score, compiled))
-        reports.append(CandidateReport(
-            index=index,
-            score=score,
-            demo_counts={m: len(mod.demos) for m, mod in compiled.modules.items()},
-        ))
-    best_index = max(range(len(candidates)), key=lambda i: (candidates[i][0], -i))
-    report = SearchReport(rng_seed=config.rng_seed, candidates=reports, best_index=best_index)
-    return candidates[best_index][1], report
+            value = 0.0  # halted
+            if result.prediction is not None:
+                value = float(metric(example, result.prediction, result))
+            if max_score is not None and value > max_score:
+                raise ValueError(f"metric scored {value}, above its declared maximum {max_score}")
+            scores.append(value)
+        if len(scores) == n:
+            scored.append((CandidateReport(index, sum(scores) / n, demo_counts), compiled))
+    best_index = max(range(len(scored)), key=lambda i: (scored[i][0].score, -i))
+    report = SearchReport(rng_seed=config.rng_seed, candidates=[r for r, _ in scored],
+                          best_index=scored[best_index][0].index, pruned=pruned)
+    return scored[best_index][1], report
 
 
 def compiled_program_to_dict(program: Program, task: str, config: CompileConfig) -> dict:

@@ -58,7 +58,15 @@ def compile_then_eval(tmp_path: Path, task: str) -> None:
     cli.cmd_eval(config, data("test.jsonl"), artifact)
 
 
-def test_probe_times_every_example_run(tmp_path):
+def test_probe_times_every_example_run(tmp_path, monkeypatch):
+    runs = []
+    engine = evaluation.run_with_backtracking
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_with_backtracking", counted)
     probe = spans.Probe()
     probe.install()
     try:
@@ -66,8 +74,8 @@ def test_probe_times_every_example_run(tmp_path):
     finally:
         probe.uninstall()
     n_dev, n_test = (len(load_dataset(data(name))) for name in ("dev.jsonl", "test.jsonl"))
-    # six candidates each run the dev set, after their teacher runs
-    assert len(probe.latencies) > 6 * n_dev + n_test
+    # teacher runs for six candidates, at least one dev set, and the test set
+    assert len(probe.latencies) == len(runs) > 6 + n_dev + n_test
     assert len(probe.backends) == 2
 
 

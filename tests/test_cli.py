@@ -195,7 +195,9 @@ def test_compile_then_eval_compiled_strategy(runner, tmp_path):
     artifact = compile_out / "compiled_program.json"
     assert artifact.exists()
     candidates = json.loads((compile_out / "candidates.json").read_text())
-    assert len(candidates["candidates"]) == 6
+    # candidate 0 scores 1.0 on the dev set, so the other five stop before it
+    assert [c["index"] for c in candidates["candidates"]] == [0]
+    assert [(p["index"], p["dev_scored"]) for p in candidates["pruned"]] == [(i, 0) for i in range(1, 6)]
     saved = json.loads(artifact.read_text())
     queries = [d["values"]["query"] for d in saved["modules"]["generate_query"]["demos"]]
     assert queries and all(len(q) < 100 for q in queries)
@@ -376,6 +378,36 @@ def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(runner, tmp_p
     assert [s.attempt for s in saved.steps] == [0, 1, 2, 0, 1]
     assert [r.query for r in saved.retrievals] == ["x" * 120]
     assert cmd_inspect_trace(path).splitlines()[-2:] == ["passes: 4", f"error: {row['error']}"]
+
+
+def test_compile_backend_error_is_one_line(runner, tmp_path):
+    # the retry script answers one question, so a teacher run on another
+    # reaches an unscripted prompt
+    result = runner.invoke(main, [
+        "compile", "--task", "multihop", "--strategy", "compile_assert",
+        "--train", data("test.jsonl"), "--dev", data("dev.jsonl"),
+        "--offline", "--script", data("scripts/multihop_retry.json"), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1].startswith("Error: UnscriptedPromptError: unscripted prompt")
+
+
+def test_compile_over_the_pass_budget_is_one_line(runner, tmp_path, monkeypatch):
+    question = "In which city was the designer of the Oakhaven Amphitheatre born?"
+    script = tmp_path / "long_queries.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"match": "Query: ${query}", "responses": ["Reasoning: r\nQuery: " + "x" * 120]},
+    ]}))
+    dataset = tmp_path / "one.jsonl"
+    dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
+    monkeypatch.setattr(runtime, "_MAX_PASSES", 4)
+    result = runner.invoke(main, [
+        "compile", "--task", "multihop", "--strategy", "compile_assert", "--train", str(dataset),
+        "--dev", str(dataset), "--offline", "--script", str(script), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == (
+        "Error: PassBudgetExceeded: backtracking did not terminate within the pass budget")
 
 
 def test_eval_all_failures_exits_nonzero(runner, tmp_path):
@@ -562,6 +594,36 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": 1, "titles": [], "note": "n"}]},
      "Retrieval.__init__() got an unexpected keyword argument 'note'"),
     ("trace", {k: v for k, v in trace_file().items() if k != "passes"}, "missing key 'passes'"),
+    # value types: the first bad value read names its key
+    ("trace", {**trace_file(), "passes": "three", "retrievals": [{"query": 5, "k": "x", "titles": "abc"}]},
+     "trace passes must be an integer >= 1, got 'three'"),
+    ("trace", {**trace_file(), "retrievals": [{"query": 5, "k": "x", "titles": "abc"}]},
+     "trace retrieval query must be a string, got 5"),
+    ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": "x", "titles": ["T"]}]},
+     "trace retrieval k must be an integer >= 1, got 'x'"),
+    ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": 0, "titles": ["T"]}]},
+     "trace retrieval k must be an integer >= 1, got 0"),
+    ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": 1, "titles": "abc"}]},
+     "trace retrieval titles must be a list of strings, got 'abc'"),
+    ("trace", {**trace_file(), "passes": True}, "trace passes must be an integer >= 1, got True"),
+    ("trace", {**trace_file(), "passes": 0}, "trace passes must be an integer >= 1, got 0"),
+    ("trace", {**trace_file(), "halted": "no"}, "trace halted must be true or false, got 'no'"),
+    ("trace", {**trace_file(), "error": 5}, "trace error must be a string or null, got 5"),
+    ("trace", {**trace_file(), "error_type": ["E"]}, "trace error_type must be a string or null, got ['E']"),
+    ("trace", {**trace_file(), "final_outputs": {"a": 1}},
+     "trace final_outputs must be an object of strings or null, got {'a': 1}"),
+    ("trace", trace_file(step_change={"attempt": "1"}),
+     "trace step attempt must be an integer >= 0, got '1'"),
+    ("trace", trace_file(step_change={"position": 1.0}),
+     "trace step position must be an integer >= 0, got 1.0"),
+    ("trace", trace_file(step_change={"prompt_digest": 5}),
+     "trace step prompt_digest must be a string, got 5"),
+    ("trace", trace_file(step_change={"inputs": {"q": 1}}),
+     "trace step inputs must be an object of strings, got {'q': 1}"),
+    ("trace", trace_file(step_change={"outputs": ["a"]}),
+     "trace step outputs must be an object of strings, got ['a']"),
+    ("trace", trace_file(constraint_change={"passed": "yes"}),
+     "trace constraint passed must be true or false, got 'yes'"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
@@ -620,7 +682,7 @@ def test_config_file_drives_backend_and_seeds(runner, tmp_path):
     assert result.exit_code == 0, result.output
     candidates = json.loads((out / "candidates.json").read_text())
     assert candidates["rng_seed"] == 3
-    assert len(candidates["candidates"]) == 2
+    assert len(candidates["candidates"]) + len(candidates["pruned"]) == 2
 
 
 # --- one test per config key: each changes what a command does -------------------

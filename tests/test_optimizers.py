@@ -4,13 +4,14 @@ import json
 import logging
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.checks import is_query_distinct
-from lmpipe.core import Counterexample, parse_signature
-from lmpipe.metrics import load_dataset
+from lmpipe.core import Counterexample, Prediction, RunResult, TraceStep, parse_signature
+from lmpipe.metrics import TaskExample, load_dataset
 from lmpipe.modules import PredictModule
-from lmpipe.evaluation import bootstrap_metric, run_task_example
+from lmpipe.evaluation import BOOTSTRAP_MAX_SCORE, bootstrap_metric, run_task_example
 from lmpipe.optimizers import (
     CompileConfig,
     bootstrap_few_shot,
@@ -153,7 +154,7 @@ def test_random_search_deterministic_and_budgeted(index, trainset, devset):
     def compile_once():
         best, report = random_search_compile(
             MultiHopQA(index), trainset, devset, METRIC, CompileConfig(rng_seed=13),
-            script_backend("multihop_all_pass.json"), run_task_example,
+            script_backend("multihop_all_pass.json"), run_task_example, max_score=BOOTSTRAP_MAX_SCORE,
         )
         return compiled_program_to_dict(best, "multihop", CompileConfig(rng_seed=13)), report
 
@@ -161,8 +162,10 @@ def test_random_search_deterministic_and_budgeted(index, trainset, devset):
     second, report2 = compile_once()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert report1.to_dict() == report2.to_dict()
-    assert len(report1.candidates) == 6
-    for candidate in report1.candidates:
+    # every candidate is bootstrapped, and reported scored in full or pruned
+    searched = report1.candidates + report1.pruned
+    assert sorted(c.index for c in searched) == list(range(6))
+    for candidate in searched:
         assert all(count <= 2 for count in candidate.demo_counts.values())
 
 
@@ -179,11 +182,101 @@ def test_random_search_single_candidate(index, trainset, devset):
     best, report = random_search_compile(
         MultiHopQA(index), trainset, devset, METRIC,
         CompileConfig(rng_seed=3, num_candidates=1),
-        script_backend("multihop_all_pass.json"), run_task_example,
+        script_backend("multihop_all_pass.json"), run_task_example, max_score=BOOTSTRAP_MAX_SCORE,
     )
+    assert len(report.candidates) + len(report.pruned) == 1
     assert len(report.candidates) == 1
     assert report.best_index == 0
     assert best.modules["generate_query"].demos
+
+
+# --- branch and bound: the pruned search selects what the full search selects ------
+
+class OneModuleProgram(Program):
+    inputs = ("question",)
+
+    def __init__(self):
+        super().__init__()
+        self.register(PredictModule(module_id="gen", signature=parse_signature("question -> answer")))
+
+
+class TableRunner:
+    """A stub ``run_example``. A teacher run scores 1.0 and harvests its
+    question as a demo; candidate c's run on dev example ``qj`` scores
+    ``table[c][j]``. With one demo per module, each bootstrap makes exactly one
+    teacher run, so the teacher runs so far name the candidate."""
+
+    def __init__(self, teacher: Program, table: list[list[float]]):
+        self.teacher, self.table = teacher, table
+        self.teacher_runs = self.runs = 0
+
+    def __call__(self, program, example, config, backend):
+        self.runs += 1
+        if program is self.teacher:
+            self.teacher_runs += 1
+            score = 1.0
+        else:
+            score = self.table[self.teacher_runs - 1][int(example.question[1:])]
+        prediction = Prediction(outputs={"answer": example.answer, "score": repr(score)})
+        step = TraceStep(module_id="gen", inputs={"question": example.question}, prediction=prediction)
+        return RunResult(prediction=prediction, steps=[step])
+
+
+def table_score(example, prediction, run):
+    return float(prediction.outputs["score"])
+
+
+def table_search(table, max_score):
+    program = OneModuleProgram()
+    runner = TableRunner(program, table)
+    trainset = [TaskExample(question=f"t{i}", answer="a") for i in range(5)]
+    valset = [TaskExample(question=f"q{j}", answer="a") for j in range(len(table[0]))]
+    config = CompileConfig(max_bootstrapped_demos=1, num_candidates=len(table), rng_seed=7)
+    compiled, report = random_search_compile(program, trainset, valset, table_score, config,
+                                             run_example=runner, max_score=max_score)
+    return compiled, report, runner.runs
+
+
+SCORES = st.sampled_from([0.0, 1.0, 1 / 3, 2 / 3, 1 / 5, 2 / 5, 3 / 5, 4 / 5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def score_tables(draw):
+    """One row of dev scores per candidate; some rows repeat an earlier one,
+    permuted, so means tie or differ only by rounding."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(SCORES, min_size=n, max_size=n), min_size=1, max_size=6))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            rows[i] = draw(st.permutations(rows[draw(st.integers(0, i - 1))]))
+    return rows
+
+
+@given(score_tables())
+@example([[0.0] * 3] * 4)
+@example([[1.0] * 3] * 3)
+@example([[1 / 3, 2 / 3, 1.0], [1.0, 1 / 3, 2 / 3], [2 / 3, 1.0, 1 / 3]])
+def test_pruned_search_selects_what_the_full_search_selects(table):
+    pruned_program, pruned, pruned_runs = table_search(table, 1.0)
+    full_program, full, full_runs = table_search(table, None)  # no declared maximum: never pruned
+    assert not full.pruned and [c.index for c in full.candidates] == list(range(len(table)))
+    assert pruned.best_index == full.best_index
+    assert pruned_program.modules["gen"].demos == full_program.modules["gen"].demos
+    assert pruned_runs == full_runs - sum(len(table[0]) - p.dev_scored for p in pruned.pruned)
+    assert pruned_runs <= full_runs
+    assert sorted(c.index for c in pruned.candidates + pruned.pruned) == list(range(len(table)))
+    assert all(c == full.candidates[c.index] for c in pruned.candidates)
+    full_scores = [c.score for c in full.candidates]
+    for stopped in pruned.pruned:
+        # the bound holds the full mean and loses to an earlier candidate
+        assert full_scores[stopped.index] <= stopped.bound <= max(full_scores[:stopped.index])
+
+
+def test_metric_above_its_declared_maximum_raises():
+    with pytest.raises(ValueError, match="above its declared maximum 1.0"):
+        table_search([[0.5, 1.5]], 1.0)
+    _, report, _ = table_search([[0.5, 1.5]], None)
+    assert report.candidates[0].score == 1.0
 
 
 def test_random_search_requires_valset(index, trainset):
