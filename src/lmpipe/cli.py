@@ -43,6 +43,7 @@ from .runtime import (
     RunResult,
     RuntimeConfig,
     load_trace,
+    overwrite,
     save_trace,
     write_json as _write_json,
 )
@@ -246,8 +247,7 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
     for name, result in traces.items():
         save_trace(result, traces_dir / name)
     _write_json({"version": REPORT_VERSION, **vars(report)}, config.out_dir / "report.json")
-    with open(config.out_dir / "summary.txt", "w", encoding="utf-8") as handle:
-        handle.write(format_summary(report))
+    overwrite(format_summary(report).encode("utf-8"), config.out_dir / "summary.txt")
     return report
 
 
@@ -333,7 +333,7 @@ def compile_command(task, strategy_label, train_path, dev_path, config_file, off
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
 @click.option("--offline", is_flag=True, default=False)
 @click.option("--script", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def eval_command(task, strategy_label, test_path, artifact, config_file, offline, script, workers, out_dir):
     """Evaluate a strategy over a dataset and write the metric report."""

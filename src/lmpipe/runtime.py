@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -484,96 +484,47 @@ def trace_from_dict(data: dict) -> RunResult:
                      halted=data["halted"], error=data["error"], error_type=data["error_type"])
 
 
+_OVERWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def overwrite(data: bytes, path: str | Path) -> None:
+    """Make the file at ``path`` hold exactly ``data``: write over its old
+    bytes from the start, then cut off whatever is left of them.
+
+    A new file gets the mode ``Path.write_bytes`` gives it (0o666 under the
+    umask). Not truncating to zero first spares the close of a rewritten file
+    a wait: on ext4 (``auto_da_alloc``) that close waits for the file's blocks
+    to be allocated. This is no more atomic than a truncating write; a crash
+    in the middle of either can leave a damaged file.
+    """
+    with open(os.open(path, _OVERWRITE_FLAGS, 0o666), "wb") as handle:
+        handle.write(data)
+        handle.truncate()
+
+
 def write_json(payload: Any, path: str | Path) -> None:
-    """Write ``payload`` as UTF-8 JSON, indented by 2 with sorted keys, plus a
-    newline: the one format of every JSON artifact.
+    """Write ``payload`` as UTF-8 JSON indented by 2, with sorted keys and a
+    trailing newline, through ``overwrite``: the layout of every JSON artifact
+    but traces.
 
     The bytes are encoded in full before the file is opened, so a payload that
     cannot be encoded (a lone surrogate, say) raises and leaves the file as it
-    was, and the file gets one ``write`` rather than one per encoder chunk.
+    was.
     """
-    Path(path).write_bytes((dumps_json(payload) + "\n").encode("utf-8"))
-
-
-def dumps_json(payload: Any) -> str:
-    """``json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)``,
-    the same text, without the pure-Python encoder that ``indent`` selects.
-
-    Encodes str, int, float (NaN and infinities as ``json`` writes them),
-    bool, None, lists, tuples and dicts whose keys ``json`` accepts; any
-    other value raises ``TypeError``.
-    """
-    out: list[str] = []
-    _encode_json(payload, out, "\n")
-    return "".join(out)
-
-
-_encode_str = json.encoder.encode_basestring
-
-
-def _float_json(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_json(key: Any) -> str:
-    """A dict key as ``json`` writes it: a str as is, a number, bool or None
-    as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return dumps_json(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _encode_json(value: Any, out: list[str], indent: str) -> None:
-    """Append ``value``'s JSON text to ``out``; ``indent`` is the newline and
-    spaces that start each line at the value's depth."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(sep + _encode_str(_key_json(key)) + ": ")
-            _encode_json(item, out, inner)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _encode_json(item, out, inner)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_json(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text = json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
+    overwrite((text + "\n").encode("utf-8"), path)
 
 
 def save_trace(result: RunResult, path: str | Path) -> None:
-    write_json(trace_to_dict(result), path)
+    """Write ``result`` as a trace file through ``overwrite``: ``trace_to_dict``'s
+    record as one line of UTF-8 JSON with sorted keys and a trailing newline,
+    encoded in full first as ``write_json`` does.
+
+    ``load_trace`` reads any JSON layout, indented files included; the layout
+    is not part of ``TRACE_VERSION``, only the keys and their types are.
+    """
+    text = json.dumps(trace_to_dict(result), ensure_ascii=False, sort_keys=True)
+    overwrite((text + "\n").encode("utf-8"), path)
 
 
 def load_trace(path: str | Path) -> RunResult:

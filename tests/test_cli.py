@@ -31,6 +31,7 @@ from lmpipe.runtime import (
     load_trace,
     run_with_backtracking,
     save_trace,
+    trace_to_dict,
 )
 from lmpipe.tasks import COMPLETE, INSTRUCTIONS, PRIMITIVE
 
@@ -183,6 +184,20 @@ def test_eval_workers_match_serial(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_rejects_workers_below_one(runner, tmp_path, workers):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "tweet", "--strategy", "vanilla",
+        "--test", data("test.jsonl"), "--offline",
+        "--script", data("scripts/tweet_all_pass.json"),
+        "--workers", workers, "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert "--workers" in result.output and ">=1" in result.output
+    assert not out.exists()
+
+
 def test_compile_then_eval_compiled_strategy(runner, tmp_path):
     compile_out = tmp_path / "compiled"
     result = runner.invoke(main, [
@@ -269,6 +284,32 @@ def test_eval_replaces_traces_of_an_earlier_run(runner, tmp_path, monkeypatch):
     assert trace_names(str(two)) == ["example_001.json", "notes.txt"]
     report = json.loads((out / "report.json").read_text())
     assert report["n_examples"] == 2 and report["rows"][0]["error_type"] == "RuntimeError"
+
+
+def test_eval_over_an_earlier_run_writes_the_files_of_a_fresh_run(runner, tmp_path):
+    # the first example is the one the retry script answers: under vanilla its
+    # run does not retry, so every file of the second run is shorter
+    first = Path(data("test.jsonl")).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    test_path = tmp_path / "one.jsonl"
+    test_path.write_text(first, encoding="utf-8")
+
+    def run(strategy: str, out: Path) -> dict[str, bytes]:
+        result = runner.invoke(main, [
+            "eval", "--task", "multihop", "--strategy", strategy,
+            "--test", str(test_path), "--offline",
+            "--script", data("scripts/multihop_retry.json"),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        return {path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    earlier = run("infer_assert", tmp_path / "reused")
+    rewritten = run("vanilla", tmp_path / "reused")
+    assert rewritten == run("vanilla", tmp_path / "fresh")
+    assert sorted(rewritten) == sorted(earlier) == \
+        ["report.json", "summary.txt", "traces/example_000.json"]
+    assert all(len(rewritten[name]) < len(earlier[name]) for name in rewritten)
 
 
 def test_eval_empty_dataset_flagged(runner, tmp_path):
@@ -469,6 +510,28 @@ def test_inspect_trace_fail_fail_pass_shows_two_retry_lines(tmp_path):
     path = run_and_save(tmp_path, fails=2, max_retries=2)
     rendered = cmd_inspect_trace(path)
     assert rendered.count("RETRY") == 2
+
+
+def test_indented_trace_loads_and_renders_as_its_one_line_file(runner, tmp_path):
+    # indented trace files, as earlier versions wrote them, must still load and render
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "eval", "--task", "multihop", "--strategy", "infer_assert",
+        "--test", data("test.jsonl"), "--offline",
+        "--script", data("scripts/multihop_retry.json"),
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    for path in sorted((out / "traces").iterdir()):
+        one_line = path.read_text(encoding="utf-8")
+        assert one_line.count("\n") == 1
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(one_line), indent=2, ensure_ascii=False, sort_keys=True)
+                            + "\n", encoding="utf-8")
+        assert trace_to_dict(load_trace(indented)) == trace_to_dict(load_trace(path))
+        rendered = [runner.invoke(main, ["inspect-trace", str(p)]) for p in (path, indented)]
+        assert rendered[0].exit_code == rendered[1].exit_code == 0
+        assert rendered[0].output == rendered[1].output
 
 
 def test_inspect_trace_cli_version_mismatch(runner, tmp_path):

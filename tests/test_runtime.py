@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,9 @@ from lmpipe.core import (
     PASSED,
     RETRIED,
     WARNED,
+    Prediction,
     Retrieval,
+    RunResult,
     parse_signature,
     passages_to_text,
 )
@@ -33,8 +36,8 @@ from lmpipe.runtime import (
     RetryState,
     RuntimeConfig,
     check_constraint,
-    dumps_json,
     load_trace,
+    overwrite,
     run_with_backtracking,
     save_trace,
     trace_from_dict,
@@ -841,39 +844,55 @@ any_json = st.recursive(
 )
 
 
-def json_dumps_outcome(dumps, payload):
-    """The text, or the type of the error: a dict whose keys do not sort
-    (say, str beside int) raises ``TypeError`` in both encoders."""
+def json_dumps_outcome(payload, **layout):
+    """``json.dumps``'s text of ``payload`` plus a newline as UTF-8, or the type
+    of the error: a dict whose keys do not sort (say, str beside int) raises
+    ``TypeError``, and a lone surrogate ``UnicodeEncodeError``."""
     try:
-        return dumps(payload)
-    except TypeError:
-        return TypeError
+        return (json.dumps(payload, ensure_ascii=False, sort_keys=True, **layout) + "\n").encode("utf-8")
+    except (TypeError, UnicodeEncodeError) as exc:
+        return type(exc)
 
 
+def written_outcome(write, payload, path):
+    """The bytes ``write(payload, path)`` leaves at a new ``path``, or the type
+    of the error it raised; a write that raises must not create the file."""
+    path.unlink(missing_ok=True)
+    try:
+        write(payload, path)
+    except (TypeError, UnicodeEncodeError) as exc:
+        assert not path.exists()
+        return type(exc)
+    return path.read_bytes()
+
+
+# write_json writes json.dumps(indent=2)'s text, or raises what encoding it raises
 @settings(max_examples=200, deadline=None)
 @given(any_json)
-def test_dumps_json_equals_json_dumps(payload):
-    expected = json_dumps_outcome(
-        lambda value: json.dumps(value, indent=2, ensure_ascii=False, sort_keys=True), payload)
-    assert json_dumps_outcome(dumps_json, payload) == expected
+def test_dumps_json_equals_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "artifact.json"
+    assert written_outcome(write_json, payload, path) == json_dumps_outcome(payload, indent=2)
 
 
 @pytest.mark.parametrize("payload", [
     {}, [], (), "", {"a": {}, "b": [], "c": [{}]}, [float("nan"), float("inf"), -float("inf"), -0.0],
     {"\ud800": "\udfff x \u2028 \x00"}, {1: "a", 2.5: "b"}, {True: 1}, {None: None}, 10 ** 30,
 ])
-def test_dumps_json_examples(payload):
-    assert dumps_json(payload) == json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
+def test_dumps_json_examples(tmp_path, payload):
+    assert written_outcome(write_json, payload, tmp_path / "artifact.json") == \
+        json_dumps_outcome(payload, indent=2)
 
 
 @pytest.mark.parametrize("payload", [
     object(), {1, 2}, b"bytes", 1j, {"nested": [1, {"deep": frozenset()}]}, {(1, 2): "tuple key"},
 ])
-def test_dumps_json_rejects_other_types(payload):
+def test_dumps_json_rejects_other_types(tmp_path, payload):
+    path = tmp_path / "artifact.json"
+    write_json({"value": "ok"}, path)
+    before = path.read_bytes()
     with pytest.raises(TypeError):
-        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
-    with pytest.raises(TypeError):
-        dumps_json(payload)
+        write_json(payload, path)
+    assert path.read_bytes() == before
 
 
 def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
@@ -883,6 +902,53 @@ def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_json({"value": "lone \ud800 surrogate"}, path)
     assert path.read_bytes() == before
+
+
+def text_result(text: str) -> RunResult:
+    return RunResult(prediction=Prediction(outputs={"value": text}, raw_completion=f"Value: {text}"),
+                     steps=[], error=text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_text)
+def test_save_trace_writes_one_json_line(tmp_path_factory, text):
+    result = text_result(text)
+    path = tmp_path_factory.getbasetemp() / "trace.json"
+    expected = json_dumps_outcome(trace_to_dict(result))
+    assert written_outcome(save_trace, result, path) == expected
+    if expected is not UnicodeEncodeError:
+        assert expected.count(b"\n") == 1  # JSON escapes every newline inside a string
+
+
+def test_save_trace_keeps_old_file_when_result_cannot_be_encoded(tmp_path):
+    path = tmp_path / "trace.json"
+    save_trace(text_result("ok"), path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        save_trace(text_result("lone \ud800 surrogate"), path)
+    assert path.read_bytes() == before
+
+
+def test_overwrite_trims_a_longer_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_bytes(b"x" * 100)
+    overwrite(b"short", path)
+    assert path.read_bytes() == b"short"
+    overwrite(b"", path)
+    assert path.read_bytes() == b""
+    overwrite(b"longer again", path)
+    assert path.read_bytes() == b"longer again"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_overwrite_new_file_gets_the_mode_of_write_bytes(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        overwrite(b"data", tmp_path / "new")
+        (tmp_path / "reference").write_bytes(b"data")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 def test_trace_version_mismatch_names_versions():
