@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import read_json, reject_unknown_keys
+from .core import INT, LIST, STR, STR_LIST, check_record, check_version, read_json
 
 DEFAULT_MAX_TOKENS = 500
 DEFAULT_TEMPERATURE = 0.7
@@ -160,17 +160,15 @@ def load_script(path: str | Path) -> list[ScriptEntry]:
     return read_json(path, _script_entries)
 
 
+_SCRIPT_FIELDS = {"entries": LIST, "version": INT}
+_ENTRY_FIELDS = {"match": STR, "mode": STR, "responses": STR_LIST}
+
+
 def _script_entries(data: dict) -> list[ScriptEntry]:
-    version = data["version"]
-    if version != SCRIPT_VERSION:
-        raise ValueError(f"script version mismatch: file has {version}, supported is {SCRIPT_VERSION}")
-    reject_unknown_keys(data, ("version", "entries"), "script")
-    entries = []
-    for e in data["entries"]:
-        reject_unknown_keys(e, ("match", "mode", "responses"), "script entry")
-        entries.append(ScriptEntry(match=e["match"], responses=list(e["responses"]),
-                                   mode=e.get("mode", "substring")))
-    return entries
+    check_version(data, SCRIPT_VERSION, "script")
+    check_record(data, _SCRIPT_FIELDS, "script")
+    return [ScriptEntry(**check_record(e, _ENTRY_FIELDS, "script entry", optional=("mode",)))
+            for e in data["entries"]]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .backend import (
     ScriptedBackend,
     load_script,
 )
-from .core import read_json
+from .core import BOOL, INT, OBJECT, OPTIONAL_STR, STR, check_record, read_json
 from .evaluation import (
     BOOTSTRAP_MAX_SCORE,
     bootstrap_metric,
@@ -101,19 +101,14 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("lmpipe").joinpath("data", name)))
 
 
-_OPTIONAL_STR = (str, type(None))
-
-# the keys a config file may set, by section ("" is the top level), with the
-# type of each value
-_CONFIG_KEYS = {
-    "": {"backend": dict, "runtime": dict, "compile": dict, "instructions": str, "corpus": _OPTIONAL_STR},
-    "backend": {"script": _OPTIONAL_STR, "model": str, "api_base": _OPTIONAL_STR},
-    "runtime": {"max_retries": int, "handler_policy": str},
-    "compile": {"max_bootstrapped_demos": int, "num_candidates": int, "rng_seed": int,
-                "collect_counterexamples": bool},
+# the keys a config file may set, each optional, by section
+_CONFIG_SECTIONS = {
+    "backend": {"script": OPTIONAL_STR, "model": STR, "api_base": OPTIONAL_STR},
+    "runtime": {"max_retries": INT, "handler_policy": STR},
+    "compile": {"max_bootstrapped_demos": INT, "num_candidates": INT, "rng_seed": INT,
+                "collect_counterexamples": BOOL},
 }
-_TYPE_NAMES = {dict: "a JSON object", str: "a string", _OPTIONAL_STR: "a string or null",
-               int: "an integer", bool: "true or false"}
+_CONFIG_FIELDS = {**dict.fromkeys(_CONFIG_SECTIONS, OBJECT), "instructions": STR, "corpus": OPTIONAL_STR}
 
 
 def load_run_config_file(path: Optional[Path]) -> dict:
@@ -123,17 +118,9 @@ def load_run_config_file(path: Optional[Path]) -> dict:
 
 
 def _checked_config(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ValueError("config file must be a JSON object")
-    for section, known in _CONFIG_KEYS.items():
-        for key, value in (raw.get(section, {}) if section else raw).items():  # top level first
-            name = f"{section}.{key}" if section else key
-            if key not in known:
-                raise ValueError(f"unknown config key {name}")
-            expected = known[key]
-            # JSON true and false are Python ints too
-            if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-                raise ValueError(f"config {name} must be {_TYPE_NAMES[expected]}")
+    check_record(raw, _CONFIG_FIELDS, "config", optional=_CONFIG_FIELDS)  # top level first
+    for section, fields in _CONFIG_SECTIONS.items():
+        check_record(raw.get(section, {}), fields, f"config {section}", optional=fields)
     return raw
 
 

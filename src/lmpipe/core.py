@@ -1,4 +1,5 @@
-"""Domain types shared by every pipeline stage, plus canonical prompt rendering.
+"""Domain types shared by every pipeline stage, canonical prompt rendering,
+and the one checker of the records lmpipe reads from files.
 
 A :class:`Signature` is the declarative contract of one LM call: ordered
 input/output fields and an instruction string. Prompts are rendered from a
@@ -13,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 
 class SignatureError(ValueError):
@@ -358,8 +359,9 @@ def passages_to_text(passages: Iterable[tuple[str, str]]) -> str:
 
 def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
     """Read a JSON input file (compiled program, script, trace, config) through
-    ``parse``. A file that is not JSON, or whose value ``parse`` rejects (a
-    missing key, a wrong type, a bad version), raises ``ValueError`` naming it."""
+    ``parse``, which checks it with ``check_record``. A file that is not JSON,
+    or whose value ``parse`` rejects, raises ``ValueError`` naming its path; a
+    ``KeyError(k)`` from ``parse`` becomes ``<path>: missing key 'k'``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse(json.load(handle))
@@ -369,11 +371,49 @@ def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def reject_unknown_keys(record: Mapping[str, Any], known: Iterable[str], what: str) -> None:
-    """Raise ``ValueError`` naming a key of ``record``, a file's ``what``, not in ``known``."""
-    unknown = sorted(set(record).difference(known))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+# The type of a value in an input file: a description for the error and its
+# test. JSON true and false are bools, which Python counts as ints; JSON object
+# keys are always strings.
+STR = ("a string", lambda v: isinstance(v, str))
+OPTIONAL_STR = ("a string or null", lambda v: v is None or isinstance(v, str))
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+INT = ("an integer", lambda v: type(v) is int)
+COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+POSITIVE = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+LIST = ("a list", lambda v: isinstance(v, list))
+OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+STR_MAP = ("an object of strings", lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in v.values()))
+STR_LIST = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v))
+
+
+def check_record(record: Any, fields: Mapping[str, tuple[str, Callable[[Any], bool]]],
+                 what: str, optional: Collection[str] = ()) -> dict:
+    """Return ``record``, an object of a file's ``what``, once it is a JSON
+    object with no key outside ``fields``, every key of ``fields`` but those
+    in ``optional``, and values that pass their ``(description, test)``. A
+    missing key raises ``KeyError(key)``, any other fault ``ValueError``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if record.keys() != fields.keys():
+        unknown = sorted(record.keys() - fields.keys())
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+        for key in fields:
+            if key not in record and key not in optional:
+                raise KeyError(key)
+    for key, (description, test) in fields.items():
+        if key in record and not test(record[key]):
+            raise ValueError(f"{what} {key} must be {description}, got {record[key]!r}")
+    return record
+
+
+def check_version(record: Any, supported: int, what: str) -> None:
+    """Raise unless ``record`` is a JSON object whose ``version`` is
+    ``supported``; ``what`` names the file's kind in the error."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if record["version"] != supported:
+        raise ValueError(f"{what} version mismatch: file has {record['version']}, supported is {supported}")
 
 
 # json.loads without its two whitespace scans; shared, as json.loads shares its
@@ -381,9 +421,12 @@ def reject_unknown_keys(record: Mapping[str, Any], known: Iterable[str], what: s
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: str | Path, what: str, make: Callable[[dict], Any]) -> list:
-    """Read one JSON object per line through ``make``; blank lines are skipped.
-    A bad record raises ``ValueError`` naming the ``what``, path and line."""
+def read_jsonl(path: str | Path, what: str, fields: Mapping[str, tuple[str, Callable[[Any], bool]]],
+               make: Callable[..., Any], optional: Collection[str] = ()) -> list:
+    """``make(**record)`` for each JSON object per line, checked by
+    ``check_record`` as a ``what``; blank lines are skipped. A bad record
+    raises ``ValueError`` naming the ``what``, path and line, and a missing
+    key as ``missing key 'k'``."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -400,7 +443,9 @@ def read_jsonl(path: str | Path, what: str, make: Callable[[dict], Any]) -> list
                     record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"expected a JSON object, got {line[:40]}")
-                records.append(make(record))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"bad {what} record at {path}:{lineno}: {exc}") from exc
+                records.append(make(**check_record(record, fields, what, optional)))
+            except KeyError as exc:
+                raise ValueError(f"bad {what} at {path}:{lineno}: missing key {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"bad {what} at {path}:{lineno}: {exc}") from exc
     return records

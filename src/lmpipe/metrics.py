@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .checks import cited_indices, normalize_answer
-from .core import PASSED, RunResult, read_jsonl
+from .core import PASSED, STR, STR_LIST, RunResult, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,13 @@ class TaskExample:
         object.__setattr__(self, "gold_titles", frozenset(self.gold_titles))
 
 
+_DATASET_FIELDS = {"question": STR, "answer": STR, "gold_titles": STR_LIST}
+
+
 def load_dataset(path: str | Path) -> list[TaskExample]:
-    """One JSON record per line with fields {question, answer, gold_titles}."""
-    return read_jsonl(path, "dataset", lambda record: TaskExample(
-        question=record["question"],
-        answer=record["answer"],
-        gold_titles=frozenset(record.get("gold_titles", [])),
-    ))
+    """One JSON record per line with fields {question, answer, gold_titles},
+    the last optional."""
+    return read_jsonl(path, "dataset record", _DATASET_FIELDS, TaskExample, optional=("gold_titles",))
 
 
 @dataclass

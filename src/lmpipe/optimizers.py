@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Counterexample, PASSED, RETRIED, RunResult, read_json, reject_unknown_keys
+from .core import PASSED, RETRIED, Counterexample, RunResult, check_record, check_version, read_json
+from .core import INT, LIST, OBJECT, STR, STR_LIST, STR_MAP
 from .evaluation import run_task_example
 from .metrics import TaskExample
 from .runtime import DISABLE_ALL, Program, RuntimeConfig, write_json
@@ -295,27 +296,29 @@ def load_compiled_program(program: Program, path: str | Path) -> tuple[Program, 
     return read_json(path, lambda data: compiled_program_from_dict(program, data))
 
 
+_PROGRAM_FIELDS = {"task": STR, "modules": OBJECT, "compile_config": OBJECT, "version": INT}
+_MODULE_FIELDS = {"instructions": STR, "demos": LIST, "counterexamples": LIST}
+_DEMO_FIELDS = {"values": STR_MAP, "input_keys": STR_LIST}
+_COUNTEREXAMPLE_FIELDS = dict.fromkeys(("module_id", "failed_output", "message", "corrected_output"), STR)
+
+
 def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, str]:
-    version = data["version"]
-    if version != ARTIFACT_VERSION:
-        raise ValueError(
-            f"artifact version mismatch: file has {version}, supported is {ARTIFACT_VERSION}"
-        )
-    reject_unknown_keys(data, ("version", "task", "compile_config", "modules"), "compiled program")
+    check_version(data, ARTIFACT_VERSION, "artifact")
+    check_record(data, _PROGRAM_FIELDS, "compiled program", optional=("compile_config",))
     loaded = program.clone()
+    check_record(data["modules"], dict.fromkeys(loaded.modules, OBJECT), "compiled program modules")
     for module_id, spec in data["modules"].items():
-        if module_id not in loaded.modules:
-            raise ValueError(f"artifact names unknown module {module_id!r}")
-        reject_unknown_keys(spec, ("instructions", "demos", "counterexamples"), "module spec")
+        check_record(spec, _MODULE_FIELDS, "module spec")
         module = loaded.modules[module_id]
         inputs = sorted(f.name for f in module.signature.input_fields)
         module.signature = module.signature.with_instructions(spec["instructions"])
         module.demos = []
         for demo in spec["demos"]:
-            reject_unknown_keys(demo, ("values", "input_keys"), "demo")
+            check_record(demo, _DEMO_FIELDS, "demo")
             if demo["input_keys"] != inputs or not demo["values"].keys() >= set(inputs):
                 raise ValueError(f"demo of module {module_id!r}: input_keys must be its inputs "
                                  f"{inputs}, each in values; got {demo['input_keys']}")
             module.demos.append(dict(demo["values"]))
-        module.counterexamples = [Counterexample(**c) for c in spec["counterexamples"]]
+        module.counterexamples = [Counterexample(**check_record(c, _COUNTEREXAMPLE_FIELDS, "counterexample"))
+                                  for c in spec["counterexamples"]]
     return loaded, data["task"]

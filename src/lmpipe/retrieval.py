@@ -62,7 +62,7 @@ from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple
 
-from .core import read_jsonl
+from .core import STR, read_jsonl
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -242,7 +242,7 @@ def deduplicate(passages: Sequence[Passage]) -> list[Passage]:
 def load_corpus(path: str | Path) -> list[Passage]:
     """Read one JSON record per line with fields {title, text}; blank lines are
     skipped. A bad record raises ``ValueError`` naming the path and line."""
-    return read_jsonl(path, "corpus", lambda record: Passage(record["title"], record["text"]))
+    return read_jsonl(path, "corpus record", {"title": STR, "text": STR}, Passage)
 
 
 def _sha256(path: Path) -> str:

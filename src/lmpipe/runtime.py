@@ -52,10 +52,12 @@ from .core import (
     Retrieval,
     RunResult,
     TraceStep,
+    check_record,
+    check_version,
     payload_field,
     read_json,
-    reject_unknown_keys,
 )
+from .core import BOOL, COUNT, INT, LIST, OPTIONAL_STR, POSITIVE, STR, STR_LIST, STR_MAP
 from .modules import PredictModule, parse_completion
 
 logger = logging.getLogger(__name__)
@@ -403,81 +405,45 @@ def trace_to_dict(result: RunResult) -> dict:
     }
 
 
-def _is_int(value: Any, least: int) -> bool:
-    # JSON true and false are Python ints too
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _is_str_map(value: Any) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items())
-
-
-_STR = ("a string", lambda v: isinstance(v, str))
-_OPTIONAL_STR = ("a string or null", lambda v: v is None or isinstance(v, str))
-_BOOL = ("true or false", lambda v: isinstance(v, bool))
-_COUNT = ("an integer >= 0", lambda v: _is_int(v, 0))
-_LIST = ("a list", lambda v: isinstance(v, list))
-_STR_MAP = ("an object of strings", _is_str_map)
-
-# the type of each value of a trace-file object: a description and its test.
-# Checked in table order, so a trace missing several keys is named by the first
-# (a bare header by its steps).
-_TRACE_TYPES = {
-    "steps": _LIST, "retrievals": _LIST,
-    "final_outputs": ("an object of strings or null", lambda v: v is None or _is_str_map(v)),
-    "passes": ("an integer >= 1", lambda v: _is_int(v, 1)),
-    "halted": _BOOL, "error": _OPTIONAL_STR, "error_type": _OPTIONAL_STR,
+# the keys of each trace-file object and the type of each value. A trace
+# missing several keys is named by the first (a bare header by its steps).
+_TRACE_FIELDS = {
+    "steps": LIST, "retrievals": LIST,
+    "final_outputs": ("an object of strings or null", lambda v: v is None or STR_MAP[1](v)),
+    "passes": POSITIVE, "halted": BOOL, "error": OPTIONAL_STR, "error_type": OPTIONAL_STR,
+    "version": INT,
 }
-_STEP_TYPES = {
-    "module_id": _STR, "attempt": _COUNT, "position": _COUNT, "prompt_digest": _STR,
-    "inputs": _STR_MAP, "outputs": _STR_MAP, "raw_completion": _STR, "constraints": _LIST,
+_STEP_FIELDS = {
+    "module_id": STR, "attempt": COUNT, "position": COUNT, "prompt_digest": STR,
+    "inputs": STR_MAP, "outputs": STR_MAP, "raw_completion": STR, "constraints": LIST,
 }
-_CONSTRAINT_TYPES = {
-    "kind": _STR, "passed": _BOOL, "message": _STR, "label": _STR, "attempt": _COUNT,
-    "disposition": _STR, "site": _COUNT, "target_module": _STR, "seq": _COUNT,
+_CONSTRAINT_FIELDS = {
+    "kind": STR, "passed": BOOL, "message": STR, "label": STR, "attempt": COUNT,
+    "disposition": STR, "site": COUNT, "target_module": STR, "seq": COUNT,
 }
-_RETRIEVAL_TYPES = {
-    "query": _STR, "k": ("an integer >= 1", lambda v: _is_int(v, 1)),
-    "titles": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
-}
-
-
-def _check_types(record: Mapping[str, Any], types: dict, what: str) -> None:
-    """Raise ``ValueError`` naming the first key of ``types`` whose value in
-    ``record``, a file's ``what``, is not of its type."""
-    for key, (expected, test) in types.items():
-        if not test(record[key]):
-            raise ValueError(f"{what} {key} must be {expected}, got {record[key]!r}")
+_RETRIEVAL_FIELDS = {"query": STR, "k": POSITIVE, "titles": STR_LIST}
 
 
 def trace_from_dict(data: dict) -> RunResult:
     """The inverse of ``trace_to_dict``. A missing or an unknown key, or a value
     of the wrong type, raises."""
-    version = data["version"]
-    if version != TRACE_VERSION:
-        raise ValueError(f"trace version mismatch: file has {version}, supported is {TRACE_VERSION}")
-    reject_unknown_keys(data, ("version", *_TRACE_TYPES), "trace")
-    _check_types(data, _TRACE_TYPES, "trace")
+    check_version(data, TRACE_VERSION, "trace")
+    check_record(data, _TRACE_FIELDS, "trace")
     steps = []
     for raw in data["steps"]:
-        reject_unknown_keys(raw, _STEP_TYPES, "trace step")
-        _check_types(raw, _STEP_TYPES, "trace step")
-        outcomes = [ConstraintOutcome(**o) for o in raw["constraints"]]
-        for outcome in outcomes:
-            _check_types(vars(outcome), _CONSTRAINT_TYPES, "trace constraint")
+        check_record(raw, _STEP_FIELDS, "trace step")
         steps.append(TraceStep(
             module_id=raw["module_id"],
             inputs=raw["inputs"],
             prediction=Prediction(outputs=raw["outputs"], raw_completion=raw["raw_completion"]),
-            constraint_outcomes=outcomes,
+            constraint_outcomes=[ConstraintOutcome(**check_record(o, _CONSTRAINT_FIELDS, "trace constraint"))
+                                 for o in raw["constraints"]],
             attempt=raw["attempt"],
             position=raw["position"],
             prompt_digest=raw["prompt_digest"],
         ))
-    retrievals = [Retrieval(**raw) for raw in data["retrievals"]]
-    for found in retrievals:
-        _check_types(vars(found), _RETRIEVAL_TYPES, "trace retrieval")
+    retrievals = [Retrieval(**check_record(r, _RETRIEVAL_FIELDS, "trace retrieval"))
+                  for r in data["retrievals"]]
     final = data["final_outputs"]
     return RunResult(prediction=None if final is None else Prediction(outputs=final),
                      steps=steps, retrievals=retrievals, passes=data["passes"],

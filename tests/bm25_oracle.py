@@ -29,7 +29,8 @@ def oracle_tokenize(text: str) -> list[str]:
 
 
 def oracle_load_corpus(path: str | Path) -> list[Passage]:
-    """Read one JSON record per line with fields {title, text}."""
+    """Read one JSON record per line with the fields {title, text} and no
+    others, both strings. A line that is not an object raises ``TypeError``."""
     passages = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -38,8 +39,19 @@ def oracle_load_corpus(path: str | Path) -> list[Passage]:
                 continue
             try:
                 record = json.loads(line)
-                passages.append(Passage(title=record["title"], text=record["text"]))
-            except (ValueError, KeyError) as exc:
+                if not isinstance(record, dict):
+                    raise TypeError(f"not an object: {line}")
+                unknown = sorted(set(record) - {"title", "text"})
+                if unknown:
+                    raise ValueError(f"unknown key {unknown[0]!r} in corpus record")
+                passage = Passage(title=record["title"], text=record["text"])
+                for key, value in passage._asdict().items():
+                    if not isinstance(value, str):
+                        raise ValueError(f"corpus record {key} must be a string, got {value!r}")
+                passages.append(passage)
+            except KeyError as exc:
+                raise ValueError(f"bad corpus record at {path}:{lineno}: missing key {exc}") from exc
+            except ValueError as exc:
                 raise ValueError(f"bad corpus record at {path}:{lineno}: {exc}") from exc
     return passages
 

@@ -559,19 +559,19 @@ def test_readme_config_example_loads(tmp_path):
 
 
 @pytest.mark.parametrize("payload, error", [
-    ({"runtime": {"max_retry": 0}}, "unknown config key runtime.max_retry"),
-    ({"backend": {"model": "m", "apibase": "http://127.0.0.1:9"}}, "unknown config key backend.apibase"),
-    ({"corpus": "c.jsonl", "retries": 1}, "unknown config key retries"),
-    ({"runtime": 0}, "config runtime must be a JSON object"),
-    ([], "config file must be a JSON object"),
+    ({"runtime": {"max_retry": 0}}, "unknown key 'max_retry' in config runtime"),
+    ({"backend": {"model": "m", "apibase": "http://127.0.0.1:9"}}, "unknown key 'apibase' in config backend"),
+    ({"corpus": "c.jsonl", "retries": 1}, "unknown key 'retries' in config"),
+    ({"runtime": 0}, "config runtime must be a JSON object, got 0"),
+    ([], "config must be a JSON object"),
     ({"instructions": "bogus"},
      "unknown instruction variant 'bogus'; expected one of ('primitive', 'complete')"),
-    ({"backend": {"mode": "scripted"}}, "unknown config key backend.mode"),
-    ({"runtime": {"max_retries": "2"}}, "config runtime.max_retries must be an integer"),
-    ({"runtime": {"max_retries": 0.5}}, "config runtime.max_retries must be an integer"),
-    ({"runtime": {"max_retries": True}}, "config runtime.max_retries must be an integer"),
-    ({"compile": {"num_candidates": "3"}}, "config compile.num_candidates must be an integer"),
-    ({"corpus": 5}, "config corpus must be a string or null"),
+    ({"backend": {"mode": "scripted"}}, "unknown key 'mode' in config backend"),
+    ({"runtime": {"max_retries": "2"}}, "config runtime max_retries must be an integer, got '2'"),
+    ({"runtime": {"max_retries": 0.5}}, "config runtime max_retries must be an integer, got 0.5"),
+    ({"runtime": {"max_retries": True}}, "config runtime max_retries must be an integer, got True"),
+    ({"compile": {"num_candidates": "3"}}, "config compile num_candidates must be an integer, got '3'"),
+    ({"corpus": 5}, "config corpus must be a string or null, got 5"),
 ])
 def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
     config = write_config(tmp_path, payload)
@@ -621,7 +621,8 @@ def artifact_file(counterexample: Optional[dict] = None, demo: Optional[dict] = 
                   **module_change) -> dict:
     module = {"instructions": "i", "demos": [demo] if demo else [],
               "counterexamples": [counterexample] if counterexample else [], **module_change}
-    return {"version": 1, "task": "multihop", "modules": {"generate_query": module}}
+    answer = {"instructions": "i", "demos": [], "counterexamples": []}
+    return {"version": 1, "task": "multihop", "modules": {"generate_query": module, "generate_answer": answer}}
 
 
 QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"},
@@ -636,12 +637,10 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("config", "{not json", "Expecting property name enclosed in double quotes"),
     ("artifact", artifact_file({"module_id": "generate_query", "failed_output": "a", "message": "m",
                                 "corrected_output": "b", "note": "n"}),
-     "Counterexample.__init__() got an unexpected keyword argument 'note'"),
+     "unknown key 'note' in counterexample"),
     ("trace", trace_file(step_change={"position": None}), "missing key 'position'"),
-    ("trace", trace_file(constraint_change={"seq": None}),
-     "ConstraintOutcome.__init__() missing 1 required positional argument: 'seq'"),
-    ("trace", trace_file(constraint_change={"note": "n"}),
-     "ConstraintOutcome.__init__() got an unexpected keyword argument 'note'"),
+    ("trace", trace_file(constraint_change={"seq": None}), "missing key 'seq'"),
+    ("trace", trace_file(constraint_change={"note": "n"}), "unknown key 'note' in trace constraint"),
     ("trace", trace_file(step_change={"positon": 3}), "unknown key 'positon' in trace step"),
     ("trace", {**trace_file(), "extra_top": 1}, "unknown key 'extra_top' in trace"),
     ("artifact", artifact_file(note="n"), "unknown key 'note' in module spec"),
@@ -655,7 +654,7 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("script", {"version": 1, "entries": [], "note": "n"}, "unknown key 'note' in script"),
     ("artifact", {**artifact_file(), "note": "n"}, "unknown key 'note' in compiled program"),
     ("trace", {**trace_file(), "retrievals": [{"query": "q", "k": 1, "titles": [], "note": "n"}]},
-     "Retrieval.__init__() got an unexpected keyword argument 'note'"),
+     "unknown key 'note' in trace retrieval"),
     ("trace", {k: v for k, v in trace_file().items() if k != "passes"}, "missing key 'passes'"),
     # value types: the first bad value read names its key
     ("trace", {**trace_file(), "passes": "three", "retrievals": [{"query": 5, "k": "x", "titles": "abc"}]},
@@ -687,6 +686,18 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
      "trace step outputs must be an object of strings, got ['a']"),
     ("trace", trace_file(constraint_change={"passed": "yes"}),
      "trace constraint passed must be true or false, got 'yes'"),
+    ("script", {"version": 1, "entries": [{"match": "x", "responses": "abc"}]},
+     "script entry responses must be a list of strings, got 'abc'"),
+    ("script", {"version": 1, "entries": [{"match": 5, "responses": ["y"]}]},
+     "script entry match must be a string, got 5"),
+    ("artifact", artifact_file(instructions=5), "module spec instructions must be a string, got 5"),
+    ("artifact", artifact_file(demo={**QUERY_DEMO, "values": {**QUERY_DEMO["values"], "query": 5}}),
+     "demo values must be an object of strings, got {'context': 'N/A', 'question': 'Q', 'rationale': 'r', "
+     "'query': 5}"),
+    # a compiled program holds every module of its task's program, and no other
+    ("artifact", {**artifact_file(), "modules": {}}, "missing key 'generate_query'"),
+    ("artifact", {**artifact_file(), "modules": {**artifact_file()["modules"], "judge": {}}},
+     "unknown key 'judge' in compiled program modules"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"

@@ -231,6 +231,23 @@ def test_dataset_record_not_an_object_names_path_and_line(tmp_path, line):
     assert str(info.value) == f"bad dataset record at {path}:2: expected a JSON object, got {line}"
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param('{"question": "Q2?", "answer": "A2", "gold_titles": "Oak"}',
+                 "dataset record gold_titles must be a list of strings, got 'Oak'", id="gold-titles-a-string"),
+    pytest.param('{"question": "Q2?", "answer": "A2", "gold_title": ["Oak"]}',
+                 "unknown key 'gold_title' in dataset record", id="gold-title-typo"),
+    pytest.param('{"question": 5, "answer": "A2"}', "dataset record question must be a string, got 5",
+                 id="question-a-number"),
+    pytest.param('{"question": "Q2?"}', "missing key 'answer'", id="answer-missing"),
+])
+def test_bad_dataset_record_names_path_line_and_key(tmp_path, line, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"question": "Q1?", "answer": "A1"}\n' + line + "\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"bad dataset record at {path}:2: {message}"
+
+
 def test_task_example_validation():
     with pytest.raises(ValueError):
         TaskExample(question="", answer="x")

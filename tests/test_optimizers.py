@@ -315,8 +315,9 @@ def test_example_input_keys_must_exist(index, tmp_path):
             "input_keys": ["context", "question"]}
     module = {"instructions": "i", "demos": [demo], "counterexamples": []}
     path = tmp_path / "artifact.json"
+    answer = {"instructions": "i", "demos": [], "counterexamples": []}
     path.write_text(json.dumps({"version": 1, "task": "multihop",
-                                "modules": {"generate_query": module}}))
+                                "modules": {"generate_query": module, "generate_answer": answer}}))
     with pytest.raises(ValueError, match=r"input_keys must be its inputs \['context', 'question'\], "
                                          r"each in values"):
         load_compiled_program(MultiHopQA(index), path)

@@ -201,7 +201,9 @@ GOOD = '{"title": "A", "text": "x"}'
                  "Expecting value: line 1 column 24 (char 23)", id="invalid-json"),
     pytest.param(GOOD + ' {"title": "B", "text": "y"}\n', 1,
                  "Extra data: line 1 column 29 (char 28)", id="two-records-one-line"),
-    pytest.param('{"title": "A"}\n', 1, "'text'", id="missing-text"),
+    pytest.param('{"title": "A"}\n', 1, "missing key 'text'", id="missing-text"),
+    pytest.param('{"title": 5, "text": "x"}\n', 1, "corpus record title must be a string, got 5",
+                 id="title-not-a-string"),
     pytest.param("\ufeff" + GOOD + "\n", 1,
                  "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)", id="bom"),
     pytest.param(GOOD + '\n\n   \t\n{"title": "B", "text": "y"}\n \n{"title": "C", "text": 1,}\n', 6,
