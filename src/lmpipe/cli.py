@@ -208,11 +208,7 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
     backend = make_backend(config)
     program = make_program(config)
     if strategy.compiled:
-        program, artifact_task = load_compiled_program(program, artifact_path)
-        if artifact_task != config.task:
-            raise ValueError(
-                f"artifact was compiled for task {artifact_task!r}, not {config.task!r}"
-            )
+        program = load_compiled_program(program, artifact_path, config.task)
     runtime = config.runtime
     if not strategy.student_assertions:
         runtime = replace(runtime, handler_policy=DISABLE_ALL)
@@ -256,18 +252,20 @@ def format_summary(report: MetricReport) -> str:
 
 
 def format_trace(result: RunResult) -> str:
-    lines = []
-    for step in result.steps:
+    """Each step with the outcomes that judged it; an outcome no call preceded
+    comes before the first step."""
+    judged: dict[Optional[int], list[str]] = {}
+    for outcome in result.constraints:
+        tag = "RETRY" if outcome.disposition == "retried" else outcome.disposition.upper()
+        judged.setdefault(outcome.step, []).append(f"    [{outcome.kind}/{tag}] {outcome.message}")
+    lines = judged.get(None, [])
+    for index, step in enumerate(result.steps):
         lines.append(f"step {step.position}.{step.attempt}  {step.module_id}  "
                      f"prompt={step.prompt_digest[:12]}")
         for name, value in step.prediction.outputs.items():
             shown = value if len(value) <= 80 else value[:77] + "..."
             lines.append(f"    {name}: {shown}")
-        for outcome in step.constraint_outcomes:
-            tag = outcome.disposition.upper()
-            if outcome.disposition == "retried":
-                tag = "RETRY"
-            lines.append(f"    [{outcome.kind}/{tag}] {outcome.message}")
+        lines.extend(judged.get(index, ()))
     for found in result.retrievals:
         lines.append(f"retrieve k={found.k}  {found.query}")
         lines.extend(f"    [{rank}] {title}" for rank, title in enumerate(found.titles, start=1))

@@ -188,7 +188,7 @@ class ConstraintOutcome:
     disposition: str
     site: int
     target_module: str
-    seq: int  # global evaluation order within a run
+    step: Optional[int]  # the judged step's index in RunResult.steps; None before any call
 
     def __post_init__(self) -> None:
         if self.kind not in ("assert", "suggest"):
@@ -215,12 +215,11 @@ class Counterexample:
 
 @dataclass
 class TraceStep:
-    """One module invocation: inputs, prediction, and the constraint outcomes it drew."""
+    """One module invocation: its inputs and prediction."""
 
     module_id: str
     inputs: dict[str, str]
     prediction: Prediction
-    constraint_outcomes: list[ConstraintOutcome] = field(default_factory=list)
     attempt: int = 0
     position: int = 0  # execution slot within a pass; retries share a position
     prompt_digest: str = ""
@@ -237,30 +236,38 @@ class Retrieval:
 
 @dataclass
 class RunResult:
-    """The one record of a run: its steps in invocation order, its surviving
-    pass's searches, its pass count, and its prediction or why it has none. A
-    halting assertion sets ``halted`` and ``error``; a run an error stopped (a
-    backend's, or the pass budget's) is that error's ``partial_result``, with
-    its message and class name as ``error`` and ``error_type``."""
+    """The one record of a run: its steps in invocation order, every constraint
+    outcome in evaluation order, its surviving pass's searches, its pass count,
+    and its prediction or why it has none. A halting assertion sets ``halted``
+    and ``error``; a run an error stopped (a backend's, or the pass budget's)
+    is that error's ``partial_result``, with its message and class name as
+    ``error`` and ``error_type``.
+
+    The surviving pass is the run's last forward pass, the one its prediction
+    (or halt, or error) came from. It reached ``calls`` call positions and
+    ``sites`` constraint sites; steps and outcomes beyond them belong to
+    discarded passes only."""
 
     prediction: Optional[Prediction]
     steps: list[TraceStep]
+    constraints: list[ConstraintOutcome]
+    calls: int
+    sites: int
     retrievals: list[Retrieval] = field(default_factory=list)
     passes: int = 1
     halted: bool = False
     error: Optional[str] = None
     error_type: Optional[str] = None
 
-    def outcomes(self) -> list[ConstraintOutcome]:
-        """All constraint outcomes in evaluation order."""
-        out = [o for step in self.steps for o in step.constraint_outcomes]
-        return sorted(out, key=lambda o: o.seq)
+    def final_steps(self) -> list[TraceStep]:
+        """The surviving pass's steps: the last attempt at each position below ``calls``."""
+        latest = {step.position: step for step in self.steps if step.position < self.calls}
+        return [latest[position] for position in sorted(latest)]
 
-    def outcomes_by_site(self) -> dict[int, list[ConstraintOutcome]]:
-        sites: dict[int, list[ConstraintOutcome]] = {}
-        for outcome in self.outcomes():
-            sites.setdefault(outcome.site, []).append(outcome)
-        return sites
+    def final_outcomes(self) -> list[ConstraintOutcome]:
+        """The surviving pass's outcomes: the last of each site below ``sites``, in site order."""
+        latest = {o.site: o for o in self.constraints if o.site < self.sites}
+        return [latest[site] for site in sorted(latest)]
 
 
 SECTION_SEPARATOR = "\n\n---\n\n"

@@ -57,30 +57,28 @@ def answer_em(prediction_text: str, gold: str) -> float:
 
 
 def suggestions_passed(run: RunResult) -> tuple[float, bool]:
-    """Fraction of suggestion sites whose final-attempt disposition is passed.
+    """Fraction of the surviving pass's suggestion sites whose final outcome passed.
 
-    Only the last run of the self-refinement loop at each site counts. With no
-    suggestion sites the value is vacuously 1.0, flagged by the second element.
+    Only the last run of the self-refinement loop at each site counts, and a
+    site only a discarded pass reached does not count (``RunResult.final_outcomes``).
+    With no suggestion sites the value is vacuously 1.0, flagged by the second
+    element.
     """
-    sites = run.outcomes_by_site()
-    suggest_sites = [
-        outcomes for outcomes in sites.values() if outcomes[0].kind == "suggest"
-    ]
-    if not suggest_sites:
+    final = [o for o in run.final_outcomes() if o.kind == "suggest"]
+    if not final:
         return 1.0, True
-    passed = sum(1 for outcomes in suggest_sites if outcomes[-1].disposition == PASSED)
-    return passed / len(suggest_sites), False
+    return sum(1 for o in final if o.disposition == PASSED) / len(final), False
 
 
 def final_label_outcomes(run: RunResult) -> dict[str, list[bool]]:
-    """Final-attempt pass/fail per constraint label, in site order.
+    """Final-attempt pass/fail per constraint label over the surviving pass's
+    sites, in site order.
 
     A label guarding several sites (one per loop iteration, say) contributes
     one boolean per site.
     """
     results: dict[str, list[bool]] = {}
-    for outcomes in run.outcomes_by_site().values():
-        last = outcomes[-1]
+    for last in run.final_outcomes():
         results.setdefault(last.label, []).append(last.disposition == PASSED)
     return results
 

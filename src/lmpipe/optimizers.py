@@ -70,37 +70,26 @@ def _metric_passes(value: object) -> bool:
     return bool(value)
 
 
-def _final_steps(run: RunResult) -> list:
-    """The steps that produced the final prediction: the last attempt per position."""
-    latest = {}
-    for step in run.steps:
-        latest[step.position] = step
-    return [latest[pos] for pos in sorted(latest)]
-
-
 def _all_sites_ultimately_passed(run: RunResult) -> bool:
-    return all(
-        outcomes[-1].disposition == PASSED for outcomes in run.outcomes_by_site().values()
-    )
+    return all(o.disposition == PASSED for o in run.final_outcomes())
 
 
 def collect_counterexamples(runs: Sequence[RunResult]) -> list[Counterexample]:
-    """One counterexample per site that retried and then passed: the output its
-    first retry judged, that retry's message, and the output its final pass
-    judged.
+    """One counterexample per site of the surviving pass that retried and then
+    passed: the output its first retry judged, that retry's message, and the
+    output its final outcome judged.
 
-    The engine stores each outcome on the step it judged, so both outputs are
-    read from the steps that carry those two outcomes. The payload is the last
-    output field of the judged prediction, as ``core.payload_field`` picks it.
+    Each outcome names the step it judged, so both outputs are read from those
+    two steps. The payload is the last output field of the judged prediction,
+    as ``core.payload_field`` picks it.
     """
     found = []
     for run in runs:
-        judged = {id(o): step for step in run.steps for o in step.constraint_outcomes}
-        for outcomes in run.outcomes_by_site().values():
-            retried = [o for o in outcomes if o.disposition == RETRIED]
-            if outcomes[-1].disposition != PASSED or not retried:
+        for final in run.final_outcomes():
+            retried = [o for o in run.constraints if o.site == final.site and o.disposition == RETRIED]
+            if final.disposition != PASSED or not retried:
                 continue
-            failed_step, fixed_step = judged[id(retried[0])], judged[id(outcomes[-1])]
+            failed_step, fixed_step = run.steps[retried[0].step], run.steps[final.step]
             # predictions key outputs in signature order
             field_name = next(reversed(fixed_step.prediction.outputs), None)
             found.append(Counterexample(
@@ -146,7 +135,7 @@ def bootstrap_few_shot(
         if config.teacher_assertions and not _all_sites_ultimately_passed(result):
             continue
         harvested_any = True
-        for step in _final_steps(result):
+        for step in result.final_steps():
             if step.module_id not in demos:
                 continue  # auxiliary predictors (judges) never carry demos
             if len(demos[step.module_id]) >= config.max_bootstrapped_demos:
@@ -291,9 +280,10 @@ def save_compiled_program(program: Program, task: str, config: CompileConfig, pa
     write_json(compiled_program_to_dict(program, task, config), path)
 
 
-def load_compiled_program(program: Program, path: str | Path) -> tuple[Program, str]:
-    """Attach a saved artifact's demos/counterexamples/instructions to a fresh program."""
-    return read_json(path, lambda data: compiled_program_from_dict(program, data))
+def load_compiled_program(program: Program, path: str | Path, task: str) -> Program:
+    """Attach a saved artifact's demos/counterexamples/instructions to a fresh
+    program of ``task``; an artifact compiled for another task raises."""
+    return read_json(path, lambda data: compiled_program_from_dict(program, data, task))
 
 
 _PROGRAM_FIELDS = {"task": STR, "modules": OBJECT, "compile_config": OBJECT, "version": INT}
@@ -302,9 +292,11 @@ _DEMO_FIELDS = {"values": STR_MAP, "input_keys": STR_LIST}
 _COUNTEREXAMPLE_FIELDS = dict.fromkeys(("module_id", "failed_output", "message", "corrected_output"), STR)
 
 
-def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, str]:
+def compiled_program_from_dict(program: Program, data: dict, task: str) -> Program:
     check_version(data, ARTIFACT_VERSION, "artifact")
     check_record(data, _PROGRAM_FIELDS, "compiled program", optional=("compile_config",))
+    if data["task"] != task:
+        raise ValueError(f"artifact was compiled for task {data['task']!r}, not {task!r}")
     loaded = program.clone()
     check_record(data["modules"], dict.fromkeys(loaded.modules, OBJECT), "compiled program modules")
     for module_id, spec in data["modules"].items():
@@ -321,4 +313,4 @@ def compiled_program_from_dict(program: Program, data: dict) -> tuple[Program, s
             module.demos.append(dict(demo["values"]))
         module.counterexamples = [Counterexample(**check_record(c, _COUNTEREXAMPLE_FIELDS, "counterexample"))
                                   for c in spec["counterexamples"]]
-    return loaded, data["task"]
+    return loaded

@@ -62,7 +62,7 @@ from .modules import PredictModule, parse_completion
 
 logger = logging.getLogger(__name__)
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 BACKTRACK_DEFAULT = "backtrack_default"
 SUPPRESS_ASSERT_LOG = "suppress_assert_log"
@@ -191,6 +191,7 @@ class _Slot:
 
     module: PredictModule
     step: TraceStep
+    index: int  # the step's index in the run's steps
     sites_before: int  # constraint sites evaluated earlier in that pass
 
 
@@ -211,9 +212,9 @@ class ExecutionContext:
         self._registered = set(program.modules)
         # run-level state
         self.steps: list[TraceStep] = []
+        self.constraints: list[ConstraintOutcome] = []
         self._slots: dict[int, _Slot] = {}
         self._retry_states: dict[int, RetryState] = {}
-        self._eval_seq = 0
         self._passes = 0
         self._found: list[tuple[Retrieval, tuple]] = []  # this pass's searches
         self._begin_pass(None)
@@ -257,7 +258,7 @@ class ExecutionContext:
             prompt_digest=stable_digest(prompt),
         )
         self.steps.append(step)
-        self._slots[position] = _Slot(module, step, self._site_counter)
+        self._slots[position] = _Slot(module, step, len(self.steps) - 1, self._site_counter)
         return prediction
 
     def retrieve(self, search: Callable, index: Any, query: str, k: int) -> list:
@@ -274,7 +275,8 @@ class ExecutionContext:
         return list(passages)
 
     def _result(self, prediction: Optional[Prediction], **ending: Any) -> RunResult:
-        return RunResult(prediction=prediction, steps=self.steps,
+        return RunResult(prediction=prediction, steps=self.steps, constraints=self.constraints,
+                         calls=self._pos, sites=self._site_counter,
                          retrievals=[found for found, _ in self._found], passes=self._passes,
                          **ending)
 
@@ -323,7 +325,8 @@ class ExecutionContext:
         config = self._config if target is not None else replace(self._config, max_retries=state.r)
         transition = check_constraint(kind, passed, message, state, config, failed_output)
         action = transition.action
-        outcome = ConstraintOutcome(
+        judged = target.index if target is not None else (len(self.steps) - 1 if self.steps else None)
+        self.constraints.append(ConstraintOutcome(
             kind=kind,
             passed=passed,
             message=message,
@@ -332,12 +335,8 @@ class ExecutionContext:
             disposition=action,
             site=site,
             target_module=state.module_id,
-            seq=self._eval_seq,
-        )
-        self._eval_seq += 1
-        carrier = target.step if target is not None else (self.steps[-1] if self.steps else None)
-        if carrier is not None:
-            carrier.constraint_outcomes.append(outcome)
+            step=judged,
+        ))
 
         self._retry_states[site] = transition.state
         if action == RETRIED:
@@ -378,20 +377,18 @@ def run_with_backtracking(
 
 
 def trace_to_dict(result: RunResult) -> dict:
-    """A run as a trace file's JSON object: its steps, searches and passes, how
-    it ended, and the final prediction's outputs (null for a halted or failed run)."""
-    steps = []
-    for step in result.steps:
-        steps.append({
-            "module_id": step.module_id,
-            "attempt": step.attempt,
-            "position": step.position,
-            "prompt_digest": step.prompt_digest,
-            "inputs": dict(step.inputs),
-            "outputs": dict(step.prediction.outputs),
-            "raw_completion": step.prediction.raw_completion,
-            "constraints": [dict(vars(o)) for o in step.constraint_outcomes],
-        })
+    """A run as a trace file's JSON object: its steps, constraint outcomes,
+    searches and passes, the calls and sites of its surviving pass, how it
+    ended, and the final prediction's outputs (null for a halted or failed run)."""
+    steps = [{
+        "module_id": step.module_id,
+        "attempt": step.attempt,
+        "position": step.position,
+        "prompt_digest": step.prompt_digest,
+        "inputs": dict(step.inputs),
+        "outputs": dict(step.prediction.outputs),
+        "raw_completion": step.prediction.raw_completion,
+    } for step in result.steps]
     final = dict(result.prediction.outputs) if result.prediction else None
     return {
         "version": TRACE_VERSION,
@@ -400,6 +397,9 @@ def trace_to_dict(result: RunResult) -> dict:
         "error_type": result.error_type,
         "passes": result.passes,
         "steps": steps,
+        "constraints": [dict(vars(o)) for o in result.constraints],
+        "calls": result.calls,
+        "sites": result.sites,
         "retrievals": [dict(vars(r)) for r in result.retrievals],
         "final_outputs": final,
     }
@@ -408,18 +408,18 @@ def trace_to_dict(result: RunResult) -> dict:
 # the keys of each trace-file object and the type of each value. A trace
 # missing several keys is named by the first (a bare header by its steps).
 _TRACE_FIELDS = {
-    "steps": LIST, "retrievals": LIST,
+    "steps": LIST, "constraints": LIST, "retrievals": LIST,
     "final_outputs": ("an object of strings or null", lambda v: v is None or STR_MAP[1](v)),
-    "passes": POSITIVE, "halted": BOOL, "error": OPTIONAL_STR, "error_type": OPTIONAL_STR,
-    "version": INT,
+    "passes": POSITIVE, "calls": COUNT, "sites": COUNT, "halted": BOOL,
+    "error": OPTIONAL_STR, "error_type": OPTIONAL_STR, "version": INT,
 }
 _STEP_FIELDS = {
     "module_id": STR, "attempt": COUNT, "position": COUNT, "prompt_digest": STR,
-    "inputs": STR_MAP, "outputs": STR_MAP, "raw_completion": STR, "constraints": LIST,
+    "inputs": STR_MAP, "outputs": STR_MAP, "raw_completion": STR,
 }
 _CONSTRAINT_FIELDS = {
     "kind": STR, "passed": BOOL, "message": STR, "label": STR, "attempt": COUNT,
-    "disposition": STR, "site": COUNT, "target_module": STR, "seq": COUNT,
+    "disposition": STR, "site": COUNT, "target_module": STR,
 }
 _RETRIEVAL_FIELDS = {"query": STR, "k": POSITIVE, "titles": STR_LIST}
 
@@ -436,17 +436,20 @@ def trace_from_dict(data: dict) -> RunResult:
             module_id=raw["module_id"],
             inputs=raw["inputs"],
             prediction=Prediction(outputs=raw["outputs"], raw_completion=raw["raw_completion"]),
-            constraint_outcomes=[ConstraintOutcome(**check_record(o, _CONSTRAINT_FIELDS, "trace constraint"))
-                                 for o in raw["constraints"]],
             attempt=raw["attempt"],
             position=raw["position"],
             prompt_digest=raw["prompt_digest"],
         ))
+    # a constraint names the step it judged by its index, or none before any call
+    fields = {**_CONSTRAINT_FIELDS,
+              "step": ("null or an index into steps", lambda v: v is None or (type(v) is int and 0 <= v < len(steps)))}
+    constraints = [ConstraintOutcome(**check_record(o, fields, "trace constraint")) for o in data["constraints"]]
     retrievals = [Retrieval(**check_record(r, _RETRIEVAL_FIELDS, "trace retrieval"))
                   for r in data["retrievals"]]
     final = data["final_outputs"]
     return RunResult(prediction=None if final is None else Prediction(outputs=final),
-                     steps=steps, retrievals=retrievals, passes=data["passes"],
+                     steps=steps, constraints=constraints, calls=data["calls"], sites=data["sites"],
+                     retrievals=retrievals, passes=data["passes"],
                      halted=data["halted"], error=data["error"], error_type=data["error_type"])
 
 

@@ -118,7 +118,7 @@ def run_one_constraint(kind: str, fails: int, max_retries: int):
     program = OneConstraintProgram(kind)
     result = run_with_backtracking(program, {"prompt": "go"},
                                    RuntimeConfig(max_retries=max_retries), backend)
-    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.constraints if o.site == 0]
     return result, dispositions
 
 
@@ -151,7 +151,7 @@ def test_criterion_1_semantics_conformance():
     ]))
     result = run_with_backtracking(TwoSiteProgram(), {"prompt": "go"},
                                    RuntimeConfig(max_retries=2), backend)
-    site_a = result.outcomes_by_site()[0]
+    site_a = [o for o in result.constraints if o.site == 0]
     assert [o.disposition for o in site_a] == ["passed", "retried", "passed"]
     assert [o.attempt for o in site_a] == [0, 0, 1]
 
@@ -499,5 +499,5 @@ def test_criterion_10_handler_policies(index, testset, caplog):
     assert not suppressed.halted
     assert suppressed.prediction is not None
     assert any("Value should be ok" in message for message in caplog.messages)
-    dispositions = [o.disposition for o in suppressed.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in suppressed.constraints if o.site == 0]
     assert dispositions == ["retried", "failed"]

@@ -139,8 +139,7 @@ def test_eval_applies_configured_handler_policy(runner, tmp_path):
         return [
             outcome.disposition
             for path in sorted((out / "traces").glob("*.json"))
-            for step in load_trace(path).steps
-            for outcome in step.constraint_outcomes
+            for outcome in load_trace(path).constraints
         ]
 
     assert "retried" in dispositions([], tmp_path / "default")
@@ -603,9 +602,9 @@ def trace_file(step_change: Optional[dict] = None, constraint_change: Optional[d
     """A one-step trace whose step and constraint objects take the changes;
     a value of None drops the key."""
     constraint = {"kind": "suggest", "passed": True, "message": "m", "label": "m", "attempt": 0,
-                  "disposition": "passed", "site": 0, "target_module": "m", "seq": 0}
+                  "disposition": "passed", "site": 0, "target_module": "m", "step": 0}
     step = {"module_id": "m", "attempt": 0, "position": 0, "prompt_digest": "d", "inputs": {},
-            "outputs": {}, "raw_completion": "", "constraints": [constraint]}
+            "outputs": {}, "raw_completion": ""}
     for record, change in ((constraint, constraint_change), (step, step_change)):
         for key, value in (change or {}).items():
             if value is None:
@@ -613,7 +612,7 @@ def trace_file(step_change: Optional[dict] = None, constraint_change: Optional[d
             else:
                 record[key] = value
     return {"version": TRACE_VERSION, "halted": False, "error": None, "error_type": None,
-            "passes": 1, "steps": [step],
+            "passes": 1, "steps": [step], "constraints": [constraint], "calls": 1, "sites": 1,
             "retrievals": [{"query": "q", "k": 1, "titles": ["T"]}], "final_outputs": {}}
 
 
@@ -639,7 +638,7 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
                                 "corrected_output": "b", "note": "n"}),
      "unknown key 'note' in counterexample"),
     ("trace", trace_file(step_change={"position": None}), "missing key 'position'"),
-    ("trace", trace_file(constraint_change={"seq": None}), "missing key 'seq'"),
+    ("trace", trace_file(constraint_change={"step": None}), "missing key 'step'"),
     ("trace", trace_file(constraint_change={"note": "n"}), "unknown key 'note' in trace constraint"),
     ("trace", trace_file(step_change={"positon": 3}), "unknown key 'positon' in trace step"),
     ("trace", {**trace_file(), "extra_top": 1}, "unknown key 'extra_top' in trace"),
@@ -698,6 +697,19 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("artifact", {**artifact_file(), "modules": {}}, "missing key 'generate_query'"),
     ("artifact", {**artifact_file(), "modules": {**artifact_file()["modules"], "judge": {}}},
      "unknown key 'judge' in compiled program modules"),
+    # a constraint names the step it judged by its index, or null before any call
+    ("trace", trace_file(constraint_change={"step": 1}),
+     "trace constraint step must be null or an index into steps, got 1"),
+    ("trace", trace_file(constraint_change={"step": -1}),
+     "trace constraint step must be null or an index into steps, got -1"),
+    ("trace", trace_file(constraint_change={"step": "0"}),
+     "trace constraint step must be null or an index into steps, got '0'"),
+    ("trace", {**trace_file(), "calls": -1}, "trace calls must be an integer >= 0, got -1"),
+    ("trace", {**trace_file(), "sites": 1.0}, "trace sites must be an integer >= 0, got 1.0"),
+    ("trace", {k: v for k, v in trace_file().items() if k != "constraints"}, "missing key 'constraints'"),
+    ("trace", {**trace_file(), "version": 2}, f"trace version mismatch: file has 2, supported is {TRACE_VERSION}"),
+    ("trace", trace_file(constraint_change={"step": True}),
+     "trace constraint step must be null or an index into steps, got True"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
@@ -713,6 +725,19 @@ def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind,
     result = runner.invoke(main, args)
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"Error: {path}: {error}")
+
+
+def test_artifact_of_another_task_names_both_tasks(runner, tmp_path):
+    # checked before the module set, which differs between any two bundled tasks
+    quiz = run_command(runner, "compile", "quiz", "compile", data("scripts/quiz_all_pass.json"), tmp_path / "quiz")
+    artifact = quiz / "compiled_program.json"
+    result = runner.invoke(main, [
+        "eval", "--task", "multihop", "--strategy", "compile", "--artifact", str(artifact),
+        "--test", data("test.jsonl"), "--offline", "--script", data("scripts/multihop_all_pass.json"),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {artifact}: artifact was compiled for task 'quiz', not 'multihop'\n"
 
 
 def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(runner, tmp_path):
@@ -789,7 +814,8 @@ def test_config_max_retries_zero_retries_nothing(runner, tmp_path):
                        {"runtime": {"max_retries": 0}})
     steps = saved_steps(zero)
     assert steps and all(step.attempt == 0 for step in steps)
-    dispositions = {o.disposition for step in steps for o in step.constraint_outcomes}
+    dispositions = {o.disposition for path in sorted((zero / "traces").glob("*.json"))
+                    for o in load_trace(path).constraints}
     assert "warned" in dispositions and "retried" not in dispositions
 
 

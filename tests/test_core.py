@@ -220,7 +220,7 @@ def test_render_prompt_deterministic_bytes(inputs):
 ])
 def test_constraint_outcome_rejects_bad_records(change, error):
     fields = dict(kind="suggest", passed=False, message="m", label="m", attempt=2,
-                  disposition="warned", site=0, target_module="m", seq=0)
+                  disposition="warned", site=0, target_module="m", step=0)
     ConstraintOutcome(**fields)
     with pytest.raises(ValueError, match=error):
         ConstraintOutcome(**{**fields, **change})

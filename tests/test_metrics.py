@@ -27,35 +27,37 @@ from lmpipe.metrics import (
 )
 
 
-def outcome(kind: str, disposition: str, site: int, seq: int, attempt: int = 0,
+def outcome(kind: str, disposition: str, site: int, attempt: int = 0,
             label: str = "") -> ConstraintOutcome:
     return ConstraintOutcome(
         kind=kind, passed=disposition == "passed", message="m", label=label or f"c{site}",
-        attempt=attempt, disposition=disposition, site=site, target_module="m", seq=seq,
+        attempt=attempt, disposition=disposition, site=site, target_module="m", step=0,
     )
 
 
 def trace_with(outcomes: list[ConstraintOutcome], inputs=None) -> RunResult:
-    step = TraceStep(module_id="m", inputs=inputs or {}, prediction=Prediction(outputs={}),
-                     constraint_outcomes=outcomes)
-    return RunResult(prediction=None, steps=[step])
+    """A one-step run whose outcomes, in evaluation order, all judged its step
+    and all belong to the surviving pass."""
+    step = TraceStep(module_id="m", inputs=inputs or {}, prediction=Prediction(outputs={}))
+    return RunResult(prediction=None, steps=[step], constraints=outcomes, calls=1,
+                     sites=1 + max((o.site for o in outcomes), default=-1))
 
 
 def test_suggestions_passed_all_final_pass():
     trace = trace_with([
-        outcome("suggest", "retried", site=0, seq=0),
-        outcome("suggest", "passed", site=0, seq=1, attempt=1),
-        outcome("suggest", "passed", site=1, seq=2),
+        outcome("suggest", "retried", site=0),
+        outcome("suggest", "passed", site=0, attempt=1),
+        outcome("suggest", "passed", site=1),
     ])
     assert suggestions_passed(trace) == (1.0, False)
 
 
 def test_suggestions_passed_counts_only_final_attempts():
     trace = trace_with([
-        outcome("suggest", "retried", site=0, seq=0),
-        outcome("suggest", "retried", site=0, seq=1, attempt=1),
-        outcome("suggest", "warned", site=0, seq=2, attempt=2),
-        outcome("suggest", "passed", site=1, seq=3),
+        outcome("suggest", "retried", site=0),
+        outcome("suggest", "retried", site=0, attempt=1),
+        outcome("suggest", "warned", site=0, attempt=2),
+        outcome("suggest", "passed", site=1),
     ])
     assert suggestions_passed(trace) == (0.5, False)
 
@@ -67,14 +69,14 @@ def test_suggestions_passed_vacuous():
 
 def test_suggestions_passed_ignores_assert_sites():
     trace = trace_with([
-        outcome("assert", "passed", site=0, seq=0),
-        outcome("suggest", "failed", site=1, seq=1),
+        outcome("assert", "passed", site=0),
+        outcome("suggest", "failed", site=1),
     ])
     assert suggestions_passed(trace) == (0.0, False)
 
 
 def test_suggestions_passed_failed_disposition_not_passed():
-    trace = trace_with([outcome("suggest", "failed", site=0, seq=0)])
+    trace = trace_with([outcome("suggest", "failed", site=0)])
     assert suggestions_passed(trace) == (0.0, False)
 
 
@@ -82,15 +84,13 @@ def test_suggestions_passed_failed_disposition_not_passed():
 def test_suggestions_passed_matches_recount(site_patterns):
     """The metric equals an independent recount over final dispositions."""
     outcomes = []
-    seq = 0
     for site, pattern in enumerate(site_patterns):
         for attempt, passed in enumerate(pattern):
             if attempt < len(pattern) - 1:
                 disposition = "retried" if not passed else "passed"
             else:
                 disposition = "passed" if passed else "warned"
-            outcomes.append(outcome("suggest", disposition, site=site, seq=seq, attempt=attempt))
-            seq += 1
+            outcomes.append(outcome("suggest", disposition, site=site, attempt=attempt))
     trace = trace_with(outcomes)
     expected = sum(1 for p in site_patterns if p[-1]) / len(site_patterns)
     assert suggestions_passed(trace)[0] == pytest.approx(expected)
@@ -98,10 +98,10 @@ def test_suggestions_passed_matches_recount(site_patterns):
 
 def test_final_label_outcomes_groups_by_label():
     trace = trace_with([
-        outcome("suggest", "retried", site=0, seq=0, label="length"),
-        outcome("suggest", "passed", site=0, seq=1, attempt=1, label="length"),
-        outcome("suggest", "warned", site=1, seq=2, label="length"),
-        outcome("suggest", "passed", site=2, seq=3, label="distinct"),
+        outcome("suggest", "retried", site=0, label="length"),
+        outcome("suggest", "passed", site=0, attempt=1, label="length"),
+        outcome("suggest", "warned", site=1, label="length"),
+        outcome("suggest", "passed", site=2, label="distinct"),
     ])
     labels = final_label_outcomes(trace)
     assert labels == {"length": [True, False], "distinct": [True]}
@@ -132,6 +132,7 @@ def test_multihop_recall_reads_context_titles_from_recorded_retrievals():
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"},
                            prediction=Prediction(outputs={}))
     run = RunResult(prediction=Prediction(outputs={"answer": "Paris"}), steps=[judge_step],
+                    constraints=[], calls=1, sites=0,
                     retrievals=[Retrieval("q1", 1, ["Gold | Annex"]), Retrieval("q2", 1, ["Other"])])
     example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))
     row = score_example("multihop", example, run)

@@ -219,7 +219,7 @@ class TableRunner:
             score = self.table[self.teacher_runs - 1][int(example.question[1:])]
         prediction = Prediction(outputs={"answer": example.answer, "score": repr(score)})
         step = TraceStep(module_id="gen", inputs={"question": example.question}, prediction=prediction)
-        return RunResult(prediction=prediction, steps=[step])
+        return RunResult(prediction=prediction, steps=[step], constraints=[], calls=1, sites=0)
 
 
 def table_score(example, prediction, run):
@@ -293,8 +293,7 @@ def test_compiled_artifact_round_trip(index, trainset, tmp_path):
     )
     path = tmp_path / "artifact.json"
     save_compiled_program(compiled, "multihop", config, path)
-    loaded, task = load_compiled_program(MultiHopQA(index), path)
-    assert task == "multihop"
+    loaded = load_compiled_program(MultiHopQA(index), path, "multihop")
     for module_id, module in compiled.modules.items():
         other = loaded.modules[module_id]
         assert other.demos == module.demos
@@ -306,7 +305,7 @@ def test_artifact_version_mismatch(index, tmp_path):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps({"version": 42, "task": "multihop", "modules": {}}))
     with pytest.raises(ValueError, match="42"):
-        load_compiled_program(MultiHopQA(index), path)
+        load_compiled_program(MultiHopQA(index), path, "multihop")
 
 
 def test_example_input_keys_must_exist(index, tmp_path):
@@ -320,7 +319,7 @@ def test_example_input_keys_must_exist(index, tmp_path):
                                 "modules": {"generate_query": module, "generate_answer": answer}}))
     with pytest.raises(ValueError, match=r"input_keys must be its inputs \['context', 'question'\], "
                                          r"each in values"):
-        load_compiled_program(MultiHopQA(index), path)
+        load_compiled_program(MultiHopQA(index), path, "multihop")
 
 
 def test_collect_counterexamples_respects_payload_fields():
@@ -334,14 +333,14 @@ def test_collect_counterexamples_respects_payload_fields():
             attempt=attempt, position=0,
         )
 
-    failed, fixed = step(0, "bad"), step(1, "good")
-    failed.constraint_outcomes.append(ConstraintOutcome(
-        kind="suggest", passed=False, message="be good", label="be good",
-        attempt=0, disposition="retried", site=0, target_module="gen", seq=0))
-    fixed.constraint_outcomes.append(ConstraintOutcome(
-        kind="suggest", passed=True, message="be good", label="be good",
-        attempt=1, disposition="passed", site=0, target_module="gen", seq=1))
-    run = RunResult(prediction=None, steps=[failed, fixed])
+    outcomes = [
+        ConstraintOutcome(kind="suggest", passed=False, message="be good", label="be good",
+                          attempt=0, disposition="retried", site=0, target_module="gen", step=0),
+        ConstraintOutcome(kind="suggest", passed=True, message="be good", label="be good",
+                          attempt=1, disposition="passed", site=0, target_module="gen", step=1),
+    ]
+    run = RunResult(prediction=None, steps=[step(0, "bad"), step(1, "good")], constraints=outcomes,
+                    calls=1, sites=1)
     ces = collect_counterexamples([run])
     assert ces == [Counterexample(module_id="gen", failed_output="bad",
                                   message="be good", corrected_output="good")]
@@ -391,3 +390,43 @@ def test_random_search_default_runner_passes_declared_inputs(index, trainset, de
     )
     assert [c.score for c in report.candidates] == [1.0, 1.0]
     assert all(module.demos for module in compiled.modules.values())
+
+
+class PerWordProgram(Program):
+    """One echo call per word of a draft; a later suggestion retries the draft
+    into one word, so the retried pass makes fewer calls than the first."""
+
+    inputs = ("question",)
+
+    def __init__(self):
+        super().__init__()
+        self.draft = self.register(PredictModule(
+            module_id="draft", signature=parse_signature("question -> words")))
+        self.echo = self.register(PredictModule(
+            module_id="echo", signature=parse_signature("word -> echo")))
+
+    def forward(self, ctx, question):
+        draft = ctx.call(self.draft, question=question)
+        for word in draft.outputs["words"].split():
+            ctx.call(self.echo, word=word)
+        ctx.suggest(len(draft.outputs["words"].split()) == 1, "Use one word.", backtrack="draft")
+        return draft
+
+
+def test_bootstrap_harvests_no_step_of_a_discarded_pass():
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Word: alpha\n", responses=["Echo: alpha"]),
+        ScriptEntry(match="Word: beta\n", responses=["Echo: beta"]),
+        ScriptEntry(match="Question: Q?", responses=["Words: alpha beta", "Words: alpha"]),
+    ]))
+    compiled = bootstrap_few_shot(PerWordProgram(), [TaskExample("Q?", "alpha")],
+                                  lambda example, prediction, run: True,
+                                  CompileConfig(teacher_assertions=True), backend)
+    assert compiled.modules["draft"].demos == [{"question": "Q?", "words": "alpha"}]
+    # the echo of "beta" belongs to the first pass only
+    assert compiled.modules["echo"].demos == [{"word": "alpha", "echo": "alpha"}]
+
+    result = run_with_backtracking(PerWordProgram(), {"question": "Q?"}, RuntimeConfig(), backend)
+    assert [(s.module_id, s.position) for s in result.steps] == \
+        [("draft", 0), ("echo", 1), ("echo", 2), ("draft", 0), ("echo", 1)]
+    assert result.final_steps() == [result.steps[3], result.steps[4]]

@@ -159,7 +159,7 @@ def test_retried_run_scores_each_distinct_query_once(monkeypatch):
                         lambda self, query: scored.update([query]) or scores(self, query))
     result = run_task_example(tasks.MultiHopQA(bundled_index()), example,
                               RuntimeConfig(handler_policy=BACKTRACK_DEFAULT), backend)
-    assert [o.disposition for o in result.outcomes_by_site()[3]] == ["retried", "passed"]
+    assert [o.disposition for o in result.constraints if o.site == 3] == ["retried", "passed"]
     assert retrieved == {subject: 1, person: 1}  # pass 2 replays hop 1, then searches hop 2
     assert scored == {subject: 1, person: 1}
     assert [(r.query, r.titles) for r in result.retrievals] == [

@@ -191,8 +191,10 @@ def test_call_retry_prompt_lists_failures_in_order():
 
 
 def site_dispositions(run) -> dict[int, list[str]]:
-    return {site: [o.disposition for o in outcomes]
-            for site, outcomes in run.outcomes_by_site().items()}
+    sites: dict[int, list[str]] = {}
+    for outcome in run.constraints:
+        sites.setdefault(outcome.site, []).append(outcome.disposition)
+    return sites
 
 
 def transition_oracle(kind: str, fails: int, max_retries: int) -> list[str]:
@@ -227,8 +229,8 @@ def test_engine_matches_transition_oracle(kind, fails, max_retries):
     if should_halt:
         assert result.prediction is None
         assert result.error == VALUE_MESSAGE
-        last = result.steps[-1]
-        assert last.constraint_outcomes[-1].disposition == HALTED
+        last = result.constraints[-1]
+        assert last.disposition == HALTED and last.step == len(result.steps) - 1
     else:
         assert result.prediction is not None
 
@@ -295,7 +297,7 @@ def test_retry_count_resets_after_pass_at_same_site():
     sites = site_dispositions(result)
     assert sites[0] == ["passed", "retried", "passed"]
     assert sites[1] == ["retried", "passed"]
-    outcomes_a = result.outcomes_by_site()[0]
+    outcomes_a = [o for o in result.constraints if o.site == 0]
     # the failure after a pass records retry count 0 and transitions to r=1
     assert [o.attempt for o in outcomes_a] == [0, 0, 1]
 
@@ -809,8 +811,8 @@ def test_trace_save_load_round_trip(tmp_path):
     assert not loaded.halted and loaded.error is None and loaded.passes == result.passes == 2
     assert [(s.module_id, s.attempt) for s in loaded.steps] == \
         [(s.module_id, s.attempt) for s in result.steps]
-    assert {s: [o.disposition for o in outs] for s, outs in loaded.outcomes_by_site().items()} == \
-        site_dispositions(result)
+    assert loaded.constraints == result.constraints
+    assert (loaded.calls, loaded.sites) == (result.calls, result.sites)
     assert loaded.prediction.outputs == result.prediction.outputs
 
 
@@ -906,7 +908,7 @@ def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
 
 def text_result(text: str) -> RunResult:
     return RunResult(prediction=Prediction(outputs={"value": text}, raw_completion=f"Value: {text}"),
-                     steps=[], error=text)
+                     steps=[], constraints=[], calls=0, sites=0, error=text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -965,3 +967,32 @@ def test_chain_of_thought_module_in_engine():
     ]))
     result = run_with_backtracking(program, {"question": "Where?"}, RuntimeConfig(), backend)
     assert result.prediction.outputs == {"rationale": "easy", "answer": "Paris"}
+
+
+class SuggestBeforeCallProgram(Program):
+    """A suggestion on the input, evaluated before any call."""
+
+    def __init__(self):
+        super().__init__()
+        self.gen = self.register(PredictModule(
+            module_id="gen", signature=parse_signature("prompt -> value")))
+
+    def forward(self, ctx, prompt):
+        ctx.suggest(prompt == "ok", "Prompt should be ok", label="prompt_ok")
+        return ctx.call(self.gen, prompt=prompt)
+
+
+def test_suggestion_before_any_call_is_recorded_and_scored(tmp_path):
+    from lmpipe.cli import format_trace
+    from lmpipe.metrics import suggestions_passed
+
+    result = run_with_backtracking(SuggestBeforeCallProgram(), {"prompt": "go"}, RuntimeConfig(),
+                                   echo_backend(0))
+    assert suggestions_passed(result) == (0.0, False)
+    # nothing to retry: the terminal rule warns, and the outcome judged no step
+    assert [(o.disposition, o.step) for o in result.constraints] == [(WARNED, None)]
+    path = tmp_path / "trace.json"
+    save_trace(result, path)
+    loaded = load_trace(path)
+    assert loaded.constraints == result.constraints
+    assert format_trace(loaded).startswith("    [suggest/WARNED] Prompt should be ok\nstep 0.0  gen")

@@ -57,9 +57,9 @@ def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
 def test_multihop_evaluates_four_suggestion_sites(index, test_examples):
     result = run_task_example(MultiHopQA(index), test_examples[1], ASSERTIVE,
                               script_backend("multihop_all_pass.json"))
-    sites = result.outcomes_by_site()
-    assert len(sites) == 4  # length and distinctness per hop
-    labels = [outcomes[0].label for outcomes in sites.values()]
+    sites = result.final_outcomes()
+    assert len(sites) == result.sites == 4  # length and distinctness per hop
+    labels = [o.label for o in sites]
     assert labels == ["query_length", "query_distinct"] * 2
 
 
@@ -67,7 +67,7 @@ def test_multihop_retry_scenario(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("multihop_retry.json")
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
-    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.constraints if o.site == 0]
     assert dispositions == ["retried", "passed"]
     assert [s.attempt for s in result.steps if s.module_id == "generate_query"] == [0, 1, 0]
     assert len(backend.call_log) == 4
@@ -92,10 +92,10 @@ def test_multihop_duplicate_second_query_fixed_on_retry(index, test_examples):
                     responses=[f"Reasoning: r\nAnswer: {ex.answer}"]),
     ]))
     result = run_task_example(MultiHopQA(index), ex, ASSERTIVE, backend)
-    sites = result.outcomes_by_site()
+    site_3 = [o for o in result.constraints if o.site == 3]
     # site 3 is hop-2 distinctness: the duplicate retried, the fix passed
-    assert [o.disposition for o in sites[3]] == ["retried", "passed"]
-    assert [o.label for o in sites[3]] == ["query_distinct", "query_distinct"]
+    assert [o.disposition for o in site_3] == ["retried", "passed"]
+    assert [o.label for o in site_3] == ["query_distinct", "query_distinct"]
     assert [found.query for found in result.retrievals] == [subject, person]
 
 
@@ -104,7 +104,7 @@ def test_multihop_without_assertions_records_but_never_retries(index, test_examp
     backend = script_backend("multihop_retry.json")
     result = run_task_example(MultiHopQA(index), ex, RECORD_ONLY, backend)
     assert len(backend.call_log) == 3  # one call per module invocation
-    dispositions = [o.disposition for o in result.outcomes_by_site()[0]]
+    dispositions = [o.disposition for o in result.constraints if o.site == 0]
     assert dispositions == ["failed"]
     value, vacuous = suggestions_passed(result)
     assert not vacuous and value < 1.0
@@ -146,10 +146,10 @@ def test_quiz_fix_scenario_retries_then_passes(index, test_examples):
     ex = test_examples[0]
     backend = script_backend("quiz_fix.json")
     result = run_task_example(QuizGen(), ex, ASSERTIVE, backend)
-    sites = result.outcomes_by_site()
-    assert [o.disposition for o in sites[0]] == ["retried", "passed"]   # format site
-    assert [o.disposition for o in sites[1]] == ["passed"]              # inclusion
-    assert [o.disposition for o in sites[2]] == ["passed"]              # plausibility
+    sites = [[o.disposition for o in result.constraints if o.site == site] for site in range(result.sites)]
+    assert sites == [["retried", "passed"],  # format site
+                     ["passed"],             # inclusion
+                     ["passed"]]             # plausibility
     row = score_example("quiz", ex, result)
     assert row["validity"] == 1.0
     # first failing constraint short-circuits: the judge never saw the bad attempt
@@ -202,7 +202,7 @@ def test_tweet_deduplicates_context(index, test_examples):
 def test_tweet_suggestion_order(index, test_examples):
     result = run_task_example(TweetGen(index), test_examples[0], ASSERTIVE,
                               script_backend("tweet_all_pass.json"))
-    labels = [outcomes[0].label for outcomes in result.outcomes_by_site().values()]
+    labels = [o.label for o in result.final_outcomes()]
     assert labels == ["no_hashtags", "within_limit", "has_answer", "engaging", "faithful"]
 
 
@@ -220,8 +220,7 @@ def test_recorded_outcomes_match_predicate_recount(index, test_examples):
         recounted.append(len(query) < 100)
         recounted.append(is_query_distinct(query, history))
         history.append(query)
-    recorded = [outcomes[-1].disposition == "passed"
-                for outcomes in result.outcomes_by_site().values()]
+    recorded = [o.disposition == "passed" for o in result.final_outcomes()]
     assert recorded == recounted
 
 
@@ -273,7 +272,33 @@ def test_longform_out_of_range_citation_counts_failed(index, test_examples):
     ]))
     result = run_task_example(LongFormQA(index), ex, RECORD_ONLY, backend)
     row = score_example("longform", ex, result)
-    labels = {o.label for outs in result.outcomes_by_site().values() for o in outs}
+    labels = {o.label for o in result.constraints}
     assert "citation_faithful" in labels
     assert row["citation_faithfulness"] == 0.5  # [9] failed, [1] judged yes
     assert row["citation_precision"] == 0.5     # one gold title, one dangling marker
+
+
+def test_longform_retried_into_fewer_citations_scores_only_its_answer(index, test_examples):
+    # three citations, the third judged unfaithful; the retry cites once, faithfully.
+    # The discarded pass's citation sites (2 and 3) are not the answer's.
+    from lmpipe.optimizers import _all_sites_ultimately_passed
+
+    ex = test_examples[0]
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Past Paragraph:", responses=["Reasoning: r\nParagraph: One fact [1]."]),
+        ScriptEntry(match="Context: N/A\nQuestion: " + ex.question,
+                    responses=["Reasoning: r\nQuery: Oakhaven Amphitheatre"]),
+        ScriptEntry(match="Question: " + ex.question,
+                    responses=["Reasoning: r\nQuery: Anton Marwick",
+                               "Reasoning: r\nParagraph: Fact one [1]. Fact two [2]. Fact three [3]."]),
+        ScriptEntry(match="Assessed Text: Fact three", responses=["Assessment Answer: No"]),
+        ScriptEntry(match="Assessment Question:", responses=["Assessment Answer: Yes"]),
+    ]))
+    result = run_task_example(LongFormQA(index), ex, ASSERTIVE, backend)
+    assert result.prediction.outputs["paragraph"] == "One fact [1]."
+    row = score_example("longform", ex, result)
+    assert row["suggestions_passed"] == 1.0
+    assert row["citation_faithfulness"] == 1.0
+    assert _all_sites_ultimately_passed(result)
+    assert [o.disposition for o in result.constraints] == ["passed"] * 3 + ["retried"] + ["passed"] * 2
+    assert result.sites == 2
