@@ -2,10 +2,10 @@
 and the one checker of the records lmpipe reads from files.
 
 A :class:`Signature` is the declarative contract of one LM call: ordered
-input/output fields and an instruction string. Prompts are rendered from a
-signature with a fixed, byte-stable template so that runs replay exactly and
-golden-file tests are meaningful. The template is documented in the README
-("Prompt format") and frozen by ``tests/golden/``.
+input fields, ordered output fields and an instruction string. Prompts are
+rendered from a signature with a fixed, byte-stable template so that runs
+replay exactly and golden-file tests are meaningful. The template is
+documented in the README ("Prompt format") and frozen by ``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class PromptError(ValueError):
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-INPUT = "input"
-OUTPUT = "output"
-
 
 def default_prefix(name: str) -> str:
     """Title-case a field name into its display prefix: answer_choices -> 'Answer Choices:'."""
@@ -38,18 +35,16 @@ def default_prefix(name: str) -> str:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One named slot of a signature, rendered as '<prefix> <value>'."""
+    """One named slot of a signature, rendered as '<prefix> <value>'. Whether
+    it is an input or an output is where its signature lists it."""
 
     name: str
-    kind: str  # INPUT or OUTPUT
     prefix: str = ""
     description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SignatureError("field name must be nonempty")
-        if self.kind not in (INPUT, OUTPUT):
-            raise SignatureError(f"field kind must be input or output, got {self.kind!r}")
         if not self.prefix:
             object.__setattr__(self, "prefix", default_prefix(self.name))
         if not self.description:
@@ -64,10 +59,11 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered field specs plus instruction text; inputs always precede outputs."""
+    """Instruction text plus ordered input and output field specs."""
 
     instructions: str
-    fields: tuple[FieldSpec, ...]
+    input_fields: tuple[FieldSpec, ...]
+    output_fields: tuple[FieldSpec, ...]
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.fields]
@@ -78,20 +74,11 @@ class Signature:
             raise SignatureError("signature needs at least one input field")
         if not self.output_fields:
             raise SignatureError("signature needs at least one output field")
-        seen_output = False
-        for f in self.fields:
-            if f.kind == OUTPUT:
-                seen_output = True
-            elif seen_output:
-                raise SignatureError(f"input field {f.name!r} declared after an output field")
 
     @property
-    def input_fields(self) -> tuple[FieldSpec, ...]:
-        return tuple(f for f in self.fields if f.kind == INPUT)
-
-    @property
-    def output_fields(self) -> tuple[FieldSpec, ...]:
-        return tuple(f for f in self.fields if f.kind == OUTPUT)
+    def fields(self) -> tuple[FieldSpec, ...]:
+        """Every field, inputs before outputs."""
+        return self.input_fields + self.output_fields
 
     def shorthand(self) -> str:
         """Canonical 'a, b -> c' form (prefixes and instructions are not encoded)."""
@@ -133,21 +120,12 @@ def parse_signature(spec: str, instructions: str = "") -> Signature:
         instructions = "Given the fields {}, produce the fields {}.".format(
             ", ".join("`%s`" % n for n in inputs), ", ".join("`%s`" % n for n in outputs)
         )
-    fields = tuple(
-        [FieldSpec(name=n, kind=INPUT) for n in inputs]
-        + [FieldSpec(name=n, kind=OUTPUT) for n in outputs]
-    )
-    return Signature(instructions=instructions, fields=fields)
+    return Signature(instructions, tuple(map(FieldSpec, inputs)), tuple(map(FieldSpec, outputs)))
 
 
 def prepend_output_field(sig: Signature, new_field: FieldSpec) -> Signature:
     """Return a signature whose output fields start with ``new_field``."""
-    if new_field.kind != OUTPUT:
-        raise SignatureError(f"can only prepend an output field, got kind {new_field.kind!r}")
-    if any(f.name == new_field.name for f in sig.fields):
-        raise SignatureError(f"duplicate field name {new_field.name!r}")
-    fields = sig.input_fields + (new_field,) + sig.output_fields
-    return Signature(instructions=sig.instructions, fields=fields)
+    return replace(sig, output_fields=(new_field,) + sig.output_fields)
 
 
 @dataclass(frozen=True)
@@ -276,13 +254,9 @@ PAST_LINE = "Past {label} {value}"
 INSTRUCTION_LINE = "Instruction: {message}"
 
 
-def feedback_label(sig: Signature) -> str:
-    """Prefix used for 'Past ...' feedback lines: the final output field's prefix key."""
-    return sig.output_fields[-1].prefix_key
-
-
 def payload_field(sig: Signature) -> FieldSpec:
-    """The field feedback refers to: the last output field (rationales are prepended)."""
+    """The field a retry's feedback and a counterexample quote: the last output
+    field (rationales are prepended). Its prefix key labels 'Past ...' lines."""
     return sig.output_fields[-1]
 
 
@@ -303,7 +277,7 @@ def _demo_block(sig: Signature, demo: Mapping[str, str]) -> str:
 def _counterexample_block(sig: Signature, ce: Counterexample) -> str:
     target = payload_field(sig)
     lines = [
-        PAST_LINE.format(label=feedback_label(sig), value=ce.failed_output),
+        PAST_LINE.format(label=target.prefix_key, value=ce.failed_output),
         INSTRUCTION_LINE.format(message=ce.message),
         _field_line(target, ce.corrected_output),
     ]
@@ -318,7 +292,7 @@ def _live_block(
         if f.name not in inputs:
             raise PromptError(f"missing input field {f.name!r}")
         lines.append(_field_line(f, inputs[f.name]))
-    label = feedback_label(sig)
+    label = payload_field(sig).prefix_key
     for failed_output, message in feedback:
         lines.append(PAST_LINE.format(label=label, value=failed_output))
         lines.append(INSTRUCTION_LINE.format(message=message))

@@ -8,6 +8,7 @@ recall, citation precision/recall, and the gated composite scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -67,7 +68,7 @@ def suggestions_passed(run: RunResult) -> tuple[float, bool]:
     final = [o for o in run.final_outcomes() if o.kind == "suggest"]
     if not final:
         return 1.0, True
-    return sum(1 for o in final if o.disposition == PASSED) / len(final), False
+    return mean_of(float(o.disposition == PASSED) for o in final), False
 
 
 def final_label_outcomes(run: RunResult) -> dict[str, list[bool]]:
@@ -99,7 +100,7 @@ def quiz_validity(format_ok: bool, answer_included: bool, plausible: bool) -> fl
     """Mean of the three intrinsic booleans, gated: 0 unless format and inclusion hold."""
     if not (format_ok and answer_included):
         return 0.0
-    return (float(format_ok) + float(answer_included) + float(plausible)) / 3.0
+    return mean_of(map(float, (format_ok, answer_included, plausible)))
 
 
 def tweet_quality(
@@ -109,8 +110,7 @@ def tweet_quality(
     answer and fits the length limit."""
     if not (has_answer and within_limit):
         return 0.0
-    values = (no_hashtags, has_answer, within_limit, engaging, faithful)
-    return sum(float(v) for v in values) / 5.0
+    return mean_of(map(float, (no_hashtags, has_answer, within_limit, engaging, faithful)))
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,19 @@ def citation_metrics(
     # as one incorrect citation, so with any citation the denominator is >= 1
     precision = hits / (len(cited_titles) + len(ks) - valid)
     recall = hits / len(gold) if gold else 0.0
-    faithfulness = None
-    if faithful_flags is not None and len(faithful_flags) > 0:
-        faithfulness = sum(1.0 for flag in faithful_flags if flag) / len(faithful_flags)
+    faithfulness = mean_of(float(bool(flag)) for flag in faithful_flags or ())
     return CitationMetrics(faithfulness=faithfulness, precision=precision, recall=recall)
 
 
 def mean_of(values: Iterable[Optional[float]]) -> Optional[float]:
-    """Mean over the non-absent values; None when every value is absent."""
+    """Mean over the non-absent values; None when every value is absent.
+
+    The sum is ``math.fsum``'s, correctly rounded, so the mean does not depend
+    on the order of the values or on the Python version."""
     present = [v for v in values if v is not None]
     if not present:
         return None
-    return sum(present) / len(present)
+    return math.fsum(present) / len(present)
 
 
 def summarize_rows(rows: Sequence[Mapping[str, object]], metric_names: Sequence[str]) -> dict[str, float]:

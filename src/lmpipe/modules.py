@@ -12,7 +12,6 @@ from typing import Mapping, Sequence
 
 from .backend import GenerationParams
 from .core import (
-    OUTPUT,
     Counterexample,
     FieldSpec,
     Prediction,
@@ -53,7 +52,7 @@ def chain_of_thought(
 ) -> PredictModule:
     """A Predict whose signature gains a leading rationale output field."""
     sig = parse_signature(spec, instructions=instructions)
-    rationale = FieldSpec(name=RATIONALE_FIELD_NAME, kind=OUTPUT, prefix=RATIONALE_PREFIX)
+    rationale = FieldSpec(name=RATIONALE_FIELD_NAME, prefix=RATIONALE_PREFIX)
     return PredictModule(module_id=module_id, signature=prepend_output_field(sig, rationale))
 
 
@@ -102,6 +101,6 @@ def parse_completion(sig: Signature, completion: str) -> Prediction:
     if first.name not in matched_names:
         lead_end = matches[0][1] if matches else len(completion)
         outputs[first.name] = completion[:lead_end].strip()
-    # keyed in signature order so the final (payload) field is always last
+    # every output field, in signature order; one never matched is empty
     ordered = {spec.name: outputs.get(spec.name, "") for spec in sig.output_fields}
     return Prediction(outputs=ordered, raw_completion=completion)

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import PASSED, RETRIED, Counterexample, RunResult, check_record, check_version, read_json
+from .core import (PASSED, RETRIED, Counterexample, RunResult, check_record, check_version,
+                   payload_field, read_json)
 from .core import INT, LIST, OBJECT, STR, STR_LIST, STR_MAP
 from .evaluation import run_task_example
-from .metrics import TaskExample
+from .metrics import TaskExample, mean_of
 from .runtime import DISABLE_ALL, Program, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
@@ -74,14 +75,15 @@ def _all_sites_ultimately_passed(run: RunResult) -> bool:
     return all(o.disposition == PASSED for o in run.final_outcomes())
 
 
-def collect_counterexamples(runs: Sequence[RunResult]) -> list[Counterexample]:
+def collect_counterexamples(program: Program, runs: Sequence[RunResult]) -> list[Counterexample]:
     """One counterexample per site of the surviving pass that retried and then
     passed: the output its first retry judged, that retry's message, and the
     output its final outcome judged.
 
     Each outcome names the step it judged, so both outputs are read from those
-    two steps. The payload is the last output field of the judged prediction,
-    as ``core.payload_field`` picks it.
+    two steps, in the field ``core.payload_field`` picks from the signature of
+    that step's module in ``program``. A step of a module ``program`` does not
+    register (a judge, say) gives no counterexample.
     """
     found = []
     for run in runs:
@@ -90,8 +92,10 @@ def collect_counterexamples(runs: Sequence[RunResult]) -> list[Counterexample]:
             if final.disposition != PASSED or not retried:
                 continue
             failed_step, fixed_step = run.steps[retried[0].step], run.steps[final.step]
-            # predictions key outputs in signature order
-            field_name = next(reversed(fixed_step.prediction.outputs), None)
+            module = program.modules.get(fixed_step.module_id)
+            if module is None:
+                continue
+            field_name = payload_field(module.signature).name
             found.append(Counterexample(
                 module_id=fixed_step.module_id,
                 failed_output=failed_step.prediction.outputs.get(field_name, ""),
@@ -142,9 +146,9 @@ def bootstrap_few_shot(
                 continue
             demos[step.module_id].append({**step.inputs, **step.prediction.outputs})
         if config.collect_counterexamples:
-            for ce in collect_counterexamples([result]):
-                bucket = counterexamples.get(ce.module_id)
-                if bucket is not None and len(bucket) < COUNTEREXAMPLES_PER_MODULE:
+            for ce in collect_counterexamples(program, [result]):
+                bucket = counterexamples[ce.module_id]
+                if len(bucket) < COUNTEREXAMPLES_PER_MODULE:
                     bucket.append(ce)
 
     if not harvested_any:
@@ -209,9 +213,9 @@ def random_search_compile(
     ``max_score`` declares the most ``metric`` can score; a higher value
     raises ``ValueError``. With it, every candidate is still bootstrapped, but
     before a candidate scores dev example ``j`` its validation stops once
-    ``sum(scores + [max_score] * (n - j)) / n`` is at most the best mean so
-    far. That is the same ``sum``, in dev order, as the candidate's own mean,
-    and float addition rounds monotonically, so a stopped candidate could not
+    ``mean_of(scores + [max_score] * (n - j))`` is at most the best mean so
+    far. The candidate's own mean is ``mean_of(scores)`` too, whose correctly
+    rounded sum is monotone in each term, so a stopped candidate could not
     have won: the selected candidate is the one the full search selects.
     """
     if not valset:
@@ -233,7 +237,7 @@ def random_search_compile(
         scores: list[float] = []
         for j, example in enumerate(valset):
             if best is not None and max_score is not None:
-                bound = sum(scores + [max_score] * (n - j)) / n
+                bound = mean_of(scores + [max_score] * (n - j))
                 if bound <= best:
                     pruned.append(PrunedReport(index, demo_counts, dev_scored=j, bound=bound))
                     break
@@ -245,7 +249,7 @@ def random_search_compile(
                 raise ValueError(f"metric scored {value}, above its declared maximum {max_score}")
             scores.append(value)
         if len(scores) == n:
-            scored.append((CandidateReport(index, sum(scores) / n, demo_counts), compiled))
+            scored.append((CandidateReport(index, mean_of(scores), demo_counts), compiled))
     best_index = max(range(len(scored)), key=lambda i: (scored[i][0].score, -i))
     report = SearchReport(rng_seed=config.rng_seed, candidates=[r for r, _ in scored],
                           best_index=scored[best_index][0].index, pruned=pruned)

@@ -229,9 +229,9 @@ class ExecutionContext:
         self._replaying = backtrack is not None
 
     def call(self, module: PredictModule, **inputs: str) -> Prediction:
-        """Invoke a module. Replays the previous pass's result when possible."""
+        """Invoke a module. Replays the previous pass's result when possible.
+        The position counts toward the pass's ``calls`` once the call returns."""
         position = self._pos
-        self._pos += 1
         feedback = ()
         if self._backtrack is not None and position == self._backtrack[1]:
             # feedback consumed here; nothing after this point replays
@@ -241,6 +241,7 @@ class ExecutionContext:
         elif self._replaying:
             step = self._slots[position].step
             if step.module_id == module.module_id and step.inputs == inputs:
+                self._pos += 1
                 return step.prediction
             self._replaying = False
 
@@ -259,6 +260,7 @@ class ExecutionContext:
         )
         self.steps.append(step)
         self._slots[position] = _Slot(module, step, len(self.steps) - 1, self._site_counter)
+        self._pos += 1
         return prediction
 
     def retrieve(self, search: Callable, index: Any, query: str, k: int) -> list:

@@ -256,8 +256,9 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
 @pytest.mark.criterion(5, "fail-then-fix run yields one counterexample per affected module, rendered into the prompt")
 def test_criterion_5_counterexample_bootstrapping(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
-    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    counterexamples = collect_counterexamples([result])
+    program = MultiHopQA(index)
+    result = run_task_example(program, trainset[0], RuntimeConfig(), backend)
+    counterexamples = collect_counterexamples(program, [result])
     by_module = {}
     for ce in counterexamples:
         by_module.setdefault(ce.module_id, []).append(ce)

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lmpipe.core import (
-    INPUT,
-    OUTPUT,
     ConstraintOutcome,
     Counterexample,
     FieldSpec,
@@ -23,7 +21,7 @@ from lmpipe.core import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-RATIONALE = FieldSpec(name="rationale", kind=OUTPUT, prefix="Reasoning: Think step by step.")
+RATIONALE = FieldSpec(name="rationale", prefix="Reasoning: Think step by step.")
 
 
 def test_parse_signature_single_pair():
@@ -68,7 +66,7 @@ def test_default_prefix_title_cases():
 
 def test_prefix_key_truncates_at_first_colon():
     assert RATIONALE.prefix_key == "Reasoning:"
-    assert FieldSpec(name="query", kind=OUTPUT).prefix_key == "Query:"
+    assert FieldSpec(name="query").prefix_key == "Query:"
 
 
 def test_prepend_output_field_orders_rationale_first():
@@ -85,20 +83,15 @@ def test_prepend_output_field_keeps_instructions():
 def test_prepend_duplicate_name_errors():
     sig = parse_signature("question -> answer")
     with pytest.raises(SignatureError, match="answer"):
-        prepend_output_field(sig, FieldSpec(name="answer", kind=OUTPUT))
+        prepend_output_field(sig, FieldSpec(name="answer"))
 
 
-def test_prepend_requires_output_kind():
-    sig = parse_signature("question -> answer")
-    with pytest.raises(SignatureError):
-        prepend_output_field(sig, FieldSpec(name="extra", kind=INPUT))
-
-
-def test_signature_requires_inputs_before_outputs():
-    with pytest.raises(SignatureError):
-        Signature(instructions="x", fields=(
-            FieldSpec(name="a", kind=OUTPUT), FieldSpec(name="b", kind=INPUT),
-        ))
+def test_signature_fields_are_its_inputs_then_its_outputs():
+    sig = Signature("x", (FieldSpec("a"), FieldSpec("b")), (FieldSpec("c"),))
+    assert [f.name for f in sig.fields] == ["a", "b", "c"]
+    assert sig == parse_signature("a, b -> c", instructions="x")
+    with pytest.raises(SignatureError, match="duplicate field name 'a'"):
+        Signature("x", (FieldSpec("a"),), (FieldSpec("a"),))
 
 
 def test_shorthand_reparse_round_trip():

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lmpipe.core import (
     ConstraintOutcome,
@@ -20,6 +21,7 @@ from lmpipe.metrics import (
     citation_metrics,
     final_label_outcomes,
     load_dataset,
+    mean_of,
     quiz_validity,
     retrieval_recall,
     suggestions_passed,
@@ -180,6 +182,16 @@ def test_quiz_validity_partial():
 
 
 # --- citation metrics ----------------------------------------------------------
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1),
+       st.lists(st.none()))
+@example([0.1] * 10, [])
+def test_mean_of_is_the_correctly_rounded_sum_over_the_count(values, absent):
+    # absent values do not count; a left-to-right sum would give 0.09999999999999999
+    # for ten 0.1s
+    assert mean_of(values + absent) == math.fsum(values) / len(values)
+    assert mean_of(absent) is None
+
 
 def test_citation_metrics_exact_gold():
     cm = citation_metrics("A [1]. B [2].", ["Gold1", "Gold2"], {"Gold1", "Gold2"},

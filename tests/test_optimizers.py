@@ -10,7 +10,7 @@ from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_sc
 from lmpipe.checks import is_query_distinct
 from lmpipe.core import Counterexample, Prediction, RunResult, TraceStep, parse_signature
 from lmpipe.metrics import TaskExample, load_dataset
-from lmpipe.modules import PredictModule
+from lmpipe.modules import PredictModule, chain_of_thought
 from lmpipe.evaluation import BOOTSTRAP_MAX_SCORE, bootstrap_metric, run_task_example
 from lmpipe.optimizers import (
     CompileConfig,
@@ -22,7 +22,7 @@ from lmpipe.optimizers import (
     save_compiled_program,
 )
 from lmpipe.retrieval import RetrieverIndex, load_corpus
-from lmpipe.runtime import Program, RuntimeConfig, run_with_backtracking
+from lmpipe.runtime import Program, RuntimeConfig, load_trace, run_with_backtracking, save_trace
 from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen
 
 from lmpipe.cli import bundled_data_path
@@ -110,8 +110,9 @@ def test_bootstrap_failing_metric_harvests_nothing(index, trainset):
 
 def test_counterexamples_from_recovered_failure(index, trainset):
     backend = script_backend("multihop_teacher_assert.json")
-    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    counterexamples = collect_counterexamples([result])
+    program = MultiHopQA(index)
+    result = run_task_example(program, trainset[0], RuntimeConfig(), backend)
+    counterexamples = collect_counterexamples(program, [result])
     assert len(counterexamples) == 1
     ce = counterexamples[0]
     assert ce.module_id == "generate_query"
@@ -122,15 +123,17 @@ def test_counterexamples_from_recovered_failure(index, trainset):
 
 def test_counterexamples_all_pass_trace_empty(index, trainset):
     backend = script_backend("multihop_all_pass.json")
-    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    assert collect_counterexamples([result]) == []
+    program = MultiHopQA(index)
+    result = run_task_example(program, trainset[0], RuntimeConfig(), backend)
+    assert collect_counterexamples(program, [result]) == []
 
 
 def test_counterexamples_unrecovered_failure_empty(index, trainset):
     # never fixed: budget exhausts, the site warns, no counterexample exists
     backend = script_backend("multihop_teacher_naive.json")
-    result = run_task_example(MultiHopQA(index), trainset[0], RuntimeConfig(), backend)
-    assert collect_counterexamples([result]) == []
+    program = MultiHopQA(index)
+    result = run_task_example(program, trainset[0], RuntimeConfig(), backend)
+    assert collect_counterexamples(program, [result]) == []
 
 
 def test_bootstrap_attaches_counterexamples_and_renders_them(index, trainset):
@@ -323,27 +326,52 @@ def test_example_input_keys_must_exist(index, tmp_path):
 
 
 def test_collect_counterexamples_respects_payload_fields():
-    # a synthetic trace: the payload is the last output field, not the rationale
+    # synthetic traces: the payload is the last output field of the module's
+    # signature, not the rationale, in whatever order the step keys its outputs
     from lmpipe.core import ConstraintOutcome, Prediction, RunResult, TraceStep
 
-    def step(attempt, value):
-        return TraceStep(
-            module_id="gen", inputs={},
-            prediction=Prediction(outputs={"rationale": "r", "value": value}),
-            attempt=attempt, position=0,
-        )
-
+    program = Program()
+    program.register(chain_of_thought("prompt -> answer", "gen"))
     outcomes = [
         ConstraintOutcome(kind="suggest", passed=False, message="be good", label="be good",
                           attempt=0, disposition="retried", site=0, target_module="gen", step=0),
         ConstraintOutcome(kind="suggest", passed=True, message="be good", label="be good",
                           attempt=1, disposition="passed", site=0, target_module="gen", step=1),
     ]
-    run = RunResult(prediction=None, steps=[step(0, "bad"), step(1, "good")], constraints=outcomes,
-                    calls=1, sites=1)
-    ces = collect_counterexamples([run])
-    assert ces == [Counterexample(module_id="gen", failed_output="bad",
-                                  message="be good", corrected_output="good")]
+    signature_order = ("rationale", "answer")
+    trace_order = ("answer", "rationale")  # sorted, as load_trace reads a step back
+    for order in (signature_order, trace_order):
+        def step(attempt, value):
+            outputs = {"rationale": f"r{attempt}", "answer": value}
+            return TraceStep(
+                module_id="gen", inputs={},
+                prediction=Prediction(outputs={name: outputs[name] for name in order}),
+                attempt=attempt, position=0,
+            )
+
+        run = RunResult(prediction=None, steps=[step(0, "bad"), step(1, "good")],
+                        constraints=outcomes, calls=1, sites=1)
+        assert collect_counterexamples(program, [run]) == [
+            Counterexample(module_id="gen", failed_output="bad", message="be good",
+                           corrected_output="good")]
+    # a step of a module the program does not register gives none
+    assert collect_counterexamples(Program(), [run]) == []
+
+
+@pytest.mark.parametrize("script,dataset,make_program", [
+    ("multihop_retry.json", "test.jsonl", MultiHopQA),
+    ("multihop_teacher_assert.json", "train.jsonl", MultiHopQA),
+    ("quiz_fix.json", "test.jsonl", lambda index: QuizGen()),
+])
+def test_counterexamples_survive_a_trace_round_trip(index, tmp_path, script, dataset, make_program):
+    # load_trace reads a step's outputs in sorted key order, not signature order
+    program = make_program(index)
+    example = load_dataset(bundled_data_path(dataset))[0]
+    result = run_task_example(program, example, RuntimeConfig(), script_backend(script))
+    save_trace(result, tmp_path / "trace.json")
+    expected = collect_counterexamples(program, [result])
+    assert expected
+    assert collect_counterexamples(program, [load_trace(tmp_path / "trace.json")]) == expected
 
 
 class TwoSiteProgram(Program):
@@ -367,9 +395,10 @@ def test_counterexamples_of_two_sites_retrying_one_call():
     backend = CachingBackend(ScriptedBackend([
         ScriptEntry(match="Prompt: go", responses=["Value: v0", "Value: v1", "Value: v2"]),
     ]))
-    result = run_with_backtracking(TwoSiteProgram(), {"prompt": "go"}, RuntimeConfig(), backend)
+    program = TwoSiteProgram()
+    result = run_with_backtracking(program, {"prompt": "go"}, RuntimeConfig(), backend)
     assert result.prediction.outputs["value"] == "v2"
-    assert collect_counterexamples([result]) == [
+    assert collect_counterexamples(program, [result]) == [
         Counterexample(module_id="gen", failed_output="v0", message="not v0", corrected_output="v2"),
         Counterexample(module_id="gen", failed_output="v1", message="not v1", corrected_output="v2"),
     ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmpipe import runtime, tasks
-from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
+from lmpipe.backend import BackendError, CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.cli import bundled_data_path
 from lmpipe.core import (
     FAILED,
@@ -645,6 +645,31 @@ def test_backend_errors_carry_partial_trace():
     assert [s.module_id for s in partial.steps] == ["first"]
     assert partial.prediction is None and not partial.halted
     assert partial.error == str(err.value)
+
+
+class BadThenBrokenBackend:
+    """Answers "Value: bad" once; every later call raises a BackendError."""
+
+    def __init__(self):
+        self.answered = False
+
+    def generate(self, prompt, params=None):
+        if self.answered:
+            raise BackendError("endpoint went away")
+        self.answered = True
+        return ["Value: bad"]
+
+
+def test_call_position_counts_only_once_its_call_returns():
+    # the retried call raises: the surviving pass reached no call position,
+    # so the discarded first pass's step is not one of its final steps
+    with pytest.raises(BackendError) as err:
+        run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
+                              RuntimeConfig(), BadThenBrokenBackend())
+    partial = err.value.partial_result
+    assert (partial.calls, partial.passes) == (0, 2)
+    assert partial.final_steps() == []
+    assert [step.prediction.outputs["value"] for step in partial.steps] == ["bad"]
 
 
 # --- searches as engine steps ----------------------------------------------------
