@@ -397,11 +397,6 @@ def check_version(record: Any, supported: int, what: str) -> None:
         raise ValueError(f"{what} version mismatch: file has {record['version']}, supported is {supported}")
 
 
-# json.loads without its two whitespace scans; shared, as json.loads shares its
-# own decoder
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def read_jsonl(path: str | Path, what: str, fields: Mapping[str, tuple[str, Callable[[Any], bool]]],
                make: Callable[..., Any], optional: Collection[str] = ()) -> list:
     """``make(**record)`` for each JSON object per line, checked by
@@ -415,13 +410,7 @@ def read_jsonl(path: str | Path, what: str, fields: Mapping[str, tuple[str, Call
             if not line:
                 continue
             try:
-                try:
-                    record, end = _raw_decode(line)
-                except ValueError:
-                    end = -1
-                if end != len(line):
-                    # invalid, trailing data or a BOM: json.loads raises its own message
-                    record = json.loads(line)
+                record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"expected a JSON object, got {line[:40]}")
                 records.append(make(**check_record(record, fields, what, optional)))

@@ -1,16 +1,27 @@
 """Hard and soft constraints with retrying, backtracking execution.
 
-A constraint evaluation does exactly one of four things:
+A constraint evaluation gets one disposition, which ``check_constraint``
+reads off this table by whether it passed, whether a retry is left, its kind
+and the handler policy (``*``: any):
 
-* condition true            -> continue, retry count reset to 0
-* false and r < R           -> retry: control returns to the backtrack target
-                               with the failure and message added to its prompt
-* false, r >= R, assert     -> halt the run with the constraint's message
-* false, r >= R, suggest    -> log a warning, reset the count, keep going
+    passed  retry  kind     backtrack_default  suppress_assert_log  disable_all  bypass_suggest_only
+    yes     *      *        passed             passed               passed       passed
+    no      yes    assert   retried            retried              failed       retried
+    no      yes    suggest  retried            retried              failed       warned
+    no      no     assert   halted             failed               failed       halted
+    no      no     suggest  warned             warned               failed       warned
 
-R is the per-site retry budget (default 2). Retry counters are scoped per
-constraint site; a site is one evaluation slot within a forward pass, so the
-second hop of a loop is a fresh site with a fresh budget.
+``retried`` hands control back to the target with the failures in its prompt,
+``halted`` ends the run with the message, ``warned`` logs and goes on, and
+``failed`` only records the failure (``suppress_assert_log`` logs it).
+
+A retry's feedback and budget belong to its site and target. A site is one
+evaluation slot of a forward pass (the second hop of a loop is a fresh one);
+the target is the latest call of the backtrack module, or of any registered
+module when none is named. A retry is left when there is a target and the
+(site, target) pair holds fewer than R failures (the retry budget, default 2).
+A retry appends its failure, which the target call's prompt then quotes after
+the older ones; a pass, a warning or a recorded failure empties the pair.
 
 The engine re-runs the program's forward pass to hand control back to a
 failing module. Each call position keeps its latest fresh invocation in a
@@ -36,7 +47,7 @@ import copy
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
@@ -71,31 +82,9 @@ BYPASS_SUGGEST_ONLY = "bypass_suggest_only"
 
 HANDLER_POLICIES = (BACKTRACK_DEFAULT, SUPPRESS_ASSERT_LOG, DISABLE_ALL, BYPASS_SUGGEST_ONLY)
 
-# Generous bound on forward passes; per-site budgets already force termination
+# Generous bound on forward passes; retry budgets already force termination
 # for deterministic backends, this only guards pathological programs.
 _MAX_PASSES = 10_000
-
-
-@dataclass(frozen=True)
-class RetryState:
-    """Retry bookkeeping for one constraint site: the failures so far, oldest first."""
-
-    module_id: str = ""
-    past_failures: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def r(self) -> int:
-        """The site's retry count: one retry per recorded failure."""
-        return len(self.past_failures)
-
-    def reset(self) -> "RetryState":
-        return RetryState(module_id=self.module_id)
-
-    def extended(self, failed_output: str, message: str) -> "RetryState":
-        return RetryState(
-            module_id=self.module_id,
-            past_failures=self.past_failures + ((failed_output, message),),
-        )
 
 
 @dataclass(frozen=True)
@@ -110,37 +99,22 @@ class RuntimeConfig:
             raise ValueError(f"unknown handler policy {self.handler_policy!r}")
 
 
-@dataclass(frozen=True)
-class Transition:
-    action: str
-    state: RetryState
-
-
-def check_constraint(
-    kind: str,
-    passed: bool,
-    message: str,
-    state: RetryState,
-    config: RuntimeConfig,
-    failed_output: str = "",
-) -> Transition:
-    """Apply the transition rules (adjusted by the handler policy) to one evaluation."""
-    if state.r > config.max_retries:
-        raise ValueError(f"retry count {state.r} exceeds budget {config.max_retries}")
+def check_constraint(kind: str, passed: bool, can_retry: bool, policy: str) -> str:
+    """The disposition of one evaluation of a ``kind`` constraint: the
+    transition rule, adjusted by the handler ``policy``. ``can_retry`` says
+    whether a retry is left: a target to return to, with budget left for this
+    site and that target."""
     if passed:
-        return Transition(PASSED, state.reset())
-    policy = config.handler_policy
+        return PASSED
     if policy == DISABLE_ALL:
-        return Transition(FAILED, state.reset())
+        return FAILED
     if policy == BYPASS_SUGGEST_ONLY and kind == "suggest":
-        return Transition(WARNED, state.reset())
-    if state.r < config.max_retries:
-        return Transition(RETRIED, state.extended(failed_output, message))
+        return WARNED
+    if can_retry:
+        return RETRIED
     if kind == "assert":
-        if policy == SUPPRESS_ASSERT_LOG:
-            return Transition(FAILED, state.reset())
-        return Transition(HALTED, state.reset())
-    return Transition(WARNED, state.reset())
+        return FAILED if policy == SUPPRESS_ASSERT_LOG else HALTED
+    return WARNED
 
 
 class AssertionHalt(RuntimeError):
@@ -152,9 +126,7 @@ class PassBudgetExceeded(RuntimeError):
 
 
 class _Backtrack(Exception):
-    def __init__(self, site: int, target_pos: int):
-        self.site = site
-        self.target_pos = target_pos
+    """A retry; its argument is the (site, target position) key of its feedback."""
 
 
 class Program:
@@ -214,13 +186,14 @@ class ExecutionContext:
         self.steps: list[TraceStep] = []
         self.constraints: list[ConstraintOutcome] = []
         self._slots: dict[int, _Slot] = {}
-        self._retry_states: dict[int, RetryState] = {}
+        # (site, target position) -> its failures, oldest first: (payload output, message)
+        self._failures: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
         self._passes = 0
         self._found: list[tuple[Retrieval, tuple]] = []  # this pass's searches
         self._begin_pass(None)
 
     def _begin_pass(self, backtrack: Optional[tuple[int, int]]) -> None:
-        """Start a pass; ``backtrack`` is the (site, position) a retry returns to."""
+        """Start a pass; ``backtrack`` is the retry's (site, target position) key."""
         self._passes += 1
         self._found_before, self._found = self._found, []
         self._pos = 0
@@ -235,7 +208,7 @@ class ExecutionContext:
         feedback = ()
         if self._backtrack is not None and position == self._backtrack[1]:
             # feedback consumed here; nothing after this point replays
-            feedback = self._retry_states[self._backtrack[0]].past_failures
+            feedback = self._failures[self._backtrack]
             self._backtrack = None
             self._replaying = False
         elif self._replaying:
@@ -313,41 +286,28 @@ class ExecutionContext:
 
         passed = bool(condition)
         target = self._resolve_target(backtrack)
-        state = self._retry_states.get(site)
-        if state is None:
-            state = RetryState(module_id=target.module.module_id if target is not None else "")
-
-        failed_output = ""
-        if target is not None and not passed:
-            failed_output = target.step.prediction.outputs.get(
-                payload_field(target.module.signature).name, ""
-            )
-
-        # with nothing to hand control back to, no retry is left: the terminal rule applies
-        config = self._config if target is not None else replace(self._config, max_retries=state.r)
-        transition = check_constraint(kind, passed, message, state, config, failed_output)
-        action = transition.action
-        judged = target.index if target is not None else (len(self.steps) - 1 if self.steps else None)
+        if target is None:  # nothing to hand control back to, so no retry is left
+            key, module_id, judged = None, "", len(self.steps) - 1 if self.steps else None
+        else:
+            key, module_id, judged = (site, target.step.position), target.module.module_id, target.index
+        failures = self._failures.get(key, ())
+        can_retry = target is not None and len(failures) < self._config.max_retries
+        disposition = check_constraint(kind, passed, can_retry, self._config.handler_policy)
         self.constraints.append(ConstraintOutcome(
-            kind=kind,
-            passed=passed,
-            message=message,
-            label=label or message,
-            attempt=state.r,
-            disposition=action,
-            site=site,
-            target_module=state.module_id,
-            step=judged,
-        ))
+            kind=kind, passed=passed, message=message, label=label or message, attempt=len(failures),
+            disposition=disposition, site=site, target_module=module_id, step=judged))
 
-        self._retry_states[site] = transition.state
-        if action == RETRIED:
-            raise _Backtrack(site=site, target_pos=target.step.position)
-        if action == HALTED:
+        if disposition == RETRIED:
+            payload = payload_field(target.module.signature).name
+            failed_output = target.step.prediction.outputs.get(payload, "")
+            self._failures[key] = failures + ((failed_output, message),)
+            raise _Backtrack(key)
+        self._failures.pop(key, None)
+        if disposition == HALTED:
             raise AssertionHalt(message)
-        if action == WARNED:
-            logger.warning("suggestion not satisfied after %d retries: %s", state.r, message)
-        elif action == FAILED and self._config.handler_policy == SUPPRESS_ASSERT_LOG:
+        if disposition == WARNED:
+            logger.warning("suggestion not satisfied after %d retries: %s", len(failures), message)
+        elif disposition == FAILED and self._config.handler_policy == SUPPRESS_ASSERT_LOG:
             logger.warning("assertion failure suppressed: %s", message)
 
 
@@ -370,7 +330,7 @@ def run_with_backtracking(
                 if ctx._passes >= _MAX_PASSES:
                     raise PassBudgetExceeded(
                         "backtracking did not terminate within the pass budget") from None
-                ctx._begin_pass((b.site, b.target_pos))
+                ctx._begin_pass(b.args[0])
             except AssertionHalt as halt:
                 return ctx._result(None, halted=True, error=str(halt))
     except (BackendError, PassBudgetExceeded) as exc:

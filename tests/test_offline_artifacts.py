@@ -91,6 +91,19 @@ def test_reports_rescore_from_their_traces(matrix_run, tmp_path):
         assert (tmp_path / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes(), eval_dir
 
 
+def test_every_outcome_names_the_module_of_the_step_it_judged(matrix_run):
+    traces = sorted(matrix_run[0].rglob("traces/*.json"))
+    assert traces
+    targeted = 0
+    for path in traces:
+        result = load_trace(path)
+        for outcome in result.constraints:
+            if outcome.target_module:
+                targeted += 1
+                assert result.steps[outcome.step].module_id == outcome.target_module, path
+    assert targeted
+
+
 if __name__ == "__main__":
     import tempfile
 

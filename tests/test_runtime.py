@@ -33,7 +33,6 @@ from lmpipe.runtime import (
     SUPPRESS_ASSERT_LOG,
     PassBudgetExceeded,
     Program,
-    RetryState,
     RuntimeConfig,
     check_constraint,
     load_trace,
@@ -48,75 +47,30 @@ from lmpipe.runtime import (
 VALUE_MESSAGE = "Value should be ok"
 
 
-def evaluated(kind: str, passed: bool) -> tuple[str, bool, str]:
-    """check_constraint's leading arguments: kind, passed, message."""
-    return kind, passed, VALUE_MESSAGE
+# --- check_constraint: the transition rule as a pure function -----------------
+
+# (kind, passed, can_retry) -> the disposition under each policy, in the order
+# backtrack_default, suppress_assert_log, disable_all, bypass_suggest_only
+DISPOSITIONS = {
+    ("assert", True, True): (PASSED, PASSED, PASSED, PASSED),
+    ("assert", True, False): (PASSED, PASSED, PASSED, PASSED),
+    ("assert", False, True): (RETRIED, RETRIED, FAILED, RETRIED),
+    ("assert", False, False): (HALTED, FAILED, FAILED, HALTED),
+    ("suggest", True, True): (PASSED, PASSED, PASSED, PASSED),
+    ("suggest", True, False): (PASSED, PASSED, PASSED, PASSED),
+    ("suggest", False, True): (RETRIED, RETRIED, FAILED, WARNED),
+    ("suggest", False, False): (WARNED, WARNED, FAILED, WARNED),
+}
 
 
-# --- check_constraint: the transition rules as a pure function ---------------
-
-def test_pass_resets_retry_count():
-    state = RetryState(module_id="m", past_failures=(("bad", VALUE_MESSAGE),))
-    tr = check_constraint(*evaluated("assert", True), state, RuntimeConfig())
-    assert tr.action == PASSED
-    assert tr.state.r == 0 and tr.state.past_failures == ()
-
-
-def test_suggest_failure_under_budget_retries():
-    tr = check_constraint(*evaluated("suggest", False), RetryState(module_id="m"),
-                          RuntimeConfig(max_retries=2), failed_output="toolong")
-    assert tr.action == RETRIED
-    assert tr.state.r == 1
-    assert tr.state.past_failures == (("toolong", VALUE_MESSAGE),)
-
-
-def test_assert_failure_at_budget_halts():
-    state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
-    tr = check_constraint(*evaluated("assert", False), state, RuntimeConfig(max_retries=2))
-    assert tr.action == HALTED
-
-
-def test_suggest_failure_at_budget_warns_and_resets():
-    state = RetryState(module_id="m", past_failures=(("a", "m1"), ("b", "m2")))
-    tr = check_constraint(*evaluated("suggest", False), state, RuntimeConfig(max_retries=2))
-    assert tr.action == WARNED
-    assert tr.state.r == 0
-
-
-def test_zero_budget_goes_straight_to_terminal():
-    cfg = RuntimeConfig(max_retries=0)
-    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == HALTED
-    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == WARNED
-
-
-def test_disable_all_records_failure_without_retry():
-    cfg = RuntimeConfig(handler_policy=DISABLE_ALL)
-    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == FAILED
-    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == FAILED
-    assert check_constraint(*evaluated("suggest", True), RetryState(), cfg).action == PASSED
-
-
-def test_suppress_assert_log_converts_halt():
-    cfg = RuntimeConfig(max_retries=0, handler_policy=SUPPRESS_ASSERT_LOG)
-    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == FAILED
-    # under budget the retry path is untouched
-    cfg2 = RuntimeConfig(max_retries=2, handler_policy=SUPPRESS_ASSERT_LOG)
-    assert check_constraint(*evaluated("assert", False), RetryState(), cfg2).action == RETRIED
-
-
-def test_bypass_suggest_only():
-    cfg = RuntimeConfig(handler_policy=BYPASS_SUGGEST_ONLY)
-    assert check_constraint(*evaluated("suggest", False), RetryState(), cfg).action == WARNED
-    assert check_constraint(*evaluated("assert", False), RetryState(), cfg).action == RETRIED
-
-
-def test_retry_state_invariants():
-    # the retry count is the number of recorded failures, so the two cannot disagree
-    state = RetryState(module_id="m").extended("a", "m1").extended("b", "m2")
-    assert state.r == 2 and state.past_failures == (("a", "m1"), ("b", "m2"))
-    assert state.reset() == RetryState(module_id="m") and state.reset().r == 0
-    with pytest.raises(TypeError):
-        RetryState(module_id="m", r=2)
+def test_check_constraint_follows_the_disposition_table():
+    policies = (BACKTRACK_DEFAULT, SUPPRESS_ASSERT_LOG, DISABLE_ALL, BYPASS_SUGGEST_ONLY)
+    assert policies == runtime.HANDLER_POLICIES
+    results = {(kind, passed, can_retry): tuple(check_constraint(kind, passed, can_retry, policy)
+                                                for policy in policies)
+               for kind in ("assert", "suggest") for passed in (True, False)
+               for can_retry in (True, False)}
+    assert results == DISPOSITIONS
 
 
 # --- the execution engine ------------------------------------------------------
@@ -435,6 +389,69 @@ def test_explicit_backtrack_target_reruns_downstream():
     ]
     retry_prompt = backend.call_log.records()[2].prompt
     assert "Past Draft: d1" in retry_prompt
+
+
+class SharedSiteProgram(Program):
+    """Site 0 judges `first` while it says "x"; once it says something else,
+    `second` runs and site 0 judges `second` instead."""
+
+    def __init__(self):
+        super().__init__()
+        self.first = self.register(PredictModule(
+            module_id="first", signature=parse_signature("prompt -> draft")))
+        self.second = self.register(PredictModule(
+            module_id="second", signature=parse_signature("draft -> value")))
+
+    def forward(self, ctx, prompt):
+        draft = ctx.call(self.first, prompt=prompt)
+        if draft.outputs["draft"] == "x":
+            ctx.suggest(False, "first must not say x", backtrack="first", label="not_x")
+            return draft
+        pred = ctx.call(self.second, draft=draft.outputs["draft"])
+        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        return pred
+
+
+def run_shared_site(max_retries: int = 2) -> tuple[RunResult, list[str]]:
+    """SharedSiteProgram's run and every prompt it sent."""
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Prompt: go", responses=["Draft: x", "Draft: y"]),
+        ScriptEntry(match="Draft: y", responses=["Value: bad", "Value: ok"]),
+    ]))
+    result = run_with_backtracking(SharedSiteProgram(), {"prompt": "go"},
+                                   RuntimeConfig(max_retries=max_retries), backend)
+    return result, [r.prompt for r in backend.call_log.records()]
+
+
+def test_site_feedback_and_budget_belong_to_its_target():
+    result, prompts = run_shared_site()
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
+        ("first", 0), ("first", 1), ("second", 0), ("second", 1),
+    ]
+    # `second`'s retry quotes its own failure only, not `first`'s
+    retry = prompts[-1]
+    assert "Past Value: bad" in retry
+    assert "Past Value: x" not in retry and "first must not say x" not in retry
+    # and `second`'s first failure starts a fresh budget
+    assert [(o.disposition, o.attempt) for o in result.constraints] == [
+        (RETRIED, 0), (RETRIED, 0), (PASSED, 1),
+    ]
+    assert result.prediction.outputs == {"value": "ok"}
+
+
+def test_each_target_of_a_site_gets_the_whole_budget():
+    # R=1: the retry of `first` spends site 0's budget for `first` only
+    result, _ = run_shared_site(max_retries=1)
+    assert [(o.target_module, o.disposition) for o in result.constraints] == [
+        ("first", RETRIED), ("second", RETRIED), ("second", PASSED),
+    ]
+
+
+def test_outcome_names_the_target_of_its_own_evaluation():
+    result, _ = run_shared_site()
+    assert [(o.site, o.target_module, o.step) for o in result.constraints] == [
+        (0, "first", 0), (0, "second", 2), (0, "second", 3),
+    ]
 
 
 def test_warned_site_gets_fresh_budget_on_reentry():
