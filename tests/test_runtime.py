@@ -96,6 +96,123 @@ def echo_backend(fails: int) -> CachingBackend:
     return CachingBackend(ScriptedBackend([ScriptEntry(match="Prompt: go", responses=responses)]))
 
 
+# --- the transition rule, case by case: the disposition and what the engine keeps
+
+def scripted_run(program: Program, responses: list[str],
+                 config: RuntimeConfig) -> tuple[RunResult, list[str]]:
+    """``program`` on prompt "go" answered by ``responses``; the run and every prompt sent."""
+    backend = CachingBackend(ScriptedBackend([ScriptEntry(match="Prompt: go", responses=responses)]))
+    result = run_with_backtracking(program, {"prompt": "go"}, config, backend)
+    return result, [r.prompt for r in backend.call_log.records()]
+
+
+def test_pass_resets_retry_count():
+    for can_retry in (True, False):
+        assert check_constraint("assert", True, can_retry, BACKTRACK_DEFAULT) == PASSED
+    # R=1. has_a fails, passes, then fails again: the pass emptied its failures,
+    # so the second failure retries too, and its retry quotes one failure only
+    result, _ = scripted_run(TwoConstraintProgram(), ["Value: b", "Value: a", "Value: b"],
+                             RuntimeConfig(max_retries=1))
+    outcomes_a = [o for o in result.constraints if o.site == 0]
+    assert [(o.disposition, o.attempt) for o in outcomes_a] == [
+        (RETRIED, 0), (PASSED, 1), (RETRIED, 0), (PASSED, 1),
+    ]
+    assert result.steps[3].prompt_digest == result.steps[1].prompt_digest
+
+
+def test_suggest_failure_under_budget_retries():
+    assert check_constraint("suggest", False, True, BACKTRACK_DEFAULT) == RETRIED
+    result, prompts = scripted_run(EchoProgram("suggest"), ["Value: toolong", "Value: ok"],
+                                   RuntimeConfig(max_retries=2))
+    assert [(o.disposition, o.attempt) for o in result.constraints] == [(RETRIED, 0), (PASSED, 1)]
+    assert "Past Value: toolong" in prompts[1]
+    assert f"Instruction: {VALUE_MESSAGE}" in prompts[1]
+
+
+def test_assert_failure_at_budget_halts():
+    assert check_constraint("assert", False, False, BACKTRACK_DEFAULT) == HALTED
+    result, _ = scripted_run(EchoProgram("assert"), ["Value: a", "Value: b", "Value: c"],
+                             RuntimeConfig(max_retries=2))
+    assert [(o.disposition, o.attempt) for o in result.constraints] == [
+        (RETRIED, 0), (RETRIED, 1), (HALTED, 2),
+    ]
+    assert result.halted and result.prediction is None
+
+
+def test_suggest_failure_at_budget_warns_and_resets():
+    assert check_constraint("suggest", False, False, BACKTRACK_DEFAULT) == WARNED
+    # R=1. has_a warns at its budget; has_b's retry re-enters it, and the warn
+    # emptied its failures, so it counts from 0 again
+    result, _ = scripted_run(TwoConstraintProgram(), ["Value: x", "Value: x2", "Value: b"],
+                             RuntimeConfig(max_retries=1))
+    outcomes_a = [o for o in result.constraints if o.site == 0]
+    assert [(o.disposition, o.attempt) for o in outcomes_a] == [
+        (RETRIED, 0), (WARNED, 1), (RETRIED, 0), (WARNED, 1),
+    ]
+    assert result.prediction is not None
+
+
+def test_zero_budget_goes_straight_to_terminal():
+    assert check_constraint("assert", False, False, BACKTRACK_DEFAULT) == HALTED
+    assert check_constraint("suggest", False, False, BACKTRACK_DEFAULT) == WARNED
+    for kind, terminal in (("assert", HALTED), ("suggest", WARNED)):
+        result, prompts = scripted_run(EchoProgram(kind), ["Value: bad", "Value: ok"],
+                                       RuntimeConfig(max_retries=0))
+        assert [o.disposition for o in result.constraints] == [terminal]
+        assert len(prompts) == 1
+
+
+def test_disable_all_records_failure_without_retry():
+    for can_retry in (True, False):
+        assert check_constraint("assert", False, can_retry, DISABLE_ALL) == FAILED
+        assert check_constraint("suggest", False, can_retry, DISABLE_ALL) == FAILED
+        assert check_constraint("suggest", True, can_retry, DISABLE_ALL) == PASSED
+    result, prompts = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"],
+                                   RuntimeConfig(handler_policy=DISABLE_ALL))
+    assert [o.disposition for o in result.constraints] == [FAILED]
+    assert len(prompts) == 1
+    assert not result.halted and result.prediction.outputs == {"value": "bad"}
+
+
+def test_suppress_assert_log_converts_halt():
+    assert check_constraint("assert", False, False, SUPPRESS_ASSERT_LOG) == FAILED
+    # under budget the retry path is untouched
+    assert check_constraint("assert", False, True, SUPPRESS_ASSERT_LOG) == RETRIED
+    result, _ = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"],
+                             RuntimeConfig(max_retries=0, handler_policy=SUPPRESS_ASSERT_LOG))
+    assert [o.disposition for o in result.constraints] == [FAILED]
+    assert not result.halted and result.prediction is not None
+    result, _ = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"],
+                             RuntimeConfig(max_retries=2, handler_policy=SUPPRESS_ASSERT_LOG))
+    assert [o.disposition for o in result.constraints] == [RETRIED, PASSED]
+
+
+def test_bypass_suggest_only():
+    assert check_constraint("suggest", False, True, BYPASS_SUGGEST_ONLY) == WARNED
+    assert check_constraint("assert", False, True, BYPASS_SUGGEST_ONLY) == RETRIED
+    config = RuntimeConfig(max_retries=2, handler_policy=BYPASS_SUGGEST_ONLY)
+    result, prompts = scripted_run(EchoProgram("suggest"), ["Value: bad", "Value: ok"], config)
+    assert [o.disposition for o in result.constraints] == [WARNED]
+    assert len(prompts) == 1
+    result, _ = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"], config)
+    assert [o.disposition for o in result.constraints] == [RETRIED, PASSED]
+
+
+def test_retry_state_invariants():
+    # an outcome's attempt is the number of failures its evaluation held for its
+    # (site, target), and those are exactly the failures the judged call's prompt quotes
+    for kind in ("suggest", "assert"):
+        for max_retries in range(4):
+            for fails in range(5):
+                result, prompts = scripted_run(EchoProgram(kind),
+                                               ["Value: bad"] * fails + ["Value: ok"],
+                                               RuntimeConfig(max_retries=max_retries))
+                attempts = [o.attempt for o in result.constraints]
+                assert attempts == [prompts[o.step].count("Past Value: bad")
+                                    for o in result.constraints]
+                assert attempts == list(range(min(fails, max_retries) + 1))
+
+
 # --- retry feedback in the call path --------------------------------------------
 
 class QueryProgram(Program):
