@@ -105,7 +105,9 @@ class CallLog:
 class ScriptEntry:
     """One matcher plus its response queue.
 
-    Each matching call consumes the next response; once the queue runs out the
+    An ``exact`` entry matches a prompt equal to ``match``; a ``substring``
+    entry (the default) matches a prompt that contains ``match``. Each
+    matching call consumes the next response; once the queue runs out the
     last response repeats forever.
     """
 
@@ -119,11 +121,6 @@ class ScriptEntry:
             raise ValueError("script entry needs at least one response")
         if self.mode not in ("substring", "exact"):
             raise ValueError(f"unknown matcher mode {self.mode!r}")
-
-    def matches(self, prompt: str) -> bool:
-        if self.mode == "exact":
-            return prompt == self.match
-        return self.match in prompt
 
     def next_response(self) -> str:
         idx = min(self._consumed, len(self.responses) - 1)
@@ -146,7 +143,7 @@ class ScriptedBackend:
             raise BackendError("prompt must be nonempty")
         with self._lock:
             for entry in self.entries:
-                if entry.matches(prompt):
+                if (prompt == entry.match if entry.mode == "exact" else entry.match in prompt):
                     completions = tuple(entry.next_response() for _ in range(params.n))
                     break
             else:
@@ -327,10 +324,11 @@ class CacheKey(NamedTuple):
 
 class _Flight:
     """An inner call that other callers with its key wait on; ``completions``
-    stays None if the call failed."""
+    stays None if the call failed. The first caller that has to wait makes
+    ``done``, under the cache's lock, so an uncontended call makes none."""
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        self.done: Optional[threading.Event] = None
         self.completions: Optional[list[str]] = None
 
 
@@ -362,12 +360,15 @@ class CachingBackend:
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         key = self.cache_key(prompt, params)
         with self._lock:
-            if key in self._cache:
-                return list(self._cache[key])
+            cached = self._cache.get(key)
+            if cached is not None:
+                return list(cached)
             flight = self._in_flight.get(key)
             leads = flight is None
             if leads:
                 flight = self._in_flight[key] = _Flight()
+            elif flight.done is None:
+                flight.done = threading.Event()
         if not leads:
             flight.done.wait()
             if flight.completions is not None:
@@ -379,7 +380,9 @@ class CachingBackend:
         finally:
             with self._lock:
                 del self._in_flight[key]
-            flight.done.set()
+                done = flight.done  # no caller can find the flight to make one now
+            if done is not None:
+                done.set()
 
     def _fill(self, key: CacheKey, prompt: str, params: GenerationParams) -> list[str]:
         completions = self.inner.generate(prompt, params)

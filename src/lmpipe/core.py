@@ -74,6 +74,10 @@ class Signature:
             raise SignatureError("signature needs at least one input field")
         if not self.output_fields:
             raise SignatureError("signature needs at least one output field")
+        # every prompt starts with it, so it is rendered once; a changed
+        # signature is a new one (``replace`` runs this again)
+        lines = "\n".join(_field_line(f, f.description) for f in self.fields)
+        object.__setattr__(self, "_header", f"{self.instructions}\n\n{FORMAT_SENTENCE}\n\n{lines}")
 
     @property
     def fields(self) -> tuple[FieldSpec, ...]:
@@ -264,11 +268,6 @@ def _field_line(spec: FieldSpec, value: str) -> str:
     return f"{spec.prefix} {value}"
 
 
-def _header(sig: Signature) -> str:
-    lines = [_field_line(f, f.description) for f in sig.fields]
-    return sig.instructions + "\n\n" + FORMAT_SENTENCE + "\n\n" + "\n".join(lines)
-
-
 def _demo_block(sig: Signature, demo: Mapping[str, str]) -> str:
     lines = [_field_line(f, demo[f.name]) for f in sig.fields if f.name in demo]
     return "\n".join(lines)
@@ -315,7 +314,7 @@ def render_prompt(
     Feedback pairs render inside the live block, after the inputs and before
     the generation cue, oldest first.
     """
-    sections = [_header(sig)]
+    sections = [sig._header]
     for ce in counterexamples:
         sections.append(_counterexample_block(sig, ce))
     for demo in demos:

@@ -330,6 +330,64 @@ def test_cache_single_flight_stress_one_inner_call_per_key():
     assert inner.calls == {p: 1 for p in prompts}
 
 
+def test_cache_single_flight_stress_shuffled_keys():
+    # no barrier: followers arrive at any point of a leader's call, its end
+    # included, and every thread asks for every key once
+    inner = CountingBackend()
+    backend = CachingBackend(inner)
+    prompts = [f"k{i}" for i in range(50)]
+    n_threads = 8
+    results: list = [None] * n_threads
+
+    def worker(slot: int) -> None:
+        order = random.Random(slot).sample(prompts, len(prompts))
+        results[slot] = [backend.generate(p) for p in order] == [[f"done {p}"] for p in order]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # daemon threads: a lost wake-up fails the test instead of hanging pytest
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * n_threads
+    assert inner.calls == {p: 1 for p in prompts}
+
+
+class EventCounter:
+    """Stands in for ``threading.Event`` and counts the events that
+    ``lmpipe.backend`` makes."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.made = 0
+
+    def __call__(self):
+        if sys._getframe(1).f_globals["__name__"] == backend_module.__name__:
+            self.made += 1
+        return self.real()
+
+
+def test_cache_single_flight_makes_an_event_only_for_a_waiting_caller(monkeypatch):
+    events = EventCounter(threading.Event)
+    monkeypatch.setattr(backend_module.threading, "Event", events)
+    inner = GatedBackend()
+    inner.release.set()
+    backend = CachingBackend(inner)
+    for prompt in ["a", "b", "a", "c", "b"]:  # misses and hits, one at a time
+        assert backend.generate(prompt) == [f"done {prompt}"]
+    assert inner.calls == 3 and events.made == 0
+    # seven callers find the key in flight: the first of them makes the event
+    inner.release.clear()
+    assert generate_concurrently(backend, "q", 8, inner) == [["done q"]] * 8
+    assert inner.calls == 4 and events.made == 1
+
+
 class FakeResponse:
     def __init__(self, status_code: int, payload=None, text: str = ""):
         self.status_code = status_code

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from lmpipe.core import (
     prepend_output_field,
     render_prompt,
 )
+from lmpipe.modules import PredictModule
+from lmpipe.runtime import Program
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -194,6 +197,38 @@ def test_output_prefixes_once_in_header_and_cue_once_in_live_block():
         assert header.count(f.prefix) == 1
     assert live.count(sig.output_fields[0].prefix) == 1
     assert live.endswith(sig.output_fields[0].prefix + " ")
+
+
+def header_of(sig: Signature) -> str:
+    """The header section as the README's prompt format spells it, built from
+    the signature's own instructions and fields, and its separator."""
+    lines = "\n".join(f"{f.prefix} {f.description}" for f in sig.fields)
+    return f"{sig.instructions}\n\nFollow the following format.\n\n{lines}\n\n---\n\n"
+
+
+def test_every_signature_renders_its_own_header():
+    # a signature renders its header once; each way of deriving one must
+    # render the derived signature's header, never its source's
+    base = parse_signature("context, question -> query")
+    program = Program()
+    module = program.register(PredictModule("m", base))
+    clone = program.clone()
+    cloned = clone.modules["m"].signature  # a deep copy of base
+    clone.modules["m"].signature = cloned.with_instructions("Cloned.")
+    signatures = [
+        base,
+        base.with_instructions("Write a search query."),
+        prepend_output_field(base, RATIONALE),
+        replace(base, input_fields=(FieldSpec("question", prefix="Ask:"),)),
+        replace(base, output_fields=(FieldSpec("query", description="a short query"),)),
+        cloned,
+        clone.modules["m"].signature,
+    ]
+    for sig in signatures:
+        prompt = render_prompt(sig, inputs={"context": "N/A", "question": "Q"})
+        assert prompt.startswith(header_of(sig))
+    assert len({header_of(sig) for sig in signatures}) == 6  # base and its copy share one
+    assert module.signature is base
 
 
 @given(st.dictionaries(_ident, st.text(alphabet=st.characters(blacklist_characters="\n"),
