@@ -9,6 +9,7 @@ response cache keyed on (backend id, prompt text, generation params).
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -17,6 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
+from urllib.parse import unquote, urlsplit
 
 from .core import INT, LIST, STR, STR_LIST, check_record, check_version, read_json
 
@@ -69,6 +71,9 @@ class GenerationParams:
             {"max_tokens": self.max_tokens, "temperature": self.temperature, "n": self.n},
             sort_keys=True,
         )))
+
+    def __deepcopy__(self, memo):  # immutable: program copies share it
+        return self
 
     def digest(self) -> str:
         return self._digest
@@ -194,40 +199,146 @@ class _Response(NamedTuple):
 
 
 @functools.cache
-def _https_opener():
-    """Built on first use, as ``urlopen`` builds its own: TLS is verified
-    against the system CA store, loaded once."""
+def _tls_context():
+    """Built on first use: TLS is verified against the system CA store, loaded once."""
     import ssl
-    import urllib.request
 
-    verified = urllib.request.HTTPSHandler(context=ssl.create_default_context())
-    return urllib.request.build_opener(verified)
+    return ssl.create_default_context()
 
+
+class _Endpoint(NamedTuple):
+    scheme: str
+    netloc: str  # host[:port], which NO_PROXY is matched against
+    host: str
+    port: Optional[int]
+    target: str  # the request target: path and query
+
+
+@functools.lru_cache(maxsize=64)
+def _endpoint(url: str) -> _Endpoint:
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http or https URL: {url!r}")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return _Endpoint(parts.scheme, parts.netloc, parts.hostname, parts.port, target)
+
+
+def _proxy_server(proxy: str) -> tuple[str, Optional[int], dict]:
+    """A proxy URL's host, port and, when it names a user and a password, its
+    ``Proxy-Authorization`` header, read as urllib reads them."""
+    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if parts.username and parts.password:
+        user_pass = f"{unquote(parts.username)}:{unquote(parts.password)}"
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+    return parts.hostname, parts.port, auth
+
+
+_HEADERS = {"Content-Type": "application/json", "User-Agent": "lmpipe"}
 
 _to_json = json.dumps  # the transport's ``json`` parameter hides the module
 
 
-def _urllib_post(url: str, json: dict, headers: dict, timeout: float) -> _Response:
-    """POST ``json`` with the standard library: one connection per call, TLS
-    verified, the proxy variables honoured (``HTTP(S)_PROXY`` as they were at
-    the first call, ``NO_PROXY`` at every call). A non-2xx reply is returned,
-    not raised, so its status and body reach the error message."""
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(
-        url, data=_to_json(json, allow_nan=False).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    for name, value in headers.items():
-        request.add_unredirected_header(name, value)  # a redirect never carries the credential
-    open_url = _https_opener().open if url.startswith("https:") else urllib.request.urlopen
+def _send(conn, target: str, body: bytes, headers: dict):
+    """The reply's status and headers; ``conn`` is closed if they never come."""
     try:
-        with open_url(request, timeout=timeout) as reply:
-            return _Response(reply.status, reply.read().decode("utf-8", "replace"))
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return _Response(exc.code, exc.read().decode("utf-8", "replace"))
+        conn.request("POST", target, body, headers)
+        return conn.getresponse()
+    except BaseException:
+        conn.close()
+        raise
+
+
+class _Connections:
+    """The default ``post``: ``http.client`` connections kept alive, the idle
+    ones pooled per endpoint.
+
+    A connection serves one call at a time and is closed when the reply says
+    so (HTTP/1.0, or ``Connection: close``). A call on a pooled connection
+    that fails before any reply, because the server closed it while it was
+    idle, is re-sent once on a fresh connection; any other failure is raised.
+    A redirect is not followed: a 3xx is returned like any other status, so
+    the credential only reaches the URL it was given for. ``HTTP(S)_PROXY``
+    are read at the first call and ``NO_PROXY`` at each call a proxy would
+    carry: http goes to the proxy as an absolute-URI request, https through a
+    CONNECT tunnel, and the proxy URL's user and password become
+    ``Proxy-Authorization``. A non-2xx reply is returned, not raised, so its
+    status and body reach the error message.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple, list] = {}
+        self._lock = threading.Lock()
+        self._proxies: Optional[dict[str, str]] = None
+
+    def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Response:
+        endpoint = _endpoint(url)
+        proxy = self._proxy(endpoint)
+        target, headers = endpoint.target, {**_HEADERS, **headers}
+        if proxy is not None and endpoint.scheme == "http":
+            _, _, auth = _proxy_server(proxy)
+            target = url
+            headers.update(auth)
+        body = _to_json(json, allow_nan=False).encode("utf-8")
+        key = (endpoint.scheme, endpoint.netloc, proxy, timeout)  # a connection keeps its timeout
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else None
+        reply = None
+        if conn is not None:
+            try:
+                reply = _send(conn, target, body, headers)
+            except ConnectionError:  # closed while idle: the request got no reply
+                pass
+        if reply is None:
+            conn = self._connect(endpoint, proxy, timeout)
+            reply = _send(conn, target, body, headers)
+        try:
+            text = reply.read().decode("utf-8", "replace")
+        except BaseException:
+            conn.close()
+            raise
+        if not reply.will_close:  # http.client has closed a connection whose reply said so
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return _Response(reply.status, text)
+
+    def _proxy(self, endpoint: _Endpoint) -> Optional[str]:
+        """The proxy URL that carries a call to ``endpoint``, if any."""
+        if self._proxies is None:  # two first calls may both read them: they read the same
+            import urllib.request
+
+            self._proxies = urllib.request.getproxies()
+        proxy = self._proxies.get(endpoint.scheme)
+        if proxy is not None:
+            from urllib.request import proxy_bypass
+
+            if proxy_bypass(endpoint.netloc):
+                return None
+        return proxy
+
+    @staticmethod
+    def _connect(endpoint: _Endpoint, proxy: Optional[str], timeout: float):
+        """A connection that opens at its first request."""
+        import http.client
+
+        host, port = endpoint.host, endpoint.port
+        if proxy is not None:
+            host, port, auth = _proxy_server(proxy)
+        if endpoint.scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=_tls_context())
+        if proxy is not None:
+            conn.set_tunnel(endpoint.host, endpoint.port, auth)
+        return conn
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
 
 
 def _choice_texts(payload) -> list[str]:
@@ -258,13 +369,18 @@ class HTTPBackend:
     The credential is read from the LM_API_KEY environment variable at call
     time. ``post(url, json=, headers=, timeout=)`` is injectable for testing;
     it returns an object with ``status_code``, ``text`` and ``json()``. The
-    id names the model and the endpoint, so a response cache never mixes two
-    of them.
+    default keeps its connections alive until ``close()``. The id names the
+    model and the endpoint, so a response cache never mixes two of them.
     """
 
     def __init__(self, config: EndpointConfig, post: Optional[Callable] = None):
         self.config = config
-        self._post = post or _urllib_post
+        self._connections = _Connections()
+        self._post = post or self._connections.post
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        self._connections.close()
 
     @property
     def backend_id(self) -> str:
@@ -315,10 +431,11 @@ class HTTPBackend:
 
 
 class CacheKey(NamedTuple):
-    """Equal (backend, prompt, params) always produce an equal key."""
+    """Equal (backend, prompt, params) always produce an equal key. The key
+    holds the prompt itself: a ``str`` computes its hash once."""
 
     backend_id: str
-    prompt_digest: str
+    prompt: str
     params_digest: str
 
 
@@ -355,7 +472,13 @@ class CachingBackend:
         return self.inner.call_log
 
     def cache_key(self, prompt: str, params: GenerationParams) -> CacheKey:
-        return CacheKey(self.inner.backend_id, stable_digest(prompt), params.digest())
+        return CacheKey(self.inner.backend_id, prompt, params.digest())
+
+    def close(self) -> None:
+        """Close the inner backend, if it has anything to close."""
+        close = getattr(self.inner, "close", None)
+        if close is not None:
+            close()
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         key = self.cache_key(prompt, params)

@@ -178,8 +178,6 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
         raise ValueError(f"strategy {config.strategy.label!r} does not compile; nothing to do")
     trainset = load_dataset(train_path)
     devset = load_dataset(dev_path)
-    backend = make_backend(config)
-    program = make_program(config)
     teacher_assertions = bool(config.strategy.teacher_assertions)
     compile_config = replace(
         config.compile_config,
@@ -187,11 +185,15 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
         teacher_runtime=config.runtime,
         collect_counterexamples=teacher_assertions and config.compile_config.collect_counterexamples,
     )
-    compiled, report = random_search_compile(
-        program, trainset, devset, bootstrap_metric(config.task),
-        config=compile_config, backend=backend, run_example=run_task_example,
-        max_score=BOOTSTRAP_MAX_SCORE,
-    )
+    backend = make_backend(config)
+    try:
+        compiled, report = random_search_compile(
+            make_program(config), trainset, devset, bootstrap_metric(config.task),
+            config=compile_config, backend=backend, run_example=run_task_example,
+            max_score=BOOTSTRAP_MAX_SCORE,
+        )
+    finally:
+        backend.close()
     config.out_dir.mkdir(parents=True, exist_ok=True)
     artifact_path = config.out_dir / "compiled_program.json"
     save_compiled_program(compiled, config.task, compile_config, artifact_path)
@@ -205,17 +207,19 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
     if strategy.compiled and artifact_path is None:
         raise ValueError(f"strategy {strategy.label!r} needs a compiled artifact (--artifact)")
     examples = load_dataset(test_path)
-    backend = make_backend(config)
-    program = make_program(config)
-    if strategy.compiled:
-        program = load_compiled_program(program, artifact_path, config.task)
     runtime = config.runtime
     if not strategy.student_assertions:
         runtime = replace(runtime, handler_policy=DISABLE_ALL)
-
-    rows, results = evaluate_dataset(
-        config.task, program, examples, runtime, backend, workers=config.workers
-    )
+    backend = make_backend(config)
+    try:
+        program = make_program(config)
+        if strategy.compiled:
+            program = load_compiled_program(program, artifact_path, config.task)
+        rows, results = evaluate_dataset(
+            config.task, program, examples, runtime, backend, workers=config.workers
+        )
+    finally:
+        backend.close()
     report = build_report(config.task, strategy.label, rows)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

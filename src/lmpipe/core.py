@@ -50,6 +50,9 @@ class FieldSpec:
         if not self.description:
             object.__setattr__(self, "description", "${" + self.name + "}")
 
+    def __deepcopy__(self, memo):  # immutable: program copies share it
+        return self
+
     @property
     def prefix_key(self) -> str:
         """The prefix truncated at its first colon, used to spot the field in completions."""
@@ -78,6 +81,9 @@ class Signature:
         # signature is a new one (``replace`` runs this again)
         lines = "\n".join(_field_line(f, f.description) for f in self.fields)
         object.__setattr__(self, "_header", f"{self.instructions}\n\n{FORMAT_SENTENCE}\n\n{lines}")
+
+    def __deepcopy__(self, memo):  # immutable: program copies share it
+        return self
 
     @property
     def fields(self) -> tuple[FieldSpec, ...]:

@@ -432,6 +432,40 @@ def test_compile_backend_error_is_one_line(runner, tmp_path):
     assert result.output.splitlines()[-1].startswith("Error: UnscriptedPromptError: unscripted prompt")
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("command", ["eval", "compile"])
+def test_commands_close_the_backend_they_made(tmp_path, monkeypatch, command, fails):
+    made, closed = [], []
+    make_backend = cli.make_backend
+
+    def keep(config):
+        made.append(make_backend(config))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_backend", keep)
+    monkeypatch.setattr(CachingBackend, "close", lambda self: closed.append(self))
+    def no_program(config):
+        raise ValueError("no program")
+
+    if fails:
+        monkeypatch.setattr(cli, "make_program", no_program)
+    strategy = "compile_assert" if command == "compile" else "vanilla"
+    config = assemble_run_config("multihop", strategy, str(tmp_path / "out"), offline=True,
+                                 script=data("scripts/multihop_all_pass.json"))
+    if command == "compile":
+        def run():
+            cmd_compile(config, Path(data("train.jsonl")), Path(data("dev.jsonl")))
+    else:
+        def run():
+            cli.cmd_eval(config, Path(data("test.jsonl")))
+    if fails:
+        with pytest.raises(ValueError, match="no program"):
+            run()
+    else:
+        run()
+    assert len(made) == 1 and closed == made
+
+
 def test_compile_over_the_pass_budget_is_one_line(runner, tmp_path, monkeypatch):
     question = "In which city was the designer of the Oakhaven Amphitheatre born?"
     script = tmp_path / "long_queries.json"

@@ -213,7 +213,7 @@ def test_every_signature_renders_its_own_header():
     program = Program()
     module = program.register(PredictModule("m", base))
     clone = program.clone()
-    cloned = clone.modules["m"].signature  # a deep copy of base
+    cloned = clone.modules["m"].signature  # the clone shares base
     clone.modules["m"].signature = cloned.with_instructions("Cloned.")
     signatures = [
         base,

@@ -753,6 +753,26 @@ def test_replay_determinism():
     assert run_once() == run_once()
 
 
+def test_a_fresh_cached_call_hashes_its_prompt_once(monkeypatch):
+    # the trace's prompt digest is the one sha256; the cache keys on the text
+    from lmpipe import backend as backend_module
+
+    hashed = []
+
+    def counting(text):
+        hashed.append(text)
+        return digest(text)
+
+    digest = backend_module.stable_digest
+    monkeypatch.setattr(backend_module, "stable_digest", counting)
+    monkeypatch.setattr(runtime, "stable_digest", counting)
+    backend = echo_backend(0)
+    result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"}, RuntimeConfig(), backend)
+    [prompt] = [r.prompt for r in backend.call_log.records()]
+    assert hashed == [prompt]
+    assert result.steps[0].prompt_digest == digest(prompt)
+
+
 def test_pass_budget_carries_the_run_so_far(monkeypatch):
     monkeypatch.setattr(runtime, "_MAX_PASSES", 3)
     with pytest.raises(PassBudgetExceeded) as err:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import inspect
 
 import pytest
@@ -231,6 +232,27 @@ def test_transparency_assertions_inactive_vs_active_when_all_pass(index, test_ex
     without = run_task_example(MultiHopQA(index), ex, RECORD_ONLY,
                                script_backend("multihop_all_pass.json"))
     assert with_a.prediction.outputs == without.prediction.outputs
+
+
+def test_clone_shares_immutable_parts_and_owns_its_modules(index):
+    program = build_program("tweet", index)
+    for module in program.modules.values():
+        module.demos = [{"question": f"q{i}", "tweet": f"t{i}"} for i in range(2)]
+    clone = program.clone()
+    assert clone.generate_tweet is clone.modules["generate_tweet"]
+    assert all(clone.query_modules[hop] is clone.modules[f"generate_query_{hop}"] for hop in range(2))
+    assert clone.index is program.index
+    for name, module in program.modules.items():
+        copied = clone.modules[name]
+        assert copied is not module
+        assert copied.signature is module.signature and copied.params is module.params
+        assert copied.demos == module.demos and copied.demos is not module.demos
+        assert all(a is not b for a, b in zip(copied.demos, module.demos))
+    assert clone.faithful_judge.signature is program.faithful_judge.signature
+    field = program.generate_tweet.signature.output_fields[0]
+    assert copy.deepcopy(field) is field
+    clone.generate_tweet.demos.append({"question": "q", "tweet": "t"})
+    assert len(program.generate_tweet.demos) == 2
 
 
 def test_build_program_dispatch(index):
