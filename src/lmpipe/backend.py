@@ -193,6 +193,7 @@ class _Response(NamedTuple):
 
     status_code: int
     text: str
+    location: Optional[str] = None  # where a 3xx points
 
     def json(self):
         return json.loads(self.text)
@@ -257,13 +258,13 @@ class _Connections:
     so (HTTP/1.0, or ``Connection: close``). A call on a pooled connection
     that fails before any reply, because the server closed it while it was
     idle, is re-sent once on a fresh connection; any other failure is raised.
-    A redirect is not followed: a 3xx is returned like any other status, so
-    the credential only reaches the URL it was given for. ``HTTP(S)_PROXY``
-    are read at the first call and ``NO_PROXY`` at each call a proxy would
-    carry: http goes to the proxy as an absolute-URI request, https through a
-    CONNECT tunnel, and the proxy URL's user and password become
-    ``Proxy-Authorization``. A non-2xx reply is returned, not raised, so its
-    status and body reach the error message.
+    A redirect is not followed: a 3xx is returned like any other status, with
+    its ``Location``, so the credential only reaches the URL it was given
+    for. ``HTTP(S)_PROXY`` are read at the first call and ``NO_PROXY`` at each
+    call a proxy would carry: http goes to the proxy as an absolute-URI
+    request, https through a CONNECT tunnel, and the proxy URL's user and
+    password become ``Proxy-Authorization``. A non-2xx reply is returned, not
+    raised, so its status and body reach the error message.
     """
 
     def __init__(self) -> None:
@@ -301,7 +302,8 @@ class _Connections:
         if not reply.will_close:  # http.client has closed a connection whose reply said so
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return _Response(reply.status, text)
+        location = reply.getheader("Location") if 300 <= reply.status < 400 else None
+        return _Response(reply.status, text, location)
 
     def _proxy(self, endpoint: _Endpoint) -> Optional[str]:
         """The proxy URL that carries a call to ``endpoint``, if any."""
@@ -417,7 +419,9 @@ class HTTPBackend:
             )
         if not 200 <= status < 300:
             # rate limits and server errors may pass; other client errors will not
-            raise BackendError(f"endpoint returned {status}: {response.text}",
+            location = getattr(response, "location", None)  # an injected post may not say
+            where = f" (Location: {location})" if location else ""
+            raise BackendError(f"endpoint returned {status}{where}: {response.text}",
                                retryable=status == 429 or status >= 500)
         try:
             completions = _choice_texts(response.json())

@@ -10,13 +10,12 @@ deterministic: repeated invocations produce byte-identical artifacts and reports
 
 from __future__ import annotations
 
+import argparse
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
-
-import click
+from typing import Optional, Sequence
 
 from .backend import (
     BackendError,
@@ -288,63 +287,91 @@ def cmd_inspect_trace(path: Path) -> str:
     return format_trace(load_trace(path))
 
 
-@click.group()
-def main() -> None:
-    """Declarative LM pipelines with checked constraints and few-shot compilation."""
+def _existing_path(value: str) -> str:
+    if not Path(value).exists():
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
 
 
-@main.command("compile")
-@click.option("--task", type=click.Choice(list(TASKS)), required=True)
-@click.option("--strategy", "strategy_label", type=click.Choice(STRATEGY_LABELS), required=True)
-@click.option("--train", "train_path", type=click.Path(exists=True), required=True)
-@click.option("--dev", "dev_path", type=click.Path(exists=True), required=True)
-@click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-@click.option("--offline", is_flag=True, default=False)
-@click.option("--script", type=click.Path(exists=True), default=None)
-@click.option("--out", "out_dir", type=click.Path(), required=True)
-def compile_command(task, strategy_label, train_path, dev_path, config_file, offline, script, out_dir):
-    """Bootstrap demonstrations and write a compiled-program artifact."""
+def _at_least_one(value: str) -> int:
     try:
-        config = assemble_run_config(task, strategy_label, out_dir, config_file, offline, script)
-        artifact = cmd_compile(config, Path(train_path), Path(dev_path))
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
-    except (BackendError, PassBudgetExceeded) as exc:  # from a teacher or validation run
-        raise click.ClickException(f"{type(exc).__name__}: {exc}")
-    click.echo(f"wrote {artifact}")
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a valid integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is not in the range x>=1")
+    return number
 
 
-@main.command("eval")
-@click.option("--task", type=click.Choice(list(TASKS)), required=True)
-@click.option("--strategy", "strategy_label", type=click.Choice(STRATEGY_LABELS), required=True)
-@click.option("--test", "test_path", type=click.Path(exists=True), required=True)
-@click.option("--artifact", type=click.Path(exists=True), default=None)
-@click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-@click.option("--offline", is_flag=True, default=False)
-@click.option("--script", type=click.Path(exists=True), default=None)
-@click.option("--workers", type=click.IntRange(min=1), default=1)
-@click.option("--out", "out_dir", type=click.Path(), required=True)
-def eval_command(task, strategy_label, test_path, artifact, config_file, offline, script, workers, out_dir):
-    """Evaluate a strategy over a dataset and write the metric report."""
-    try:
-        config = assemble_run_config(task, strategy_label, out_dir, config_file, offline, script, workers)
-        report = cmd_eval(config, Path(test_path), Path(artifact) if artifact else None)
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
-    click.echo(format_summary(report))
+def _run_compile(args) -> None:
+    config = assemble_run_config(args.task, args.strategy, args.out, args.config, args.offline, args.script)
+    print(f"wrote {cmd_compile(config, Path(args.train), Path(args.dev))}")
+
+
+def _run_eval(args) -> None:
+    config = assemble_run_config(args.task, args.strategy, args.out, args.config, args.offline, args.script,
+                                 args.workers)
+    report = cmd_eval(config, Path(args.test), Path(args.artifact) if args.artifact else None)
+    print(format_summary(report))
     failures = sum(1 for row in report.rows if "error" in row)
     if report.rows and failures == len(report.rows):
         sys.exit(1)
 
 
-@main.command("inspect-trace")
-@click.argument("path", type=click.Path(exists=True))
-def inspect_trace_command(path):
-    """Render a saved trace for humans."""
+def _run_inspect_trace(args) -> None:
+    sys.stdout.write(cmd_inspect_trace(Path(args.path)))
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lmpipe", allow_abbrev=False,
+        description="Declarative LM pipelines with checked constraints and few-shot compilation.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name: str, summary: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def run_options(sub: argparse.ArgumentParser, *paths: str) -> None:
+        sub.add_argument("--task", choices=list(TASKS), required=True)
+        sub.add_argument("--strategy", choices=STRATEGY_LABELS, required=True)
+        for name in paths:
+            sub.add_argument(name, type=_existing_path, required=True)
+        sub.add_argument("--config", type=_existing_path)
+        sub.add_argument("--offline", action="store_true")
+        sub.add_argument("--script", type=_existing_path)
+        sub.add_argument("--out", required=True)
+
+    compile_ = command("compile", "Bootstrap demonstrations and write a compiled-program artifact.",
+                       _run_compile)
+    run_options(compile_, "--train", "--dev")
+    eval_ = command("eval", "Evaluate a strategy over a dataset and write the metric report.", _run_eval)
+    run_options(eval_, "--test")
+    eval_.add_argument("--artifact", type=_existing_path)
+    eval_.add_argument("--workers", type=_at_least_one, default=1)
+    inspect = command("inspect-trace", "Render a saved trace for humans.", _run_inspect_trace)
+    inspect.add_argument("path", type=_existing_path)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """The ``lmpipe`` console script; ``argv`` defaults to ``sys.argv[1:]``.
+
+    A usage error exits 2. A command that fails prints one ``Error:`` line on
+    stderr and exits 1: a bad input or file, or a backend error or
+    over-budget run that stopped a compile (eval records those per row).
+    """
+    args = _parser().parse_args(argv)
     try:
-        click.echo(cmd_inspect_trace(Path(path)), nl=False)
+        args.run(args)
+        return
     except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+        message = str(exc)
+    except (BackendError, PassBudgetExceeded) as exc:
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"Error: {message}", file=sys.stderr)
+    sys.exit(1)
 
 
 if __name__ == "__main__":

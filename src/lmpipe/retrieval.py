@@ -60,7 +60,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .core import STR, read_jsonl
 
@@ -77,6 +77,8 @@ SIDECAR_SUFFIX = ".bm25idx"
 # and its weight
 _OFFSET_BYTES = array("I").itemsize
 _ENTRY_BYTES = array("I").itemsize + array("d").itemsize
+# code points of the block that a sidecar write encodes at a time
+_ENCODE_CHUNK = 1 << 16
 
 # Byte table for ``bytes.translate``: ASCII a-z and 0-9 stay, every other byte
 # becomes a space.
@@ -328,13 +330,24 @@ def _read_array(handle: BinaryIO, typecode: str, count: int) -> array:
     return items
 
 
+def _utf8_chunks(text: str) -> Iterator[bytes]:
+    """``text.encode("utf-8", "surrogatepass")`` in pieces of at most
+    ``_ENCODE_CHUNK`` code points. UTF-8 encodes each code point alone, a
+    lone surrogate too, so the pieces join to the whole encoding."""
+    for start in range(0, len(text), _ENCODE_CHUNK):
+        yield text[start:start + _ENCODE_CHUNK].encode("utf-8", "surrogatepass")
+
+
 def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Path) -> None:
+    """The block is encoded a chunk at a time, so the write never holds a
+    second copy of the passages' text."""
     passages = index.passages
-    block = passages._block.encode("utf-8", "surrogatepass")
+    block = passages._block
     header = {
         "key": key,
         "passages": len(passages),
-        "block_bytes": len(block),
+        # an ASCII block is one byte per code point; any other is counted
+        "block_bytes": len(block) if block.isascii() else sum(map(len, _utf8_chunks(block))),
         "terms": {term: end - start for term, (start, end) in index._spans.items()},
         "docs_crc32": zlib.crc32(index._docs),
     }
@@ -344,7 +357,7 @@ def _write_sidecar(path: Path, key: dict, index: RetrieverIndex, corpus_path: Pa
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(header).encode("ascii") + b"\n")
             passages._ends.tofile(handle)
-            handle.write(block)
+            handle.writelines(_utf8_chunks(block))
             index._docs.tofile(handle)
             index._weights.tofile(handle)
         shutil.copymode(corpus_path, tmp)  # readable by exactly who can read the corpus

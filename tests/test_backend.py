@@ -16,8 +16,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from lmpipe import backend as backend_module
 from lmpipe import cli
 from lmpipe.backend import (
@@ -454,7 +454,8 @@ def test_http_missing_key(monkeypatch):
         backend.generate("p")
 
 
-@pytest.mark.parametrize("status, retryable", [(400, False), (429, True), (500, True), (503, True)])
+@pytest.mark.parametrize("status, retryable",
+                         [(302, False), (400, False), (429, True), (500, True), (503, True)])
 def test_http_non_2xx_carries_body(monkeypatch, status, retryable):
     # a rate limit or a server error may pass on a retry; a bad request will not
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
@@ -466,6 +467,7 @@ def test_http_non_2xx_carries_body(monkeypatch, status, retryable):
     with pytest.raises(BackendError, match=f"{status}: upstream exploded") as err:
         backend.generate("p")
     assert err.value.retryable is retryable
+    assert str(err.value) == f"endpoint returned {status}: upstream exploded"  # no location to name
 
 
 @pytest.mark.parametrize("body, problem", [
@@ -766,7 +768,7 @@ def test_config_model_and_api_base_reach_the_endpoint(endpoint, tmp_path, monkey
     config.write_text(json.dumps({"backend": {
         "model": "configured-model", "api_base": f"http://127.0.0.1:{endpoint.server_address[1]}/v1"}}))
     endpoint.replies.extend([chat_reply("Reasoning: r\nQuery: q\nAnswer: Seabrink")] * 3)
-    result = CliRunner().invoke(cli.main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "vanilla", "--test", str(dataset),
         "--config", str(config), "--out", str(tmp_path / "out"),
     ])
@@ -825,6 +827,7 @@ def test_default_transport_reports_a_redirect(endpoint):
     with pytest.raises(BackendError, match="endpoint returned 302") as err:
         loopback_backend(endpoint).generate("p")
     assert not err.value.retryable
+    assert str(err.value) == "endpoint returned 302 (Location: /elsewhere): "
     [(method, path, headers, _)] = endpoint.seen
     assert (method, path, headers["Authorization"]) == ("POST", "/v1/chat/completions", "Bearer sk-test")
 
@@ -921,7 +924,9 @@ def test_no_proxy_is_read_at_each_call(endpoint, serve, monkeypatch):
 
 
 LIVE_CALL = """\
+import json
 import sys
+started = set(sys.modules)  # a site hook (.pth file) may load third-party modules before lmpipe
 import lmpipe.cli as cli
 from lmpipe.backend import BackendError
 config = cli.RunConfig(task="tweet", strategy=cli.strategy_from_label("vanilla"), out_dir="out",
@@ -930,7 +935,8 @@ try:
     cli.make_backend(config).generate("p")
 except BackendError:  # nothing listens there
     pass
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "urllib3")))
+loaded = {m.split(".")[0] for m in set(sys.modules) - started}
+print(json.dumps(sorted(loaded - {"lmpipe"} - sys.stdlib_module_names)))
 """
 
 
@@ -941,4 +947,5 @@ def test_live_backend_leaves_requests_unimported(tmp_path):
     result = subprocess.run([sys.executable, "-c", LIVE_CALL, f"http://127.0.0.1:{closed_port()}"],
                             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    # lmpipe and a live call load the standard library only: no click, requests or urllib3
+    assert json.loads(result.stdout) == []

@@ -5,8 +5,8 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from lmpipe import cli, evaluation
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend
 from lmpipe.cli import (
@@ -16,7 +16,6 @@ from lmpipe.cli import (
     bundled_data_path,
     cmd_compile,
     cmd_inspect_trace,
-    main,
     strategy_from_label,
 )
 from lmpipe.core import parse_signature
@@ -38,11 +37,6 @@ from lmpipe.tasks import COMPLETE, INSTRUCTIONS, PRIMITIVE
 
 def data(name: str) -> str:
     return str(bundled_data_path(name))
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def test_strategy_table_round_trips():
@@ -90,9 +84,9 @@ def test_offline_requires_script():
         assemble_run_config("multihop", "vanilla", "out", offline=True)
 
 
-def test_eval_vanilla_offline(runner, tmp_path):
+def test_eval_vanilla_offline(tmp_path):
     out = tmp_path / "run"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "vanilla",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/multihop_all_pass.json"),
@@ -108,9 +102,9 @@ def test_eval_vanilla_offline(runner, tmp_path):
     assert len(list((out / "traces").glob("*.json"))) == 6
 
 
-def test_eval_reports_are_deterministic(runner, tmp_path):
+def test_eval_reports_are_deterministic(tmp_path):
     def run(into: Path) -> bytes:
-        result = runner.invoke(main, [
+        result = invoke([
             "eval", "--task", "quiz", "--strategy", "infer_assert",
             "--test", data("test.jsonl"), "--offline",
             "--script", data("scripts/quiz_all_pass.json"),
@@ -128,9 +122,9 @@ def write_config(tmp_path: Path, payload: dict) -> str:
     return str(path)
 
 
-def test_eval_applies_configured_handler_policy(runner, tmp_path):
+def test_eval_applies_configured_handler_policy(tmp_path):
     def dispositions(extra: list[str], out: Path) -> list[str]:
-        result = runner.invoke(main, [
+        result = invoke([
             "eval", "--task", "quiz", "--strategy", "infer_assert",
             "--test", data("test.jsonl"), "--offline",
             "--script", data("scripts/quiz_fix.json"), *extra, "--out", str(out),
@@ -168,11 +162,11 @@ def test_compile_teacher_runs_use_configured_handler_policy(tmp_path, monkeypatc
     assert set(seen) == {policy, DISABLE_ALL}
 
 
-def test_eval_workers_match_serial(runner, tmp_path):
+def test_eval_workers_match_serial(tmp_path):
     outputs = []
     for name, workers in (("serial", "1"), ("parallel", "3")):
         out = tmp_path / name
-        result = runner.invoke(main, [
+        result = invoke([
             "eval", "--task", "tweet", "--strategy", "infer_assert",
             "--test", data("test.jsonl"), "--offline",
             "--script", data("scripts/tweet_all_pass.json"),
@@ -184,9 +178,9 @@ def test_eval_workers_match_serial(runner, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_eval_rejects_workers_below_one(runner, tmp_path, workers):
+def test_eval_rejects_workers_below_one(tmp_path, workers):
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "tweet", "--strategy", "vanilla",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/tweet_all_pass.json"),
@@ -197,9 +191,32 @@ def test_eval_rejects_workers_below_one(runner, tmp_path, workers):
     assert not out.exists()
 
 
-def test_compile_then_eval_compiled_strategy(runner, tmp_path):
+@pytest.mark.parametrize("command, option", [
+    ("compile", "--train"), ("compile", "--dev"), ("compile", "--config"), ("compile", "--script"),
+    ("eval", "--test"), ("eval", "--artifact"), ("eval", "--config"), ("eval", "--script"),
+    ("inspect-trace", "path"),
+])
+def test_a_missing_path_is_a_usage_error_naming_its_option(tmp_path, command, option):
+    out, config = tmp_path / "out", write_config(tmp_path, {})
+    shared = ["--config", config, "--offline", "--script", data("scripts/multihop_all_pass.json"), "--out", str(out)]
+    args = {
+        "compile": ["compile", "--task", "multihop", "--strategy", "compile",
+                    "--train", data("train.jsonl"), "--dev", data("dev.jsonl"), *shared],
+        "eval": ["eval", "--task", "multihop", "--strategy", "compile", "--test", data("test.jsonl"),
+                 "--artifact", config, *shared],
+        "inspect-trace": ["inspect-trace", config],
+    }[command]
+    missing = str(tmp_path / "missing.json")
+    args[-1 if option == "path" else args.index(option) + 1] = missing
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert f"argument {option}: path {missing!r} does not exist" in result.output
+    assert not out.exists()
+
+
+def test_compile_then_eval_compiled_strategy(tmp_path):
     compile_out = tmp_path / "compiled"
-    result = runner.invoke(main, [
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "compile_assert",
         "--train", data("train.jsonl"), "--dev", data("dev.jsonl"),
         "--offline", "--script", data("scripts/multihop_all_pass.json"),
@@ -217,7 +234,7 @@ def test_compile_then_eval_compiled_strategy(runner, tmp_path):
     assert queries and all(len(q) < 100 for q in queries)
 
     eval_out = tmp_path / "eval"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "compile_assert",
         "--test", data("test.jsonl"), "--artifact", str(artifact),
         "--offline", "--script", data("scripts/multihop_all_pass.json"),
@@ -228,8 +245,8 @@ def test_compile_then_eval_compiled_strategy(runner, tmp_path):
     assert report["metrics"]["answer_em"] == 1.0
 
 
-def test_compile_rejects_uncompiled_strategy(runner, tmp_path):
-    result = runner.invoke(main, [
+def test_compile_rejects_uncompiled_strategy(tmp_path):
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "vanilla",
         "--train", data("train.jsonl"), "--dev", data("dev.jsonl"),
         "--offline", "--script", data("scripts/multihop_all_pass.json"),
@@ -239,8 +256,8 @@ def test_compile_rejects_uncompiled_strategy(runner, tmp_path):
     assert "does not compile" in result.output
 
 
-def test_eval_compiled_strategy_requires_artifact(runner, tmp_path):
-    result = runner.invoke(main, [
+def test_eval_compiled_strategy_requires_artifact(tmp_path):
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "compile",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/multihop_all_pass.json"),
@@ -250,11 +267,11 @@ def test_eval_compiled_strategy_requires_artifact(runner, tmp_path):
     assert "artifact" in result.output
 
 
-def test_eval_replaces_traces_of_an_earlier_run(runner, tmp_path, monkeypatch):
+def test_eval_replaces_traces_of_an_earlier_run(tmp_path, monkeypatch):
     out = tmp_path / "out"
 
     def trace_names(test_path: str) -> list[str]:
-        result = runner.invoke(main, [
+        result = invoke([
             "eval", "--task", "multihop", "--strategy", "vanilla",
             "--test", test_path, "--offline",
             "--script", data("scripts/multihop_all_pass.json"),
@@ -285,7 +302,7 @@ def test_eval_replaces_traces_of_an_earlier_run(runner, tmp_path, monkeypatch):
     assert report["n_examples"] == 2 and report["rows"][0]["error_type"] == "RuntimeError"
 
 
-def test_eval_over_an_earlier_run_writes_the_files_of_a_fresh_run(runner, tmp_path):
+def test_eval_over_an_earlier_run_writes_the_files_of_a_fresh_run(tmp_path):
     # the first example is the one the retry script answers: under vanilla its
     # run does not retry, so every file of the second run is shorter
     first = Path(data("test.jsonl")).read_text(encoding="utf-8").splitlines(keepends=True)[0]
@@ -293,7 +310,7 @@ def test_eval_over_an_earlier_run_writes_the_files_of_a_fresh_run(runner, tmp_pa
     test_path.write_text(first, encoding="utf-8")
 
     def run(strategy: str, out: Path) -> dict[str, bytes]:
-        result = runner.invoke(main, [
+        result = invoke([
             "eval", "--task", "multihop", "--strategy", strategy,
             "--test", str(test_path), "--offline",
             "--script", data("scripts/multihop_retry.json"),
@@ -311,11 +328,11 @@ def test_eval_over_an_earlier_run_writes_the_files_of_a_fresh_run(runner, tmp_pa
     assert all(len(rewritten[name]) < len(earlier[name]) for name in rewritten)
 
 
-def test_eval_empty_dataset_flagged(runner, tmp_path):
+def test_eval_empty_dataset_flagged(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "vanilla",
         "--test", str(empty), "--offline",
         "--script", data("scripts/multihop_all_pass.json"),
@@ -327,11 +344,11 @@ def test_eval_empty_dataset_flagged(runner, tmp_path):
     assert "empty_dataset" in report["flags"]
 
 
-def test_eval_partial_failures_exit_zero(runner, tmp_path):
+def test_eval_partial_failures_exit_zero(tmp_path):
     # script covering a single question: the other five become error rows, but
     # the run still completes successfully
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "infer_assert",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/multihop_retry.json"),
@@ -344,11 +361,11 @@ def test_eval_partial_failures_exit_zero(runner, tmp_path):
     assert f"{len(failures)}_examples_failed" in report["flags"]
 
 
-def test_eval_backend_error_rows_leave_traces(runner, tmp_path):
+def test_eval_backend_error_rows_leave_traces(tmp_path):
     # multihop_retry.json scripts only the first question: the other five
     # examples fail on their first call, and each still gets a trace file
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "infer_assert",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/multihop_retry.json"),
@@ -364,7 +381,7 @@ def test_eval_backend_error_rows_leave_traces(runner, tmp_path):
     assert cmd_inspect_trace(traces[1]) == f"passes: 1\nerror: {rows[1]['error']}\n"
 
 
-def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
+def test_backend_error_trace_keeps_completed_steps(tmp_path):
     question = "In which city was the designer of the Oakhaven Amphitheatre born?"
     script = tmp_path / "hop1_only.json"
     script.write_text(json.dumps({"version": 1, "entries": [
@@ -374,7 +391,7 @@ def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
     dataset = tmp_path / "one.jsonl"
     dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "vanilla", "--test", str(dataset),
         "--offline", "--script", str(script), "--out", str(out),
     ])
@@ -392,7 +409,7 @@ def test_backend_error_trace_keeps_completed_steps(runner, tmp_path):
     assert "retrieve k=3  Oakhaven Amphitheatre" in rendered
 
 
-def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(runner, tmp_path, monkeypatch):
+def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(tmp_path, monkeypatch):
     # every query is too long: a pass budget of 4 stops the run in hop 2's
     # retries, after hop 1's query warned and its search ran
     question = "In which city was the designer of the Oakhaven Amphitheatre born?"
@@ -404,7 +421,7 @@ def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(runner, tmp_p
     dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
     monkeypatch.setattr(runtime, "_MAX_PASSES", 4)
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "infer_assert", "--test", str(dataset),
         "--offline", "--script", str(script), "--out", str(out),
     ])
@@ -420,10 +437,10 @@ def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(runner, tmp_p
     assert cmd_inspect_trace(path).splitlines()[-2:] == ["passes: 4", f"error: {row['error']}"]
 
 
-def test_compile_backend_error_is_one_line(runner, tmp_path):
+def test_compile_backend_error_is_one_line(tmp_path):
     # the retry script answers one question, so a teacher run on another
     # reaches an unscripted prompt
-    result = runner.invoke(main, [
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "compile_assert",
         "--train", data("test.jsonl"), "--dev", data("dev.jsonl"),
         "--offline", "--script", data("scripts/multihop_retry.json"), "--out", str(tmp_path / "out"),
@@ -466,7 +483,7 @@ def test_commands_close_the_backend_they_made(tmp_path, monkeypatch, command, fa
     assert len(made) == 1 and closed == made
 
 
-def test_compile_over_the_pass_budget_is_one_line(runner, tmp_path, monkeypatch):
+def test_compile_over_the_pass_budget_is_one_line(tmp_path, monkeypatch):
     question = "In which city was the designer of the Oakhaven Amphitheatre born?"
     script = tmp_path / "long_queries.json"
     script.write_text(json.dumps({"version": 1, "entries": [
@@ -475,7 +492,7 @@ def test_compile_over_the_pass_budget_is_one_line(runner, tmp_path, monkeypatch)
     dataset = tmp_path / "one.jsonl"
     dataset.write_text(json.dumps({"question": question, "answer": "Seabrink"}) + "\n")
     monkeypatch.setattr(runtime, "_MAX_PASSES", 4)
-    result = runner.invoke(main, [
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "compile_assert", "--train", str(dataset),
         "--dev", str(dataset), "--offline", "--script", str(script), "--out", str(tmp_path / "out"),
     ])
@@ -484,14 +501,14 @@ def test_compile_over_the_pass_budget_is_one_line(runner, tmp_path, monkeypatch)
         "Error: PassBudgetExceeded: backtracking did not terminate within the pass budget")
 
 
-def test_eval_all_failures_exits_nonzero(runner, tmp_path):
+def test_eval_all_failures_exits_nonzero(tmp_path):
     # script with no matching entries: every example fails with a backend error
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({"version": 1, "entries": [
         {"match": "never ever matches", "mode": "substring", "responses": ["x"]},
     ]}))
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "vanilla",
         "--test", data("test.jsonl"), "--offline", "--script", str(bogus),
         "--out", str(out),
@@ -545,10 +562,10 @@ def test_inspect_trace_fail_fail_pass_shows_two_retry_lines(tmp_path):
     assert rendered.count("RETRY") == 2
 
 
-def test_indented_trace_loads_and_renders_as_its_one_line_file(runner, tmp_path):
+def test_indented_trace_loads_and_renders_as_its_one_line_file(tmp_path):
     # indented trace files, as earlier versions wrote them, must still load and render
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "infer_assert",
         "--test", data("test.jsonl"), "--offline",
         "--script", data("scripts/multihop_retry.json"),
@@ -562,22 +579,22 @@ def test_indented_trace_loads_and_renders_as_its_one_line_file(runner, tmp_path)
         indented.write_text(json.dumps(json.loads(one_line), indent=2, ensure_ascii=False, sort_keys=True)
                             + "\n", encoding="utf-8")
         assert trace_to_dict(load_trace(indented)) == trace_to_dict(load_trace(path))
-        rendered = [runner.invoke(main, ["inspect-trace", str(p)]) for p in (path, indented)]
+        rendered = [invoke(["inspect-trace", str(p)]) for p in (path, indented)]
         assert rendered[0].exit_code == rendered[1].exit_code == 0
         assert rendered[0].output == rendered[1].output
 
 
-def test_inspect_trace_cli_version_mismatch(runner, tmp_path):
+def test_inspect_trace_cli_version_mismatch(tmp_path):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps({"version": 9, "steps": []}))
-    result = runner.invoke(main, ["inspect-trace", str(path)])
+    result = invoke(["inspect-trace", str(path)])
     assert result.exit_code != 0
     assert f"file has 9, supported is {TRACE_VERSION}" in result.output
 
 
-def test_inspect_trace_cli_renders(runner, tmp_path):
+def test_inspect_trace_cli_renders(tmp_path):
     path = run_and_save(tmp_path, fails=1, max_retries=2)
-    result = runner.invoke(main, ["inspect-trace", str(path)])
+    result = invoke(["inspect-trace", str(path)])
     assert result.exit_code == 0
     assert "gen" in result.output
 
@@ -606,9 +623,9 @@ def test_readme_config_example_loads(tmp_path):
     ({"compile": {"num_candidates": "3"}}, "config compile num_candidates must be an integer, got '3'"),
     ({"corpus": 5}, "config corpus must be a string or null, got 5"),
 ])
-def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
+def test_eval_rejects_bad_config(tmp_path, payload, error):
     config = write_config(tmp_path, payload)
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "quiz", "--strategy", "vanilla", "--test", data("test.jsonl"),
         "--offline", "--script", data("scripts/quiz_all_pass.json"),
         "--config", config, "--out", str(tmp_path / "out"),
@@ -619,11 +636,11 @@ def test_eval_rejects_bad_config(runner, tmp_path, payload, error):
     assert result.output == f"Error: {named}{error}\n"
 
 
-def test_config_script_alone_selects_the_scripted_backend(runner, tmp_path, monkeypatch):
+def test_config_script_alone_selects_the_scripted_backend(tmp_path, monkeypatch):
     monkeypatch.delenv("LM_API_BASE", raising=False)
     config = write_config(tmp_path, {"backend": {"script": data("scripts/quiz_all_pass.json")}})
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "quiz", "--strategy", "vanilla", "--test", data("test.jsonl"),
         "--config", config, "--out", str(out),
     ])
@@ -745,7 +762,7 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("trace", trace_file(constraint_change={"step": True}),
      "trace constraint step must be null or an index into steps, got True"),
 ])
-def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind, content, error):
+def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
     run = ["--task", "multihop", "--test", data("test.jsonl"), "--out", str(tmp_path / "out")]
@@ -756,16 +773,16 @@ def test_malformed_input_file_is_a_click_error_naming_it(runner, tmp_path, kind,
         "trace": ["inspect-trace", str(path)],
         "config": ["eval", "--strategy", "vanilla", "--config", str(path), *script, *run],
     }[kind]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"Error: {path}: {error}")
 
 
-def test_artifact_of_another_task_names_both_tasks(runner, tmp_path):
+def test_artifact_of_another_task_names_both_tasks(tmp_path):
     # checked before the module set, which differs between any two bundled tasks
-    quiz = run_command(runner, "compile", "quiz", "compile", data("scripts/quiz_all_pass.json"), tmp_path / "quiz")
+    quiz = run_command("compile", "quiz", "compile", data("scripts/quiz_all_pass.json"), tmp_path / "quiz")
     artifact = quiz / "compiled_program.json"
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--task", "multihop", "--strategy", "compile", "--artifact", str(artifact),
         "--test", data("test.jsonl"), "--offline", "--script", data("scripts/multihop_all_pass.json"),
         "--out", str(tmp_path / "eval"),
@@ -774,7 +791,7 @@ def test_artifact_of_another_task_names_both_tasks(runner, tmp_path):
     assert result.output == f"Error: {artifact}: artifact was compiled for task 'quiz', not 'multihop'\n"
 
 
-def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(runner, tmp_path):
+def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(tmp_path):
     # hop 2 first repeats hop 1's query, fails query_distinct, and is fixed on retry
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"version": 1, "entries": [
@@ -786,7 +803,7 @@ def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(runner, 
     dataset.write_text(json.dumps({"question": "Q?", "answer": "Paris", "gold_titles": []}) + "\n",
                        encoding="utf-8")
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "compile_assert",
         "--train", str(dataset), "--dev", str(dataset), "--script", str(script), "--out", str(out),
     ])
@@ -798,7 +815,7 @@ def test_compile_assert_keeps_a_recovered_hop_2_query_as_counterexample(runner, 
     }]
 
 
-def test_config_file_drives_backend_and_seeds(runner, tmp_path):
+def test_config_file_drives_backend_and_seeds(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "backend": {"script": data("scripts/multihop_all_pass.json")},
@@ -807,7 +824,7 @@ def test_config_file_drives_backend_and_seeds(runner, tmp_path):
         "instructions": "complete",
     }))
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         "compile", "--task", "multihop", "--strategy", "compile",
         "--train", data("train.jsonl"), "--dev", data("dev.jsonl"),
         "--config", str(config), "--out", str(out),
@@ -820,14 +837,14 @@ def test_config_file_drives_backend_and_seeds(runner, tmp_path):
 
 # --- one test per config key: each changes what a command does -------------------
 
-def run_command(runner, command: str, task: str, strategy: str, script: str, out: Path,
+def run_command(command: str, task: str, strategy: str, script: str, out: Path,
                 payload: Optional[dict] = None) -> Path:
     """Run ``compile`` or ``eval`` offline over the bundled data into ``out``;
     ``payload`` is written beside ``out`` as the config file."""
     datasets = {"compile": ["--train", data("train.jsonl"), "--dev", data("dev.jsonl")],
                 "eval": ["--test", data("test.jsonl")]}[command]
     config = ["--config", write_config(out.parent, payload)] if payload is not None else []
-    result = runner.invoke(main, [
+    result = invoke([
         command, "--task", task, "--strategy", strategy, *datasets,
         "--offline", "--script", script, *config, "--out", str(out),
     ])
@@ -840,11 +857,11 @@ def saved_steps(out: Path) -> list:
             for step in load_trace(path).steps]
 
 
-def test_config_max_retries_zero_retries_nothing(runner, tmp_path):
+def test_config_max_retries_zero_retries_nothing(tmp_path):
     script = data("scripts/multihop_retry.json")
-    default = run_command(runner, "eval", "multihop", "infer_assert", script, tmp_path / "default")
+    default = run_command("eval", "multihop", "infer_assert", script, tmp_path / "default")
     assert any(step.attempt > 0 for step in saved_steps(default))
-    zero = run_command(runner, "eval", "multihop", "infer_assert", script, tmp_path / "zero",
+    zero = run_command("eval", "multihop", "infer_assert", script, tmp_path / "zero",
                        {"runtime": {"max_retries": 0}})
     steps = saved_steps(zero)
     assert steps and all(step.attempt == 0 for step in steps)
@@ -853,26 +870,26 @@ def test_config_max_retries_zero_retries_nothing(runner, tmp_path):
     assert "warned" in dispositions and "retried" not in dispositions
 
 
-def compiled_modules(runner, tmp_path: Path, name: str, strategy: str, script: str,
+def compiled_modules(tmp_path: Path, name: str, strategy: str, script: str,
                      compile_section: dict, extra: Optional[dict] = None) -> dict:
     payload = {"compile": {"num_candidates": 1, **compile_section}, **(extra or {})}
-    out = run_command(runner, "compile", "multihop", strategy, data(f"scripts/{script}"),
+    out = run_command("compile", "multihop", strategy, data(f"scripts/{script}"),
                       tmp_path / name, payload)
     return json.loads((out / "compiled_program.json").read_text())["modules"]
 
 
-def test_config_max_bootstrapped_demos_caps_the_demos(runner, tmp_path):
+def test_config_max_bootstrapped_demos_caps_the_demos(tmp_path):
     def demo_counts(name: str, section: dict) -> dict:
-        modules = compiled_modules(runner, tmp_path, name, "compile", "multihop_all_pass.json", section)
+        modules = compiled_modules(tmp_path, name, "compile", "multihop_all_pass.json", section)
         return {module_id: len(module["demos"]) for module_id, module in modules.items()}
 
     assert demo_counts("default", {}) == {"generate_query": 2, "generate_answer": 2}
     assert demo_counts("one", {"max_bootstrapped_demos": 1}) == {"generate_query": 1, "generate_answer": 1}
 
 
-def test_config_collect_counterexamples_false_keeps_none(runner, tmp_path):
+def test_config_collect_counterexamples_false_keeps_none(tmp_path):
     def counterexamples(name: str, section: dict) -> int:
-        modules = compiled_modules(runner, tmp_path, name, "compile_assert",
+        modules = compiled_modules(tmp_path, name, "compile_assert",
                                    "multihop_teacher_assert.json", section)
         return sum(len(module["counterexamples"]) for module in modules.values())
 
@@ -880,9 +897,9 @@ def test_config_collect_counterexamples_false_keeps_none(runner, tmp_path):
     assert counterexamples("off", {"collect_counterexamples": False}) == 0
 
 
-def test_config_instructions_primitive_reaches_the_program(runner, tmp_path):
+def test_config_instructions_primitive_reaches_the_program(tmp_path):
     def instructions(name: str, extra: Optional[dict]) -> dict:
-        modules = compiled_modules(runner, tmp_path, name, "compile", "multihop_all_pass.json", {}, extra)
+        modules = compiled_modules(tmp_path, name, "compile", "multihop_all_pass.json", {}, extra)
         return {module_id: module["instructions"] for module_id, module in modules.items()}
 
     query = INSTRUCTIONS["multihop"]["query"]
@@ -890,7 +907,7 @@ def test_config_instructions_primitive_reaches_the_program(runner, tmp_path):
     assert instructions("primitive", {"instructions": PRIMITIVE})["generate_query"] == query[PRIMITIVE]
 
 
-def test_config_corpus_is_the_one_retrieved_from(runner, tmp_path):
+def test_config_corpus_is_the_one_retrieved_from(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"title": "Zephyr Annex", "text": "The Zephyr Annex stands alone."}) + "\n",
                       encoding="utf-8")
@@ -900,7 +917,7 @@ def test_config_corpus_is_the_one_retrieved_from(runner, tmp_path):
     ]}), encoding="utf-8")
 
     def contexts(name: str, payload: Optional[dict]) -> set:
-        out = run_command(runner, "eval", "multihop", "vanilla", str(script), tmp_path / name, payload)
+        out = run_command("eval", "multihop", "vanilla", str(script), tmp_path / name, payload)
         return {step.inputs["context"] for step in saved_steps(out)}
 
     assert not any("Zephyr" in context for context in contexts("bundled", None))

@@ -168,8 +168,7 @@ def test_vanilla_vs_infer_assert_on_retry_fixture(index, testset, tmp_path):
 
 
 def test_cli_eval_retry_fixture_both_strategies(index, testset, tmp_path):
-    from click.testing import CliRunner
-    from lmpipe.cli import main
+    from cli_runner import invoke
 
     dataset = tmp_path / "one.jsonl"
     example = testset[0]
@@ -179,7 +178,7 @@ def test_cli_eval_retry_fixture_both_strategies(index, testset, tmp_path):
     }) + "\n")
 
     def run(strategy: str, out: str) -> dict:
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "eval", "--task", "multihop", "--strategy", strategy,
             "--test", str(dataset), "--offline",
             "--script", str(bundled_data_path("scripts/multihop_retry.json")),

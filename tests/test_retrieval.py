@@ -16,6 +16,8 @@ import random
 import sys
 import os
 import threading
+import tracemalloc
+import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -428,6 +430,41 @@ def test_sidecar_round_trips_any_text(tmp_path):
             for k in (1, 3, len(passages) + 1):
                 assert outcome(lambda i: retrieve(i, query, k), loaded) == \
                     outcome(lambda i: oracle_retrieve(i, query, k), oracle), (name, query, k)
+
+
+def test_sidecar_write_encodes_the_block_a_chunk_at_a_time(tmp_path):
+    chunk = retrieval._ENCODE_CHUNK
+    # the first chunk ends between the halves of a surrogate pair, the second
+    # inside a run of "é€"; the block is several MiB of UTF-8
+    text = "a" * (chunk - 1) + "\ud83d\ude00" + "é€" * chunk + "€" * (24 * chunk) + "\udfff oak"
+    index = RetrieverIndex.build([Passage("", text), Passage("Elm", "elm \ud800")])
+    block = index.passages._block
+    assert block[chunk - 1:chunk + 1] == "\ud83d\ude00" and block[2 * chunk - 1:2 * chunk + 1] == "é€"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("")
+    path, key = tmp_path / "corpus.jsonl.bm25idx", {"format": retrieval.INDEX_FORMAT}
+
+    tracemalloc.start()
+    try:
+        retrieval._write_sidecar(path, key, index, corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    encoded = block.encode("utf-8", "surrogatepass")
+    assert len(encoded) > 4 << 20
+    # a slice of the block and its encoding, each at most 4 bytes a code point
+    assert peak < 2 * 4 * chunk + (256 << 10), peak
+
+    header = {
+        "key": key, "passages": 2, "block_bytes": len(encoded),
+        "terms": {term: end - start for term, (start, end) in index._spans.items()},
+        "docs_crc32": zlib.crc32(index._docs),
+    }
+    assert path.read_bytes() == b"".join([
+        json.dumps(header).encode("ascii") + b"\n", index.passages._ends.tobytes(), encoded,
+        index._docs.tobytes(), index._weights.tobytes(),
+    ])
+    assert retrieval._read_sidecar(path, key).passages == index.passages
 
 
 def test_passages_sequence():
