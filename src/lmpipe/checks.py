@@ -11,11 +11,12 @@ import json
 import re
 import string
 
+from .retrieval import tokenize
+
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b", re.IGNORECASE)
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _HASHTAG_RE = re.compile(r"#\w+")
 _CITATION_RE = re.compile(r"\[(\d+)\]")
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def normalize_answer(text: str) -> str:
@@ -31,16 +32,11 @@ def has_correct_answer(text: str, answer: str) -> bool:
     return normalize_answer(answer) in normalize_answer(text)
 
 
-# Same rule; named per the quiz program's vocabulary.
-def is_correct_answer_included(answer: str, choices_text: str) -> bool:
-    return has_correct_answer(choices_text, answer)
-
-
 def has_no_hashtags(text: str) -> bool:
     return _HASHTAG_RE.search(text) is None
 
 
-def is_within_length_limit(text: str, limit: int = 280) -> bool:
+def is_within_length_limit(text: str, limit: int) -> bool:
     """Raw character count, inclusive boundary: exactly `limit` chars passes."""
     return len(text) <= limit
 
@@ -56,23 +52,20 @@ def format_checker(choices_text: str) -> bool:
     return all(isinstance(v, str) for v in parsed.values())
 
 
-def _word_set(text: str) -> set[str]:
-    return set(_WORD_RE.findall(text.lower()))
-
-
 def _normalized_query(text: str) -> str:
     return " ".join(text.lower().split())
 
 
 def is_query_distinct(query: str, previous_queries: list[str]) -> bool:
     """Distinct from every prior query: normalized strings differ and the
-    Jaccard overlap of lowercase word sets stays below 0.8."""
+    Jaccard overlap of their word sets (``retrieval.tokenize``, as BM25 reads
+    them) stays below 0.8."""
     q_norm = _normalized_query(query)
-    q_words = _word_set(query)
+    q_words = set(tokenize(query))
     for prior in previous_queries:
         if q_norm == _normalized_query(prior):
             return False
-        p_words = _word_set(prior)
+        p_words = set(tokenize(prior))
         union = q_words | p_words
         if union:
             overlap = len(q_words & p_words) / len(union)

@@ -345,15 +345,16 @@ def passages_to_text(passages: Iterable[tuple[str, str]]) -> str:
 
 def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
     """Read a JSON input file (compiled program, script, trace, config) through
-    ``parse``, which checks it with ``check_record``. A file that is not JSON,
-    or whose value ``parse`` rejects, raises ``ValueError`` naming its path; a
-    ``KeyError(k)`` from ``parse`` becomes ``<path>: missing key 'k'``."""
+    ``parse``, which checks it with ``check_record``. A file that is not JSON
+    (or nests too deep to parse), or whose value ``parse`` rejects, raises
+    ``ValueError`` naming its path; a ``KeyError(k)`` from ``parse`` becomes
+    ``<path>: missing key 'k'``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse(json.load(handle))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -405,22 +406,26 @@ def check_version(record: Any, supported: int, what: str) -> None:
 def read_jsonl(path: str | Path, what: str, fields: Mapping[str, tuple[str, Callable[[Any], bool]]],
                make: Callable[..., Any], optional: Collection[str] = ()) -> list:
     """``make(**record)`` for each JSON object per line, checked by
-    ``check_record`` as a ``what``; blank lines are skipped. A bad record
-    raises ``ValueError`` naming the ``what``, path and line, and a missing
-    key as ``missing key 'k'``."""
+    ``check_record`` as a ``what``; blank lines are skipped. A bad record,
+    bytes that are not UTF-8 among them, raises ``ValueError`` naming the
+    ``what``, path and line, and a missing key as ``missing key 'k'``."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 read as lone surrogates, so that the line's own
+    # strict decode below fails where its error can name the line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"expected a JSON object, got {line[:40]}")
                 records.append(make(**check_record(record, fields, what, optional)))
             except KeyError as exc:
                 raise ValueError(f"bad {what} at {path}:{lineno}: missing key {exc}") from exc
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"bad {what} at {path}:{lineno}: {exc}") from exc
     return records

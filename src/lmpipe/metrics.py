@@ -96,11 +96,14 @@ def retrieval_recall(
     return len(set(context_titles) & set(gold_titles)) / len(gold_titles)
 
 
+def _gated_mean(gate: bool, flags: Iterable[bool]) -> float:
+    """0 unless ``gate`` holds, else the mean of ``flags``."""
+    return mean_of(map(float, flags)) if gate else 0.0
+
+
 def quiz_validity(format_ok: bool, answer_included: bool, plausible: bool) -> float:
     """Mean of the three intrinsic booleans, gated: 0 unless format and inclusion hold."""
-    if not (format_ok and answer_included):
-        return 0.0
-    return mean_of(map(float, (format_ok, answer_included, plausible)))
+    return _gated_mean(format_ok and answer_included, (format_ok, answer_included, plausible))
 
 
 def tweet_quality(
@@ -108,9 +111,8 @@ def tweet_quality(
 ) -> float:
     """Mean of the five intrinsic booleans, gated: 0 unless the tweet has the
     answer and fits the length limit."""
-    if not (has_answer and within_limit):
-        return 0.0
-    return mean_of(map(float, (no_hashtags, has_answer, within_limit, engaging, faithful)))
+    return _gated_mean(has_answer and within_limit,
+                       (no_hashtags, has_answer, within_limit, engaging, faithful))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Four question-answering variants over the same corpus:
 
 * multihop  -- two query/retrieve hops, then a short answer; suggestions keep
-               queries short (< 100 chars) and distinct from earlier queries.
+               queries short (under ``QUERY_LENGTH_LIMIT`` chars) and distinct
+               from earlier queries.
 * longform  -- two hops, then a cited paragraph; suggestions require citations
                every 1-2 sentences and per-citation faithfulness (LM-judged).
 * quiz      -- answer-choice generation; suggestions require JSON formatting,
@@ -30,7 +31,6 @@ from .checks import (
     has_correct_answer,
     has_no_hashtags,
     is_assessment_yes,
-    is_correct_answer_included,
     is_query_distinct,
     is_within_length_limit,
 )
@@ -54,33 +54,28 @@ TWEET_LIMIT = 280
 QUERY_LENGTH_LIMIT = 100
 DEFAULT_CHOICE_COUNT = 4
 
-QUERY_LENGTH_MESSAGE = "Query should be less than 100 characters"
+QUERY_LENGTH_MESSAGE = f"Query should be less than {QUERY_LENGTH_LIMIT} characters"
+
+QUERY_SIGNATURE = "context, question -> query"
+JUDGE_SIGNATURE = "context, assessed_text, assessment_question -> assessment_answer"
 
 PRIMITIVE = "primitive"
 COMPLETE = "complete"
 
+_QUERY = "Write a simple search query that will help answer a complex question."
+_QUERY_COMPLETE = (
+    f"{_QUERY} Keep the query under {QUERY_LENGTH_LIMIT} characters and distinct from "
+    "earlier queries."
+)
+_ANSWER = "Answer questions with short factoid answers."
+
 INSTRUCTIONS = {
     "multihop": {
-        "query": {
-            PRIMITIVE: "Write a simple search query that will help answer a complex question.",
-            COMPLETE: (
-                "Write a simple search query that will help answer a complex question. "
-                "Keep the query under 100 characters and distinct from earlier queries."
-            ),
-        },
-        "answer": {
-            PRIMITIVE: "Answer questions with short factoid answers.",
-            COMPLETE: "Answer questions with short factoid answers.",
-        },
+        "query": {PRIMITIVE: _QUERY, COMPLETE: _QUERY_COMPLETE},
+        "answer": {PRIMITIVE: _ANSWER, COMPLETE: _ANSWER},
     },
     "longform": {
-        "query": {
-            PRIMITIVE: "Write a simple search query that will help answer a complex question.",
-            COMPLETE: (
-                "Write a simple search query that will help answer a complex question. "
-                "Keep the query under 100 characters and distinct from earlier queries."
-            ),
-        },
+        "query": {PRIMITIVE: _QUERY, COMPLETE: _QUERY_COMPLETE},
         "paragraph": {
             PRIMITIVE: "Write a paragraph that answers the question using the context.",
             COMPLETE: (
@@ -100,15 +95,13 @@ INSTRUCTIONS = {
         },
     },
     "tweet": {
-        "query": {
-            PRIMITIVE: "Write a simple search query that will help answer a complex question.",
-            COMPLETE: "Write a simple search query that will help answer a complex question.",
-        },
+        "query": {PRIMITIVE: _QUERY, COMPLETE: _QUERY},
         "tweet": {
             PRIMITIVE: "Generate a tweet that effectively answers a question.",
             COMPLETE: (
                 "Generate an engaging tweet that effectively answers a question staying "
-                "faithful to the context, is less than 280 characters, and has no hashtags."
+                f"faithful to the context, is less than {TWEET_LIMIT} characters, and has no "
+                "hashtags."
             ),
         },
     },
@@ -130,11 +123,16 @@ FAITHFUL_QUESTION = (
 )
 
 
-def _judge_module(module_id: str, spec: str) -> PredictModule:
+def _judge_module(module_id: str, spec: str = JUDGE_SIGNATURE) -> PredictModule:
     return PredictModule(
         module_id=module_id,
         signature=parse_signature(spec, instructions=JUDGE_INSTRUCTIONS),
     )
+
+
+def _query_module(module_id: str, task: str, instruction_variant: str) -> PredictModule:
+    return chain_of_thought(QUERY_SIGNATURE, module_id=module_id,
+                            instructions=INSTRUCTIONS[task]["query"][instruction_variant])
 
 
 class MultiHopQA(Program):
@@ -143,10 +141,8 @@ class MultiHopQA(Program):
     def __init__(self, index: RetrieverIndex, instruction_variant: str = COMPLETE):
         super().__init__()
         self.index = index
-        self.generate_query = self.register(chain_of_thought(
-            "context, question -> query", module_id="generate_query",
-            instructions=INSTRUCTIONS["multihop"]["query"][instruction_variant],
-        ))
+        self.generate_query = self.register(
+            _query_module("generate_query", "multihop", instruction_variant))
         self.generate_answer = self.register(chain_of_thought(
             "context, question -> answer", module_id="generate_answer",
             instructions=INSTRUCTIONS["multihop"]["answer"][instruction_variant],
@@ -175,17 +171,13 @@ class LongFormQA(Program):
     def __init__(self, index: RetrieverIndex, instruction_variant: str = COMPLETE):
         super().__init__()
         self.index = index
-        self.generate_query = self.register(chain_of_thought(
-            "context, question -> query", module_id="generate_query",
-            instructions=INSTRUCTIONS["longform"]["query"][instruction_variant],
-        ))
+        self.generate_query = self.register(
+            _query_module("generate_query", "longform", instruction_variant))
         self.generate_cited_paragraph = self.register(chain_of_thought(
             "context, question -> paragraph", module_id="generate_cited_paragraph",
             instructions=INSTRUCTIONS["longform"]["paragraph"][instruction_variant],
         ))
-        self.faithfulness_judge = _judge_module(
-            "faithfulness_judge", "context, assessed_text, assessment_question -> assessment_answer"
-        )
+        self.faithfulness_judge = _judge_module("faithfulness_judge")
 
     def forward(self, ctx: ExecutionContext, question: str) -> Prediction:
         context = []
@@ -238,7 +230,7 @@ class QuizGen(Program):
                     "The format of the answer choices should be in JSON format. "
                     "Please revise accordingly.",
                     label="format")
-        ctx.suggest(is_correct_answer_included(answer, choices),
+        ctx.suggest(has_correct_answer(choices, answer),
                     "The answer choices do not include the correct answer to the question. "
                     "Please revise accordingly.",
                     label="has_answer")
@@ -260,22 +252,15 @@ class TweetGen(Program):
         self.index = index
         # one query module per hop; each can carry its own demos
         self.query_modules = [
-            self.register(chain_of_thought(
-                "context, question -> query", module_id=f"generate_query_{hop}",
-                instructions=INSTRUCTIONS["tweet"]["query"][instruction_variant],
-            ))
+            self.register(_query_module(f"generate_query_{hop}", "tweet", instruction_variant))
             for hop in range(HOPS)
         ]
         self.generate_tweet = self.register(chain_of_thought(
             "question, context -> tweet", module_id="generate_tweet",
             instructions=INSTRUCTIONS["tweet"]["tweet"][instruction_variant],
         ))
-        self.engaging_judge = _judge_module(
-            "engaging_judge", "context, assessed_text, assessment_question -> assessment_answer"
-        )
-        self.faithful_judge = _judge_module(
-            "faithful_judge", "context, assessed_text, assessment_question -> assessment_answer"
-        )
+        self.engaging_judge = _judge_module("engaging_judge")
+        self.faithful_judge = _judge_module("faithful_judge")
 
     def forward(self, ctx: ExecutionContext, question: str, answer: str) -> Prediction:
         context = []
@@ -317,8 +302,8 @@ def _context_titles(run: RunResult) -> list[str]:
     return [title for found in run.retrievals for title in found.titles]
 
 
-def _first_true(flags: Sequence[bool], default: bool = False) -> bool:
-    return flags[0] if flags else default
+def _first_true(flags: Sequence[bool]) -> bool:
+    return flags[0] if flags else False
 
 
 def _score_multihop(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
@@ -349,7 +334,7 @@ def _score_longform(example: TaskExample, outputs: Mapping[str, str], run: RunRe
 def _score_quiz(example: TaskExample, outputs: Mapping[str, str], run: RunResult) -> dict:
     choices = outputs.get("answer_choices", "")
     fmt = format_checker(choices)
-    inc = is_correct_answer_included(example.answer, choices)
+    inc = has_correct_answer(choices, example.answer)
     plausible = _first_true(final_label_outcomes(run).get("plausible", []))
     return {
         "format": float(fmt),

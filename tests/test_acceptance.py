@@ -16,8 +16,8 @@ from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_sc
 from lmpipe.checks import (
     citations_check,
     format_checker,
+    has_correct_answer,
     has_no_hashtags,
-    is_correct_answer_included,
     is_query_distinct,
     is_within_length_limit,
 )
@@ -444,7 +444,7 @@ def test_criterion_8_predicate_tables():
     for text, limit, expected in length_cases:
         assert is_within_length_limit(text, limit) is expected, (len(text), limit)
     for answer, text, expected in inclusion_cases:
-        assert is_correct_answer_included(answer, text) is expected, (answer, text)
+        assert has_correct_answer(text, answer) is expected, (answer, text)
     for query, previous, expected in distinct_cases:
         assert is_query_distinct(query, previous) is expected, (query, previous)
     for paragraph, expected in citation_cases:

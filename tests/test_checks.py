@@ -9,7 +9,6 @@ from lmpipe.checks import (
     has_correct_answer,
     has_no_hashtags,
     is_assessment_yes,
-    is_correct_answer_included,
     is_query_distinct,
     is_within_length_limit,
     normalize_answer,
@@ -71,7 +70,7 @@ def test_is_within_length_limit_table(text, limit, expected):
     ("Kelvin Reach", "born in Kelvin Reach!", True),
 ])
 def test_is_correct_answer_included_table(answer, text, expected):
-    assert is_correct_answer_included(answer, text) is expected
+    # quiz's has_answer rule: the gold answer inside the answer choices
     assert has_correct_answer(text, answer) is expected
 
 

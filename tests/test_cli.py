@@ -778,6 +778,28 @@ def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content
     assert result.output.startswith(f"Error: {path}: {error}")
 
 
+def test_a_json_file_nested_too_deep_is_one_error_line_naming_it(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    result = invoke(["eval", "--task", "multihop", "--strategy", "vanilla", "--script", str(path),
+                     "--test", data("test.jsonl"), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {path}: maximum recursion depth exceeded")
+    assert result.output.count("\n") == 1
+
+
+def test_a_dataset_line_that_is_not_utf8_is_an_error_naming_the_line(tmp_path):
+    first, second, *rest = Path(data("test.jsonl")).read_bytes().splitlines(keepends=True)
+    path = tmp_path / "test.jsonl"
+    path.write_bytes(first + second[:34] + b"\xff\xfe" + second[34:] + b"".join(rest))
+    result = invoke(["eval", "--task", "multihop", "--strategy", "vanilla",
+                     "--script", data("scripts/multihop_all_pass.json"),
+                     "--test", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: bad dataset record at {path}:2: 'utf-8' codec can't decode "
+                             "byte 0xff in position 34: invalid start byte\n")
+
+
 def test_artifact_of_another_task_names_both_tasks(tmp_path):
     # checked before the module set, which differs between any two bundled tasks
     quiz = run_command("compile", "quiz", "compile", data("scripts/quiz_all_pass.json"), tmp_path / "quiz")

@@ -37,7 +37,9 @@ sys.path.insert(0, str(REPO / "src"))
 from lmpipe.checks import has_no_hashtags, is_query_distinct, is_within_length_limit  # noqa: E402
 from lmpipe.core import passages_to_text  # noqa: E402
 from lmpipe.retrieval import Passage, RetrieverIndex, deduplicate, retrieve  # noqa: E402
-from lmpipe.tasks import COMPLETE, INSTRUCTIONS  # noqa: E402
+from lmpipe.tasks import (  # noqa: E402
+    COMPLETE, INSTRUCTIONS, QUERY_LENGTH_LIMIT, QUERY_LENGTH_MESSAGE, TWEET_LIMIT,
+)
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,6 @@ TEACHER_BAD_TEMPLATE = (
     "Tell me absolutely everything there is to know about the entire documented history "
     "and the complete legacy of the {subject}"
 )
-
-QUERY_LENGTH_MESSAGE = "Query should be less than 100 characters"
 
 JUDGE_YES = "Assessment Answer: Yes"
 PLAUSIBILITY_MATCH = "Assessment Question: Are the distractors"
@@ -300,14 +300,14 @@ def sanity_checks(index: RetrieverIndex) -> None:
         assert chain.person in top_person, (chain.person, top_person)
         assert is_query_distinct(chain.subject, [chain.question])
         assert is_query_distinct(chain.person, [chain.question, chain.subject])
-        assert len(TEACHER_BAD_TEMPLATE.format(subject=chain.subject)) >= 100
-        assert len(BAD_EFFECTIVE_TEMPLATE.format(subject=chain.subject)) >= 100
+        assert len(TEACHER_BAD_TEMPLATE.format(subject=chain.subject)) >= QUERY_LENGTH_LIMIT
+        assert len(BAD_EFFECTIVE_TEMPLATE.format(subject=chain.subject)) >= QUERY_LENGTH_LIMIT
         tweet = tweet_text(chain)
-        assert is_within_length_limit(tweet, 280) and has_no_hashtags(tweet), tweet
+        assert is_within_length_limit(tweet, TWEET_LIMIT) and has_no_hashtags(tweet), tweet
     bad_top = {p.title for p in retrieve(index, BAD_QUERY, 3)}
     chain_titles = {c.subject for c in CHAINS} | {c.person for c in CHAINS}
     assert bad_top.isdisjoint(chain_titles), bad_top
-    assert len(BAD_QUERY) >= 100, len(BAD_QUERY)
+    assert len(BAD_QUERY) >= QUERY_LENGTH_LIMIT, len(BAD_QUERY)
     bad_effective_top = [
         p.title for p in retrieve(index, BAD_EFFECTIVE_TEMPLATE.format(subject=CHAINS[0].subject), 3)
     ]
