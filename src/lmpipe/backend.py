@@ -3,8 +3,9 @@
 The scripted backend is the offline oracle: a list of (matcher, responses)
 entries drives every completion deterministically, so semantics tests never
 touch a network, and records every call in an append-only log. The HTTP
-backend talks to one OpenAI-compatible endpoint. Both can be wrapped in a
-response cache keyed on (backend id, prompt text, generation params).
+backend talks to one OpenAI-compatible endpoint. Either can be wrapped in a
+response cache, which serves the one backend it wraps and keys on the prompt
+text and the generation params.
 """
 
 from __future__ import annotations
@@ -64,19 +65,9 @@ class GenerationParams:
             raise ValueError("temperature must be >= 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        # computed once: every cached call keys on it. Equal params can differ
-        # in digest (temperature 1 against 1.0), so it is per instance, not
-        # memoized by value.
-        object.__setattr__(self, "_digest", stable_digest(json.dumps(
-            {"max_tokens": self.max_tokens, "temperature": self.temperature, "n": self.n},
-            sort_keys=True,
-        )))
 
     def __deepcopy__(self, memo):  # immutable: program copies share it
         return self
-
-    def digest(self) -> str:
-        return self._digest
 
 
 @dataclass(frozen=True)
@@ -135,8 +126,6 @@ class ScriptEntry:
 
 class ScriptedBackend:
     """Deterministic backend: first declared matching entry wins."""
-
-    backend_id = "scripted"
 
     def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = list(entries)
@@ -371,8 +360,7 @@ class HTTPBackend:
     The credential is read from the LM_API_KEY environment variable at call
     time. ``post(url, json=, headers=, timeout=)`` is injectable for testing;
     it returns an object with ``status_code``, ``text`` and ``json()``. The
-    default keeps its connections alive until ``close()``. The id names the
-    model and the endpoint, so a response cache never mixes two of them.
+    default keeps its connections alive until ``close()``.
     """
 
     def __init__(self, config: EndpointConfig, post: Optional[Callable] = None):
@@ -383,10 +371,6 @@ class HTTPBackend:
     def close(self) -> None:
         """Close the idle connections; a later call opens a new one."""
         self._connections.close()
-
-    @property
-    def backend_id(self) -> str:
-        return f"http:{self.config.model}@{self.config.resolve_base()}"
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         if not prompt:
@@ -434,15 +418,6 @@ class HTTPBackend:
         return completions
 
 
-class CacheKey(NamedTuple):
-    """Equal (backend, prompt, params) always produce an equal key. The key
-    holds the prompt itself: a ``str`` computes its hash once."""
-
-    backend_id: str
-    prompt: str
-    params_digest: str
-
-
 class _Flight:
     """An inner call that other callers with its key wait on; ``completions``
     stays None if the call failed. The first caller that has to wait makes
@@ -454,7 +429,11 @@ class _Flight:
 
 
 class CachingBackend:
-    """Response cache in front of any backend. Errors are never cached.
+    """Response cache in front of one backend. Errors are never cached.
+
+    A call is keyed on itself, its prompt and its params' fields, so equal
+    calls share an entry (``temperature=1`` and ``1.0`` too). The key names no
+    backend: a cache serves the one it wraps.
 
     Single-flight: while one call for a key is in flight, other calls with the
     same key wait for it instead of calling the inner backend again. If that
@@ -463,20 +442,13 @@ class CachingBackend:
 
     def __init__(self, inner) -> None:
         self.inner = inner
-        self._cache: dict[CacheKey, list[str]] = {}
-        self._in_flight: dict[CacheKey, _Flight] = {}
+        self._cache: dict[tuple, list[str]] = {}
+        self._in_flight: dict[tuple, _Flight] = {}
         self._lock = threading.Lock()
-
-    @property
-    def backend_id(self) -> str:
-        return self.inner.backend_id
 
     @property
     def call_log(self) -> CallLog:
         return self.inner.call_log
-
-    def cache_key(self, prompt: str, params: GenerationParams) -> CacheKey:
-        return CacheKey(self.inner.backend_id, prompt, params.digest())
 
     def close(self) -> None:
         """Close the inner backend, if it has anything to close."""
@@ -485,7 +457,7 @@ class CachingBackend:
             close()
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
-        key = self.cache_key(prompt, params)
+        key = (prompt, params.max_tokens, params.temperature, params.n)
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -511,7 +483,7 @@ class CachingBackend:
             if done is not None:
                 done.set()
 
-    def _fill(self, key: CacheKey, prompt: str, params: GenerationParams) -> list[str]:
+    def _fill(self, key: tuple, prompt: str, params: GenerationParams) -> list[str]:
         completions = self.inner.generate(prompt, params)
         with self._lock:
             self._cache.setdefault(key, list(completions))

@@ -45,7 +45,7 @@ def format_checker(choices_text: str) -> bool:
     """True when the text parses as a JSON object of label -> choice text."""
     try:
         parsed = json.loads(choices_text)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):  # the last: nested too deep to parse
         return False
     if not isinstance(parsed, dict) or not parsed:
         return False

@@ -265,7 +265,7 @@ def format_trace(result: RunResult) -> str:
     for index, step in enumerate(result.steps):
         lines.append(f"step {step.position}.{step.attempt}  {step.module_id}  "
                      f"prompt={step.prompt_digest[:12]}")
-        for name, value in step.prediction.outputs.items():
+        for name, value in step.outputs.items():
             shown = value if len(value) <= 80 else value[:77] + "..."
             lines.append(f"    {name}: {shown}")
         lines.extend(judged.get(index, ()))

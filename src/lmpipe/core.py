@@ -203,11 +203,14 @@ class Counterexample:
 
 @dataclass
 class TraceStep:
-    """One module invocation: its inputs and prediction."""
+    """One module invocation: its inputs, its parsed outputs and the completion
+    they were parsed from; its fields are the keys of a step object in a trace
+    file."""
 
     module_id: str
     inputs: dict[str, str]
-    prediction: Prediction
+    outputs: dict[str, str]
+    raw_completion: str = ""
     attempt: int = 0
     position: int = 0  # execution slot within a pass; retries share a position
     prompt_digest: str = ""

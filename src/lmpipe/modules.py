@@ -33,8 +33,7 @@ class PredictModule:
     signature: Signature
     demos: list[dict[str, str]] = field(default_factory=list)  # field name -> value
     counterexamples: list[Counterexample] = field(default_factory=list)
-    # one shared default: params are immutable, and each instance computes its
-    # cache-key digest when it is made
+    # one shared default: params are immutable
     params: GenerationParams = GenerationParams()
 
     def render(self, inputs: Mapping[str, str], feedback: Sequence[tuple[str, str]] = ()) -> str:

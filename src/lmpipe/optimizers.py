@@ -98,9 +98,9 @@ def collect_counterexamples(program: Program, runs: Sequence[RunResult]) -> list
             field_name = payload_field(module.signature).name
             found.append(Counterexample(
                 module_id=fixed_step.module_id,
-                failed_output=failed_step.prediction.outputs.get(field_name, ""),
+                failed_output=failed_step.outputs.get(field_name, ""),
                 message=retried[0].message,
-                corrected_output=fixed_step.prediction.outputs.get(field_name, ""),
+                corrected_output=fixed_step.outputs.get(field_name, ""),
             ))
     return found
 
@@ -144,7 +144,7 @@ def bootstrap_few_shot(
                 continue  # auxiliary predictors (judges) never carry demos
             if len(demos[step.module_id]) >= config.max_bootstrapped_demos:
                 continue
-            demos[step.module_id].append({**step.inputs, **step.prediction.outputs})
+            demos[step.module_id].append({**step.inputs, **step.outputs})
         if config.collect_counterexamples:
             for ce in collect_counterexamples(program, [result]):
                 bucket = counterexamples[ce.module_id]

@@ -215,7 +215,7 @@ class ExecutionContext:
             step = self._slots[position].step
             if step.module_id == module.module_id and step.inputs == inputs:
                 self._pos += 1
-                return step.prediction
+                return Prediction(step.outputs, step.raw_completion)
             self._replaying = False
 
         prompt = module.render(inputs, feedback=feedback)
@@ -226,7 +226,8 @@ class ExecutionContext:
         step = TraceStep(
             module_id=module.module_id,
             inputs=dict(inputs),
-            prediction=prediction,
+            outputs=prediction.outputs,
+            raw_completion=prediction.raw_completion,
             attempt=attempt,
             position=position,
             prompt_digest=stable_digest(prompt),
@@ -299,7 +300,7 @@ class ExecutionContext:
 
         if disposition == RETRIED:
             payload = payload_field(target.module.signature).name
-            failed_output = target.step.prediction.outputs.get(payload, "")
+            failed_output = target.step.outputs.get(payload, "")
             self._failures[key] = failures + ((failed_output, message),)
             raise _Backtrack(key)
         self._failures.pop(key, None)
@@ -342,15 +343,6 @@ def trace_to_dict(result: RunResult) -> dict:
     """A run as a trace file's JSON object: its steps, constraint outcomes,
     searches and passes, the calls and sites of its surviving pass, how it
     ended, and the final prediction's outputs (null for a halted or failed run)."""
-    steps = [{
-        "module_id": step.module_id,
-        "attempt": step.attempt,
-        "position": step.position,
-        "prompt_digest": step.prompt_digest,
-        "inputs": dict(step.inputs),
-        "outputs": dict(step.prediction.outputs),
-        "raw_completion": step.prediction.raw_completion,
-    } for step in result.steps]
     final = dict(result.prediction.outputs) if result.prediction else None
     return {
         "version": TRACE_VERSION,
@@ -358,7 +350,7 @@ def trace_to_dict(result: RunResult) -> dict:
         "error": result.error,
         "error_type": result.error_type,
         "passes": result.passes,
-        "steps": steps,
+        "steps": [dict(vars(step)) for step in result.steps],
         "constraints": [dict(vars(o)) for o in result.constraints],
         "calls": result.calls,
         "sites": result.sites,
@@ -391,17 +383,7 @@ def trace_from_dict(data: dict) -> RunResult:
     of the wrong type, raises."""
     check_version(data, TRACE_VERSION, "trace")
     check_record(data, _TRACE_FIELDS, "trace")
-    steps = []
-    for raw in data["steps"]:
-        check_record(raw, _STEP_FIELDS, "trace step")
-        steps.append(TraceStep(
-            module_id=raw["module_id"],
-            inputs=raw["inputs"],
-            prediction=Prediction(outputs=raw["outputs"], raw_completion=raw["raw_completion"]),
-            attempt=raw["attempt"],
-            position=raw["position"],
-            prompt_digest=raw["prompt_digest"],
-        ))
+    steps = [TraceStep(**check_record(s, _STEP_FIELDS, "trace step")) for s in data["steps"]]
     # a constraint names the step it judged by its index, or none before any call
     fields = {**_CONSTRAINT_FIELDS,
               "step": ("null or an index into steps", lambda v: v is None or (type(v) is int and 0 <= v < len(steps)))}

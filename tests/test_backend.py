@@ -60,20 +60,23 @@ def test_generation_params_validation(kwargs):
     GenerationParams(), GenerationParams(temperature=1), GenerationParams(temperature=1.0),
     GenerationParams(max_tokens=7, temperature=0.0, n=3),
 ])
-def test_generation_params_digest_is_the_json_formula(params):
-    expected = stable_digest(json.dumps(
-        {"max_tokens": params.max_tokens, "temperature": params.temperature, "n": params.n},
-        sort_keys=True,
-    ))
-    assert params.digest() == expected
+def test_equal_params_share_a_cache_entry(params):
+    inner = scripted(ScriptEntry(match="q", responses=["a", "b", "c", "d", "e", "f"]))
+    backend = CachingBackend(inner)
+    first = backend.generate("q", params)
+    equal = GenerationParams(max_tokens=params.max_tokens, temperature=params.temperature, n=params.n)
+    assert equal is not params
+    assert backend.generate("q", equal) == first == ["a", "b", "c"][:params.n]
+    assert len(inner.call_log) == 1
 
 
-def test_generation_params_digest_is_per_instance_not_per_value():
-    # equal as values, but JSON writes 1 and 1.0 apart: the digests must differ
-    as_int, as_float = GenerationParams(temperature=1), GenerationParams(temperature=1.0)
-    assert as_int == as_float
-    assert as_int.digest() != as_float.digest()
-    assert as_int.digest() == GenerationParams(temperature=1).digest()
+def test_temperature_1_and_1_0_share_a_cache_entry():
+    # equal as values, so one entry, though a JSON body writes them apart
+    inner = scripted(ScriptEntry(match="q", responses=["a", "b"]))
+    backend = CachingBackend(inner)
+    assert backend.generate("q", GenerationParams(temperature=1)) == ["a"]
+    assert backend.generate("q", GenerationParams(temperature=1.0)) == ["a"]
+    assert len(inner.call_log) == 1
 
 
 def test_scripted_substring_match():
@@ -197,14 +200,16 @@ def test_cache_transparency():
 
 
 def test_cache_key_equal_inputs_equal_keys():
-    from lmpipe.backend import CacheKey
-
-    backend = CachingBackend(scripted(ScriptEntry(match="q", responses=["a"])))
-    key = backend.cache_key("q", GenerationParams())
-    assert isinstance(key, CacheKey)
-    assert key == backend.cache_key("q", GenerationParams())
-    assert key != backend.cache_key("q other", GenerationParams())
-    assert key != backend.cache_key("q", GenerationParams(temperature=0.0))
+    # the key is the call itself: an equal call is served from the cache, and
+    # a call that differs in its prompt or in any params field is not
+    inner = scripted(ScriptEntry(match="q", responses=["a", "b", "c", "d", "e", "f"]))
+    backend = CachingBackend(inner)
+    calls = [("q", GenerationParams()), ("q", GenerationParams()), ("q other", GenerationParams()),
+             ("q", GenerationParams(max_tokens=7)), ("q", GenerationParams(temperature=0.0)),
+             ("q", GenerationParams(n=2))]
+    assert [backend.generate(prompt, params) for prompt, params in calls] == [
+        ["a"], ["a"], ["b"], ["c"], ["d"], ["e", "f"]]
+    assert len(inner.call_log) == 5
 
 
 def test_errors_never_cached():
@@ -219,8 +224,6 @@ def test_errors_never_cached():
 class GatedBackend:
     """Counts its calls and holds every call until ``release`` is set; with
     ``fail_first`` the first call then fails."""
-
-    backend_id = "gated"
 
     def __init__(self, fail_first: bool = False):
         self.calls = 0
@@ -293,8 +296,6 @@ def test_cache_single_flight_leader_error_not_shared():
 
 
 class CountingBackend:
-    backend_id = "counting"
-
     def __init__(self):
         self.calls: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -522,13 +523,22 @@ def test_endpoint_base_from_env(monkeypatch):
     EndpointConfig(model="other-model", api_base="https://lm.example/v1"),
     EndpointConfig(model="m", api_base="https://other.example/v1"),
 ])
-def test_http_cache_key_names_model_and_endpoint(other):
+def test_two_caches_never_share_responses(other, monkeypatch):
+    # each cache serves the one backend it wraps, whatever model and endpoint
+    # the two name: equal calls through two caches reach both endpoints
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    seen = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        seen.append(url)
+        return FakeResponse(200, {"choices": [{"message": {"content": f"{json['model']} at {url}"}}]})
+
     config = EndpointConfig(model="m", api_base="https://lm.example/v1/")
-    params = GenerationParams()
-    key = CachingBackend(HTTPBackend(config)).cache_key("p", params)
-    assert key.backend_id == "http:m@https://lm.example/v1"
-    assert key == CachingBackend(HTTPBackend(config)).cache_key("p", params)
-    assert key != CachingBackend(HTTPBackend(other)).cache_key("p", params)
+    first, same, second = (CachingBackend(HTTPBackend(c, post=fake_post)) for c in (config, config, other))
+    assert first.generate("p") == first.generate("p") == ["m at https://lm.example/v1/chat/completions"]
+    assert same.generate("p") == first.generate("p") and len(seen) == 2
+    assert second.generate("p") == [f"{other.model} at {other.api_base}/chat/completions"]
+    assert len(seen) == 3
 
 
 # The default transport, over a real socket to a server on loopback.

@@ -26,6 +26,7 @@ from lmpipe.checks import (
     ('{"A": {"nested": "x"}}', False),
     ("{}", False),                                     # empty object has no choices
     ('{"A": "Paris",}', False),                        # trailing comma breaks parsing
+    pytest.param('{"A": ' + "[" * 100_000 + "}", False, id="nested-too-deep"),
 ])
 def test_format_checker_table(text, expected):
     assert format_checker(text) is expected

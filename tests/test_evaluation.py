@@ -5,7 +5,9 @@ import json
 import pytest
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
+from lmpipe.checks import format_checker
 from lmpipe.cli import bundled_data_path
+from lmpipe.core import parse_signature
 from lmpipe.evaluation import (
     bootstrap_metric,
     build_report,
@@ -13,8 +15,9 @@ from lmpipe.evaluation import (
     run_task_example,
 )
 from lmpipe.metrics import TaskExample, load_dataset
+from lmpipe.modules import PredictModule
 from lmpipe.retrieval import Passage, RetrieverIndex, load_corpus
-from lmpipe.runtime import BACKTRACK_DEFAULT, DISABLE_ALL, RuntimeConfig
+from lmpipe.runtime import BACKTRACK_DEFAULT, DISABLE_ALL, Program, RuntimeConfig
 from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen, LongFormQA
 
 
@@ -118,6 +121,68 @@ def test_multihop_recall_keeps_titles_containing_separator():
     report = build_report("multihop", "infer_assert", rows)
     assert report.metrics["retrieval_recall"] == 1.0
     assert report.metrics["answer_em"] == 1.0
+
+
+def test_quiz_choices_nested_too_deep_fail_the_format_suggestion():
+    # the parser's RecursionError is a failed check, which the retries get to
+    # fix, not an error row
+    too_deep = "[" * 100_000
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Assessment Question:", responses=["Assessment Answer: Yes"]),
+        ScriptEntry(match="Question: Q?", responses=[f"Reasoning: r\nAnswer Choices: {too_deep}"]),
+    ]))
+    rows, results = evaluate_dataset("quiz", QuizGen(), [TaskExample("Q?", "Paris")],
+                                     RuntimeConfig(), backend)
+    assert "error" not in rows[0]
+    assert rows[0]["format"] == 0.0 and rows[0]["validity"] == 0.0
+    [final] = [o for o in results[0].final_outcomes() if o.label == "format"]
+    assert final.disposition == "warned" and final.attempt == 2
+
+
+class AssertedQuiz(Program):
+    """Quiz choices asserted, not suggested, to be JSON: prose choices halt the run."""
+
+    inputs = ("question", "answer")
+
+    def __init__(self):
+        super().__init__()
+        self.gen = self.register(PredictModule(
+            module_id="gen", signature=parse_signature("question -> answer_choices")))
+
+    def forward(self, ctx, question, answer):
+        pred = ctx.call(self.gen, question=question)
+        ctx.check_assert(format_checker(pred.outputs["answer_choices"]), "The choices must be JSON.")
+        return pred
+
+
+def halted_quiz_row() -> tuple[dict, object]:
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Question: Q?", responses=["Answer Choices: Paris or Rome"]),
+    ]))
+    [row], [result] = evaluate_dataset("quiz", AssertedQuiz(), [TaskExample("Q?", "Paris")],
+                                       RuntimeConfig(), backend)
+    return row, result
+
+
+def test_a_halted_run_is_a_scored_row_flagged_halted():
+    # a halt is the program's verdict, not an error: its message stays in the
+    # trace, and the row scores the run without a prediction
+    row, result = halted_quiz_row()
+    assert result.halted and result.error == "The choices must be JSON."
+    assert row == {"question": "Q?", "suggestions_passed": 1.0, "suggestions_vacuous": True,
+                   "format": 0.0, "has_answer": 0.0, "plausible": 0.0, "validity": 0.0,
+                   "halted": True}
+    assert "1_examples_failed" not in build_report("quiz", "infer_assert", [row]).flags
+
+
+def test_report_flags_examples_that_had_no_suggestions(testset):
+    vacuous, _ = halted_quiz_row()
+    rows, _ = evaluate_dataset("quiz", QuizGen(), testset[:1], RuntimeConfig(),
+                               script_backend("quiz_all_pass.json"))
+    assert "suggestions_vacuous" not in rows[0]
+    assert "some_examples_had_no_suggestions" not in build_report("quiz", "infer_assert", rows).flags
+    flags = build_report("quiz", "infer_assert", rows + [vacuous]).flags
+    assert "some_examples_had_no_suggestions" in flags
 
 
 def test_build_report_empty_dataset_flagged():

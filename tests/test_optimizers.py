@@ -221,7 +221,7 @@ class TableRunner:
         else:
             score = self.table[self.teacher_runs - 1][int(example.question[1:])]
         prediction = Prediction(outputs={"answer": example.answer, "score": repr(score)})
-        step = TraceStep(module_id="gen", inputs={"question": example.question}, prediction=prediction)
+        step = TraceStep(module_id="gen", inputs={"question": example.question}, outputs=prediction.outputs)
         return RunResult(prediction=prediction, steps=[step], constraints=[], calls=1, sites=0)
 
 
@@ -328,7 +328,7 @@ def test_example_input_keys_must_exist(index, tmp_path):
 def test_collect_counterexamples_respects_payload_fields():
     # synthetic traces: the payload is the last output field of the module's
     # signature, not the rationale, in whatever order the step keys its outputs
-    from lmpipe.core import ConstraintOutcome, Prediction, RunResult, TraceStep
+    from lmpipe.core import ConstraintOutcome, RunResult, TraceStep
 
     program = Program()
     program.register(chain_of_thought("prompt -> answer", "gen"))
@@ -345,7 +345,7 @@ def test_collect_counterexamples_respects_payload_fields():
             outputs = {"rationale": f"r{attempt}", "answer": value}
             return TraceStep(
                 module_id="gen", inputs={},
-                prediction=Prediction(outputs={name: outputs[name] for name in order}),
+                outputs={name: outputs[name] for name in order},
                 attempt=attempt, position=0,
             )
 
@@ -459,3 +459,54 @@ def test_bootstrap_harvests_no_step_of_a_discarded_pass():
     assert [(s.module_id, s.position) for s in result.steps] == \
         [("draft", 0), ("echo", 1), ("echo", 2), ("draft", 0), ("echo", 1)]
     assert result.final_steps() == [result.steps[3], result.steps[4]]
+
+
+# --- the teacher filter: which runs give no demo ------------------------------
+
+class CheckedAnswerProgram(Program):
+    """One call whose answer must not be "bad", checked by a suggestion or an assertion."""
+
+    inputs = ("question",)
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+        self.gen = self.register(PredictModule(
+            module_id="gen", signature=parse_signature("question -> answer")))
+
+    def forward(self, ctx, question):
+        pred = ctx.call(self.gen, question=question)
+        check = ctx.suggest if self.kind == "suggest" else ctx.check_assert
+        check(pred.outputs["answer"] != "bad", "The answer must not be bad.")
+        return pred
+
+
+def bad_then_good_backend() -> CachingBackend:
+    # every attempt at "alpha" answers "bad", retries included
+    return CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Question: alpha", responses=["Answer: bad"]),
+        ScriptEntry(match="Question: beta", responses=["Answer: good"]),
+    ]))
+
+
+BAD_THEN_GOOD = [TaskExample("alpha", "bad"), TaskExample("beta", "good")]
+
+
+@pytest.mark.parametrize("teacher_assertions,answers", [(True, ["good"]), (False, ["bad", "good"])])
+def test_bootstrap_drops_a_warned_run_only_under_teacher_assertions(teacher_assertions, answers):
+    # the metric passes both runs, but alpha's suggestion warned after its retries
+    compiled = bootstrap_few_shot(CheckedAnswerProgram("suggest"), BAD_THEN_GOOD,
+                                  lambda example, prediction, run: True,
+                                  CompileConfig(teacher_assertions=teacher_assertions),
+                                  bad_then_good_backend())
+    assert [demo["answer"] for demo in compiled.modules["gen"].demos] == answers
+
+
+def test_bootstrap_skips_a_halted_teacher_run():
+    # the metric reads the prediction, which a halted run does not have
+    def metric(example, prediction, run):
+        return prediction.outputs["answer"] == example.answer
+
+    compiled = bootstrap_few_shot(CheckedAnswerProgram("assert"), BAD_THEN_GOOD, metric,
+                                  CompileConfig(teacher_assertions=True), bad_then_good_backend())
+    assert compiled.modules["gen"].demos == [{"question": "beta", "answer": "good"}]

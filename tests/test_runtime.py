@@ -319,7 +319,7 @@ def test_retry_attempts_recorded_with_distinct_prompts():
     steps = result.steps
     assert [s.attempt for s in steps] == [0, 1, 2]
     assert len({s.prompt_digest for s in steps}) == 3  # feedback changes the prompt
-    assert steps[-1].prediction.outputs["value"] == "ok"
+    assert steps[-1].outputs["value"] == "ok"
 
 
 def test_feedback_count_matches_attempt_index():
@@ -664,10 +664,54 @@ def test_replay_ends_at_a_call_whose_inputs_changed():
         0: ["passed", "retried", "passed", "passed"],
         1: ["retried", "retried", "passed"],
     }
-    assert [s.prediction.outputs.get("value") for s in result.steps if s.module_id == "second"] \
+    assert [s.outputs.get("value") for s in result.steps if s.module_id == "second"] \
         == ["bad", "bad", "ok"]
     assert len(backend.call_log) == 6  # `second` attempt 1 came from the cache
     assert backend.call_log.records()[-1].prompt.count("Past Value: bad") == 2
+    assert result.prediction.outputs == {"value": "ok"}
+
+
+class SiteAddingProgram(Program):
+    """Breaks the replay invariant on purpose: from its second pass on, it
+    evaluates a constraint before the middle call, where no earlier pass did."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = 0
+        self.first = self.register(PredictModule(
+            module_id="first", signature=parse_signature("prompt -> draft")))
+        self.middle = self.register(PredictModule(
+            module_id="middle", signature=parse_signature("draft -> note")))
+        self.second = self.register(PredictModule(
+            module_id="second", signature=parse_signature("note -> value")))
+
+    def forward(self, ctx, prompt):
+        self.passes += 1
+        draft = ctx.call(self.first, prompt=prompt)
+        if self.passes > 1:
+            ctx.suggest(True, "An added site", label="added")
+        note = ctx.call(self.middle, draft=draft.outputs["draft"])
+        pred = ctx.call(self.second, note=note.outputs["note"])
+        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok", backtrack="second")
+        return pred
+
+
+def test_replay_ends_at_a_site_beyond_those_recorded_before_the_target():
+    backend = CachingBackend(ScriptedBackend([
+        ScriptEntry(match="Prompt: go", responses=["Draft: d"]),
+        ScriptEntry(match="Draft: d", responses=["Note: n"]),
+        ScriptEntry(match="Note: n", responses=["Value: bad", "Value: ok"]),
+    ]))
+    result = run_with_backtracking(SiteAddingProgram(), {"prompt": "go"}, RuntimeConfig(), backend)
+    # pass 2 replays `first`; the added site is judged fresh and ends the
+    # replay, so `middle` runs fresh (a cache hit), and `second` still takes
+    # value_ok's feedback
+    assert [(o.label, o.site, o.disposition) for o in result.constraints] == [
+        ("value_ok", 0, "retried"), ("added", 0, "passed"), ("value_ok", 1, "passed")]
+    assert [(s.module_id, s.attempt) for s in result.steps] == [
+        ("first", 0), ("middle", 0), ("second", 0), ("middle", 1), ("second", 1)]
+    last_prompt = backend.call_log.records()[-1].prompt
+    assert "Past Value: bad" in last_prompt and VALUE_MESSAGE in last_prompt
     assert result.prediction.outputs == {"value": "ok"}
 
 
@@ -823,7 +867,7 @@ def test_call_position_counts_only_once_its_call_returns():
     partial = err.value.partial_result
     assert (partial.calls, partial.passes) == (0, 2)
     assert partial.final_steps() == []
-    assert [step.prediction.outputs["value"] for step in partial.steps] == ["bad"]
+    assert [step.outputs["value"] for step in partial.steps] == ["bad"]
 
 
 # --- searches as engine steps ----------------------------------------------------

@@ -9,7 +9,9 @@ render, cache key, single-flight bookkeeping, parse, trace step). Every
 question is distinct, so each call is a cache miss, as almost every call of
 the eval-bigcorpus workload is. It prints one JSON line: the median and the
 quartiles, over REPS repetitions of CALLS calls each, of the microseconds per
-call. Give another checkout's ``src`` to time that code with this script.
+call. Give another checkout's ``src`` to time that code with this script;
+where that code's backends need more than ``generate``, run that checkout's
+own copy of it.
 Not part of the tier-1 tests.
 """
 
@@ -39,7 +41,7 @@ PASSAGES = [
 
 
 class NoOpBackend:
-    backend_id = "noop"
+    """The whole backend contract: ``generate(prompt, params)`` returns the completions."""
 
     def generate(self, prompt, params):
         return [COMPLETION]
