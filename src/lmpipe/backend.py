@@ -379,6 +379,10 @@ class HTTPBackend:
         if not api_key:
             raise BackendError(f"missing credential: set the {API_KEY_ENV} environment variable")
         url = self.config.resolve_base() + "/chat/completions"
+        try:
+            _endpoint(url)
+        except ValueError as exc:  # a configuration error: never retried
+            raise BackendError(f"bad endpoint: {exc}") from exc
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -46,7 +46,7 @@ from .runtime import (
     save_trace,
     write_json as _write_json,
 )
-from .tasks import COMPLETE, TASKS, build_program
+from .tasks import COMPLETE, TASKS, VARIANTS, build_program
 
 REPORT_VERSION = 1
 
@@ -107,20 +107,26 @@ _CONFIG_SECTIONS = {
     "compile": {"max_bootstrapped_demos": INT, "num_candidates": INT, "rng_seed": INT,
                 "collect_counterexamples": BOOL},
 }
-_CONFIG_FIELDS = {**dict.fromkeys(_CONFIG_SECTIONS, OBJECT), "instructions": STR, "corpus": OPTIONAL_STR}
+_CONFIG_FIELDS = {**dict.fromkeys(_CONFIG_SECTIONS, OBJECT),
+                  "instructions": (f"one of {VARIANTS}", lambda v: v in VARIANTS), "corpus": OPTIONAL_STR}
 
 
 def load_run_config_file(path: Optional[Path]) -> dict:
-    """Read a config file; an unknown key at any level, or a value of the wrong
-    type, raises ``ValueError`` naming the key."""
-    return read_json(path, _checked_config) if path is not None else {}
+    """Read a config file, or none; an unknown key at any level, or a value of
+    the wrong type or out of range, raises ``ValueError`` naming the file and
+    the key."""
+    return read_json(path, _checked_config) if path is not None else _checked_config({})
 
 
 def _checked_config(raw) -> dict:
+    """``raw`` with its ``runtime`` and ``compile`` sections built into their
+    configs, which check their values' ranges."""
     check_record(raw, _CONFIG_FIELDS, "config", optional=_CONFIG_FIELDS)  # top level first
     for section, fields in _CONFIG_SECTIONS.items():
         check_record(raw.get(section, {}), fields, f"config {section}", optional=fields)
-    return raw
+    # the CLI collects counterexamples unless told not to; the API does not
+    return {**raw, "runtime": RuntimeConfig(**raw.get("runtime", {})),
+            "compile": CompileConfig(**{"collect_counterexamples": True, **raw.get("compile", {})})}
 
 
 def assemble_run_config(
@@ -145,9 +151,8 @@ def assemble_run_config(
         script_path=Path(script_path) if script_path else None,
         model=backend_cfg.get("model", RunConfig.model),
         api_base=backend_cfg.get("api_base"),
-        runtime=RuntimeConfig(**raw.get("runtime", {})),
-        # the CLI collects counterexamples unless told not to; the API does not
-        compile_config=CompileConfig(**{"collect_counterexamples": True, **raw.get("compile", {})}),
+        runtime=raw["runtime"],
+        compile_config=raw["compile"],
         instruction_variant=raw.get("instructions", RunConfig.instruction_variant),
         workers=workers,
     )

@@ -6,13 +6,18 @@ input fields, ordered output fields and an instruction string. Prompts are
 rendered from a signature with a fixed, byte-stable template so that runs
 replay exactly and golden-file tests are meaningful. The template is
 documented in the README ("Prompt format") and frozen by ``tests/golden/``.
+
+A module call's outputs are a plain ``dict`` of output field name to text.
+The records of a run (:class:`TraceStep`, :class:`ConstraintOutcome`,
+:class:`Retrieval` and :class:`RunResult`) hold exactly the keys of their
+trace-file objects, so a run read back from its trace file equals the run.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -49,9 +54,6 @@ class FieldSpec:
             object.__setattr__(self, "prefix", default_prefix(self.name))
         if not self.description:
             object.__setattr__(self, "description", "${" + self.name + "}")
-
-    def __deepcopy__(self, memo):  # immutable: program copies share it
-        return self
 
     @property
     def prefix_key(self) -> str:
@@ -90,15 +92,6 @@ class Signature:
         """Every field, inputs before outputs."""
         return self.input_fields + self.output_fields
 
-    def shorthand(self) -> str:
-        """Canonical 'a, b -> c' form (prefixes and instructions are not encoded)."""
-        ins = ", ".join(f.name for f in self.input_fields)
-        outs = ", ".join(f.name for f in self.output_fields)
-        return f"{ins} -> {outs}"
-
-    def with_instructions(self, instructions: str) -> "Signature":
-        return replace(self, instructions=instructions)
-
 
 def _parse_names(side: str, label: str) -> list[str]:
     names = [tok.strip() for tok in side.split(",")]
@@ -131,25 +124,6 @@ def parse_signature(spec: str, instructions: str = "") -> Signature:
             ", ".join("`%s`" % n for n in inputs), ", ".join("`%s`" % n for n in outputs)
         )
     return Signature(instructions, tuple(map(FieldSpec, inputs)), tuple(map(FieldSpec, outputs)))
-
-
-def prepend_output_field(sig: Signature, new_field: FieldSpec) -> Signature:
-    """Return a signature whose output fields start with ``new_field``."""
-    return replace(sig, output_fields=(new_field,) + sig.output_fields)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Parsed module output: one text per output field plus the raw completion."""
-
-    outputs: Mapping[str, str]
-    raw_completion: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", dict(self.outputs))
-
-    def __getitem__(self, key: str) -> str:
-        return self.outputs[key]
 
 
 # Outcomes of one constraint evaluation. "failed" records a violation that a
@@ -229,17 +203,18 @@ class Retrieval:
 class RunResult:
     """The one record of a run: its steps in invocation order, every constraint
     outcome in evaluation order, its surviving pass's searches, its pass count,
-    and its prediction or why it has none. A halting assertion sets ``halted``
-    and ``error``; a run an error stopped (a backend's, or the pass budget's)
-    is that error's ``partial_result``, with its message and class name as
-    ``error`` and ``error_type``.
+    and the program's outputs or why it has none; its fields are the keys of a
+    trace file. A halting assertion sets ``halted`` and ``error``; a run an
+    error stopped (a backend's, or the pass budget's) is that error's
+    ``partial_result``, with its message and class name as ``error`` and
+    ``error_type``.
 
-    The surviving pass is the run's last forward pass, the one its prediction
+    The surviving pass is the run's last forward pass, the one its outputs
     (or halt, or error) came from. It reached ``calls`` call positions and
     ``sites`` constraint sites; steps and outcomes beyond them belong to
     discarded passes only."""
 
-    prediction: Optional[Prediction]
+    final_outputs: Optional[dict[str, str]]
     steps: list[TraceStep]
     constraints: list[ConstraintOutcome]
     calls: int

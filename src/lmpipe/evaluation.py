@@ -35,15 +35,14 @@ def error_row(example: TaskExample, error: str, error_type: str) -> dict:
 def score_example(task: str, example: TaskExample, run: RunResult) -> dict:
     """Build one report row from a run: the error of a run an error stopped,
     or else the run's scores, flagged ``halted`` for a halted run (which has
-    no prediction)."""
+    no outputs)."""
     if run.error_type is not None:
         return error_row(example, run.error, run.error_type)
     sp, vacuous = suggestions_passed(run)
     row: dict = {"question": example.question, "suggestions_passed": sp}
     if vacuous:
         row["suggestions_vacuous"] = True
-    outputs = run.prediction.outputs if run.prediction else {}
-    row.update(TASKS[task].score(example, outputs, run))
+    row.update(TASKS[task].score(example, run.final_outputs or {}, run))
     if run.halted:
         row["halted"] = True
     return row
@@ -110,7 +109,7 @@ def bootstrap_metric(task: str):
     scores ``run``, at most ``BOOTSTRAP_MAX_SCORE``."""
     column = TASKS[task].bootstrap_column
 
-    def metric(example: TaskExample, prediction, run: RunResult) -> float:
+    def metric(example: TaskExample, outputs: dict[str, str], run: RunResult) -> float:
         return score_example(task, example, run).get(column, 0.0)
 
     return metric

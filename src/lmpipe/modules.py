@@ -2,24 +2,17 @@
 
 A PredictModule is pure data (signature, demos, params). ``ExecutionContext.call``
 renders its prompt, calls a backend, and leniently parses the completion back
-into the signature's output fields with ``parse_completion``.
+into the signature's output fields with ``parse_completion``, which returns
+them as a dict of field name to text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .backend import GenerationParams
-from .core import (
-    Counterexample,
-    FieldSpec,
-    Prediction,
-    Signature,
-    parse_signature,
-    prepend_output_field,
-    render_prompt,
-)
+from .core import Counterexample, FieldSpec, Signature, parse_signature, render_prompt
 
 RATIONALE_FIELD_NAME = "rationale"
 RATIONALE_PREFIX = "Reasoning: Think step by step."
@@ -52,7 +45,8 @@ def chain_of_thought(
     """A Predict whose signature gains a leading rationale output field."""
     sig = parse_signature(spec, instructions=instructions)
     rationale = FieldSpec(name=RATIONALE_FIELD_NAME, prefix=RATIONALE_PREFIX)
-    return PredictModule(module_id=module_id, signature=prepend_output_field(sig, rationale))
+    return PredictModule(module_id=module_id,
+                         signature=replace(sig, output_fields=(rationale,) + sig.output_fields))
 
 
 def _find_marker(text: str, token: str, start: int) -> int:
@@ -67,7 +61,7 @@ def _find_marker(text: str, token: str, start: int) -> int:
         pos = idx + 1
 
 
-def parse_completion(sig: Signature, completion: str) -> Prediction:
+def parse_completion(sig: Signature, completion: str) -> dict[str, str]:
     """Scan the completion for each output prefix in order.
 
     Text between consecutive matched prefixes belongs to the earlier field;
@@ -101,5 +95,4 @@ def parse_completion(sig: Signature, completion: str) -> Prediction:
         lead_end = matches[0][1] if matches else len(completion)
         outputs[first.name] = completion[:lead_end].strip()
     # every output field, in signature order; one never matched is empty
-    ordered = {spec.name: outputs.get(spec.name, "") for spec in sig.output_fields}
-    return Prediction(outputs=ordered, raw_completion=completion)
+    return {spec.name: outputs.get(spec.name, "") for spec in sig.output_fields}

@@ -34,8 +34,8 @@ logger = logging.getLogger(__name__)
 ARTIFACT_VERSION = 1
 CANDIDATES_VERSION = 2
 
-# metric(example, prediction, run) -> bool | float
-Metric = Callable[[TaskExample, object, RunResult], object]
+# metric(example, final outputs, run) -> bool | float
+Metric = Callable[[TaskExample, dict[str, str], RunResult], object]
 
 # run_example(program, example, runtime config, backend) -> RunResult
 RunExample = Callable[[Program, TaskExample, RuntimeConfig, object], RunResult]
@@ -131,9 +131,9 @@ def bootstrap_few_shot(
         if all(len(d) >= config.max_bootstrapped_demos for d in demos.values()):
             break
         result = run_example(program, example, teacher_config, backend)
-        if result.prediction is None:  # halted
+        if result.final_outputs is None:  # halted
             continue
-        value = metric(example, result.prediction, result)
+        value = metric(example, result.final_outputs, result)
         if not _metric_passes(value):
             continue
         if config.teacher_assertions and not _all_sites_ultimately_passed(result):
@@ -243,8 +243,8 @@ def random_search_compile(
                     break
             result = run_example(compiled, example, eval_config, backend)
             value = 0.0  # halted
-            if result.prediction is not None:
-                value = float(metric(example, result.prediction, result))
+            if result.final_outputs is not None:
+                value = float(metric(example, result.final_outputs, result))
             if max_score is not None and value > max_score:
                 raise ValueError(f"metric scored {value}, above its declared maximum {max_score}")
             scores.append(value)
@@ -307,7 +307,7 @@ def compiled_program_from_dict(program: Program, data: dict, task: str) -> Progr
         check_record(spec, _MODULE_FIELDS, "module spec")
         module = loaded.modules[module_id]
         inputs = sorted(f.name for f in module.signature.input_fields)
-        module.signature = module.signature.with_instructions(spec["instructions"])
+        module.signature = replace(module.signature, instructions=spec["instructions"])
         module.demos = []
         for demo in spec["demos"]:
             check_record(demo, _DEMO_FIELDS, "demo")

@@ -191,9 +191,6 @@ class RetrieverIndex:
         # the block is made last, once the occurrence lists are freed
         return cls(Passages.of(passages), spans, doc_ids, weights)
 
-    def __len__(self) -> int:
-        return len(self.passages)
-
     def scores(self, query: str) -> dict[int, float]:
         """BM25 score of every passage that shares a token with ``query``;
         every other passage scores 0.0."""

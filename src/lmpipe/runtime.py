@@ -31,14 +31,17 @@ re-invoking the backend; everything at and after the target re-executes
 fresh, which rolls back any downstream state the discarded attempt produced.
 
 Replay relies on one invariant: ``forward`` is a function of its inputs and of
-the predictions and passages it receives. A replayed constraint keeps its
-recorded outcome and is not evaluated again. A call or search whose arguments
-differ from the previous pass's runs fresh and ends the replay; from there on
-everything runs fresh, and the target call still takes the retry's feedback.
+the outputs and passages its calls and searches return. A replayed constraint
+keeps its recorded outcome and is not evaluated again. A call or search whose
+arguments differ from the previous pass's runs fresh and ends the replay; from
+there on everything runs fresh, and the target call still takes the retry's
+feedback.
 
-Every run ends in one ``RunResult``: a prediction, a halt, or an error (a
-backend's, or the pass budget's) that carries the run so far. ``save_trace``
-writes a ``RunResult`` as a trace file and ``load_trace`` reads it back.
+A call returns its module's outputs, a dict of output field name to text, and
+``forward`` returns the program's. Every run ends in one ``RunResult``: those
+outputs, a halt, or an error (a backend's, or the pass budget's) that carries
+the run so far. ``save_trace`` writes a ``RunResult`` as a trace file and
+``load_trace`` reads it back as an equal ``RunResult``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .core import (
     RETRIED,
     WARNED,
     ConstraintOutcome,
-    Prediction,
     Retrieval,
     RunResult,
     TraceStep,
@@ -150,7 +152,7 @@ class Program:
         self.modules[module.module_id] = module
         return module
 
-    def forward(self, ctx: "ExecutionContext", **inputs: str) -> Prediction:
+    def forward(self, ctx: "ExecutionContext", **inputs: str) -> dict[str, str]:
         raise NotImplementedError
 
     def clone(self) -> "Program":
@@ -173,7 +175,7 @@ class ExecutionContext:
     ``call`` invokes a module; ``retrieve`` searches; ``suggest`` /
     ``check_assert`` evaluate constraints. After a backtrack the pass replays
     up to the target call: a call or search whose arguments equal the
-    previous pass's returns its prediction or passages, and a constraint
+    previous pass's returns a copy of its outputs or passages, and a constraint
     evaluated before the target call keeps its recorded outcome. A call or
     search that differs runs fresh and ends the replay.
     """
@@ -201,9 +203,10 @@ class ExecutionContext:
         self._backtrack = backtrack
         self._replaying = backtrack is not None
 
-    def call(self, module: PredictModule, **inputs: str) -> Prediction:
-        """Invoke a module. Replays the previous pass's result when possible.
-        The position counts toward the pass's ``calls`` once the call returns."""
+    def call(self, module: PredictModule, **inputs: str) -> dict[str, str]:
+        """Invoke a module and return its outputs; replays the previous pass's
+        when possible. The position counts toward the pass's ``calls`` once
+        the call returns."""
         position = self._pos
         feedback = ()
         if self._backtrack is not None and position == self._backtrack[1]:
@@ -215,19 +218,19 @@ class ExecutionContext:
             step = self._slots[position].step
             if step.module_id == module.module_id and step.inputs == inputs:
                 self._pos += 1
-                return Prediction(step.outputs, step.raw_completion)
+                return dict(step.outputs)
             self._replaying = False
 
         prompt = module.render(inputs, feedback=feedback)
         completions = self._backend.generate(prompt, module.params)
         slot = self._slots.get(position)
         attempt = slot.step.attempt + 1 if slot is not None else 0
-        prediction = parse_completion(module.signature, completions[0])
+        outputs = parse_completion(module.signature, completions[0])
         step = TraceStep(
             module_id=module.module_id,
             inputs=dict(inputs),
-            outputs=prediction.outputs,
-            raw_completion=prediction.raw_completion,
+            outputs=outputs,
+            raw_completion=completions[0],
             attempt=attempt,
             position=position,
             prompt_digest=stable_digest(prompt),
@@ -235,7 +238,7 @@ class ExecutionContext:
         self.steps.append(step)
         self._slots[position] = _Slot(module, step, len(self.steps) - 1, self._site_counter)
         self._pos += 1
-        return prediction
+        return outputs
 
     def retrieve(self, search: Callable, index: Any, query: str, k: int) -> list:
         """``search(index, query, k)``'s passages as a new list, recorded on the run.
@@ -250,8 +253,8 @@ class ExecutionContext:
         self._found.append((Retrieval(query, k, [p.title for p in passages]), passages))
         return list(passages)
 
-    def _result(self, prediction: Optional[Prediction], **ending: Any) -> RunResult:
-        return RunResult(prediction=prediction, steps=self.steps, constraints=self.constraints,
+    def _result(self, final_outputs: Optional[dict[str, str]], **ending: Any) -> RunResult:
+        return RunResult(final_outputs=final_outputs, steps=self.steps, constraints=self.constraints,
                          calls=self._pos, sites=self._site_counter,
                          retrievals=[found for found, _ in self._found], passes=self._passes,
                          **ending)
@@ -340,23 +343,12 @@ def run_with_backtracking(
 
 
 def trace_to_dict(result: RunResult) -> dict:
-    """A run as a trace file's JSON object: its steps, constraint outcomes,
-    searches and passes, the calls and sites of its surviving pass, how it
-    ended, and the final prediction's outputs (null for a halted or failed run)."""
-    final = dict(result.prediction.outputs) if result.prediction else None
-    return {
-        "version": TRACE_VERSION,
-        "halted": result.halted,
-        "error": result.error,
-        "error_type": result.error_type,
-        "passes": result.passes,
-        "steps": [dict(vars(step)) for step in result.steps],
-        "constraints": [dict(vars(o)) for o in result.constraints],
-        "calls": result.calls,
-        "sites": result.sites,
-        "retrievals": [dict(vars(r)) for r in result.retrievals],
-        "final_outputs": final,
-    }
+    """A run as a trace file's JSON object: the run's fields, each step,
+    constraint outcome and search as its own fields, and the version."""
+    return {**vars(result), "version": TRACE_VERSION,
+            "steps": [dict(vars(step)) for step in result.steps],
+            "constraints": [dict(vars(o)) for o in result.constraints],
+            "retrievals": [dict(vars(r)) for r in result.retrievals]}
 
 
 # the keys of each trace-file object and the type of each value. A trace
@@ -390,11 +382,9 @@ def trace_from_dict(data: dict) -> RunResult:
     constraints = [ConstraintOutcome(**check_record(o, fields, "trace constraint")) for o in data["constraints"]]
     retrievals = [Retrieval(**check_record(r, _RETRIEVAL_FIELDS, "trace retrieval"))
                   for r in data["retrievals"]]
-    final = data["final_outputs"]
-    return RunResult(prediction=None if final is None else Prediction(outputs=final),
-                     steps=steps, constraints=constraints, calls=data["calls"], sites=data["sites"],
-                     retrievals=retrievals, passes=data["passes"],
-                     halted=data["halted"], error=data["error"], error_type=data["error_type"])
+    run = {**data, "steps": steps, "constraints": constraints, "retrievals": retrievals}
+    del run["version"]
+    return RunResult(**run)
 
 
 _OVERWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)

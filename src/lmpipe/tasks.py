@@ -34,7 +34,7 @@ from .checks import (
     is_query_distinct,
     is_within_length_limit,
 )
-from .core import Prediction, RunResult, passages_to_text
+from .core import RunResult, passages_to_text
 from .metrics import (
     TaskExample,
     answer_em,
@@ -61,6 +61,7 @@ JUDGE_SIGNATURE = "context, assessed_text, assessment_question -> assessment_ans
 
 PRIMITIVE = "primitive"
 COMPLETE = "complete"
+VARIANTS = (PRIMITIVE, COMPLETE)
 
 _QUERY = "Write a simple search query that will help answer a complex question."
 _QUERY_COMPLETE = (
@@ -148,12 +149,12 @@ class MultiHopQA(Program):
             instructions=INSTRUCTIONS["multihop"]["answer"][instruction_variant],
         ))
 
-    def forward(self, ctx: ExecutionContext, question: str) -> Prediction:
+    def forward(self, ctx: ExecutionContext, question: str) -> dict[str, str]:
         context, queries = [], [question]
         for _hop in range(HOPS):
             pred = ctx.call(self.generate_query,
                             context=passages_to_text(context), question=question)
-            query = pred.outputs["query"]
+            query = pred["query"]
             ctx.suggest(len(query) < QUERY_LENGTH_LIMIT, QUERY_LENGTH_MESSAGE,
                         label="query_length")
             ctx.suggest(is_query_distinct(query, queries),
@@ -179,15 +180,15 @@ class LongFormQA(Program):
         ))
         self.faithfulness_judge = _judge_module("faithfulness_judge")
 
-    def forward(self, ctx: ExecutionContext, question: str) -> Prediction:
+    def forward(self, ctx: ExecutionContext, question: str) -> dict[str, str]:
         context = []
         for _hop in range(HOPS):
             pred = ctx.call(self.generate_query,
                             context=passages_to_text(context), question=question)
-            context += ctx.retrieve(retrieve, self.index, pred.outputs["query"], PASSAGES_PER_HOP)
+            context += ctx.retrieve(retrieve, self.index, pred["query"], PASSAGES_PER_HOP)
         pred = ctx.call(self.generate_cited_paragraph,
                         context=passages_to_text(context), question=question)
-        paragraph = pred.outputs["paragraph"]
+        paragraph = pred["paragraph"]
         ctx.suggest(citations_check(paragraph),
                     "Every 1-2 sentences should have citations: 'text... [x].'",
                     label="citations_format")
@@ -202,7 +203,7 @@ class LongFormQA(Program):
             cited = passages_to_text([context[k - 1]])
             verdict = ctx.call(self.faithfulness_judge, context=cited,
                                assessed_text=line, assessment_question=FAITHFUL_QUESTION)
-            ctx.suggest(is_assessment_yes(verdict.outputs["assessment_answer"]),
+            ctx.suggest(is_assessment_yes(verdict["assessment_answer"]),
                         f"Your output should be based on the context: '{cited}'.",
                         label="citation_faithful")
         return pred
@@ -222,10 +223,10 @@ class QuizGen(Program):
             "plausibility_judge", "question, answer_choices, assessment_question -> assessment_answer"
         )
 
-    def forward(self, ctx: ExecutionContext, question: str, answer: str) -> Prediction:
+    def forward(self, ctx: ExecutionContext, question: str, answer: str) -> dict[str, str]:
         pred = ctx.call(self.generate_choices, question=question, correct_answer=answer,
                         number_of_choices=str(DEFAULT_CHOICE_COUNT))
-        choices = pred.outputs["answer_choices"]
+        choices = pred["answer_choices"]
         ctx.suggest(format_checker(choices),
                     "The format of the answer choices should be in JSON format. "
                     "Please revise accordingly.",
@@ -236,7 +237,7 @@ class QuizGen(Program):
                     label="has_answer")
         verdict = ctx.call(self.plausibility_judge, question=question,
                            answer_choices=choices, assessment_question=PLAUSIBILITY_QUESTION)
-        ctx.suggest(is_assessment_yes(verdict.outputs["assessment_answer"]),
+        ctx.suggest(is_assessment_yes(verdict["assessment_answer"]),
                     "The answer choices are not plausible distractors or are too easily "
                     "identifiable as incorrect. Please revise to provide more challenging "
                     "and plausible distractors.",
@@ -262,16 +263,16 @@ class TweetGen(Program):
         self.engaging_judge = _judge_module("engaging_judge")
         self.faithful_judge = _judge_module("faithful_judge")
 
-    def forward(self, ctx: ExecutionContext, question: str, answer: str) -> Prediction:
+    def forward(self, ctx: ExecutionContext, question: str, answer: str) -> dict[str, str]:
         context = []
         for hop in range(HOPS):
             pred = ctx.call(self.query_modules[hop],
                             context=passages_to_text(context), question=question)
-            passages = ctx.retrieve(retrieve, self.index, pred.outputs["query"], PASSAGES_PER_HOP)
+            passages = ctx.retrieve(retrieve, self.index, pred["query"], PASSAGES_PER_HOP)
             context = deduplicate(context + passages)
         context_text = passages_to_text(context)
         pred = ctx.call(self.generate_tweet, question=question, context=context_text)
-        tweet = pred.outputs["tweet"]
+        tweet = pred["tweet"]
         ctx.suggest(has_no_hashtags(tweet),
                     "Please revise the tweet to remove hashtag phrases following it.",
                     label="no_hashtags")
@@ -284,13 +285,13 @@ class TweetGen(Program):
                     label="has_answer")
         engaging = ctx.call(self.engaging_judge, context=context_text,
                             assessed_text=tweet, assessment_question=ENGAGING_QUESTION)
-        ctx.suggest(is_assessment_yes(engaging.outputs["assessment_answer"]),
+        ctx.suggest(is_assessment_yes(engaging["assessment_answer"]),
                     "The text is not engaging enough. Please revise to make it more "
                     "captivating.",
                     label="engaging")
         faithful = ctx.call(self.faithful_judge, context="N/A",
                             assessed_text=tweet, assessment_question=FAITHFUL_QUESTION)
-        ctx.suggest(is_assessment_yes(faithful.outputs["assessment_answer"]),
+        ctx.suggest(is_assessment_yes(faithful["assessment_answer"]),
                     "The text contains unfaithful elements or significant facts not in "
                     "the context. Please revise for accuracy.",
                     label="faithful")
@@ -407,9 +408,9 @@ def build_program(task: str, index: Optional[RetrieverIndex] = None,
                   instruction_variant: str = COMPLETE) -> Program:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
-    if instruction_variant not in (PRIMITIVE, COMPLETE):
+    if instruction_variant not in VARIANTS:
         raise ValueError(
-            f"unknown instruction variant {instruction_variant!r}; expected one of {(PRIMITIVE, COMPLETE)}"
+            f"unknown instruction variant {instruction_variant!r}; expected one of {VARIANTS}"
         )
     spec = TASKS[task]
     if spec.uses_index:

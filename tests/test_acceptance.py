@@ -88,7 +88,7 @@ class OneConstraintProgram(Program):
     def forward(self, ctx, prompt):
         pred = ctx.call(self.gen, prompt=prompt)
         check = ctx.suggest if self.kind == "suggest" else ctx.check_assert
-        check(pred.outputs["value"] == "ok", "Value should be ok", label="value_ok")
+        check(pred["value"] == "ok", "Value should be ok", label="value_ok")
         return pred
 
 
@@ -142,8 +142,8 @@ def test_criterion_1_semantics_conformance():
 
         def forward(self, ctx, prompt):
             pred = ctx.call(self.gen, prompt=prompt)
-            ctx.suggest("a" in pred.outputs["value"], "needs a", label="has_a")
-            ctx.suggest("b" in pred.outputs["value"], "needs b", label="has_b")
+            ctx.suggest("a" in pred["value"], "needs a", label="has_a")
+            ctx.suggest("b" in pred["value"], "needs b", label="has_b")
             return pred
 
     backend = CachingBackend(ScriptedBackend([
@@ -464,7 +464,7 @@ def test_criterion_9_strategy_transparency(index, testset):
             "multihop", MultiHopQA(index), testset, config,
             script_backend("multihop_all_pass.json"),
         )
-        predictions = [r.prediction.outputs for r in results]
+        predictions = [r.final_outputs for r in results]
         extrinsic = [(row["answer_em"], row["retrieval_recall"]) for row in rows]
         return predictions, extrinsic
 
@@ -498,7 +498,7 @@ def test_criterion_10_handler_policies(index, testset, caplog):
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
         suppressed = run_with_backtracking(program, {"prompt": "go"}, config, backend)
     assert not suppressed.halted
-    assert suppressed.prediction is not None
+    assert suppressed.final_outputs is not None
     assert any("Value should be ok" in message for message in caplog.messages)
     dispositions = [o.disposition for o in suppressed.constraints if o.site == 0]
     assert dispositions == ["retried", "failed"]

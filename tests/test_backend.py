@@ -436,6 +436,31 @@ def test_http_three_choices_in_order(monkeypatch):
     assert backend.generate("p", GenerationParams(n=3)) == ["one", "two", "three"]
 
 
+def test_http_more_choices_than_asked_for_is_an_error(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        return FakeResponse(200, {"choices": [{"message": {"content": "one"}},
+                                              {"message": {"content": "two"}}]})
+
+    backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
+    with pytest.raises(BackendError, match="returned 2 choices, expected 1") as err:
+        backend.generate("p")
+    assert not err.value.retryable
+
+
+@pytest.mark.parametrize("api_base", ["localhost:8000/v1", "ftp://lm.example/v1", "https:///v1"])
+def test_http_endpoint_that_is_not_http_is_not_retried_or_posted_to(monkeypatch, api_base):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    posted = []
+    backend = HTTPBackend(EndpointConfig(model="m", api_base=api_base),
+                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+    with pytest.raises(BackendError, match="not an http or https URL") as err:
+        backend.generate("hi")
+    assert repr(api_base + "/chat/completions") in str(err.value)
+    assert not err.value.retryable and posted == []
+
+
 def test_http_401_names_env_var(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-bad")
 

@@ -191,6 +191,19 @@ def test_eval_rejects_workers_below_one(tmp_path, workers):
     assert not out.exists()
 
 
+def test_eval_rejects_workers_that_are_not_an_integer(tmp_path):
+    out = tmp_path / "out"
+    result = invoke([
+        "eval", "--task", "tweet", "--strategy", "vanilla",
+        "--test", data("test.jsonl"), "--offline",
+        "--script", data("scripts/tweet_all_pass.json"),
+        "--workers", "abc", "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert "--workers" in result.output and "'abc' is not a valid integer" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option", [
     ("compile", "--train"), ("compile", "--dev"), ("compile", "--config"), ("compile", "--script"),
     ("eval", "--test"), ("eval", "--artifact"), ("eval", "--config"), ("eval", "--script"),
@@ -430,7 +443,7 @@ def test_eval_over_the_pass_budget_leaves_an_error_row_and_a_trace(tmp_path, mon
     assert row["error_type"] == "PassBudgetExceeded"
     path = out / "traces" / "example_000.json"
     saved = load_trace(path)
-    assert saved.error == row["error"] and saved.prediction is None and not saved.halted
+    assert saved.error == row["error"] and saved.final_outputs is None and not saved.halted
     assert saved.passes == 4
     assert [s.attempt for s in saved.steps] == [0, 1, 2, 0, 1]
     assert [r.query for r in saved.retrievals] == ["x" * 120]
@@ -526,7 +539,7 @@ class HaltingProgram(Program):
 
     def forward(self, ctx, prompt):
         pred = ctx.call(self.gen, prompt=prompt)
-        ctx.check_assert(pred.outputs["value"] == "ok", "Value must be ok", label="must_ok")
+        ctx.check_assert(pred["value"] == "ok", "Value must be ok", label="must_ok")
         return pred
 
 
@@ -615,13 +628,16 @@ def test_readme_config_example_loads(tmp_path):
     ({"runtime": 0}, "config runtime must be a JSON object, got 0"),
     ([], "config must be a JSON object"),
     ({"instructions": "bogus"},
-     "unknown instruction variant 'bogus'; expected one of ('primitive', 'complete')"),
+     "config instructions must be one of ('primitive', 'complete'), got 'bogus'"),
     ({"backend": {"mode": "scripted"}}, "unknown key 'mode' in config backend"),
     ({"runtime": {"max_retries": "2"}}, "config runtime max_retries must be an integer, got '2'"),
     ({"runtime": {"max_retries": 0.5}}, "config runtime max_retries must be an integer, got 0.5"),
     ({"runtime": {"max_retries": True}}, "config runtime max_retries must be an integer, got True"),
     ({"compile": {"num_candidates": "3"}}, "config compile num_candidates must be an integer, got '3'"),
     ({"corpus": 5}, "config corpus must be a string or null, got 5"),
+    ({"runtime": {"max_retries": -1}}, "max_retries must be >= 0"),
+    ({"runtime": {"handler_policy": "bogus"}}, "unknown handler policy 'bogus'"),
+    ({"compile": {"num_candidates": 0}}, "num_candidates must be >= 1"),
 ])
 def test_eval_rejects_bad_config(tmp_path, payload, error):
     config = write_config(tmp_path, payload)
@@ -631,9 +647,7 @@ def test_eval_rejects_bad_config(tmp_path, payload, error):
         "--config", config, "--out", str(tmp_path / "out"),
     ])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    # errors found reading the file name it; the variant is checked when the program is built
-    named = "" if error.startswith("unknown instruction") else f"{config}: "
-    assert result.output == f"Error: {named}{error}\n"
+    assert result.output == f"Error: {config}: {error}\n"
 
 
 def test_config_script_alone_selects_the_scripted_backend(tmp_path, monkeypatch):
@@ -761,6 +775,14 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("trace", {**trace_file(), "version": 2}, f"trace version mismatch: file has 2, supported is {TRACE_VERSION}"),
     ("trace", trace_file(constraint_change={"step": True}),
      "trace constraint step must be null or an index into steps, got True"),
+    # records a file's types allow but its objects reject
+    ("trace", trace_file(constraint_change={"disposition": "bogus"}), "unknown disposition 'bogus'"),
+    ("trace", trace_file(constraint_change={"kind": "assert", "disposition": "warned"}),
+     "only suggest constraints can warn"),
+    ("script", {"version": 1, "entries": [{"match": "x", "responses": []}]},
+     "script entry needs at least one response"),
+    ("script", {"version": 1, "entries": [{"match": "x", "responses": ["y"], "mode": "regex"}]},
+     "unknown matcher mode 'regex'"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"

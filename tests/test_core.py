@@ -16,10 +16,9 @@ from lmpipe.core import (
     default_prefix,
     parse_signature,
     passages_to_text,
-    prepend_output_field,
     render_prompt,
 )
-from lmpipe.modules import PredictModule
+from lmpipe.modules import PredictModule, chain_of_thought
 from lmpipe.runtime import Program
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,20 +72,19 @@ def test_prefix_key_truncates_at_first_colon():
 
 
 def test_prepend_output_field_orders_rationale_first():
-    sig = prepend_output_field(parse_signature("question -> answer"), RATIONALE)
+    sig = chain_of_thought("question -> answer", "qa").signature
     assert [f.name for f in sig.output_fields] == ["rationale", "answer"]
     assert [f.name for f in sig.input_fields] == ["question"]
 
 
 def test_prepend_output_field_keeps_instructions():
-    sig = parse_signature("question -> answer", instructions="Answer briefly.")
-    assert prepend_output_field(sig, RATIONALE).instructions == "Answer briefly."
+    sig = chain_of_thought("question -> answer", "qa", instructions="Answer briefly.").signature
+    assert sig.instructions == "Answer briefly."
 
 
 def test_prepend_duplicate_name_errors():
-    sig = parse_signature("question -> answer")
-    with pytest.raises(SignatureError, match="answer"):
-        prepend_output_field(sig, FieldSpec(name="answer"))
+    with pytest.raises(SignatureError, match="rationale"):
+        chain_of_thought("question -> rationale", "qa")
 
 
 def test_signature_fields_are_its_inputs_then_its_outputs():
@@ -97,9 +95,16 @@ def test_signature_fields_are_its_inputs_then_its_outputs():
         Signature("x", (FieldSpec("a"),), (FieldSpec("a"),))
 
 
+def shorthand(sig: Signature) -> str:
+    """The 'a, b -> c' form of a signature's field names."""
+    ins = ", ".join(f.name for f in sig.input_fields)
+    outs = ", ".join(f.name for f in sig.output_fields)
+    return f"{ins} -> {outs}"
+
+
 def test_shorthand_reparse_round_trip():
     sig = parse_signature("context, question -> query")
-    assert parse_signature(sig.shorthand()) == sig
+    assert parse_signature(shorthand(sig)) == sig
 
 
  # identifier fragments for property-style round trips
@@ -113,7 +118,7 @@ def test_shorthand_round_trip_property(inputs, outputs):
         return
     spec = ", ".join(inputs) + " -> " + ", ".join(outputs)
     sig = parse_signature(spec)
-    assert parse_signature(sig.shorthand()) == sig
+    assert parse_signature(shorthand(sig)) == sig
 
 
 def test_render_minimal_prompt():
@@ -131,7 +136,7 @@ def test_render_missing_input_names_field():
 
 
 def test_render_is_pure():
-    sig = prepend_output_field(parse_signature("context, question -> query"), RATIONALE)
+    sig = chain_of_thought("context, question -> query", "q").signature
     args = dict(
         demos=[{"context": "N/A", "question": "Q1", "rationale": "R", "query": "X"}],
         inputs={"context": "N/A", "question": "Q2"},
@@ -190,7 +195,7 @@ def test_counterexample_blocks_render_before_demos():
 
 
 def test_output_prefixes_once_in_header_and_cue_once_in_live_block():
-    sig = prepend_output_field(parse_signature("context, question -> query"), RATIONALE)
+    sig = chain_of_thought("context, question -> query", "q").signature
     prompt = render_prompt(sig, inputs={"context": "N/A", "question": "Q"})
     header, live = prompt.split("\n\n---\n\n")
     for f in sig.output_fields:
@@ -214,11 +219,11 @@ def test_every_signature_renders_its_own_header():
     module = program.register(PredictModule("m", base))
     clone = program.clone()
     cloned = clone.modules["m"].signature  # the clone shares base
-    clone.modules["m"].signature = cloned.with_instructions("Cloned.")
+    clone.modules["m"].signature = replace(cloned, instructions="Cloned.")
     signatures = [
         base,
-        base.with_instructions("Write a search query."),
-        prepend_output_field(base, RATIONALE),
+        replace(base, instructions="Write a search query."),
+        chain_of_thought("context, question -> query", "q").signature,
         replace(base, input_fields=(FieldSpec("question", prefix="Ask:"),)),
         replace(base, output_fields=(FieldSpec("query", description="a short query"),)),
         cloned,

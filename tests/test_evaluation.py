@@ -151,7 +151,7 @@ class AssertedQuiz(Program):
 
     def forward(self, ctx, question, answer):
         pred = ctx.call(self.gen, question=question)
-        ctx.check_assert(format_checker(pred.outputs["answer_choices"]), "The choices must be JSON.")
+        ctx.check_assert(format_checker(pred["answer_choices"]), "The choices must be JSON.")
         return pred
 
 
@@ -203,7 +203,7 @@ def test_bootstrap_metric_passes_on_clean_runs(index, testset, task, script, pro
     example = testset[0]
     result = run_task_example(program, example, RuntimeConfig(), backend)
     metric = bootstrap_metric(task)
-    assert metric(example, result.prediction, result) == expected
+    assert metric(example, result.final_outputs, result) == expected
 
 
 def test_bootstrap_metric_fails_on_wrong_answer(index, testset):
@@ -213,7 +213,7 @@ def test_bootstrap_metric_fails_on_wrong_answer(index, testset):
     result = run_task_example(MultiHopQA(index), example, RuntimeConfig(), backend)
     metric = bootstrap_metric("multihop")
     # score the run against a different example's gold answer
-    assert metric(other, result.prediction, result) == 0.0
+    assert metric(other, result.final_outputs, result) == 0.0
 
 
 def test_vanilla_vs_infer_assert_on_retry_fixture(index, testset, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 
 from lmpipe.core import (
     ConstraintOutcome,
-    Prediction,
     Retrieval,
     RunResult,
     TraceStep,
@@ -41,7 +40,7 @@ def trace_with(outcomes: list[ConstraintOutcome], inputs=None) -> RunResult:
     """A one-step run whose outcomes, in evaluation order, all judged its step
     and all belong to the surviving pass."""
     step = TraceStep(module_id="m", inputs=inputs or {}, outputs={})
-    return RunResult(prediction=None, steps=[step], constraints=outcomes, calls=1,
+    return RunResult(final_outputs=None, steps=[step], constraints=outcomes, calls=1,
                      sites=1 + max((o.site for o in outcomes), default=-1))
 
 
@@ -132,7 +131,7 @@ def test_multihop_recall_reads_context_titles_from_recorded_retrievals():
     # the last step is a judge with an "N/A" context; recall reads the titles
     # the surviving pass retrieved, verbatim
     judge_step = TraceStep(module_id="judge", inputs={"context": "N/A"}, outputs={})
-    run = RunResult(prediction=Prediction(outputs={"answer": "Paris"}), steps=[judge_step],
+    run = RunResult(final_outputs={"answer": "Paris"}, steps=[judge_step],
                     constraints=[], calls=1, sites=0,
                     retrievals=[Retrieval("q1", 1, ["Gold | Annex"]), Retrieval("q2", 1, ["Other"])])
     example = TaskExample("Q?", "Paris", frozenset({"Gold | Annex"}))

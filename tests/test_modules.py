@@ -41,14 +41,14 @@ def cot_signature(spec: str):
 def test_parse_completion_both_fields():
     sig = cot_signature("question -> answer")
     pred = parse_completion(sig, "Reasoning: because X\nAnswer: Paris")
-    assert pred.outputs == {"rationale": "because X", "answer": "Paris"}
+    assert pred == {"rationale": "because X", "answer": "Paris"}
 
 
 def test_parse_completion_missing_later_field_is_empty():
     sig = cot_signature("question -> answer")
     pred = parse_completion(sig, "Reasoning: partial thought only")
-    assert pred.outputs["rationale"] == "partial thought only"
-    assert pred.outputs["answer"] == ""
+    assert pred["rationale"] == "partial thought only"
+    assert pred["answer"] == ""
 
 
 def test_parse_completion_full_prefix_wins_over_truncated():
@@ -56,26 +56,26 @@ def test_parse_completion_full_prefix_wins_over_truncated():
     pred = parse_completion(
         sig, "Reasoning: Think step by step. the long way\nAnswer: 42"
     )
-    assert pred.outputs["rationale"] == "the long way"
+    assert pred["rationale"] == "the long way"
 
 
 def test_parse_completion_cue_continuation_goes_to_first_field():
     # a live model continues right after the generation cue without re-printing it
     sig = cot_signature("question -> answer")
     pred = parse_completion(sig, "thinking out loud\nAnswer: Rome")
-    assert pred.outputs == {"rationale": "thinking out loud", "answer": "Rome"}
+    assert pred == {"rationale": "thinking out loud", "answer": "Rome"}
 
 
 def test_parse_completion_multiline_value():
     sig = cot_signature("question -> answer")
     pred = parse_completion(sig, "Reasoning: line one\nline two\nAnswer: done")
-    assert pred.outputs["rationale"] == "line one\nline two"
+    assert pred["rationale"] == "line one\nline two"
 
 
 def test_parse_completion_prefix_must_start_line():
     sig = cot_signature("question -> answer")
     pred = parse_completion(sig, "Reasoning: the Answer: token inline\nAnswer: real")
-    assert pred.outputs["answer"] == "real"
+    assert pred["answer"] == "real"
 
 
 def test_parse_round_trips_rendered_demo():
@@ -85,14 +85,14 @@ def test_parse_round_trips_rendered_demo():
         f"{f.prefix} {demo[f.name]}" for f in module.signature.fields
     )
     pred = parse_completion(module.signature, block)
-    assert pred.outputs == {"rationale": "step", "query": "find it"}
+    assert pred == {"rationale": "step", "query": "find it"}
 
 
 def predict(module, inputs, backend):
     """One module call through the execution engine's call path."""
     program = Program()
     program.forward = lambda ctx, **kwargs: ctx.call(module, **kwargs)
-    return run_with_backtracking(program, inputs, RuntimeConfig(), backend).prediction
+    return run_with_backtracking(program, inputs, RuntimeConfig(), backend)
 
 
 def test_predict_renders_calls_and_parses():
@@ -100,9 +100,9 @@ def test_predict_renders_calls_and_parses():
     backend = CachingBackend(ScriptedBackend([
         ScriptEntry(match="Question: Where", responses=["Reasoning: easy\nAnswer: Paris"]),
     ]))
-    pred = predict(module, {"question": "Where is it?"}, backend)
-    assert pred.outputs["answer"] == "Paris"
-    assert pred.raw_completion.startswith("Reasoning:")
+    run = predict(module, {"question": "Where is it?"}, backend)
+    assert run.final_outputs["answer"] == "Paris"
+    assert run.steps[0].raw_completion.startswith("Reasoning:")
 
 
 def test_predict_prompt_matches_render():

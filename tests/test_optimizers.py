@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from lmpipe.backend import CachingBackend, ScriptEntry, ScriptedBackend, load_script
 from lmpipe.checks import is_query_distinct
-from lmpipe.core import Counterexample, Prediction, RunResult, TraceStep, parse_signature
+from lmpipe.core import Counterexample, RunResult, TraceStep, parse_signature
 from lmpipe.metrics import TaskExample, load_dataset
 from lmpipe.modules import PredictModule, chain_of_thought
 from lmpipe.evaluation import BOOTSTRAP_MAX_SCORE, bootstrap_metric, run_task_example
@@ -220,13 +220,13 @@ class TableRunner:
             score = 1.0
         else:
             score = self.table[self.teacher_runs - 1][int(example.question[1:])]
-        prediction = Prediction(outputs={"answer": example.answer, "score": repr(score)})
-        step = TraceStep(module_id="gen", inputs={"question": example.question}, outputs=prediction.outputs)
-        return RunResult(prediction=prediction, steps=[step], constraints=[], calls=1, sites=0)
+        outputs = {"answer": example.answer, "score": repr(score)}
+        step = TraceStep(module_id="gen", inputs={"question": example.question}, outputs=outputs)
+        return RunResult(final_outputs=outputs, steps=[step], constraints=[], calls=1, sites=0)
 
 
-def table_score(example, prediction, run):
-    return float(prediction.outputs["score"])
+def table_score(example, outputs, run):
+    return float(outputs["score"])
 
 
 def table_search(table, max_score):
@@ -349,7 +349,7 @@ def test_collect_counterexamples_respects_payload_fields():
                 attempt=attempt, position=0,
             )
 
-        run = RunResult(prediction=None, steps=[step(0, "bad"), step(1, "good")],
+        run = RunResult(final_outputs=None, steps=[step(0, "bad"), step(1, "good")],
                         constraints=outcomes, calls=1, sites=1)
         assert collect_counterexamples(program, [run]) == [
             Counterexample(module_id="gen", failed_output="bad", message="be good",
@@ -384,8 +384,8 @@ class TwoSiteProgram(Program):
 
     def forward(self, ctx, prompt):
         pred = ctx.call(self.gen, prompt=prompt)
-        ctx.suggest(pred.outputs["value"] != "v0", "not v0")
-        ctx.suggest(pred.outputs["value"] != "v1", "not v1")
+        ctx.suggest(pred["value"] != "v0", "not v0")
+        ctx.suggest(pred["value"] != "v1", "not v1")
         return pred
 
 
@@ -397,7 +397,7 @@ def test_counterexamples_of_two_sites_retrying_one_call():
     ]))
     program = TwoSiteProgram()
     result = run_with_backtracking(program, {"prompt": "go"}, RuntimeConfig(), backend)
-    assert result.prediction.outputs["value"] == "v2"
+    assert result.final_outputs["value"] == "v2"
     assert collect_counterexamples(program, [result]) == [
         Counterexample(module_id="gen", failed_output="v0", message="not v0", corrected_output="v2"),
         Counterexample(module_id="gen", failed_output="v1", message="not v1", corrected_output="v2"),
@@ -436,9 +436,9 @@ class PerWordProgram(Program):
 
     def forward(self, ctx, question):
         draft = ctx.call(self.draft, question=question)
-        for word in draft.outputs["words"].split():
+        for word in draft["words"].split():
             ctx.call(self.echo, word=word)
-        ctx.suggest(len(draft.outputs["words"].split()) == 1, "Use one word.", backtrack="draft")
+        ctx.suggest(len(draft["words"].split()) == 1, "Use one word.", backtrack="draft")
         return draft
 
 
@@ -449,7 +449,7 @@ def test_bootstrap_harvests_no_step_of_a_discarded_pass():
         ScriptEntry(match="Question: Q?", responses=["Words: alpha beta", "Words: alpha"]),
     ]))
     compiled = bootstrap_few_shot(PerWordProgram(), [TaskExample("Q?", "alpha")],
-                                  lambda example, prediction, run: True,
+                                  lambda example, outputs, run: True,
                                   CompileConfig(teacher_assertions=True), backend)
     assert compiled.modules["draft"].demos == [{"question": "Q?", "words": "alpha"}]
     # the echo of "beta" belongs to the first pass only
@@ -477,7 +477,7 @@ class CheckedAnswerProgram(Program):
     def forward(self, ctx, question):
         pred = ctx.call(self.gen, question=question)
         check = ctx.suggest if self.kind == "suggest" else ctx.check_assert
-        check(pred.outputs["answer"] != "bad", "The answer must not be bad.")
+        check(pred["answer"] != "bad", "The answer must not be bad.")
         return pred
 
 
@@ -496,16 +496,16 @@ BAD_THEN_GOOD = [TaskExample("alpha", "bad"), TaskExample("beta", "good")]
 def test_bootstrap_drops_a_warned_run_only_under_teacher_assertions(teacher_assertions, answers):
     # the metric passes both runs, but alpha's suggestion warned after its retries
     compiled = bootstrap_few_shot(CheckedAnswerProgram("suggest"), BAD_THEN_GOOD,
-                                  lambda example, prediction, run: True,
+                                  lambda example, outputs, run: True,
                                   CompileConfig(teacher_assertions=teacher_assertions),
                                   bad_then_good_backend())
     assert [demo["answer"] for demo in compiled.modules["gen"].demos] == answers
 
 
 def test_bootstrap_skips_a_halted_teacher_run():
-    # the metric reads the prediction, which a halted run does not have
-    def metric(example, prediction, run):
-        return prediction.outputs["answer"] == example.answer
+    # the metric reads the final outputs, which a halted run does not have
+    def metric(example, outputs, run):
+        return outputs["answer"] == example.answer
 
     compiled = bootstrap_few_shot(CheckedAnswerProgram("assert"), BAD_THEN_GOOD, metric,
                                   CompileConfig(teacher_assertions=True), bad_then_good_backend())

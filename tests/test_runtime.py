@@ -16,7 +16,6 @@ from lmpipe.core import (
     PASSED,
     RETRIED,
     WARNED,
-    Prediction,
     Retrieval,
     RunResult,
     parse_signature,
@@ -87,7 +86,7 @@ class EchoProgram(Program):
     def forward(self, ctx, prompt):
         pred = ctx.call(self.echo, prompt=prompt)
         check = ctx.suggest if self.kind == "suggest" else ctx.check_assert
-        check(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        check(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
         return pred
 
 
@@ -136,7 +135,7 @@ def test_assert_failure_at_budget_halts():
     assert [(o.disposition, o.attempt) for o in result.constraints] == [
         (RETRIED, 0), (RETRIED, 1), (HALTED, 2),
     ]
-    assert result.halted and result.prediction is None
+    assert result.halted and result.final_outputs is None
 
 
 def test_suggest_failure_at_budget_warns_and_resets():
@@ -149,7 +148,7 @@ def test_suggest_failure_at_budget_warns_and_resets():
     assert [(o.disposition, o.attempt) for o in outcomes_a] == [
         (RETRIED, 0), (WARNED, 1), (RETRIED, 0), (WARNED, 1),
     ]
-    assert result.prediction is not None
+    assert result.final_outputs is not None
 
 
 def test_zero_budget_goes_straight_to_terminal():
@@ -171,7 +170,7 @@ def test_disable_all_records_failure_without_retry():
                                    RuntimeConfig(handler_policy=DISABLE_ALL))
     assert [o.disposition for o in result.constraints] == [FAILED]
     assert len(prompts) == 1
-    assert not result.halted and result.prediction.outputs == {"value": "bad"}
+    assert not result.halted and result.final_outputs == {"value": "bad"}
 
 
 def test_suppress_assert_log_converts_halt():
@@ -181,7 +180,7 @@ def test_suppress_assert_log_converts_halt():
     result, _ = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"],
                              RuntimeConfig(max_retries=0, handler_policy=SUPPRESS_ASSERT_LOG))
     assert [o.disposition for o in result.constraints] == [FAILED]
-    assert not result.halted and result.prediction is not None
+    assert not result.halted and result.final_outputs is not None
     result, _ = scripted_run(EchoProgram("assert"), ["Value: bad", "Value: ok"],
                              RuntimeConfig(max_retries=2, handler_policy=SUPPRESS_ASSERT_LOG))
     assert [o.disposition for o in result.constraints] == [RETRIED, PASSED]
@@ -224,7 +223,7 @@ class QueryProgram(Program):
             module_id="qa", signature=parse_signature("question -> query")))
 
     def forward(self, ctx, question):
-        query = ctx.call(self.qa, question=question).outputs["query"]
+        query = ctx.call(self.qa, question=question)["query"]
         ctx.suggest(len(query) < 100, f"Query has {len(query)} characters, keep it under 100",
                     label="query_length")
         return query
@@ -298,18 +297,18 @@ def test_engine_matches_transition_oracle(kind, fails, max_retries):
     should_halt = kind == "assert" and fails > max_retries
     assert result.halted == should_halt
     if should_halt:
-        assert result.prediction is None
+        assert result.final_outputs is None
         assert result.error == VALUE_MESSAGE
         last = result.constraints[-1]
         assert last.disposition == HALTED and last.step == len(result.steps) - 1
     else:
-        assert result.prediction is not None
+        assert result.final_outputs is not None
 
 
 def test_suggest_never_prevents_final_prediction():
     result = run_with_backtracking(EchoProgram("suggest"), {"prompt": "go"},
                                    RuntimeConfig(max_retries=1), echo_backend(5))
-    assert result.prediction is not None
+    assert result.final_outputs is not None
     assert not result.halted and result.error is None
 
 
@@ -341,8 +340,8 @@ class TwoConstraintProgram(Program):
 
     def forward(self, ctx, prompt):
         pred = ctx.call(self.echo, prompt=prompt)
-        ctx.suggest("a" in pred.outputs["value"], "Value should contain a", label="has_a")
-        ctx.suggest("b" in pred.outputs["value"], "Value should contain b", label="has_b")
+        ctx.suggest("a" in pred["value"], "Value should contain a", label="has_a")
+        ctx.suggest("b" in pred["value"], "Value should contain b", label="has_b")
         return pred
 
 
@@ -385,8 +384,8 @@ class PipelineProgram(Program):
 
     def forward(self, ctx, prompt):
         draft = ctx.call(self.first, prompt=prompt)
-        pred = ctx.call(self.second, draft=draft.outputs["draft"])
-        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        pred = ctx.call(self.second, draft=draft["draft"])
+        ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
         return pred
 
 
@@ -422,9 +421,9 @@ class AccumulatingProgram(Program):
         collected = []
         for i in range(2):
             pred = ctx.call(self.gen, prompt=f"{prompt} step{i}")
-            ctx.suggest("bad" not in pred.outputs["value"], "Value should not be bad",
+            ctx.suggest("bad" not in pred["value"], "Value should not be bad",
                         label="not_bad")
-            collected += ctx.retrieve(echo_search, "", pred.outputs["value"], 1)
+            collected += ctx.retrieve(echo_search, "", pred["value"], 1)
         return pred
 
 
@@ -452,10 +451,17 @@ class JudgedProgram(Program):
 
     def forward(self, ctx, prompt):
         pred = ctx.call(self.gen, prompt=prompt)
-        verdict = ctx.call(self.judge, value=pred.outputs["value"])
-        ctx.suggest(verdict.outputs["verdict"] == "yes", "Value should please the judge",
+        verdict = ctx.call(self.judge, value=pred["value"])
+        ctx.suggest(verdict["verdict"] == "yes", "Value should please the judge",
                     label="judged")
         return pred
+
+
+def test_register_rejects_a_second_module_with_one_id():
+    program = JudgedProgram()
+    with pytest.raises(ValueError, match="duplicate module id 'gen'"):
+        program.register(PredictModule(module_id="gen", signature=parse_signature("a -> b")))
+    assert program.modules == {"gen": program.gen}
 
 
 def test_default_backtrack_target_skips_unregistered_judges():
@@ -487,8 +493,8 @@ class ExplicitTargetProgram(Program):
 
     def forward(self, ctx, prompt):
         draft = ctx.call(self.first, prompt=prompt)
-        pred = ctx.call(self.second, draft=draft.outputs["draft"])
-        ctx.suggest(pred.outputs["value"] == "ok", "Draft should lead to ok",
+        pred = ctx.call(self.second, draft=draft["draft"])
+        ctx.suggest(pred["value"] == "ok", "Draft should lead to ok",
                     backtrack="first", label="value_ok")
         return pred
 
@@ -521,11 +527,11 @@ class SharedSiteProgram(Program):
 
     def forward(self, ctx, prompt):
         draft = ctx.call(self.first, prompt=prompt)
-        if draft.outputs["draft"] == "x":
+        if draft["draft"] == "x":
             ctx.suggest(False, "first must not say x", backtrack="first", label="not_x")
             return draft
-        pred = ctx.call(self.second, draft=draft.outputs["draft"])
-        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        pred = ctx.call(self.second, draft=draft["draft"])
+        ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
         return pred
 
 
@@ -553,7 +559,7 @@ def test_site_feedback_and_budget_belong_to_its_target():
     assert [(o.disposition, o.attempt) for o in result.constraints] == [
         (RETRIED, 0), (RETRIED, 0), (PASSED, 1),
     ]
-    assert result.prediction.outputs == {"value": "ok"}
+    assert result.final_outputs == {"value": "ok"}
 
 
 def test_each_target_of_a_site_gets_the_whole_budget():
@@ -582,7 +588,7 @@ def test_warned_site_gets_fresh_budget_on_reentry():
     sites = site_dispositions(result)
     assert sites[0] == ["retried", "warned", "retried", "warned"]
     assert sites[1] == ["retried", "passed"]
-    assert result.prediction.outputs["value"] == "b"
+    assert result.final_outputs["value"] == "b"
 
 
 def test_replay_does_not_duplicate_warned_outcomes():
@@ -598,10 +604,10 @@ def test_replay_does_not_duplicate_warned_outcomes():
 
         def forward(self, ctx, prompt):
             draft = ctx.call(self.first, prompt=prompt)
-            ctx.suggest(draft.outputs["draft"] == "good", "Draft should be good",
+            ctx.suggest(draft["draft"] == "good", "Draft should be good",
                         label="draft_ok")
-            pred = ctx.call(self.second, draft=draft.outputs["draft"])
-            ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+            pred = ctx.call(self.second, draft=draft["draft"])
+            ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
             return pred
 
     backend = CachingBackend(ScriptedBackend([
@@ -635,8 +641,8 @@ class DriftingProgram(Program):
         self.passes += 1
         draft = ctx.call(self.first, prompt=f"{prompt} {self.passes}")
         ctx.suggest(self.verdicts.pop(0), "Draft should please the outside", label="outside")
-        pred = ctx.call(self.second, draft=draft.outputs["draft"])
-        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        pred = ctx.call(self.second, draft=draft["draft"])
+        ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
         return pred
 
 
@@ -668,7 +674,7 @@ def test_replay_ends_at_a_call_whose_inputs_changed():
         == ["bad", "bad", "ok"]
     assert len(backend.call_log) == 6  # `second` attempt 1 came from the cache
     assert backend.call_log.records()[-1].prompt.count("Past Value: bad") == 2
-    assert result.prediction.outputs == {"value": "ok"}
+    assert result.final_outputs == {"value": "ok"}
 
 
 class SiteAddingProgram(Program):
@@ -690,9 +696,9 @@ class SiteAddingProgram(Program):
         draft = ctx.call(self.first, prompt=prompt)
         if self.passes > 1:
             ctx.suggest(True, "An added site", label="added")
-        note = ctx.call(self.middle, draft=draft.outputs["draft"])
-        pred = ctx.call(self.second, note=note.outputs["note"])
-        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok", backtrack="second")
+        note = ctx.call(self.middle, draft=draft["draft"])
+        pred = ctx.call(self.second, note=note["note"])
+        ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok", backtrack="second")
         return pred
 
 
@@ -712,7 +718,7 @@ def test_replay_ends_at_a_site_beyond_those_recorded_before_the_target():
         ("first", 0), ("middle", 0), ("second", 0), ("middle", 1), ("second", 1)]
     last_prompt = backend.call_log.records()[-1].prompt
     assert "Past Value: bad" in last_prompt and VALUE_MESSAGE in last_prompt
-    assert result.prediction.outputs == {"value": "ok"}
+    assert result.final_outputs == {"value": "ok"}
 
 
 def test_handler_policy_disable_all_performs_zero_retries():
@@ -721,7 +727,7 @@ def test_handler_policy_disable_all_performs_zero_retries():
                                    RuntimeConfig(handler_policy=DISABLE_ALL), backend)
     assert len(backend.call_log) == 1
     assert site_dispositions(result)[0] == ["failed"]
-    assert result.prediction is not None
+    assert result.final_outputs is not None
 
 
 def test_handler_policy_suppress_assert_completes_with_log(caplog):
@@ -729,7 +735,7 @@ def test_handler_policy_suppress_assert_completes_with_log(caplog):
     config = RuntimeConfig(max_retries=1, handler_policy=SUPPRESS_ASSERT_LOG)
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
         result = run_with_backtracking(EchoProgram("assert"), {"prompt": "go"}, config, backend)
-    assert not result.halted and result.prediction is not None
+    assert not result.halted and result.final_outputs is not None
     assert site_dispositions(result)[0] == ["retried", "failed"]
     assert any(VALUE_MESSAGE in message for message in caplog.messages)
 
@@ -754,7 +760,7 @@ def test_suggest_without_target_warns_and_continues(caplog):
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
         result = run_with_backtracking(NoTargetProgram("suggest"), {"prompt": "go"},
                                        RuntimeConfig(max_retries=2), backend)
-    assert not result.halted and result.prediction is not None
+    assert not result.halted and result.final_outputs is not None
     assert any("well-formed" in message for message in caplog.messages)
 
 
@@ -770,7 +776,7 @@ def test_assert_without_target_under_suppress_assert_log_logs_and_completes(capl
     with caplog.at_level(logging.WARNING, logger="lmpipe.runtime"):
         result = run_with_backtracking(NoTargetProgram("assert"), {"prompt": "go"}, config,
                                        echo_backend(0))
-    assert not result.halted and result.prediction is not None
+    assert not result.halted and result.final_outputs is not None
     assert caplog.messages == ["assertion failure suppressed: Input should be well-formed"]
 
 
@@ -824,7 +830,7 @@ def test_pass_budget_carries_the_run_so_far(monkeypatch):
                               RuntimeConfig(max_retries=5), echo_backend(10))
     partial = err.value.partial_result
     assert partial.passes == 3 and [s.attempt for s in partial.steps] == [0, 1, 2]
-    assert partial.prediction is None and not partial.halted
+    assert partial.final_outputs is None and not partial.halted
     assert partial.error == str(err.value)
 
 
@@ -841,7 +847,7 @@ def test_backend_errors_carry_partial_trace():
                               RuntimeConfig(max_retries=2), backend)
     partial = err.value.partial_result
     assert [s.module_id for s in partial.steps] == ["first"]
-    assert partial.prediction is None and not partial.halted
+    assert partial.final_outputs is None and not partial.halted
     assert partial.error == str(err.value)
 
 
@@ -895,7 +901,7 @@ class SearchingProgram(Program):
         context = []
         for _hop in range(2):
             query = ctx.call(self.query, context=passages_to_text(context),
-                             question=question).outputs["query"]
+                             question=question)["query"]
             ctx.suggest("bad" not in query, "Query should not be bad", label="query_ok")
             found = ctx.retrieve(self.search, "text", query, 2)
             self.returned.append((found, list(found)))
@@ -904,7 +910,7 @@ class SearchingProgram(Program):
                 found.append(Passage("Made", "up"))
             context += self.returned[-1][1]
         answer = ctx.call(self.answer, context=passages_to_text(context), question=question)
-        ctx.suggest("bad" not in answer.outputs["answer"], "Answer should not be bad",
+        ctx.suggest("bad" not in answer["answer"], "Answer should not be bad",
                     label="answer_ok")
         return answer
 
@@ -931,7 +937,7 @@ FOUND_SECOND = Retrieval("second", 2, ["second 0", "second 1"])
 def test_retried_pass_does_not_search_before_its_target():
     # the answer is retried: both searches come before its call, and replay
     program, result = run_searching(["second"], ["bad", "good"])
-    assert result.passes == 2 and result.prediction.outputs == {"answer": "good"}
+    assert result.passes == 2 and result.final_outputs == {"answer": "good"}
     assert program.searched == ["first", "second"]
     assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
     # the replayed passages are the ones the first pass found
@@ -942,7 +948,7 @@ def test_two_deep_retries_replay_from_the_pass_before():
     # pass 1 retries hop 2's query; pass 2 searches the new query fresh and
     # retries the answer; pass 3 replays both searches, hop 2's from pass 2
     program, result = run_searching(["bad second", "second"], ["bad", "good"])
-    assert result.passes == 3 and result.prediction.outputs == {"answer": "good"}
+    assert result.passes == 3 and result.final_outputs == {"answer": "good"}
     assert program.searched == ["first", "second"]
     assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
 
@@ -978,11 +984,11 @@ class DriftingSearchProgram(Program):
 
     def forward(self, ctx, prompt):
         self.passes += 1
-        draft = ctx.call(self.first, prompt=prompt).outputs["draft"]
+        draft = ctx.call(self.first, prompt=prompt)["draft"]
         found = ctx.retrieve(self.search, "", f"{draft} {self.passes}", 1)
         ctx.suggest(found[0].title.startswith("d"), "Draft should be found", label="found")
         pred = ctx.call(self.second, draft=draft)
-        ctx.suggest(pred.outputs["value"] == "ok", VALUE_MESSAGE, label="value_ok")
+        ctx.suggest(pred["value"] == "ok", VALUE_MESSAGE, label="value_ok")
         return pred
 
 
@@ -1002,7 +1008,7 @@ def test_replay_ends_at_a_search_whose_query_changed():
     ]
     assert site_dispositions(result) == {0: ["passed", "passed"], 1: ["retried", "passed"]}
     assert result.retrievals == [Retrieval("d 2", 1, ["d 2 0"])]
-    assert result.prediction.outputs == {"value": "ok"}
+    assert result.final_outputs == {"value": "ok"}
 
 
 def test_workers_share_one_index_and_rank_as_one_worker():
@@ -1036,7 +1042,7 @@ def test_trace_save_load_round_trip(tmp_path):
         [(s.module_id, s.attempt) for s in result.steps]
     assert loaded.constraints == result.constraints
     assert (loaded.calls, loaded.sites) == (result.calls, result.sites)
-    assert loaded.prediction.outputs == result.prediction.outputs
+    assert loaded.final_outputs == result.final_outputs
 
 
 json_values = st.recursive(
@@ -1130,7 +1136,7 @@ def test_write_json_keeps_old_file_when_payload_cannot_be_encoded(tmp_path):
 
 
 def text_result(text: str) -> RunResult:
-    return RunResult(prediction=Prediction(outputs={"value": text}, raw_completion=f"Value: {text}"),
+    return RunResult(final_outputs={"value": text},
                      steps=[], constraints=[], calls=0, sites=0, error=text)
 
 
@@ -1189,7 +1195,7 @@ def test_chain_of_thought_module_in_engine():
         ScriptEntry(match="Question: Where", responses=["Reasoning: easy\nAnswer: Paris"]),
     ]))
     result = run_with_backtracking(program, {"question": "Where?"}, RuntimeConfig(), backend)
-    assert result.prediction.outputs == {"rationale": "easy", "answer": "Paris"}
+    assert result.final_outputs == {"rationale": "easy", "answer": "Paris"}
 
 
 class SuggestBeforeCallProgram(Program):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import inspect
 
 import pytest
@@ -51,7 +50,7 @@ def test_multihop_clean_run_retrieves_six_passages(index, test_examples):
     assert [p.title for p in passages] == [t for found in result.retrievals for t in found.titles]
     assert result.steps[-1].inputs["context"] == passages_to_text(passages)
     assert suggestions_passed(result) == (1.0, False)
-    assert answer_em(result.prediction.outputs["answer"], ex.answer) == 1.0
+    assert answer_em(result.final_outputs["answer"], ex.answer) == 1.0
     assert retrieval_recall([p.title for p in passages], ex.gold_titles) == 1.0
 
 
@@ -231,7 +230,7 @@ def test_transparency_assertions_inactive_vs_active_when_all_pass(index, test_ex
                               script_backend("multihop_all_pass.json"))
     without = run_task_example(MultiHopQA(index), ex, RECORD_ONLY,
                                script_backend("multihop_all_pass.json"))
-    assert with_a.prediction.outputs == without.prediction.outputs
+    assert with_a.final_outputs == without.final_outputs
 
 
 def test_clone_shares_immutable_parts_and_owns_its_modules(index):
@@ -250,7 +249,7 @@ def test_clone_shares_immutable_parts_and_owns_its_modules(index):
         assert all(a is not b for a, b in zip(copied.demos, module.demos))
     assert clone.faithful_judge.signature is program.faithful_judge.signature
     field = program.generate_tweet.signature.output_fields[0]
-    assert copy.deepcopy(field) is field
+    assert clone.generate_tweet.signature.output_fields[0] is field
     clone.generate_tweet.demos.append({"question": "q", "tweet": "t"})
     assert len(program.generate_tweet.demos) == 2
 
@@ -317,7 +316,7 @@ def test_longform_retried_into_fewer_citations_scores_only_its_answer(index, tes
         ScriptEntry(match="Assessment Question:", responses=["Assessment Answer: Yes"]),
     ]))
     result = run_task_example(LongFormQA(index), ex, ASSERTIVE, backend)
-    assert result.prediction.outputs["paragraph"] == "One fact [1]."
+    assert result.final_outputs["paragraph"] == "One fact [1]."
     row = score_example("longform", ex, result)
     assert row["suggestions_passed"] == 1.0
     assert row["citation_faithfulness"] == 1.0
