@@ -2,7 +2,8 @@
 
 Five strategies (``_STRATEGIES``) select where constraints are active: in the
 compiled program's student runs, in the teacher runs that compile harvests
-demonstrations from, or neither.
+demonstrations from, or neither. ``runtimes`` turns a strategy and the
+configured ``RuntimeConfig`` into the student's and the teacher's.
 
 Scripted runs (--script, or backend.script in the config file) are fully
 deterministic: repeated invocations produce byte-identical artifacts and reports.
@@ -25,7 +26,7 @@ from .backend import (
     ScriptedBackend,
     load_script,
 )
-from .core import BOOL, INT, OBJECT, OPTIONAL_STR, STR, check_record, read_json
+from .core import INT, OBJECT, OPTIONAL_STR, STR, check_record, read_json
 from .evaluation import (
     BOOTSTRAP_MAX_SCORE,
     bootstrap_metric,
@@ -33,7 +34,7 @@ from .evaluation import (
     evaluate_dataset,
     run_task_example,
 )
-from .metrics import MetricReport, load_dataset
+from .metrics import load_dataset
 from .optimizers import CompileConfig, load_compiled_program, random_search_compile, save_compiled_program
 from .retrieval import RetrieverIndex, load_corpus, load_index
 from .runtime import (
@@ -47,8 +48,6 @@ from .runtime import (
     write_json as _write_json,
 )
 from .tasks import COMPLETE, TASKS, VARIANTS, build_program
-
-REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,16 @@ def strategy_from_label(label: str) -> Strategy:
         raise ValueError(f"unknown strategy {label!r}; expected one of {STRATEGY_LABELS}")
 
 
+def runtimes(strategy: Strategy, runtime: RuntimeConfig) -> tuple[RuntimeConfig, RuntimeConfig]:
+    """The student's and the teacher's runtime config under ``strategy``:
+    ``runtime`` for the runs it asserts in, else ``runtime`` under
+    ``disable_all``, which keeps ``max_retries`` for the artifact to record."""
+    def under(assertions: Optional[bool]) -> RuntimeConfig:
+        return runtime if assertions else replace(runtime, handler_policy=DISABLE_ALL)
+
+    return under(strategy.student_assertions), under(strategy.teacher_assertions)
+
+
 @dataclass
 class RunConfig:
     """Everything one compile or eval invocation needs."""
@@ -104,8 +113,7 @@ def bundled_data_path(name: str) -> Path:
 _CONFIG_SECTIONS = {
     "backend": {"script": OPTIONAL_STR, "model": STR, "api_base": OPTIONAL_STR},
     "runtime": {"max_retries": INT, "handler_policy": STR},
-    "compile": {"max_bootstrapped_demos": INT, "num_candidates": INT, "rng_seed": INT,
-                "collect_counterexamples": BOOL},
+    "compile": {"max_bootstrapped_demos": INT, "num_candidates": INT, "rng_seed": INT},
 }
 _CONFIG_FIELDS = {**dict.fromkeys(_CONFIG_SECTIONS, OBJECT),
                   "instructions": (f"one of {VARIANTS}", lambda v: v in VARIANTS), "corpus": OPTIONAL_STR}
@@ -124,9 +132,8 @@ def _checked_config(raw) -> dict:
     check_record(raw, _CONFIG_FIELDS, "config", optional=_CONFIG_FIELDS)  # top level first
     for section, fields in _CONFIG_SECTIONS.items():
         check_record(raw.get(section, {}), fields, f"config {section}", optional=fields)
-    # the CLI collects counterexamples unless told not to; the API does not
     return {**raw, "runtime": RuntimeConfig(**raw.get("runtime", {})),
-            "compile": CompileConfig(**{"collect_counterexamples": True, **raw.get("compile", {})})}
+            "compile": CompileConfig(**raw.get("compile", {}))}
 
 
 def assemble_run_config(
@@ -182,16 +189,11 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
         raise ValueError(f"strategy {config.strategy.label!r} does not compile; nothing to do")
     trainset = load_dataset(train_path)
     devset = load_dataset(dev_path)
-    teacher_assertions = bool(config.strategy.teacher_assertions)
-    compile_config = replace(
-        config.compile_config,
-        teacher_assertions=teacher_assertions,
-        teacher_runtime=config.runtime,
-        collect_counterexamples=teacher_assertions and config.compile_config.collect_counterexamples,
-    )
+    _, teacher = runtimes(config.strategy, config.runtime)
+    compile_config = replace(config.compile_config, teacher_runtime=teacher)
     backend = make_backend(config)
     try:
-        compiled, report = random_search_compile(
+        compiled, candidates = random_search_compile(
             make_program(config), trainset, devset, bootstrap_metric(config.task),
             config=compile_config, backend=backend, run_example=run_task_example,
             max_score=BOOTSTRAP_MAX_SCORE,
@@ -201,19 +203,18 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     artifact_path = config.out_dir / "compiled_program.json"
     save_compiled_program(compiled, config.task, compile_config, artifact_path)
-    _write_json(report.to_dict(), config.out_dir / "candidates.json")
+    _write_json(candidates, config.out_dir / "candidates.json")
     return artifact_path
 
 
-def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] = None) -> MetricReport:
-    """Evaluate the strategy over a dataset; writes report.json and summary.txt."""
+def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] = None) -> dict:
+    """Evaluate the strategy over a dataset; writes report.json and summary.txt,
+    and returns the report.json object."""
     strategy = config.strategy
     if strategy.compiled and artifact_path is None:
         raise ValueError(f"strategy {strategy.label!r} needs a compiled artifact (--artifact)")
     examples = load_dataset(test_path)
-    runtime = config.runtime
-    if not strategy.student_assertions:
-        runtime = replace(runtime, handler_policy=DISABLE_ALL)
+    runtime, _ = runtimes(strategy, config.runtime)
     backend = make_backend(config)
     try:
         program = make_program(config)
@@ -237,24 +238,24 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
             stale.unlink()
     for name, result in traces.items():
         save_trace(result, traces_dir / name)
-    _write_json({"version": REPORT_VERSION, **vars(report)}, config.out_dir / "report.json")
+    _write_json(report, config.out_dir / "report.json")
     overwrite(format_summary(report).encode("utf-8"), config.out_dir / "summary.txt")
     return report
 
 
-def format_summary(report: MetricReport) -> str:
+def format_summary(report: dict) -> str:
     lines = [
-        f"task:     {report.task}",
-        f"strategy: {report.strategy}",
-        f"examples: {report.n_examples}",
+        f"task:     {report['task']}",
+        f"strategy: {report['strategy']}",
+        f"examples: {report['n_examples']}",
         "",
         f"{'metric':<24} {'mean':>8}",
         f"{'-' * 24} {'-' * 8}",
     ]
-    for name in TASKS[report.task].columns:
-        if name in report.metrics:
-            lines.append(f"{name:<24} {report.metrics[name]:>8.4f}")
-    for flag in report.flags:
+    for name in TASKS[report["task"]].columns:
+        if name in report["metrics"]:
+            lines.append(f"{name:<24} {report['metrics'][name]:>8.4f}")
+    for flag in report["flags"]:
         lines.append(f"flag: {flag}")
     return "\n".join(lines) + "\n"
 
@@ -318,8 +319,8 @@ def _run_eval(args) -> None:
                                  args.workers)
     report = cmd_eval(config, Path(args.test), Path(args.artifact) if args.artifact else None)
     print(format_summary(report))
-    failures = sum(1 for row in report.rows if "error" in row)
-    if report.rows and failures == len(report.rows):
+    rows = report["rows"]
+    if rows and all("error" in row for row in rows):
         sys.exit(1)
 
 

@@ -3,6 +3,7 @@
 Rows keep the raw per-example predicate booleans so each reported mean can be
 recomputed independently. Example fan-out uses threads sharing one backend and
 cache; rows are assembled in dataset order regardless of worker count.
+``build_report`` returns the ``report.json`` object over those rows.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from typing import Optional, Sequence
 
 from .backend import BackendError
 from .core import RunResult
-from .metrics import MetricReport, TaskExample, suggestions_passed, summarize_rows
+from .metrics import TaskExample, suggestions_passed, summarize_rows
 from .runtime import PassBudgetExceeded, Program, RuntimeConfig, run_with_backtracking
 from .tasks import TASKS
 
 logger = logging.getLogger(__name__)
+
+REPORT_VERSION = 1
 
 
 def run_task_example(
@@ -85,19 +88,20 @@ def evaluate_dataset(
     return rows, results
 
 
-def build_report(task: str, strategy: str, rows: Sequence[dict]) -> MetricReport:
+def build_report(task: str, strategy: str, rows: Sequence[dict]) -> dict:
+    """The ``report.json`` object: the task's column means over ``rows``
+    (``metrics``), its flags and the rows themselves."""
     spec = TASKS[task]
-    report = MetricReport(strategy=strategy, task=task, n_examples=len(rows), rows=list(rows))
-    report.metrics = summarize_rows(rows, spec.columns)
+    flags = []
     failures = sum(1 for row in rows if "error" in row)
     if not rows:
-        report.flags.append("empty_dataset")
+        flags.append("empty_dataset")
     if failures:
-        report.flags.append(f"{failures}_examples_failed")
+        flags.append(f"{failures}_examples_failed")
     if any(row.get("suggestions_vacuous") for row in rows):
-        report.flags.append("some_examples_had_no_suggestions")
-    report.flags.extend(spec.flags)
-    return report
+        flags.append("some_examples_had_no_suggestions")
+    return {"version": REPORT_VERSION, "strategy": strategy, "task": task, "n_examples": len(rows),
+            "metrics": summarize_rows(rows, spec.columns), "flags": [*flags, *spec.flags], "rows": list(rows)}
 
 
 # every task's bootstrap column scores in [0, 1]

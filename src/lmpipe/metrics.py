@@ -9,7 +9,7 @@ recall, citation precision/recall, and the gated composite scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -38,18 +38,6 @@ def load_dataset(path: str | Path) -> list[TaskExample]:
     """One JSON record per line with fields {question, answer, gold_titles},
     the last optional."""
     return read_jsonl(path, "dataset record", _DATASET_FIELDS, TaskExample, optional=("gold_titles",))
-
-
-@dataclass
-class MetricReport:
-    """Per-metric means over an evaluated set, plus the raw per-example rows."""
-
-    strategy: str
-    task: str
-    n_examples: int
-    metrics: dict[str, float] = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
 
 
 def answer_em(prediction_text: str, gold: str) -> float:

@@ -1,24 +1,27 @@
 """Few-shot compilation.
 
 `bootstrap_few_shot` runs the program as its own teacher over the training
-set and harvests per-module input/output pairs from runs whose final metric
-passes. With teacher assertions active, a run only qualifies when every
-constraint site ultimately passed, so harvested demos are guaranteed to obey
-the intermediate constraints too. Recovered failures can additionally be kept
-as counterexamples: the failed output, the instruction that fixed it, and the
-corrected output, rendered into prompts ahead of the ordinary demos.
+set, under ``CompileConfig.teacher_runtime``, and harvests per-module
+input/output pairs from runs whose final metric passes. A teacher whose
+handler policy is not ``disable_all`` runs with assertions: a run only
+qualifies when every constraint site ultimately passed, so harvested demos
+obey the intermediate constraints too, and its recovered failures are kept as
+counterexamples: the failed output, the instruction that fixed it, and the
+corrected output, rendered into prompts ahead of the ordinary demos. A
+``disable_all`` teacher is naive: it never retries, and only the metric
+filters its runs.
 
 `random_search_compile` builds several candidates under different training
 orders and keeps the one scoring best on the validation set. Given the
 metric's maximum, it stops validating a candidate once that candidate can no
-longer win.
+longer win. It returns the winner and the ``candidates.json`` object.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,7 +30,7 @@ from .core import (PASSED, RETRIED, Counterexample, RunResult, check_record, che
 from .core import INT, LIST, OBJECT, STR, STR_LIST, STR_MAP
 from .evaluation import run_task_example
 from .metrics import TaskExample, mean_of
-from .runtime import DISABLE_ALL, Program, RuntimeConfig, write_json
+from .runtime import DISABLE_ALL, NO_CONSTRAINTS, Program, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -50,17 +53,19 @@ class CompileConfig:
     max_bootstrapped_demos: int = 2
     num_candidates: int = 6
     rng_seed: int = 0
-    teacher_assertions: bool = False
-    collect_counterexamples: bool = False
-    # teachers run under it (under DISABLE_ALL without teacher_assertions);
-    # validation runs under DISABLE_ALL, which never retries
-    teacher_runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
+    # teachers run under it; validation runs under NO_CONSTRAINTS
+    teacher_runtime: RuntimeConfig = NO_CONSTRAINTS
 
     def __post_init__(self) -> None:
         if self.max_bootstrapped_demos < 0:
             raise ValueError("max_bootstrapped_demos must be >= 0")
         if self.num_candidates < 1:
             raise ValueError("num_candidates must be >= 1")
+
+    @property
+    def teacher_assertions(self) -> bool:
+        """Whether teachers run with assertions: under any policy but ``disable_all``."""
+        return self.teacher_runtime.handler_policy != DISABLE_ALL
 
 
 def _metric_passes(value: object) -> bool:
@@ -117,20 +122,18 @@ def bootstrap_few_shot(
 
     ``run_example`` executes one training example; the default passes the
     example fields the program names in ``inputs``. Teacher and student share
-    `backend`.
+    `backend`. With ``config.teacher_assertions``, a run whose constraint sites
+    did not all end passed is dropped, and each module keeps the first
+    counterexample the kept runs recovered.
     """
     compiled = program.clone()
-    teacher_config = config.teacher_runtime
-    if not config.teacher_assertions:
-        teacher_config = replace(teacher_config, handler_policy=DISABLE_ALL)
-
     demos: DemoSet = {module_id: [] for module_id in compiled.modules}
     counterexamples: dict[str, list[Counterexample]] = {m: [] for m in compiled.modules}
     harvested_any = False
     for example in trainset:
         if all(len(d) >= config.max_bootstrapped_demos for d in demos.values()):
             break
-        result = run_example(program, example, teacher_config, backend)
+        result = run_example(program, example, config.teacher_runtime, backend)
         if result.final_outputs is None:  # halted
             continue
         value = metric(example, result.final_outputs, result)
@@ -145,11 +148,11 @@ def bootstrap_few_shot(
             if len(demos[step.module_id]) >= config.max_bootstrapped_demos:
                 continue
             demos[step.module_id].append({**step.inputs, **step.outputs})
-        if config.collect_counterexamples:
-            for ce in collect_counterexamples(program, [result]):
-                bucket = counterexamples[ce.module_id]
-                if len(bucket) < COUNTEREXAMPLES_PER_MODULE:
-                    bucket.append(ce)
+        # a naive teacher never retries, so it recovers no failure
+        for ce in collect_counterexamples(program, [result]):
+            bucket = counterexamples[ce.module_id]
+            if len(bucket) < COUNTEREXAMPLES_PER_MODULE:
+                bucket.append(ce)
 
     if not harvested_any:
         logger.warning("bootstrap harvested no demonstrations; compiled program has none")
@@ -157,41 +160,6 @@ def bootstrap_few_shot(
         module.demos = list(demos[module_id])
         module.counterexamples = list(counterexamples[module_id])
     return compiled
-
-
-@dataclass
-class CandidateReport:
-    index: int
-    score: float
-    demo_counts: dict[str, int]
-
-
-@dataclass
-class PrunedReport:
-    """A candidate whose validation stopped after ``dev_scored`` examples,
-    because its mean could reach at most ``bound``, no more than the best so far."""
-
-    index: int
-    demo_counts: dict[str, int]
-    dev_scored: int
-    bound: float
-
-
-@dataclass
-class SearchReport:
-    rng_seed: int
-    candidates: list[CandidateReport]
-    best_index: int
-    pruned: list[PrunedReport]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": CANDIDATES_VERSION,
-            "rng_seed": self.rng_seed,
-            "best_index": self.best_index,
-            "candidates": [dict(vars(c)) for c in self.candidates],
-            "pruned": [dict(vars(p)) for p in self.pruned],
-        }
 
 
 def random_search_compile(
@@ -203,29 +171,32 @@ def random_search_compile(
     backend=None,
     run_example: RunExample = run_task_example,
     max_score: float | None = None,
-) -> tuple[Program, SearchReport]:
+) -> tuple[Program, dict]:
     """Bootstrap ``num_candidates`` variants under seeded shuffles and keep the
     one with the best mean validation metric (ties: lowest candidate index).
+    Returns it and the ``candidates.json`` object, which lists each candidate
+    once: under ``candidates`` with its ``score``, or under ``pruned``.
 
-    Candidates are scored with constraints recorded but never retried, so the
-    extrinsic metric alone drives selection.
+    Candidates are scored under ``NO_CONSTRAINTS``, so the extrinsic metric
+    alone drives selection.
 
     ``max_score`` declares the most ``metric`` can score; a higher value
     raises ``ValueError``. With it, every candidate is still bootstrapped, but
     before a candidate scores dev example ``j`` its validation stops once
     ``mean_of(scores + [max_score] * (n - j))`` is at most the best mean so
-    far. The candidate's own mean is ``mean_of(scores)`` too, whose correctly
-    rounded sum is monotone in each term, so a stopped candidate could not
-    have won: the selected candidate is the one the full search selects.
+    far; it is listed with ``dev_scored`` (``j``) and that ``bound``. The
+    candidate's own mean is ``mean_of(scores)`` too, whose correctly rounded
+    sum is monotone in each term, so a stopped candidate could not have won:
+    the selected candidate is the one the full search selects.
     """
     if not valset:
         raise ValueError("valset must be nonempty")
-    eval_config = replace(config.teacher_runtime, handler_policy=DISABLE_ALL)
     n = len(valset)
 
     rng = random.Random(config.rng_seed)
-    scored: list[tuple[CandidateReport, Program]] = []
-    pruned: list[PrunedReport] = []
+    candidates: list[dict] = []
+    pruned: list[dict] = []
+    best = best_score = best_index = None
     for index in range(config.num_candidates):
         order = list(trainset)
         rng.shuffle(order)
@@ -233,27 +204,27 @@ def random_search_compile(
             program, order, metric, config=config, backend=backend, run_example=run_example
         )
         demo_counts = {m: len(mod.demos) for m, mod in compiled.modules.items()}
-        best = max(report.score for report, _ in scored) if scored else None
         scores: list[float] = []
         for j, example in enumerate(valset):
-            if best is not None and max_score is not None:
+            if best_score is not None and max_score is not None:
                 bound = mean_of(scores + [max_score] * (n - j))
-                if bound <= best:
-                    pruned.append(PrunedReport(index, demo_counts, dev_scored=j, bound=bound))
+                if bound <= best_score:
+                    pruned.append({"index": index, "demo_counts": demo_counts, "dev_scored": j, "bound": bound})
                     break
-            result = run_example(compiled, example, eval_config, backend)
+            result = run_example(compiled, example, NO_CONSTRAINTS, backend)
             value = 0.0  # halted
             if result.final_outputs is not None:
                 value = float(metric(example, result.final_outputs, result))
             if max_score is not None and value > max_score:
                 raise ValueError(f"metric scored {value}, above its declared maximum {max_score}")
             scores.append(value)
-        if len(scores) == n:
-            scored.append((CandidateReport(index, mean_of(scores), demo_counts), compiled))
-    best_index = max(range(len(scored)), key=lambda i: (scored[i][0].score, -i))
-    report = SearchReport(rng_seed=config.rng_seed, candidates=[r for r, _ in scored],
-                          best_index=scored[best_index][0].index, pruned=pruned)
-    return scored[best_index][1], report
+        else:
+            score = mean_of(scores)
+            candidates.append({"index": index, "score": score, "demo_counts": demo_counts})
+            if best_score is None or score > best_score:  # a tie keeps the lower index
+                best, best_score, best_index = compiled, score, index
+    return best, {"version": CANDIDATES_VERSION, "rng_seed": config.rng_seed, "best_index": best_index,
+                  "candidates": candidates, "pruned": pruned}
 
 
 def compiled_program_to_dict(program: Program, task: str, config: CompileConfig) -> dict:
@@ -273,7 +244,7 @@ def compiled_program_to_dict(program: Program, task: str, config: CompileConfig)
             "num_candidates": config.num_candidates,
             "rng_seed": config.rng_seed,
             "teacher_assertions": config.teacher_assertions,
-            "collect_counterexamples": config.collect_counterexamples,
+            "collect_counterexamples": config.teacher_assertions,
             "max_retries": config.teacher_runtime.max_retries,
         },
         "modules": modules,

@@ -101,6 +101,10 @@ class RuntimeConfig:
             raise ValueError(f"unknown handler policy {self.handler_policy!r}")
 
 
+# records every constraint and never retries, halts or warns
+NO_CONSTRAINTS = RuntimeConfig(handler_policy=DISABLE_ALL)
+
+
 def check_constraint(kind: str, passed: bool, can_retry: bool, policy: str) -> str:
     """The disposition of one evaluation of a ``kind`` constraint: the
     transition rule, adjusted by the handler ``policy``. ``can_retry`` says
@@ -204,9 +208,9 @@ class ExecutionContext:
         self._replaying = backtrack is not None
 
     def call(self, module: PredictModule, **inputs: str) -> dict[str, str]:
-        """Invoke a module and return its outputs; replays the previous pass's
-        when possible. The position counts toward the pass's ``calls`` once
-        the call returns."""
+        """Invoke a module and return a copy of its outputs, so that editing
+        it leaves the trace alone; replays the previous pass's when possible.
+        The position counts toward the pass's ``calls`` once the call returns."""
         position = self._pos
         feedback = ()
         if self._backtrack is not None and position == self._backtrack[1]:
@@ -238,7 +242,7 @@ class ExecutionContext:
         self.steps.append(step)
         self._slots[position] = _Slot(module, step, len(self.steps) - 1, self._site_counter)
         self._pos += 1
-        return outputs
+        return dict(outputs)
 
     def retrieve(self, search: Callable, index: Any, query: str, k: int) -> list:
         """``search(index, query, k)``'s passages as a new list, recorded on the run.

@@ -230,7 +230,7 @@ def demo_predicates_pass(module_id: str, demo) -> bool:
 def test_criterion_4_assertion_filter_soundness(index, trainset):
     metric = bootstrap_metric("multihop")
     with_filter = bootstrap_few_shot(
-        MultiHopQA(index), trainset, metric, CompileConfig(teacher_assertions=True),
+        MultiHopQA(index), trainset, metric, CompileConfig(teacher_runtime=RuntimeConfig()),
         script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     query_demos = with_filter.modules["generate_query"].demos
@@ -243,7 +243,7 @@ def test_criterion_4_assertion_filter_soundness(index, trainset):
     assert passing == total  # 100%
 
     naive = bootstrap_few_shot(
-        MultiHopQA(index), trainset, metric, CompileConfig(teacher_assertions=False),
+        MultiHopQA(index), trainset, metric, CompileConfig(),
         script_backend("multihop_teacher_naive.json"), run_task_example,
     )
     failing = [
@@ -270,7 +270,7 @@ def test_criterion_5_counterexample_bootstrapping(index, trainset):
 
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, bootstrap_metric("multihop"),
-        CompileConfig(teacher_assertions=True, collect_counterexamples=True),
+        CompileConfig(teacher_runtime=RuntimeConfig()),
         script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     prompt = compiled.modules["generate_query"].render({"context": "N/A", "question": "Q?"})
@@ -294,7 +294,7 @@ def test_criterion_6_random_search_determinism(index, trainset, devset, tmp_path
         artifact = tmp_path / f"artifact_{tag}.json"
         save_compiled_program(best, "multihop", config, artifact)
         report_path = tmp_path / f"report_{tag}.json"
-        report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
         return artifact.read_bytes(), report_path.read_bytes()
 
     artifact_a, report_a = compile_once("a")

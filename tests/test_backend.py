@@ -830,7 +830,7 @@ def test_eval_closes_its_kept_alive_connections(serve, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "make_backend", keep)
     config = cli.assemble_run_config("multihop", "vanilla", str(tmp_path / "out"))
-    assert cli.cmd_eval(config, dataset).metrics["answer_em"] == 1.0
+    assert cli.cmd_eval(config, dataset)["metrics"]["answer_em"] == 1.0
     assert (len(server.seen), server.connections, len(made)) == (3, 1, 1)
     wait_until(lambda: server.closed == 1)
 

@@ -638,6 +638,7 @@ def test_readme_config_example_loads(tmp_path):
     ({"runtime": {"max_retries": -1}}, "max_retries must be >= 0"),
     ({"runtime": {"handler_policy": "bogus"}}, "unknown handler policy 'bogus'"),
     ({"compile": {"num_candidates": 0}}, "num_candidates must be >= 1"),
+    ({"compile": {"collect_counterexamples": False}}, "unknown key 'collect_counterexamples' in config compile"),
 ])
 def test_eval_rejects_bad_config(tmp_path, payload, error):
     config = write_config(tmp_path, payload)
@@ -931,14 +932,41 @@ def test_config_max_bootstrapped_demos_caps_the_demos(tmp_path):
     assert demo_counts("one", {"max_bootstrapped_demos": 1}) == {"generate_query": 1, "generate_answer": 1}
 
 
-def test_config_collect_counterexamples_false_keeps_none(tmp_path):
-    def counterexamples(name: str, section: dict) -> int:
-        modules = compiled_modules(tmp_path, name, "compile_assert",
-                                   "multihop_teacher_assert.json", section)
+def teacher_assert_script(tmp_path: Path) -> str:
+    """``multihop_teacher_assert.json`` with one last entry, a wrong answer to
+    every prompt the script lacks. The script covers the asserted teacher's
+    calls only: a naive teacher searches with its over-long first query, and
+    the prompt after that search is unscripted."""
+    script = json.loads(Path(data("scripts/multihop_teacher_assert.json")).read_text(encoding="utf-8"))
+    script["entries"].append({"match": "Question:", "responses": ["Reasoning: r\nQuery: q\nAnswer: a"]})
+    path = tmp_path / "teacher_assert.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    return str(path)
+
+
+def test_compile_assert_collects_counterexamples_and_compile_none(tmp_path):
+    script = teacher_assert_script(tmp_path)
+
+    def counterexamples(strategy: str) -> int:
+        out = run_command("compile", "multihop", strategy, script, tmp_path / strategy,
+                          {"compile": {"num_candidates": 1}})
+        modules = json.loads((out / "compiled_program.json").read_text())["modules"]
         return sum(len(module["counterexamples"]) for module in modules.values())
 
-    assert counterexamples("default", {}) > 0
-    assert counterexamples("off", {"collect_counterexamples": False}) == 0
+    assert counterexamples("compile_assert") > 0
+    assert counterexamples("compile") == 0
+
+
+def test_a_disable_all_teacher_compiles_as_the_compile_strategy(tmp_path):
+    # a teacher that never retries is the naive one, whatever the strategy
+    script = teacher_assert_script(tmp_path)
+    payload = {"runtime": {"handler_policy": "disable_all"}}
+    outs = [run_command("compile", "multihop", strategy, script, tmp_path / strategy, payload)
+            for strategy in ("compile", "compile_assert")]
+    for name in ("compiled_program.json", "candidates.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    artifact = json.loads((outs[1] / "compiled_program.json").read_text())
+    assert artifact["compile_config"]["teacher_assertions"] is False
 
 
 def test_config_instructions_primitive_reaches_the_program(tmp_path):

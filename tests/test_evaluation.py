@@ -45,9 +45,9 @@ def test_evaluate_dataset_full_testset(index, testset):
     assert all(row["answer_em"] == 1.0 for row in rows)
     assert all(row["retrieval_recall"] == 1.0 for row in rows)
     report = build_report("multihop", "infer_assert", rows)
-    assert report.metrics["answer_em"] == 1.0
-    assert report.metrics["suggestions_passed"] == 1.0
-    assert report.flags == []
+    assert report["metrics"]["answer_em"] == 1.0
+    assert report["metrics"]["suggestions_passed"] == 1.0
+    assert report["flags"] == []
 
 
 def test_evaluate_dataset_error_rows(index, testset):
@@ -61,8 +61,8 @@ def test_evaluate_dataset_error_rows(index, testset):
     assert all(result.steps == [] and result.error == row["error"]
                for row, result in zip(rows, results))
     report = build_report("multihop", "vanilla", rows)
-    assert "6_examples_failed" in report.flags
-    assert report.metrics == {}
+    assert "6_examples_failed" in report["flags"]
+    assert report["metrics"] == {}
 
 
 class RaisingQA(MultiHopQA):
@@ -96,8 +96,8 @@ def test_evaluate_dataset_isolates_any_exception(index, testset, workers):
     assert len(others) == len(testset) - 1
     assert all(row["answer_em"] == 1.0 for row in others)
     report = build_report("multihop", "infer_assert", rows)
-    assert "1_examples_failed" in report.flags
-    assert report.metrics["answer_em"] == 1.0
+    assert "1_examples_failed" in report["flags"]
+    assert report["metrics"]["answer_em"] == 1.0
 
 
 def test_multihop_recall_keeps_titles_containing_separator():
@@ -119,8 +119,8 @@ def test_multihop_recall_keeps_titles_containing_separator():
     rows, _ = evaluate_dataset("multihop", MultiHopQA(index), [example],
                                RuntimeConfig(), backend)
     report = build_report("multihop", "infer_assert", rows)
-    assert report.metrics["retrieval_recall"] == 1.0
-    assert report.metrics["answer_em"] == 1.0
+    assert report["metrics"]["retrieval_recall"] == 1.0
+    assert report["metrics"]["answer_em"] == 1.0
 
 
 def test_quiz_choices_nested_too_deep_fail_the_format_suggestion():
@@ -172,7 +172,7 @@ def test_a_halted_run_is_a_scored_row_flagged_halted():
     assert row == {"question": "Q?", "suggestions_passed": 1.0, "suggestions_vacuous": True,
                    "format": 0.0, "has_answer": 0.0, "plausible": 0.0, "validity": 0.0,
                    "halted": True}
-    assert "1_examples_failed" not in build_report("quiz", "infer_assert", [row]).flags
+    assert "1_examples_failed" not in build_report("quiz", "infer_assert", [row])["flags"]
 
 
 def test_report_flags_examples_that_had_no_suggestions(testset):
@@ -180,15 +180,15 @@ def test_report_flags_examples_that_had_no_suggestions(testset):
     rows, _ = evaluate_dataset("quiz", QuizGen(), testset[:1], RuntimeConfig(),
                                script_backend("quiz_all_pass.json"))
     assert "suggestions_vacuous" not in rows[0]
-    assert "some_examples_had_no_suggestions" not in build_report("quiz", "infer_assert", rows).flags
-    flags = build_report("quiz", "infer_assert", rows + [vacuous]).flags
+    assert "some_examples_had_no_suggestions" not in build_report("quiz", "infer_assert", rows)["flags"]
+    flags = build_report("quiz", "infer_assert", rows + [vacuous])["flags"]
     assert "some_examples_had_no_suggestions" in flags
 
 
 def test_build_report_empty_dataset_flagged():
     report = build_report("quiz", "vanilla", [])
-    assert report.n_examples == 0
-    assert "empty_dataset" in report.flags
+    assert report["n_examples"] == 0
+    assert "empty_dataset" in report["flags"]
 
 
 @pytest.mark.parametrize("task,script,program_factory,expected", [

@@ -87,7 +87,7 @@ def test_reports_rescore_from_their_traces(matrix_run, tmp_path):
         rows = [score_example(task, example, load_trace(eval_dir / "traces" / f"example_{i:03d}.json"))
                 for i, example in enumerate(examples)]
         report = build_report(task, label, rows)
-        write_json({"version": cli.REPORT_VERSION, **vars(report)}, tmp_path / "report.json")
+        write_json(report, tmp_path / "report.json")
         assert (tmp_path / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes(), eval_dir
 
 

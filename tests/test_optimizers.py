@@ -22,7 +22,7 @@ from lmpipe.optimizers import (
     save_compiled_program,
 )
 from lmpipe.retrieval import RetrieverIndex, load_corpus
-from lmpipe.runtime import Program, RuntimeConfig, load_trace, run_with_backtracking, save_trace
+from lmpipe.runtime import NO_CONSTRAINTS, Program, RuntimeConfig, load_trace, run_with_backtracking, save_trace
 from lmpipe.tasks import MultiHopQA, QuizGen, TweetGen
 
 from lmpipe.cli import bundled_data_path
@@ -53,7 +53,7 @@ METRIC = bootstrap_metric("multihop")
 def test_bootstrap_with_assertions_filters_to_passing_demos(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
-        CompileConfig(teacher_assertions=True), script_backend("multihop_teacher_assert.json"),
+        CompileConfig(teacher_runtime=RuntimeConfig()), script_backend("multihop_teacher_assert.json"),
         run_task_example,
     )
     demos = compiled.modules["generate_query"].demos
@@ -67,7 +67,7 @@ def test_bootstrap_with_assertions_filters_to_passing_demos(index, trainset):
 def test_bootstrap_naive_keeps_violating_demo(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
-        CompileConfig(teacher_assertions=False), script_backend("multihop_teacher_naive.json"),
+        CompileConfig(), script_backend("multihop_teacher_naive.json"),
         run_task_example,
     )
     queries = [d["query"] for d in compiled.modules["generate_query"].demos]
@@ -76,7 +76,7 @@ def test_bootstrap_naive_keeps_violating_demo(index, trainset):
 
 def test_bootstrap_does_not_mutate_input_program(index, trainset):
     program = MultiHopQA(index)
-    bootstrap_few_shot(program, trainset, METRIC, CompileConfig(teacher_assertions=True),
+    bootstrap_few_shot(program, trainset, METRIC, CompileConfig(teacher_runtime=RuntimeConfig()),
                        script_backend("multihop_teacher_assert.json"), run_task_example)
     assert program.modules["generate_query"].demos == []
 
@@ -139,7 +139,7 @@ def test_counterexamples_unrecovered_failure_empty(index, trainset):
 def test_bootstrap_attaches_counterexamples_and_renders_them(index, trainset):
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC,
-        CompileConfig(teacher_assertions=True, collect_counterexamples=True),
+        CompileConfig(teacher_runtime=RuntimeConfig()),
         script_backend("multihop_teacher_assert.json"), run_task_example,
     )
     ces = compiled.modules["generate_query"].counterexamples
@@ -164,12 +164,12 @@ def test_random_search_deterministic_and_budgeted(index, trainset, devset):
     first, report1 = compile_once()
     second, report2 = compile_once()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    assert report1.to_dict() == report2.to_dict()
+    assert report1 == report2
     # every candidate is bootstrapped, and reported scored in full or pruned
-    searched = report1.candidates + report1.pruned
-    assert sorted(c.index for c in searched) == list(range(6))
+    searched = report1["candidates"] + report1["pruned"]
+    assert sorted(c["index"] for c in searched) == list(range(6))
     for candidate in searched:
-        assert all(count <= 2 for count in candidate.demo_counts.values())
+        assert all(count <= 2 for count in candidate["demo_counts"].values())
 
 
 def test_random_search_tie_breaks_to_lowest_index(index, trainset, devset):
@@ -177,8 +177,8 @@ def test_random_search_tie_breaks_to_lowest_index(index, trainset, devset):
         MultiHopQA(index), trainset, devset, METRIC, CompileConfig(rng_seed=13),
         script_backend("multihop_all_pass.json"), run_task_example,
     )
-    scores = [c.score for c in report.candidates]
-    assert report.best_index == scores.index(max(scores))
+    scores = [c["score"] for c in report["candidates"]]
+    assert report["best_index"] == scores.index(max(scores))
 
 
 def test_random_search_single_candidate(index, trainset, devset):
@@ -187,9 +187,9 @@ def test_random_search_single_candidate(index, trainset, devset):
         CompileConfig(rng_seed=3, num_candidates=1),
         script_backend("multihop_all_pass.json"), run_task_example, max_score=BOOTSTRAP_MAX_SCORE,
     )
-    assert len(report.candidates) + len(report.pruned) == 1
-    assert len(report.candidates) == 1
-    assert report.best_index == 0
+    assert len(report["candidates"]) + len(report["pruned"]) == 1
+    assert len(report["candidates"]) == 1
+    assert report["best_index"] == 0
     assert best.modules["generate_query"].demos
 
 
@@ -262,24 +262,24 @@ def score_tables(draw):
 def test_pruned_search_selects_what_the_full_search_selects(table):
     pruned_program, pruned, pruned_runs = table_search(table, 1.0)
     full_program, full, full_runs = table_search(table, None)  # no declared maximum: never pruned
-    assert not full.pruned and [c.index for c in full.candidates] == list(range(len(table)))
-    assert pruned.best_index == full.best_index
+    assert not full["pruned"] and [c["index"] for c in full["candidates"]] == list(range(len(table)))
+    assert pruned["best_index"] == full["best_index"]
     assert pruned_program.modules["gen"].demos == full_program.modules["gen"].demos
-    assert pruned_runs == full_runs - sum(len(table[0]) - p.dev_scored for p in pruned.pruned)
+    assert pruned_runs == full_runs - sum(len(table[0]) - p["dev_scored"] for p in pruned["pruned"])
     assert pruned_runs <= full_runs
-    assert sorted(c.index for c in pruned.candidates + pruned.pruned) == list(range(len(table)))
-    assert all(c == full.candidates[c.index] for c in pruned.candidates)
-    full_scores = [c.score for c in full.candidates]
-    for stopped in pruned.pruned:
+    assert sorted(c["index"] for c in pruned["candidates"] + pruned["pruned"]) == list(range(len(table)))
+    assert all(c == full["candidates"][c["index"]] for c in pruned["candidates"])
+    full_scores = [c["score"] for c in full["candidates"]]
+    for stopped in pruned["pruned"]:
         # the bound holds the full mean and loses to an earlier candidate
-        assert full_scores[stopped.index] <= stopped.bound <= max(full_scores[:stopped.index])
+        assert full_scores[stopped["index"]] <= stopped["bound"] <= max(full_scores[:stopped["index"]])
 
 
 def test_metric_above_its_declared_maximum_raises():
     with pytest.raises(ValueError, match="above its declared maximum 1.0"):
         table_search([[0.5, 1.5]], 1.0)
     _, report, _ = table_search([[0.5, 1.5]], None)
-    assert report.candidates[0].score == 1.0
+    assert report["candidates"][0]["score"] == 1.0
 
 
 def test_random_search_requires_valset(index, trainset):
@@ -289,7 +289,7 @@ def test_random_search_requires_valset(index, trainset):
 
 
 def test_compiled_artifact_round_trip(index, trainset, tmp_path):
-    config = CompileConfig(teacher_assertions=True, collect_counterexamples=True)
+    config = CompileConfig(teacher_runtime=RuntimeConfig())
     compiled = bootstrap_few_shot(
         MultiHopQA(index), trainset, METRIC, config,
         script_backend("multihop_teacher_assert.json"), run_task_example,
@@ -414,10 +414,10 @@ def test_random_search_default_runner_passes_declared_inputs(index, trainset, de
     # must pass it
     compiled, report = random_search_compile(
         make_program(index), trainset, devset, bootstrap_metric(task),
-        CompileConfig(teacher_assertions=True, num_candidates=2),
+        CompileConfig(teacher_runtime=RuntimeConfig(), num_candidates=2),
         script_backend(f"{task}_all_pass.json"),
     )
-    assert [c.score for c in report.candidates] == [1.0, 1.0]
+    assert [c["score"] for c in report["candidates"]] == [1.0, 1.0]
     assert all(module.demos for module in compiled.modules.values())
 
 
@@ -450,7 +450,7 @@ def test_bootstrap_harvests_no_step_of_a_discarded_pass():
     ]))
     compiled = bootstrap_few_shot(PerWordProgram(), [TaskExample("Q?", "alpha")],
                                   lambda example, outputs, run: True,
-                                  CompileConfig(teacher_assertions=True), backend)
+                                  CompileConfig(teacher_runtime=RuntimeConfig()), backend)
     assert compiled.modules["draft"].demos == [{"question": "Q?", "words": "alpha"}]
     # the echo of "beta" belongs to the first pass only
     assert compiled.modules["echo"].demos == [{"word": "alpha", "echo": "alpha"}]
@@ -497,7 +497,7 @@ def test_bootstrap_drops_a_warned_run_only_under_teacher_assertions(teacher_asse
     # the metric passes both runs, but alpha's suggestion warned after its retries
     compiled = bootstrap_few_shot(CheckedAnswerProgram("suggest"), BAD_THEN_GOOD,
                                   lambda example, outputs, run: True,
-                                  CompileConfig(teacher_assertions=teacher_assertions),
+                                  CompileConfig(teacher_runtime=RuntimeConfig() if teacher_assertions else NO_CONSTRAINTS),
                                   bad_then_good_backend())
     assert [demo["answer"] for demo in compiled.modules["gen"].demos] == answers
 
@@ -508,5 +508,5 @@ def test_bootstrap_skips_a_halted_teacher_run():
         return outputs["answer"] == example.answer
 
     compiled = bootstrap_few_shot(CheckedAnswerProgram("assert"), BAD_THEN_GOOD, metric,
-                                  CompileConfig(teacher_assertions=True), bad_then_good_backend())
+                                  CompileConfig(teacher_runtime=RuntimeConfig()), bad_then_good_backend())
     assert compiled.modules["gen"].demos == [{"question": "beta", "answer": "good"}]

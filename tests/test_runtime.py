@@ -965,6 +965,21 @@ def test_every_search_returns_a_new_list():
     assert result.retrievals == [FOUND_FIRST, FOUND_SECOND]
 
 
+class UpperCasingProgram(EchoProgram):
+    """Edits the outputs its one call returned."""
+
+    def forward(self, ctx, prompt):
+        out = ctx.call(self.echo, prompt=prompt)
+        out["value"] = out["value"].upper()
+        return out
+
+
+def test_editing_what_a_call_returned_leaves_its_step_alone():
+    result, _ = scripted_run(UpperCasingProgram(), ["Value: ok"], RuntimeConfig())
+    assert result.steps[0].outputs == {"value": "ok"}
+    assert result.final_outputs == {"value": "OK"}
+
+
 class DriftingSearchProgram(Program):
     """Breaks the replay invariant on purpose: the search's query reads a
     pass counter."""
