@@ -66,9 +66,6 @@ class GenerationParams:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def __deepcopy__(self, memo):  # immutable: program copies share it
-        return self
-
 
 @dataclass(frozen=True)
 class CallRecord:

@@ -1,9 +1,10 @@
 """Callable building blocks: Predict and its chain-of-thought variant.
 
-A PredictModule is pure data (signature, demos, params). ``ExecutionContext.call``
-renders its prompt, calls a backend, and leniently parses the completion back
-into the signature's output fields with ``parse_completion``, which returns
-them as a dict of field name to text.
+A PredictModule is pure data (signature, demos, counterexamples), which a
+compiled program's artifact holds as its instructions, demos and
+counterexamples. ``ExecutionContext.call`` renders its prompt, calls a backend,
+and leniently parses the completion back into the signature's output fields
+with ``parse_completion``, which returns them as a dict of field name to text.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .backend import GenerationParams
 from .core import Counterexample, FieldSpec, Signature, parse_signature, render_prompt
 
 RATIONALE_FIELD_NAME = "rationale"
@@ -26,8 +26,6 @@ class PredictModule:
     signature: Signature
     demos: list[dict[str, str]] = field(default_factory=list)  # field name -> value
     counterexamples: list[Counterexample] = field(default_factory=list)
-    # one shared default: params are immutable
-    params: GenerationParams = GenerationParams()
 
     def render(self, inputs: Mapping[str, str], feedback: Sequence[tuple[str, str]] = ()) -> str:
         return render_prompt(

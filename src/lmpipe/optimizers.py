@@ -21,20 +21,20 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import (PASSED, RETRIED, Counterexample, RunResult, check_record, check_version,
                    payload_field, read_json)
-from .core import INT, LIST, OBJECT, STR, STR_LIST, STR_MAP
+from .core import INT, LIST, OBJECT, STR, STR_MAP
 from .evaluation import run_task_example
 from .metrics import TaskExample, mean_of
 from .runtime import DISABLE_ALL, NO_CONSTRAINTS, Program, RuntimeConfig, write_json
 
 logger = logging.getLogger(__name__)
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 CANDIDATES_VERSION = 2
 
 # metric(example, final outputs, run) -> bool | float
@@ -230,23 +230,15 @@ def random_search_compile(
 def compiled_program_to_dict(program: Program, task: str, config: CompileConfig) -> dict:
     modules = {}
     for module_id, module in program.modules.items():
-        inputs = sorted(f.name for f in module.signature.input_fields)  # each demo's input_keys
         modules[module_id] = {
             "instructions": module.signature.instructions,
-            "demos": [{"values": dict(demo), "input_keys": inputs} for demo in module.demos],
-            "counterexamples": [dict(vars(ce)) for ce in module.counterexamples],
+            "demos": [dict(demo) for demo in module.demos],
+            "counterexamples": [asdict(ce) for ce in module.counterexamples],
         }
     return {
         "version": ARTIFACT_VERSION,
         "task": task,
-        "compile_config": {
-            "max_bootstrapped_demos": config.max_bootstrapped_demos,
-            "num_candidates": config.num_candidates,
-            "rng_seed": config.rng_seed,
-            "teacher_assertions": config.teacher_assertions,
-            "collect_counterexamples": config.teacher_assertions,
-            "max_retries": config.teacher_runtime.max_retries,
-        },
+        "compile_config": asdict(config),
         "modules": modules,
     }
 
@@ -263,7 +255,6 @@ def load_compiled_program(program: Program, path: str | Path, task: str) -> Prog
 
 _PROGRAM_FIELDS = {"task": STR, "modules": OBJECT, "compile_config": OBJECT, "version": INT}
 _MODULE_FIELDS = {"instructions": STR, "demos": LIST, "counterexamples": LIST}
-_DEMO_FIELDS = {"values": STR_MAP, "input_keys": STR_LIST}
 _COUNTEREXAMPLE_FIELDS = dict.fromkeys(("module_id", "failed_output", "message", "corrected_output"), STR)
 
 
@@ -277,15 +268,18 @@ def compiled_program_from_dict(program: Program, data: dict, task: str) -> Progr
     for module_id, spec in data["modules"].items():
         check_record(spec, _MODULE_FIELDS, "module spec")
         module = loaded.modules[module_id]
-        inputs = sorted(f.name for f in module.signature.input_fields)
+        inputs = [f.name for f in module.signature.input_fields]
         module.signature = replace(module.signature, instructions=spec["instructions"])
         module.demos = []
         for demo in spec["demos"]:
-            check_record(demo, _DEMO_FIELDS, "demo")
-            if demo["input_keys"] != inputs or not demo["values"].keys() >= set(inputs):
-                raise ValueError(f"demo of module {module_id!r}: input_keys must be its inputs "
-                                 f"{inputs}, each in values; got {demo['input_keys']}")
-            module.demos.append(dict(demo["values"]))
-        module.counterexamples = [Counterexample(**check_record(c, _COUNTEREXAMPLE_FIELDS, "counterexample"))
-                                  for c in spec["counterexamples"]]
+            if not (STR_MAP[1](demo) and demo.keys() >= set(inputs)):
+                raise ValueError(f"demo of module {module_id!r} must be an object of strings holding "
+                                 f"its inputs {inputs}, got {demo!r}")
+            module.demos.append(dict(demo))
+        module.counterexamples = []
+        for record in spec["counterexamples"]:
+            ce = Counterexample(**check_record(record, _COUNTEREXAMPLE_FIELDS, "counterexample"))
+            if ce.module_id != module_id:
+                raise ValueError(f"counterexample of module {module_id!r} names module {ce.module_id!r}")
+            module.counterexamples.append(ce)
     return loaded

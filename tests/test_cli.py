@@ -21,6 +21,7 @@ from lmpipe.cli import (
 from lmpipe.core import parse_signature
 from lmpipe.evaluation import run_task_example
 from lmpipe.modules import PredictModule
+from lmpipe.optimizers import CompileConfig, load_compiled_program, save_compiled_program
 from lmpipe import runtime
 from lmpipe.runtime import (
     DISABLE_ALL,
@@ -32,7 +33,7 @@ from lmpipe.runtime import (
     save_trace,
     trace_to_dict,
 )
-from lmpipe.tasks import COMPLETE, INSTRUCTIONS, PRIMITIVE
+from lmpipe.tasks import COMPLETE, INSTRUCTIONS, PRIMITIVE, TASKS
 
 
 def data(name: str) -> str:
@@ -243,7 +244,7 @@ def test_compile_then_eval_compiled_strategy(tmp_path):
     assert [c["index"] for c in candidates["candidates"]] == [0]
     assert [(p["index"], p["dev_scored"]) for p in candidates["pruned"]] == [(i, 0) for i in range(1, 6)]
     saved = json.loads(artifact.read_text())
-    queries = [d["values"]["query"] for d in saved["modules"]["generate_query"]["demos"]]
+    queries = [d["query"] for d in saved["modules"]["generate_query"]["demos"]]
     assert queries and all(len(q) < 100 for q in queries)
 
     eval_out = tmp_path / "eval"
@@ -687,15 +688,14 @@ def artifact_file(counterexample: Optional[dict] = None, demo: Optional[dict] = 
     module = {"instructions": "i", "demos": [demo] if demo else [],
               "counterexamples": [counterexample] if counterexample else [], **module_change}
     answer = {"instructions": "i", "demos": [], "counterexamples": []}
-    return {"version": 1, "task": "multihop", "modules": {"generate_query": module, "generate_answer": answer}}
+    return {"version": 2, "task": "multihop", "modules": {"generate_query": module, "generate_answer": answer}}
 
 
-QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"},
-              "input_keys": ["context", "question"]}
+QUERY_DEMO = {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"}
 
 
 @pytest.mark.parametrize("kind, content, error", [
-    ("artifact", {"version": 1, "task": "multihop"}, "missing key 'modules'"),
+    ("artifact", {"version": 2, "task": "multihop"}, "missing key 'modules'"),
     ("script", {"version": 1}, "missing key 'entries'"),
     ("trace", {"version": TRACE_VERSION}, "missing key 'steps'"),
     ("trace", "{not json", "Expecting property name enclosed in double quotes"),
@@ -709,10 +709,12 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("trace", trace_file(step_change={"positon": 3}), "unknown key 'positon' in trace step"),
     ("trace", {**trace_file(), "extra_top": 1}, "unknown key 'extra_top' in trace"),
     ("artifact", artifact_file(note="n"), "unknown key 'note' in module spec"),
-    ("artifact", artifact_file(demo={**QUERY_DEMO, "note": "n"}), "unknown key 'note' in demo"),
-    ("artifact", artifact_file(demo={**QUERY_DEMO, "input_keys": ["question"]}),
-     "demo of module 'generate_query': input_keys must be its inputs ['context', 'question'], "
-     "each in values; got ['question']"),
+    ("artifact", artifact_file(demo=["n"]),
+     "demo of module 'generate_query' must be an object of strings holding its inputs "
+     "['context', 'question'], got ['n']"),
+    ("artifact", artifact_file(demo={k: v for k, v in QUERY_DEMO.items() if k != "context"}),
+     "demo of module 'generate_query' must be an object of strings holding its inputs "
+     "['context', 'question'], got {'question': 'Q', 'rationale': 'r', 'query': 'q'}"),
     ("script", {"entries": []}, "missing key 'version'"),
     ("script", {"version": 1, "entries": [{"match": "x", "responses": ["y"], "note": "n"}]},
      "unknown key 'note' in script entry"),
@@ -756,9 +758,9 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
     ("script", {"version": 1, "entries": [{"match": 5, "responses": ["y"]}]},
      "script entry match must be a string, got 5"),
     ("artifact", artifact_file(instructions=5), "module spec instructions must be a string, got 5"),
-    ("artifact", artifact_file(demo={**QUERY_DEMO, "values": {**QUERY_DEMO["values"], "query": 5}}),
-     "demo values must be an object of strings, got {'context': 'N/A', 'question': 'Q', 'rationale': 'r', "
-     "'query': 5}"),
+    ("artifact", artifact_file(demo={**QUERY_DEMO, "query": 5}),
+     "demo of module 'generate_query' must be an object of strings holding its inputs "
+     "['context', 'question'], got {'context': 'N/A', 'question': 'Q', 'rationale': 'r', 'query': 5}"),
     # a compiled program holds every module of its task's program, and no other
     ("artifact", {**artifact_file(), "modules": {}}, "missing key 'generate_query'"),
     ("artifact", {**artifact_file(), "modules": {**artifact_file()["modules"], "judge": {}}},
@@ -784,6 +786,11 @@ QUERY_DEMO = {"values": {"context": "N/A", "question": "Q", "rationale": "r", "q
      "script entry needs at least one response"),
     ("script", {"version": 1, "entries": [{"match": "x", "responses": ["y"], "mode": "regex"}]},
      "unknown matcher mode 'regex'"),
+    ("artifact", {**artifact_file(), "version": 1}, "artifact version mismatch: file has 1, supported is 2"),
+    # a counterexample is filed under the module it corrects
+    ("artifact", artifact_file({"module_id": "generate_answer", "failed_output": "a", "message": "m",
+                                "corrected_output": "b"}),
+     "counterexample of module 'generate_query' names module 'generate_answer'"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
@@ -932,20 +939,8 @@ def test_config_max_bootstrapped_demos_caps_the_demos(tmp_path):
     assert demo_counts("one", {"max_bootstrapped_demos": 1}) == {"generate_query": 1, "generate_answer": 1}
 
 
-def teacher_assert_script(tmp_path: Path) -> str:
-    """``multihop_teacher_assert.json`` with one last entry, a wrong answer to
-    every prompt the script lacks. The script covers the asserted teacher's
-    calls only: a naive teacher searches with its over-long first query, and
-    the prompt after that search is unscripted."""
-    script = json.loads(Path(data("scripts/multihop_teacher_assert.json")).read_text(encoding="utf-8"))
-    script["entries"].append({"match": "Question:", "responses": ["Reasoning: r\nQuery: q\nAnswer: a"]})
-    path = tmp_path / "teacher_assert.json"
-    path.write_text(json.dumps(script), encoding="utf-8")
-    return str(path)
-
-
 def test_compile_assert_collects_counterexamples_and_compile_none(tmp_path):
-    script = teacher_assert_script(tmp_path)
+    script = data("scripts/multihop_teacher_assert.json")
 
     def counterexamples(strategy: str) -> int:
         out = run_command("compile", "multihop", strategy, script, tmp_path / strategy,
@@ -959,14 +954,43 @@ def test_compile_assert_collects_counterexamples_and_compile_none(tmp_path):
 
 def test_a_disable_all_teacher_compiles_as_the_compile_strategy(tmp_path):
     # a teacher that never retries is the naive one, whatever the strategy
-    script = teacher_assert_script(tmp_path)
+    script = data("scripts/multihop_teacher_assert.json")
     payload = {"runtime": {"handler_policy": "disable_all"}}
     outs = [run_command("compile", "multihop", strategy, script, tmp_path / strategy, payload)
             for strategy in ("compile", "compile_assert")]
     for name in ("compiled_program.json", "candidates.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     artifact = json.loads((outs[1] / "compiled_program.json").read_text())
-    assert artifact["compile_config"]["teacher_assertions"] is False
+    assert artifact["compile_config"]["teacher_runtime"]["handler_policy"] == "disable_all"
+
+
+COMPILED_LABELS = [label for label in STRATEGY_LABELS if strategy_from_label(label).compiled]
+
+
+@pytest.mark.parametrize("task, script, label", [
+    *((task, f"{task}_all_pass.json", label) for task in TASKS for label in COMPILED_LABELS),
+    *(("multihop", "multihop_teacher_assert.json", label) for label in COMPILED_LABELS),
+])
+def test_a_compiled_program_reads_back_as_compiled(tmp_path, monkeypatch, task, script, label):
+    saved = []
+
+    def recording(program, task, config, path):
+        saved.append((program, config))
+        save_compiled_program(program, task, config, path)
+
+    monkeypatch.setattr(cli, "save_compiled_program", recording)
+    config = assemble_run_config(task, label, str(tmp_path), offline=True, script=data(f"scripts/{script}"))
+    path = cmd_compile(config, Path(data("train.jsonl")), Path(data("dev.jsonl")))
+    (compiled, compile_config), = saved
+    loaded = load_compiled_program(cli.make_program(config), path, task)
+    assert loaded.modules.keys() == compiled.modules.keys()
+    for module_id, module in compiled.modules.items():
+        other = loaded.modules[module_id]
+        assert other.signature.instructions == module.signature.instructions
+        assert (other.demos, other.counterexamples) == (module.demos, module.counterexamples)
+    written = json.loads(path.read_text(encoding="utf-8"))["compile_config"]
+    teacher = RuntimeConfig(**written.pop("teacher_runtime"))
+    assert CompileConfig(**written, teacher_runtime=teacher) == compile_config
 
 
 def test_config_instructions_primitive_reaches_the_program(tmp_path):

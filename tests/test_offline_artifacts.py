@@ -37,7 +37,7 @@ def matrix() -> list[tuple[str, str, str]]:
              for task, kind in (("multihop", "retry"), ("quiz", "fix"))
              for label in ("vanilla", "infer_assert")]
     runs += [("multihop", "multihop_teacher_assert.json", label)
-             for label in ("compile_assert", "compile_infer_assert")]
+             for label in ("compile", "compile_assert", "compile_infer_assert")]
     return runs
 
 

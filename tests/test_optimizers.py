@@ -312,16 +312,15 @@ def test_artifact_version_mismatch(index, tmp_path):
 
 
 def test_example_input_keys_must_exist(index, tmp_path):
-    # a demo holds a value for each of its module's input fields
-    demo = {"values": {"question": "Q", "rationale": "r", "query": "q"},
-            "input_keys": ["context", "question"]}
+    # a demo that lacks an input field is rejected, naming the module and its inputs
+    demo = {"question": "Q", "rationale": "r", "query": "q"}
     module = {"instructions": "i", "demos": [demo], "counterexamples": []}
     path = tmp_path / "artifact.json"
     answer = {"instructions": "i", "demos": [], "counterexamples": []}
-    path.write_text(json.dumps({"version": 1, "task": "multihop",
+    path.write_text(json.dumps({"version": 2, "task": "multihop",
                                 "modules": {"generate_query": module, "generate_answer": answer}}))
-    with pytest.raises(ValueError, match=r"input_keys must be its inputs \['context', 'question'\], "
-                                         r"each in values"):
+    with pytest.raises(ValueError, match=r"demo of module 'generate_query' must be an object of strings "
+                                         r"holding its inputs \['context', 'question'\]"):
         load_compiled_program(MultiHopQA(index), path, "multihop")
 
 

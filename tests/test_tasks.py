@@ -244,7 +244,7 @@ def test_clone_shares_immutable_parts_and_owns_its_modules(index):
     for name, module in program.modules.items():
         copied = clone.modules[name]
         assert copied is not module
-        assert copied.signature is module.signature and copied.params is module.params
+        assert copied.signature is module.signature
         assert copied.demos == module.demos and copied.demos is not module.demos
         assert all(a is not b for a, b in zip(copied.demos, module.demos))
     assert clone.faithful_judge.signature is program.faithful_judge.signature

@@ -91,7 +91,7 @@ def test_trace_files_round_trip_and_render_as_locked(tmp_path):
         assert copy.read_bytes() == path.read_bytes(), name
         kinds["halted"] += result.halted
         kinds["error"] += result.error is not None and not result.halted
-    assert len(traces) == 157
+    assert len(traces) == 163
     assert kinds == {"error": 20, "halted": 1}
 
     lines = DIGESTS.read_text(encoding="utf-8").splitlines()

@@ -360,7 +360,9 @@ def main() -> None:
     ])
 
     # teacher fixture: first two train questions fail once then fix; the rest
-    # are clean. Meant for runs with teacher assertions active.
+    # are clean. Meant for runs with teacher assertions active; the last
+    # entries cover a naive teacher, whose bad first query reaches the
+    # retriever, as in the retry fixture.
     teacher_entries = []
     for chain in TRAIN[:2]:
         bad = TEACHER_BAD_TEMPLATE.format(subject=chain.subject)
@@ -371,6 +373,10 @@ def main() -> None:
         teacher_entries.append(entry(m.hop2(chain), [hop2_completion(chain)]))
         teacher_entries.append(entry(m.final(chain), [answer_completion(chain)]))
     teacher_entries += clean_multihop_entries(m, TRAIN[2:])
+    for chain in TRAIN[:2]:
+        bad = TEACHER_BAD_TEMPLATE.format(subject=chain.subject)
+        teacher_entries.append(entry(m.hop2(chain, hop1_query=bad), [hop2_completion(chain)]))
+        teacher_entries.append(entry(m.final(chain, hop1_query=bad), [answer_completion(chain)]))
     write_script("multihop_teacher_assert.json", teacher_entries)
 
     # naive teacher fixture: the first train question answers correctly but its
