@@ -70,8 +70,6 @@ class GenerationParams:
 @dataclass(frozen=True)
 class CallRecord:
     prompt: str
-    params: GenerationParams
-    completions: tuple[str, ...]
 
 
 class CallLog:
@@ -135,12 +133,12 @@ class ScriptedBackend:
         with self._lock:
             for entry in self.entries:
                 if (prompt == entry.match if entry.mode == "exact" else entry.match in prompt):
-                    completions = tuple(entry.next_response() for _ in range(params.n))
+                    completions = [entry.next_response() for _ in range(params.n)]
                     break
             else:
                 raise UnscriptedPromptError(stable_digest(prompt))
-        self.call_log.append(CallRecord(prompt, params, completions))
-        return list(completions)
+        self.call_log.append(CallRecord(prompt))
+        return completions
 
 
 def load_script(path: str | Path) -> list[ScriptEntry]:

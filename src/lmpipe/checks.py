@@ -108,10 +108,6 @@ def get_lines_and_citations(paragraph: str) -> list[tuple[str, int]]:
     return pairs
 
 
-def cited_indices(paragraph: str) -> list[int]:
-    return [int(m) for m in _CITATION_RE.findall(paragraph)]
-
-
 def is_assessment_yes(assessment_answer: str) -> bool:
     """True when the answer's first word normalizes to 'yes'."""
     words = assessment_answer.strip().split()

@@ -1,9 +1,11 @@
 """Command-line harness: compile, eval, inspect-trace.
 
-Five strategies (``_STRATEGIES``) select where constraints are active: in the
-compiled program's student runs, in the teacher runs that compile harvests
-demonstrations from, or neither. ``runtimes`` turns a strategy and the
-configured ``RuntimeConfig`` into the student's and the teacher's.
+Five strategies, each a row of ``_STRATEGIES`` keyed by the label that
+``--strategy`` and ``RunConfig.strategy`` take, select where constraints are
+active: in the student runs, in the teacher runs that compile harvests
+demonstrations from, or neither. ``runtimes`` turns a label and the configured
+``RuntimeConfig`` into the student's and the teacher's; a strategy without a
+teacher (``vanilla``, ``infer_assert``) does not compile.
 
 Scripted runs (--script, or backend.script in the config file) are fully
 deterministic: repeated invocations produce byte-identical artifacts and reports.
@@ -50,42 +52,29 @@ from .runtime import (
 from .tasks import COMPLETE, TASKS, VARIANTS, build_program
 
 
-@dataclass(frozen=True)
-class Strategy:
-    label: str
-    compiled: bool
-    student_assertions: bool
-    teacher_assertions: Optional[bool]  # None when not applicable (uncompiled)
-
-
+# label -> (the student's runs assert, the teacher's runs assert); the
+# teacher's is None for a strategy that does not compile
 _STRATEGIES = {
-    "vanilla": Strategy("vanilla", compiled=False, student_assertions=False, teacher_assertions=None),
-    "infer_assert": Strategy("infer_assert", compiled=False, student_assertions=True, teacher_assertions=None),
-    "compile": Strategy("compile", compiled=True, student_assertions=False, teacher_assertions=False),
-    "compile_assert": Strategy("compile_assert", compiled=True, student_assertions=False, teacher_assertions=True),
-    "compile_infer_assert": Strategy(
-        "compile_infer_assert", compiled=True, student_assertions=True, teacher_assertions=True
-    ),
+    "vanilla": (False, None),
+    "infer_assert": (True, None),
+    "compile": (False, False),
+    "compile_assert": (False, True),
+    "compile_infer_assert": (True, True),
 }
 
 STRATEGY_LABELS = tuple(_STRATEGIES)
 
 
-def strategy_from_label(label: str) -> Strategy:
-    try:
-        return _STRATEGIES[label]
-    except KeyError:
-        raise ValueError(f"unknown strategy {label!r}; expected one of {STRATEGY_LABELS}")
-
-
-def runtimes(strategy: Strategy, runtime: RuntimeConfig) -> tuple[RuntimeConfig, RuntimeConfig]:
-    """The student's and the teacher's runtime config under ``strategy``:
-    ``runtime`` for the runs it asserts in, else ``runtime`` under
-    ``disable_all``, which keeps ``max_retries`` for the artifact to record."""
-    def under(assertions: Optional[bool]) -> RuntimeConfig:
+def runtimes(label: str, runtime: RuntimeConfig) -> tuple[RuntimeConfig, Optional[RuntimeConfig]]:
+    """The student's and the teacher's runtime config under strategy
+    ``label``, the teacher's ``None`` when it does not compile: ``runtime``
+    for the runs that assert, else ``runtime`` under ``disable_all``, which
+    keeps ``max_retries`` for the artifact to record."""
+    def under(assertions: bool) -> RuntimeConfig:
         return runtime if assertions else replace(runtime, handler_policy=DISABLE_ALL)
 
-    return under(strategy.student_assertions), under(strategy.teacher_assertions)
+    student, teacher = _STRATEGIES[label]
+    return under(student), None if teacher is None else under(teacher)
 
 
 @dataclass
@@ -93,7 +82,7 @@ class RunConfig:
     """Everything one compile or eval invocation needs."""
 
     task: str
-    strategy: Strategy
+    strategy: str  # a key of _STRATEGIES
     out_dir: Path
     corpus_path: Optional[Path] = None
     script_path: Optional[Path] = None  # scripted backend when set, else live
@@ -150,9 +139,11 @@ def assemble_run_config(
     script_path = script or backend_cfg.get("script")
     if offline and script_path is None:
         raise ValueError("offline mode requires a script file")
+    if strategy_label not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy_label!r}; expected one of {STRATEGY_LABELS}")
     return RunConfig(
         task=task,
-        strategy=strategy_from_label(strategy_label),
+        strategy=strategy_label,
         out_dir=Path(out_dir),
         corpus_path=Path(raw["corpus"]) if raw.get("corpus") else None,
         script_path=Path(script_path) if script_path else None,
@@ -185,11 +176,11 @@ def make_program(config: RunConfig):
 
 def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
     """Compile per the strategy and write the artifact plus candidate scores."""
-    if not config.strategy.compiled:
-        raise ValueError(f"strategy {config.strategy.label!r} does not compile; nothing to do")
+    _, teacher = runtimes(config.strategy, config.runtime)
+    if teacher is None:
+        raise ValueError(f"strategy {config.strategy!r} does not compile; nothing to do")
     trainset = load_dataset(train_path)
     devset = load_dataset(dev_path)
-    _, teacher = runtimes(config.strategy, config.runtime)
     compile_config = replace(config.compile_config, teacher_runtime=teacher)
     backend = make_backend(config)
     try:
@@ -210,22 +201,21 @@ def cmd_compile(config: RunConfig, train_path: Path, dev_path: Path) -> Path:
 def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] = None) -> dict:
     """Evaluate the strategy over a dataset; writes report.json and summary.txt,
     and returns the report.json object."""
-    strategy = config.strategy
-    if strategy.compiled and artifact_path is None:
-        raise ValueError(f"strategy {strategy.label!r} needs a compiled artifact (--artifact)")
+    runtime, teacher = runtimes(config.strategy, config.runtime)
+    if teacher is not None and artifact_path is None:
+        raise ValueError(f"strategy {config.strategy!r} needs a compiled artifact (--artifact)")
     examples = load_dataset(test_path)
-    runtime, _ = runtimes(strategy, config.runtime)
     backend = make_backend(config)
     try:
         program = make_program(config)
-        if strategy.compiled:
+        if teacher is not None:
             program = load_compiled_program(program, artifact_path, config.task)
         rows, results = evaluate_dataset(
             config.task, program, examples, runtime, backend, workers=config.workers
         )
     finally:
         backend.close()
-    report = build_report(config.task, strategy.label, rows)
+    report = build_report(config.task, config.strategy, rows)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = config.out_dir / "traces"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .checks import cited_indices, normalize_answer
+from .checks import get_lines_and_citations, normalize_answer
 from .core import PASSED, STR, STR_LIST, RunResult, read_jsonl
 
 
@@ -124,7 +124,7 @@ def citation_metrics(
     False there); their mean is the faithfulness score. With no citations,
     precision and faithfulness are absent and recall is 0.
     """
-    ks = cited_indices(paragraph)
+    ks = [k for _, k in get_lines_and_citations(paragraph)]
     if not ks:
         return CitationMetrics(faithfulness=None, precision=None, recall=0.0)
     cited_titles = set()

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-from .backend import BackendError, GenerationParams, stable_digest
+from .backend import BackendError, stable_digest
 from .core import (
     FAILED,
     HALTED,
@@ -87,9 +87,6 @@ HANDLER_POLICIES = (BACKTRACK_DEFAULT, SUPPRESS_ASSERT_LOG, DISABLE_ALL, BYPASS_
 # Generous bound on forward passes; retry budgets already force termination
 # for deterministic backends, this only guards pathological programs.
 _MAX_PASSES = 10_000
-
-# every call samples one completion under the default limits
-_PARAMS = GenerationParams()
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ class ExecutionContext:
             self._replaying = False
 
         prompt = module.render(inputs, feedback=feedback)
-        completions = self._backend.generate(prompt, _PARAMS)
+        completions = self._backend.generate(prompt)
         slot = self._slots.get(position)
         attempt = slot.step.attempt + 1 if slot is not None else 0
         outputs = parse_completion(module.signature, completions[0])

@@ -964,7 +964,7 @@ import sys
 started = set(sys.modules)  # a site hook (.pth file) may load third-party modules before lmpipe
 import lmpipe.cli as cli
 from lmpipe.backend import BackendError
-config = cli.RunConfig(task="tweet", strategy=cli.strategy_from_label("vanilla"), out_dir="out",
+config = cli.RunConfig(task="tweet", strategy="vanilla", out_dir="out",
                        api_base=sys.argv[1])
 try:
     cli.make_backend(config).generate("p")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lmpipe.checks import (
     citations_check,
@@ -113,6 +116,13 @@ def test_get_lines_and_citations_orders_pairs():
     pairs = get_lines_and_citations("Alpha [1]. Beta [2] and also [3].")
     assert pairs == [("Alpha [1]", 1), ("Beta [2] and also [3]", 2),
                      ("Beta [2] and also [3]", 3)]
+
+
+@given(st.text(alphabet="[]0123456789.!? a\n") | st.text())
+def test_get_lines_and_citations_finds_every_marker(paragraph):
+    # a marker holds no sentence end, so splitting into sentences cuts none
+    assert [k for _, k in get_lines_and_citations(paragraph)] == \
+        [int(m) for m in re.findall(r"\[(\d+)\]", paragraph)]
 
 
 @pytest.mark.parametrize("answer,expected", [

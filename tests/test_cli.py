@@ -16,7 +16,7 @@ from lmpipe.cli import (
     bundled_data_path,
     cmd_compile,
     cmd_inspect_trace,
-    strategy_from_label,
+    runtimes,
 )
 from lmpipe.core import parse_signature
 from lmpipe.evaluation import run_task_example
@@ -42,21 +42,21 @@ def data(name: str) -> str:
 
 def test_strategy_table_round_trips():
     for label in STRATEGY_LABELS:
-        assert strategy_from_label(label).label == label
+        config = assemble_run_config("multihop", label, "out")
+        assert config.strategy == label
+        runtimes(config.strategy, config.runtime)  # resolves, with or without a teacher
 
 
 def test_strategy_flags_match_table():
+    asserting, naive = RuntimeConfig(), RuntimeConfig(handler_policy=DISABLE_ALL)
     rows = {
-        "vanilla": (False, False, None),
-        "infer_assert": (False, True, None),
-        "compile": (True, False, False),
-        "compile_assert": (True, False, True),
-        "compile_infer_assert": (True, True, True),
+        "vanilla": (naive, None),
+        "infer_assert": (asserting, None),
+        "compile": (naive, naive),
+        "compile_assert": (naive, asserting),
+        "compile_infer_assert": (asserting, asserting),
     }
-    for label, (compiled, student, teacher) in rows.items():
-        strategy = strategy_from_label(label)
-        assert (strategy.compiled, strategy.student_assertions, strategy.teacher_assertions) == \
-            (compiled, student, teacher)
+    assert {label: runtimes(label, RuntimeConfig()) for label in STRATEGY_LABELS} == rows
 
 
 def test_readme_strategy_table_matches_strategies():
@@ -69,15 +69,15 @@ def test_readme_strategy_table_matches_strategies():
             break
         label, *flags = [part.strip() for part in line.strip("|").split("|")]
         table[label.strip("`")] = tuple(cell[flag] for flag in flags)
+    # the compiled column reads "the strategy has a teacher"
     assert table == {
-        label: (s.compiled, s.student_assertions, s.teacher_assertions)
-        for label, s in _STRATEGIES.items()
+        label: (teacher is not None, student, teacher) for label, (student, teacher) in _STRATEGIES.items()
     }
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        strategy_from_label("mystery")
+    with pytest.raises(ValueError, match=r"unknown strategy 'mystery'; expected one of \('vanilla', "):
+        assemble_run_config("multihop", "mystery", "out")
 
 
 def test_offline_requires_script():
@@ -791,6 +791,10 @@ QUERY_DEMO = {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"}
     ("artifact", artifact_file({"module_id": "generate_answer", "failed_output": "a", "message": "m",
                                 "corrected_output": "b"}),
      "counterexample of module 'generate_query' names module 'generate_answer'"),
+    # the top level of every file is an object
+    pytest.param("trace", [], "trace must be a JSON object", id="trace-not-an-object"),
+    pytest.param("artifact", [], "artifact must be a JSON object", id="artifact-not-an-object"),
+    pytest.param("script", [], "script must be a JSON object", id="script-not-an-object"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"
@@ -805,7 +809,7 @@ def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content
     }[kind]
     result = invoke(args)
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.output.startswith(f"Error: {path}: {error}")
+    assert result.output.startswith(f"Error: {path}: {error}") and result.output.count("\n") == 1
 
 
 def test_a_json_file_nested_too_deep_is_one_error_line_naming_it(tmp_path):
@@ -964,7 +968,7 @@ def test_a_disable_all_teacher_compiles_as_the_compile_strategy(tmp_path):
     assert artifact["compile_config"]["teacher_runtime"]["handler_policy"] == "disable_all"
 
 
-COMPILED_LABELS = [label for label in STRATEGY_LABELS if strategy_from_label(label).compiled]
+COMPILED_LABELS = [label for label, (_, teacher) in _STRATEGIES.items() if teacher is not None]
 
 
 @pytest.mark.parametrize("task, script, label", [

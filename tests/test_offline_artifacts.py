@@ -52,7 +52,7 @@ def run_matrix(out: Path) -> dict[str, str]:
         directory = run_dir(out, script_name, label)
         script = str(data(f"scripts/{script_name}"))
         artifact = None
-        if cli.strategy_from_label(label).compiled:
+        if cli._STRATEGIES[label][1] is not None:  # it has a teacher
             config = cli.assemble_run_config(task, label, str(directory / "compile"),
                                              offline=True, script=script)
             artifact = cli.cmd_compile(config, data("train.jsonl"), data("dev.jsonl"))
