@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,17 +196,29 @@ class _Endpoint(NamedTuple):
     scheme: str
     netloc: str  # host[:port], which NO_PROXY is matched against
     host: str
-    port: Optional[int]
+    port: int
+    authority: str  # the Host header of a direct or tunnelled request
     target: str  # the request target: path and query
+
+
+_PORTS = {"http": 80, "https": 443}
+
+_UNSENDABLE_URL = re.compile(r"[^\x21-\x7e]")  # a space, a control or a non-ASCII character
 
 
 @functools.lru_cache(maxsize=64)
 def _endpoint(url: str) -> _Endpoint:
     parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    if parts.scheme not in _PORTS or not parts.hostname:
         raise ValueError(f"not an http or https URL: {url!r}")
+    if _UNSENDABLE_URL.search(url):
+        raise ValueError(f"a space, a control or a non-ASCII character in the URL: {url!r}")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    return _Endpoint(parts.scheme, parts.netloc, parts.hostname, parts.port, target)
+    host, default = parts.hostname, _PORTS[parts.scheme]
+    authority = f"[{host}]" if ":" in host else host  # an IPv6 address
+    if parts.port not in (None, default):
+        authority += f":{parts.port}"
+    return _Endpoint(parts.scheme, parts.netloc, host, parts.port or default, authority, target)
 
 
 def _proxy_server(proxy: str) -> tuple[str, Optional[int], dict]:
@@ -221,30 +234,179 @@ def _proxy_server(proxy: str) -> tuple[str, Optional[int], dict]:
 
 _HEADERS = {"Content-Type": "application/json", "User-Agent": "lmpipe"}
 
+# a header value that would end its line, or that Latin-1 cannot encode
+_UNSENDABLE_VALUE = re.compile(r"[\r\n\0]|[^\x00-\xff]")
+
 _to_json = json.dumps  # the transport's ``json`` parameter hides the module
 
 
-def _send(conn, target: str, body: bytes, headers: dict):
-    """The reply's status and headers; ``conn`` is closed if they never come."""
-    try:
-        conn.request("POST", target, body, headers)
-        return conn.getresponse()
-    except BaseException:
-        conn.close()
-        raise
+def _request(method: str, target: str, headers: dict, body: bytes = b"") -> bytes:
+    """The bytes of one HTTP/1.1 request; ``ValueError``, naming the header
+    but not its value, for a value that cannot go into one."""
+    lines = [f"{method} {target} HTTP/1.1"]
+    for name, value in headers.items():
+        if _UNSENDABLE_VALUE.search(value):
+            raise ValueError(f"the {name} header holds a CR, LF, NUL or non-Latin-1 character")
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+# a reply's limits, as http.client sets them: a longer line, or more headers, raises
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise OSError(f"{what} longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_head(reader) -> tuple[bool, int, dict]:
+    """Whether a reply is HTTP/1.0, its status, and its headers (names
+    lowercased, the first of each kept), past any 1xx reply. A reply that
+    never starts raises ``ConnectionError``; one that breaks the protocol or
+    a limit, ``OSError``."""
+    while True:
+        line = _line(reader, "status line")
+        if not line:
+            raise ConnectionResetError("the server closed the connection without a reply")
+        parts = line.split(None, 2)
+        status = int(parts[1]) if len(parts) > 1 and len(parts[1]) == 3 and parts[1].isdigit() else 0
+        if status < 100 or not parts[0].startswith(b"HTTP/1."):
+            raise OSError(f"malformed status line {line[:100]!r}")
+        headers: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = _line(reader, "header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.partition(b":")
+            if colon:
+                headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise OSError(f"more than {_MAX_HEADERS} headers")
+        if status >= 200:
+            return parts[0] == b"HTTP/1.0", status, headers
+
+
+def _read_body(reader, http_1_0: bool, status: int, headers: dict) -> tuple[bytes, bool]:
+    """A reply's body, and whether its connection may carry another request:
+    as http.client decides, HTTP/1.0 closes unless it says keep-alive,
+    ``Connection: close`` closes, and a body read until the server closes
+    leaves nothing to keep."""
+    connection = headers.get(b"connection", b"").lower()
+    if http_1_0:
+        keep = b"keep-alive" in headers or b"keep-alive" in connection
+    else:
+        keep = b"close" not in connection
+    if status in (204, 304):
+        return b"", keep
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return _read_chunked(reader), keep
+    length = headers.get(b"content-length", b"")
+    if not length.isdigit():
+        return reader.read(), False
+    return _read_exactly(reader, int(length)), keep
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise OSError(f"the reply ended {size - len(data)} bytes short of its length")
+    return data
+
+
+def _read_chunked(reader) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body; chunk extensions and the trailer
+    are read past."""
+    chunks = []
+    while True:
+        line = _line(reader, "chunk size line")
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise OSError(f"malformed chunk size line {line[:100]!r}")
+        if size == 0:
+            break
+        chunks.append(_read_exactly(reader, size + 2)[:size])  # the chunk and its CRLF
+    while _line(reader, "trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _tunnel(sock, endpoint: _Endpoint, auth: dict) -> None:
+    """Open a CONNECT tunnel through the proxy at the other end of ``sock``."""
+    # host:port, the port written even where the Host header leaves it out
+    target = endpoint.authority if endpoint.port != _PORTS["https"] else f"{endpoint.authority}:443"
+    sock.sendall(_request("CONNECT", target, {"Host": target, **auth}))
+    with sock.makefile("rb") as reader:
+        _, status, _ = _read_head(reader)
+    if status != 200:
+        raise OSError(f"the proxy refused the tunnel: {status}")
+
+
+class _Connection:
+    """A socket, and the one buffered reader its replies are read through."""
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    @classmethod
+    def open(cls, endpoint: _Endpoint, proxy: Optional[str], timeout: float) -> _Connection:
+        """A connection to ``endpoint``, through ``proxy`` if one is given."""
+        import socket
+
+        host, port, auth = endpoint.host, endpoint.port, {}
+        if proxy is not None:
+            host, port, auth = _proxy_server(proxy)
+        sock = socket.create_connection((host, port or _PORTS[endpoint.scheme]), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if endpoint.scheme == "https":
+                if proxy is not None:
+                    _tunnel(sock, endpoint, auth)
+                sock = _tls_context().wrap_socket(sock, server_hostname=endpoint.host)
+            return cls(sock)
+        except BaseException:
+            sock.close()
+            raise
+
+    def send(self, request: bytes) -> tuple[bool, int, dict]:
+        """Send ``request`` in one write and read its reply's head; closed if
+        that fails."""
+        try:
+            self.sock.sendall(request)
+            return _read_head(self.reader)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 class _Connections:
-    """The default ``post``: ``http.client`` connections kept alive, the idle
-    ones pooled per endpoint.
+    """The default ``post``: HTTP/1.1 connections of lmpipe's own kept alive,
+    the idle ones pooled per endpoint.
 
-    A connection serves one call at a time and is closed when the reply says
-    so (HTTP/1.0, or ``Connection: close``). A call on a pooled connection
-    that fails before any reply, because the server closed it while it was
-    idle, is re-sent once on a fresh connection; any other failure is raised.
-    A redirect is not followed: a 3xx is returned like any other status, with
-    its ``Location``, so the credential only reaches the URL it was given
-    for. ``HTTP(S)_PROXY`` are read at the first call and ``NO_PROXY`` at each
+    A request goes out in one write, and its reply is read through the
+    connection's buffered reader: a body by ``Transfer-Encoding: chunked``, by
+    ``Content-Length``, or until the server closes. A line of the reply is at
+    most 65,536 bytes and a reply has at most 100 headers; a reply that breaks
+    a limit or the protocol raises, and its connection is dropped. A
+    connection serves one call at a time and is closed when the reply says so
+    (HTTP/1.0, ``Connection: close``, or a body read until the server
+    closes). A call on a pooled connection that fails before any reply,
+    because the server closed it while it was idle, is re-sent once on a
+    fresh connection; any other failure is raised. A redirect is not
+    followed: a 3xx is returned like any other status, with its
+    ``Location``, so the credential only reaches the URL it was given for.
+    ``HTTP(S)_PROXY`` are read at the first call and ``NO_PROXY`` at each
     call a proxy would carry: http goes to the proxy as an absolute-URI
     request, https through a CONNECT tunnel, and the proxy URL's user and
     password become ``Proxy-Authorization``. A non-2xx reply is returned, not
@@ -252,42 +414,47 @@ class _Connections:
     """
 
     def __init__(self) -> None:
-        self._idle: dict[tuple, list] = {}
+        self._idle: dict[tuple, list[_Connection]] = {}
         self._lock = threading.Lock()
         self._proxies: Optional[dict[str, str]] = None
 
     def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Response:
         endpoint = _endpoint(url)
         proxy = self._proxy(endpoint)
-        target, headers = endpoint.target, {**_HEADERS, **headers}
+        target, host, auth = endpoint.target, endpoint.authority, {}
         if proxy is not None and endpoint.scheme == "http":
-            _, _, auth = _proxy_server(proxy)
-            target = url
-            headers.update(auth)
+            target, host, (_, _, auth) = url, endpoint.netloc, _proxy_server(proxy)
         body = _to_json(json, allow_nan=False).encode("utf-8")
+        request = _request("POST", target, {"Host": host, "Accept-Encoding": "identity",
+                                            "Content-Length": str(len(body)), **_HEADERS, **headers, **auth},
+                           body)
         key = (endpoint.scheme, endpoint.netloc, proxy, timeout)  # a connection keeps its timeout
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
-        reply = None
+        head = None
         if conn is not None:
             try:
-                reply = _send(conn, target, body, headers)
+                head = conn.send(request)
             except ConnectionError:  # closed while idle: the request got no reply
                 pass
-        if reply is None:
-            conn = self._connect(endpoint, proxy, timeout)
-            reply = _send(conn, target, body, headers)
+        if head is None:
+            conn = _Connection.open(endpoint, proxy, timeout)
+            head = conn.send(request)
         try:
-            text = reply.read().decode("utf-8", "replace")
+            data, keep = _read_body(conn.reader, *head)
         except BaseException:
             conn.close()
             raise
-        if not reply.will_close:  # http.client has closed a connection whose reply said so
+        if keep:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        location = reply.getheader("Location") if 300 <= reply.status < 400 else None
-        return _Response(reply.status, text, location)
+        else:
+            conn.close()
+        _, status, reply_headers = head
+        location = reply_headers.get(b"location") if 300 <= status < 400 else None
+        return _Response(status, data.decode("utf-8", "replace"),
+                         None if location is None else location.decode("latin-1"))
 
     def _proxy(self, endpoint: _Endpoint) -> Optional[str]:
         """The proxy URL that carries a call to ``endpoint``, if any."""
@@ -302,21 +469,6 @@ class _Connections:
             if proxy_bypass(endpoint.netloc):
                 return None
         return proxy
-
-    @staticmethod
-    def _connect(endpoint: _Endpoint, proxy: Optional[str], timeout: float):
-        """A connection that opens at its first request."""
-        import http.client
-
-        host, port = endpoint.host, endpoint.port
-        if proxy is not None:
-            host, port, auth = _proxy_server(proxy)
-        if endpoint.scheme == "http":
-            return http.client.HTTPConnection(host, port, timeout=timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=_tls_context())
-        if proxy is not None:
-            conn.set_tunnel(endpoint.host, endpoint.port, auth)
-        return conn
 
     def close(self) -> None:
         """Close the idle connections."""
@@ -373,6 +525,9 @@ class HTTPBackend:
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise BackendError(f"missing credential: set the {API_KEY_ENV} environment variable")
+        if _UNSENDABLE_VALUE.search(api_key):  # never echoed: the error names the variable only
+            raise BackendError(f"unusable credential: the {API_KEY_ENV} environment variable "
+                               "holds a CR, LF, NUL or non-Latin-1 character")
         url = self.config.resolve_base() + "/chat/completions"
         try:
             _endpoint(url)

@@ -93,6 +93,10 @@ class RunConfig:
     instruction_variant: str = COMPLETE
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.strategy not in _STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGY_LABELS}")
+
 
 def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("lmpipe").joinpath("data", name)))
@@ -139,8 +143,6 @@ def assemble_run_config(
     script_path = script or backend_cfg.get("script")
     if offline and script_path is None:
         raise ValueError("offline mode requires a script file")
-    if strategy_label not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy_label!r}; expected one of {STRATEGY_LABELS}")
     return RunConfig(
         task=task,
         strategy=strategy_label,

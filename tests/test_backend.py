@@ -6,6 +6,7 @@ import os
 import random
 import select
 import socket
+import socketserver
 import ssl
 import subprocess
 import sys
@@ -461,6 +462,30 @@ def test_http_endpoint_that_is_not_http_is_not_retried_or_posted_to(monkeypatch,
     assert not err.value.retryable and posted == []
 
 
+@pytest.mark.parametrize("api_key", ["sk-secret\r\nX-Evil: 1", "sk-secret\n", "sk-secret\u2603"])
+def test_http_credential_that_cannot_go_into_a_request_is_not_retried_or_echoed(monkeypatch, api_key):
+    monkeypatch.setenv(API_KEY_ENV, api_key)
+    posted = []
+    backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"),
+                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+    with pytest.raises(BackendError, match=f"unusable credential: the {API_KEY_ENV} ") as err:
+        backend.generate("p")
+    assert not err.value.retryable and posted == []
+    assert "secret" not in str(err.value)
+
+
+@pytest.mark.parametrize("api_base", ["http://lm.example/v 1", "http://lm.example/v1\t", "https://lm.example/\u00e9"])
+def test_http_url_that_cannot_go_into_a_request_is_not_retried_or_posted_to(monkeypatch, api_base):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    posted = []
+    backend = HTTPBackend(EndpointConfig(model="m", api_base=api_base),
+                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+    with pytest.raises(BackendError, match="a space, a control or a non-ASCII character") as err:
+        backend.generate("hi")
+    assert repr(api_base + "/chat/completions") in str(err.value)
+    assert not err.value.retryable and posted == []
+
+
 def test_http_401_names_env_var(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-bad")
 
@@ -631,6 +656,26 @@ def relay(one: socket.socket, other: socket.socket) -> None:
             if not data:
                 return
             peer[sock].sendall(data)
+
+
+class RawHandler(socketserver.StreamRequestHandler):
+    """Answers each request on a connection with the server's next reply,
+    given as (raw bytes, whether the connection closes after them)."""
+
+    def handle(self) -> None:
+        while True:
+            head = []
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head.append(line)
+            if not head:
+                return
+            length = next(int(line.split(b":")[1]) for line in head
+                          if line.lower().startswith(b"content-length:"))
+            self.server.seen.append((head, self.rfile.read(length)))
+            data, close = self.server.replies.pop(0)
+            self.wfile.write(data)
+            if close:
+                return
 
 
 class LoopbackServer(ThreadingHTTPServer):
@@ -865,6 +910,80 @@ def test_default_transport_reports_a_redirect(endpoint):
     assert str(err.value) == "endpoint returned 302 (Location: /elsewhere): "
     [(method, path, headers, _)] = endpoint.seen
     assert (method, path, headers["Authorization"]) == ("POST", "/v1/chat/completions", "Bearer sk-test")
+
+
+def test_default_transport_sends_the_headers_http_client_sent(endpoint):
+    endpoint.replies.append(chat_reply("one"))
+    assert loopback_backend(endpoint).generate("p") == ["one"]
+    [(_, _, headers, body)] = endpoint.seen
+    assert list(headers.items()) == [
+        ("Host", f"127.0.0.1:{endpoint.server_address[1]}"), ("Accept-Encoding", "identity"),
+        ("Content-Length", str(len(body))), ("Content-Type", "application/json"),
+        ("User-Agent", "lmpipe"), ("Authorization", "Bearer sk-test"),
+    ]
+
+
+@pytest.mark.parametrize("value", ["Bearer sk-secret\r\nX-Evil: 1", "Bearer sk-secret\n",
+                                   "Bearer sk-secret\0", "Bearer sk-secret\u2603"])
+def test_default_transport_sends_nothing_of_a_header_that_cannot_go_into_a_request(endpoint, value):
+    url = f"http://127.0.0.1:{endpoint.server_address[1]}/v1/chat/completions"
+    with pytest.raises(ValueError, match="the Authorization header holds") as err:
+        backend_module._Connections().post(url, json={}, headers={"Authorization": value}, timeout=10)
+    assert "secret" not in str(err.value)
+    assert endpoint.connections == 0
+
+
+CHAT = json.dumps({"choices": [{"message": {"content": "raw"}}]}).encode()
+
+
+def test_default_transport_reads_a_chunked_reply_with_an_extension_and_a_trailer(serve):
+    server = serve(RawHandler)
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + b"a;name=value\r\n" + CHAT[:10] + b"\r\n"
+               + b"%x\r\n" % (len(CHAT) - 10) + CHAT[10:] + b"\r\n"
+               + b"0\r\nX-Checksum: none\r\n\r\n")
+    server.replies += [(chunked, False)] * 2
+    with closing(loopback_backend(server)) as backend:
+        # the second reply is read whole only if the first one's trailer was
+        assert [backend.generate("p") for _ in range(2)] == [["raw"]] * 2
+        assert (len(server.seen), server.connections, pooled(backend)) == (2, 1, 1)
+
+
+def test_default_transport_skips_a_100_continue(serve):
+    server = serve(RawHandler)
+    server.replies.append((b"HTTP/1.1 100 Continue\r\n\r\n"
+                           + b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(CHAT) + CHAT, False))
+    with closing(loopback_backend(server)) as backend:
+        assert backend.generate("p") == ["raw"]
+        assert pooled(backend) == 1
+
+
+def test_default_transport_reads_a_reply_without_a_length_until_close(serve):
+    server = serve(RawHandler)
+    server.replies += [(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + CHAT, True)] * 2
+    with closing(loopback_backend(server)) as backend:
+        assert [backend.generate("p") for _ in range(2)] == [["raw"]] * 2
+        assert (len(server.seen), server.connections, pooled(backend)) == (2, 2, 0)
+
+
+@pytest.mark.parametrize("reply", [
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (len(CHAT) + 1) + CHAT,
+                 id="body-shorter-than-its-length"),
+    pytest.param(b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-Header-%d: v\r\n" % i for i in range(100))
+                 + b"Content-Length: 0\r\n\r\n", id="101-header-lines"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65537 - len(b"X-Long: \r\n"))
+                 + b"\r\nContent-Length: 0\r\n\r\n", id="65537-byte-header-line"),
+    pytest.param(b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n", id="malformed-status-line"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", id="malformed-chunk-size"),
+])
+def test_default_transport_drops_a_connection_whose_reply_is_malformed(serve, reply):
+    server = serve(RawHandler)
+    server.replies.append((reply, True))
+    with closing(loopback_backend(server)) as backend:
+        with pytest.raises(BackendError, match="transport error") as err:
+            backend.generate("p")
+        assert err.value.retryable and pooled(backend) == 0
+    assert (len(server.seen), server.connections) == (1, 1)
 
 
 def closed_port() -> int:

@@ -80,6 +80,17 @@ def test_unknown_strategy_rejected():
         assemble_run_config("multihop", "mystery", "out")
 
 
+def test_a_run_config_with_an_unknown_strategy_is_rejected(tmp_path):
+    # built directly, not only through the command line
+    with pytest.raises(ValueError, match=r"unknown strategy 'Vanilla'; expected one of \('vanilla', "):
+        cli.RunConfig(task="quiz", strategy="Vanilla", out_dir=tmp_path)
+    # the config file is read first: its error comes before the label's
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runtime": {"max_retries": -1}}))
+    with pytest.raises(ValueError, match="max_retries"):
+        assemble_run_config("multihop", "mystery", "out", config_file=str(config))
+
+
 def test_offline_requires_script():
     with pytest.raises(ValueError, match="script"):
         assemble_run_config("multihop", "vanilla", "out", offline=True)
