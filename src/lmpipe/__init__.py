@@ -4,7 +4,6 @@ and few-shot compilation."""
 from .backend import (
     CachingBackend,
     EndpointConfig,
-    GenerationParams,
     HTTPBackend,
     ScriptEntry,
     ScriptedBackend,
@@ -56,7 +55,6 @@ __all__ = [
     "EndpointConfig",
     "ExecutionContext",
     "FieldSpec",
-    "GenerationParams",
     "HTTPBackend",
     "LongFormQA",
     "MultiHopQA",

@@ -5,7 +5,7 @@ entries drives every completion deterministically, so semantics tests never
 touch a network, and records every call in an append-only log. The HTTP
 backend talks to one OpenAI-compatible endpoint. Either can be wrapped in a
 response cache, which serves the one backend it wraps and keys on the prompt
-text and the generation params.
+text alone.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ def stable_digest(text: str) -> str:
 
 @dataclass(frozen=True)
 class GenerationParams:
+    """``ScriptedBackend.generate``'s optional argument, whose ``n`` draws that
+    many responses in one call. lmpipe calls ``generate(prompt)``; only the
+    benchmark's stub LM passes params."""
+
     max_tokens: int = DEFAULT_MAX_TOKENS
     temperature: float = DEFAULT_TEMPERATURE
     n: int = 1
@@ -173,17 +177,6 @@ class EndpointConfig:
         return base.rstrip("/")
 
 
-class _Response(NamedTuple):
-    """What ``HTTPBackend`` reads of an HTTP reply."""
-
-    status_code: int
-    text: str
-    location: Optional[str] = None  # where a 3xx points
-
-    def json(self):
-        return json.loads(self.text)
-
-
 @functools.cache
 def _tls_context():
     """Built on first use: TLS is verified against the system CA store, loaded once."""
@@ -236,8 +229,6 @@ _HEADERS = {"Content-Type": "application/json", "User-Agent": "lmpipe"}
 
 # a header value that would end its line, or that Latin-1 cannot encode
 _UNSENDABLE_VALUE = re.compile(r"[\r\n\0]|[^\x00-\xff]")
-
-_to_json = json.dumps  # the transport's ``json`` parameter hides the module
 
 
 def _request(method: str, target: str, headers: dict, body: bytes = b"") -> bytes:
@@ -409,8 +400,10 @@ class _Connections:
     ``HTTP(S)_PROXY`` are read at the first call and ``NO_PROXY`` at each
     call a proxy would carry: http goes to the proxy as an absolute-URI
     request, https through a CONNECT tunnel, and the proxy URL's user and
-    password become ``Proxy-Authorization``. A non-2xx reply is returned, not
-    raised, so its status and body reach the error message.
+    password become ``Proxy-Authorization``. A reply is returned as its
+    status, its body decoded as UTF-8, and a 3xx's ``Location``; a non-2xx
+    reply is returned, not raised, so its status and body reach the error
+    message.
     """
 
     def __init__(self) -> None:
@@ -418,13 +411,12 @@ class _Connections:
         self._lock = threading.Lock()
         self._proxies: Optional[dict[str, str]] = None
 
-    def post(self, url: str, json: dict, headers: dict, timeout: float) -> _Response:
+    def post(self, url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, str, Optional[str]]:
         endpoint = _endpoint(url)
         proxy = self._proxy(endpoint)
         target, host, auth = endpoint.target, endpoint.authority, {}
         if proxy is not None and endpoint.scheme == "http":
             target, host, (_, _, auth) = url, endpoint.netloc, _proxy_server(proxy)
-        body = _to_json(json, allow_nan=False).encode("utf-8")
         request = _request("POST", target, {"Host": host, "Accept-Encoding": "identity",
                                             "Content-Length": str(len(body)), **_HEADERS, **headers, **auth},
                            body)
@@ -453,8 +445,8 @@ class _Connections:
             conn.close()
         _, status, reply_headers = head
         location = reply_headers.get(b"location") if 300 <= status < 400 else None
-        return _Response(status, data.decode("utf-8", "replace"),
-                         None if location is None else location.decode("latin-1"))
+        return (status, data.decode("utf-8", "replace"),
+                None if location is None else location.decode("latin-1"))
 
     def _proxy(self, endpoint: _Endpoint) -> Optional[str]:
         """The proxy URL that carries a call to ``endpoint``, if any."""
@@ -505,9 +497,12 @@ class HTTPBackend:
     """Live-LM mode against one OpenAI-compatible chat completions endpoint.
 
     The credential is read from the LM_API_KEY environment variable at call
-    time. ``post(url, json=, headers=, timeout=)`` is injectable for testing;
-    it returns an object with ``status_code``, ``text`` and ``json()``. The
-    default keeps its connections alive until ``close()``.
+    time. Each request asks for one completion of ``DEFAULT_MAX_TOKENS`` at
+    ``DEFAULT_TEMPERATURE``. ``post(url, body, headers, timeout)`` is
+    injectable for testing: ``body`` is the request's JSON bytes, and it
+    returns ``(status, text, location)``, where ``location`` is a 3xx reply's
+    ``Location`` or None. The default keeps its connections alive until
+    ``close()``.
     """
 
     def __init__(self, config: EndpointConfig, post: Optional[Callable] = None):
@@ -519,7 +514,7 @@ class HTTPBackend:
         """Close the idle connections; a later call opens a new one."""
         self._connections.close()
 
-    def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
+    def generate(self, prompt: str) -> list[str]:
         if not prompt:
             raise BackendError("prompt must be nonempty")
         api_key = os.environ.get(API_KEY_ENV)
@@ -533,47 +528,38 @@ class HTTPBackend:
             _endpoint(url)
         except ValueError as exc:  # a configuration error: never retried
             raise BackendError(f"bad endpoint: {exc}") from exc
-        body = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
-            "max_tokens": params.max_tokens,
-            "temperature": params.temperature,
-            "n": params.n,
-        }
+            "max_tokens": DEFAULT_MAX_TOKENS,
+            "temperature": DEFAULT_TEMPERATURE,
+            "n": 1,
+        }, allow_nan=False).encode("utf-8")
         try:
-            response = self._post(
-                url,
-                json=body,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.config.timeout,
-            )
+            status, text, location = self._post(url, body, {"Authorization": f"Bearer {api_key}"},
+                                                self.config.timeout)
         except Exception as exc:  # transport failure: retryable, never cached
             raise BackendError(f"transport error calling {url}: {exc}", retryable=True) from exc
-        status = response.status_code
         if status == 401:
             raise BackendError(
-                f"credential rejected (401); check the {API_KEY_ENV} environment variable: "
-                f"{response.text}"
+                f"credential rejected (401); check the {API_KEY_ENV} environment variable: {text}"
             )
         if not 200 <= status < 300:
             # rate limits and server errors may pass; other client errors will not
-            location = getattr(response, "location", None)  # an injected post may not say
             where = f" (Location: {location})" if location else ""
-            raise BackendError(f"endpoint returned {status}{where}: {response.text}",
+            raise BackendError(f"endpoint returned {status}{where}: {text}",
                                retryable=status == 429 or status >= 500)
         try:
-            completions = _choice_texts(response.json())
+            completions = _choice_texts(json.loads(text))
         except ValueError as exc:
             raise BackendError(f"malformed response from {url} (status {status}): {exc}") from exc
-        if len(completions) != params.n:
-            raise BackendError(
-                f"endpoint returned {len(completions)} choices, expected {params.n}"
-            )
+        if len(completions) != 1:
+            raise BackendError(f"endpoint returned {len(completions)} choices, expected 1")
         return completions
 
 
 class _Flight:
-    """An inner call that other callers with its key wait on; ``completions``
+    """An inner call that other callers of its prompt wait on; ``completions``
     stays None if the call failed. The first caller that has to wait makes
     ``done``, under the cache's lock, so an uncontended call makes none."""
 
@@ -585,19 +571,18 @@ class _Flight:
 class CachingBackend:
     """Response cache in front of one backend. Errors are never cached.
 
-    A call is keyed on itself, its prompt and its params' fields, so equal
-    calls share an entry (``temperature=1`` and ``1.0`` too). The key names no
-    backend: a cache serves the one it wraps.
+    A call is its prompt, so the cache keys on the prompt text alone. The key
+    names no backend: a cache serves the one it wraps.
 
-    Single-flight: while one call for a key is in flight, other calls with the
-    same key wait for it instead of calling the inner backend again. If that
-    call fails, each waiting call makes its own.
+    Single-flight: while one call for a prompt is in flight, other calls with
+    the same prompt wait for it instead of calling the inner backend again. If
+    that call fails, each waiting call makes its own.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
-        self._cache: dict[tuple, list[str]] = {}
-        self._in_flight: dict[tuple, _Flight] = {}
+        self._cache: dict[str, list[str]] = {}
+        self._in_flight: dict[str, _Flight] = {}
         self._lock = threading.Lock()
 
     @property
@@ -610,35 +595,34 @@ class CachingBackend:
         if close is not None:
             close()
 
-    def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
-        key = (prompt, params.max_tokens, params.temperature, params.n)
+    def generate(self, prompt: str) -> list[str]:
         with self._lock:
-            cached = self._cache.get(key)
+            cached = self._cache.get(prompt)
             if cached is not None:
                 return list(cached)
-            flight = self._in_flight.get(key)
+            flight = self._in_flight.get(prompt)
             leads = flight is None
             if leads:
-                flight = self._in_flight[key] = _Flight()
+                flight = self._in_flight[prompt] = _Flight()
             elif flight.done is None:
                 flight.done = threading.Event()
         if not leads:
             flight.done.wait()
             if flight.completions is not None:
                 return list(flight.completions)
-            return self._fill(key, prompt, params)  # the leader's error is not shared
+            return self._fill(prompt)  # the leader's error is not shared
         try:
-            flight.completions = self._fill(key, prompt, params)
+            flight.completions = self._fill(prompt)
             return list(flight.completions)
         finally:
             with self._lock:
-                del self._in_flight[key]
+                del self._in_flight[prompt]
                 done = flight.done  # no caller can find the flight to make one now
             if done is not None:
                 done.set()
 
-    def _fill(self, key: tuple, prompt: str, params: GenerationParams) -> list[str]:
-        completions = self.inner.generate(prompt, params)
+    def _fill(self, prompt: str) -> list[str]:
+        completions = self.inner.generate(prompt)
         with self._lock:
-            self._cache.setdefault(key, list(completions))
+            self._cache.setdefault(prompt, list(completions))
         return list(completions)

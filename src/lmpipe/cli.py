@@ -121,12 +121,22 @@ def load_run_config_file(path: Optional[Path]) -> dict:
 
 def _checked_config(raw) -> dict:
     """``raw`` with its ``runtime`` and ``compile`` sections built into their
-    configs, which check their values' ranges."""
+    configs, which check their values' ranges, and its ``corpus`` and
+    ``backend.script`` made paths (``script`` at the top level)."""
     check_record(raw, _CONFIG_FIELDS, "config", optional=_CONFIG_FIELDS)  # top level first
     for section, fields in _CONFIG_SECTIONS.items():
         check_record(raw.get(section, {}), fields, f"config {section}", optional=fields)
     return {**raw, "runtime": RuntimeConfig(**raw.get("runtime", {})),
-            "compile": CompileConfig(**raw.get("compile", {}))}
+            "compile": CompileConfig(**raw.get("compile", {})),
+            "corpus": _path(raw.get("corpus"), "config corpus"),
+            "script": _path(raw.get("backend", {}).get("script"), "config backend script")}
+
+
+def _path(value: Optional[str], name: str) -> Optional[Path]:
+    """``value`` as a path, or None; an empty string is never a path."""
+    if value == "":
+        raise ValueError(f"{name} is an empty string, not a path")
+    return None if value is None else Path(value)
 
 
 def assemble_run_config(
@@ -138,17 +148,17 @@ def assemble_run_config(
     script: Optional[str] = None,
     workers: int = 1,
 ) -> RunConfig:
-    raw = load_run_config_file(Path(config_file) if config_file else None)
+    raw = load_run_config_file(_path(config_file, "config_file"))
     backend_cfg = raw.get("backend", {})
-    script_path = script or backend_cfg.get("script")
+    script_path = _path(script, "script") or raw["script"]
     if offline and script_path is None:
         raise ValueError("offline mode requires a script file")
     return RunConfig(
         task=task,
         strategy=strategy_label,
         out_dir=Path(out_dir),
-        corpus_path=Path(raw["corpus"]) if raw.get("corpus") else None,
-        script_path=Path(script_path) if script_path else None,
+        corpus_path=raw["corpus"],
+        script_path=script_path,
         model=backend_cfg.get("model", RunConfig.model),
         api_base=backend_cfg.get("api_base"),
         runtime=raw["runtime"],
@@ -204,8 +214,11 @@ def cmd_eval(config: RunConfig, test_path: Path, artifact_path: Optional[Path] =
     """Evaluate the strategy over a dataset; writes report.json and summary.txt,
     and returns the report.json object."""
     runtime, teacher = runtimes(config.strategy, config.runtime)
+    # an artifact is given exactly when the strategy has a teacher
     if teacher is not None and artifact_path is None:
         raise ValueError(f"strategy {config.strategy!r} needs a compiled artifact (--artifact)")
+    if teacher is None and artifact_path is not None:
+        raise ValueError(f"strategy {config.strategy!r} does not compile; it takes no artifact (--artifact)")
     examples = load_dataset(test_path)
     backend = make_backend(config)
     try:
@@ -286,7 +299,7 @@ def cmd_inspect_trace(path: Path) -> str:
 
 
 def _existing_path(value: str) -> str:
-    if not Path(value).exists():
+    if not value or not Path(value).exists():  # "" names no path, though Path("") is "."
         raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
     return value
 

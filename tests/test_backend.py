@@ -57,29 +57,6 @@ def test_generation_params_validation(kwargs):
         GenerationParams(**kwargs)
 
 
-@pytest.mark.parametrize("params", [
-    GenerationParams(), GenerationParams(temperature=1), GenerationParams(temperature=1.0),
-    GenerationParams(max_tokens=7, temperature=0.0, n=3),
-])
-def test_equal_params_share_a_cache_entry(params):
-    inner = scripted(ScriptEntry(match="q", responses=["a", "b", "c", "d", "e", "f"]))
-    backend = CachingBackend(inner)
-    first = backend.generate("q", params)
-    equal = GenerationParams(max_tokens=params.max_tokens, temperature=params.temperature, n=params.n)
-    assert equal is not params
-    assert backend.generate("q", equal) == first == ["a", "b", "c"][:params.n]
-    assert len(inner.call_log) == 1
-
-
-def test_temperature_1_and_1_0_share_a_cache_entry():
-    # equal as values, so one entry, though a JSON body writes them apart
-    inner = scripted(ScriptEntry(match="q", responses=["a", "b"]))
-    backend = CachingBackend(inner)
-    assert backend.generate("q", GenerationParams(temperature=1)) == ["a"]
-    assert backend.generate("q", GenerationParams(temperature=1.0)) == ["a"]
-    assert len(inner.call_log) == 1
-
-
 def test_scripted_substring_match():
     backend = scripted(ScriptEntry(match="Question: Where", responses=["Paris"]))
     assert backend.generate("Question: Where is it?") == ["Paris"]
@@ -169,14 +146,6 @@ def test_cache_hit_skips_backend():
     assert len(inner.call_log) == 1
 
 
-def test_cache_distinguishes_params():
-    inner = scripted(ScriptEntry(match="q", responses=["a", "b"]))
-    backend = CachingBackend(inner)
-    backend.generate("q", GenerationParams(temperature=0.7))
-    backend.generate("q", GenerationParams(temperature=0.0))
-    assert len(inner.call_log) == 2
-
-
 def test_cache_distinguishes_prompt_text():
     inner = scripted(ScriptEntry(match="q", responses=["a", "b"]))
     backend = CachingBackend(inner)
@@ -201,16 +170,14 @@ def test_cache_transparency():
 
 
 def test_cache_key_equal_inputs_equal_keys():
-    # the key is the call itself: an equal call is served from the cache, and
-    # a call that differs in its prompt or in any params field is not
-    inner = scripted(ScriptEntry(match="q", responses=["a", "b", "c", "d", "e", "f"]))
+    # a call is its prompt: an equal prompt is served from the cache, even as
+    # another string object, and a prompt that differs is not
+    inner = scripted(ScriptEntry(match="q", responses=["a", "b", "c"]))
     backend = CachingBackend(inner)
-    calls = [("q", GenerationParams()), ("q", GenerationParams()), ("q other", GenerationParams()),
-             ("q", GenerationParams(max_tokens=7)), ("q", GenerationParams(temperature=0.0)),
-             ("q", GenerationParams(n=2))]
-    assert [backend.generate(prompt, params) for prompt, params in calls] == [
-        ["a"], ["a"], ["b"], ["c"], ["d"], ["e", "f"]]
-    assert len(inner.call_log) == 5
+    prompts = ["q one", " ".join(["q", "one"]), "q other", "q one", "q other", "q two"]
+    assert prompts[1] is not prompts[0]
+    assert [backend.generate(prompt) for prompt in prompts] == [["a"], ["a"], ["b"], ["a"], ["b"], ["c"]]
+    assert len(inner.call_log) == 3
 
 
 def test_errors_never_cached():
@@ -232,7 +199,7 @@ class GatedBackend:
         self.release = threading.Event()
         self._lock = threading.Lock()
 
-    def generate(self, prompt, params=GenerationParams()):
+    def generate(self, prompt):
         with self._lock:
             self.calls += 1
             first = self.calls == 1
@@ -301,7 +268,7 @@ class CountingBackend:
         self.calls: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def generate(self, prompt, params=GenerationParams()):
+    def generate(self, prompt):
         with self._lock:
             self.calls[prompt] = self.calls.get(prompt, 0) + 1
         time.sleep(0.001)  # the call is in flight: let the other threads run
@@ -394,55 +361,41 @@ def test_cache_single_flight_makes_an_event_only_for_a_waiting_caller(monkeypatc
     assert inner.calls == 4 and events.made == 1
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self.text = text or json.dumps(payload or {})
+def reply(status: int, payload=None, text: str = "") -> tuple:
+    """What an injected ``post`` returns: the status, the body text and no
+    ``Location``."""
+    return status, text or json.dumps(payload or {}), None
 
-    def json(self):
-        return json.loads(self.text)
+
+# the bytes of a request for "Where?" to test-model: every request asks for
+# one completion of 500 tokens at temperature 0.7
+WHERE_BODY = (b'{"model": "test-model", "messages": [{"role": "user", "content": "Where?"}], '
+              b'"max_tokens": 500, "temperature": 0.7, "n": 1}')
 
 
 def test_http_request_shape(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
     seen = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, body=json, headers=headers)
-        return FakeResponse(200, {"choices": [{"message": {"content": "Paris"}}]})
+    def fake_post(url, body, headers, timeout):
+        seen.update(url=url, body=body, headers=headers, timeout=timeout)
+        return reply(200, {"choices": [{"message": {"content": "Paris"}}]})
 
     backend = HTTPBackend(EndpointConfig(model="test-model", api_base="https://lm.example/v1"),
                           post=fake_post)
     assert backend.generate("Where?") == ["Paris"]
     assert seen["url"] == "https://lm.example/v1/chat/completions"
-    assert seen["body"]["model"] == "test-model"
-    assert seen["body"]["messages"] == [{"role": "user", "content": "Where?"}]
-    assert seen["body"]["max_tokens"] == 500
-    assert seen["body"]["temperature"] == 0.7
-    assert seen["body"]["n"] == 1
-    assert seen["headers"]["Authorization"] == "Bearer sk-test"
-
-
-def test_http_three_choices_in_order(monkeypatch):
-    monkeypatch.setenv(API_KEY_ENV, "sk-test")
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(200, {"choices": [
-            {"message": {"content": "one"}},
-            {"message": {"content": "two"}},
-            {"message": {"content": "three"}},
-        ]})
-
-    backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
-    assert backend.generate("p", GenerationParams(n=3)) == ["one", "two", "three"]
+    assert seen["body"] == WHERE_BODY
+    assert seen["headers"] == {"Authorization": "Bearer sk-test"}
+    assert seen["timeout"] == 60.0
 
 
 def test_http_more_choices_than_asked_for_is_an_error(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(200, {"choices": [{"message": {"content": "one"}},
-                                              {"message": {"content": "two"}}]})
+    def fake_post(url, body, headers, timeout):
+        return reply(200, {"choices": [{"message": {"content": "one"}},
+                                       {"message": {"content": "two"}}]})
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
     with pytest.raises(BackendError, match="returned 2 choices, expected 1") as err:
@@ -450,12 +403,42 @@ def test_http_more_choices_than_asked_for_is_an_error(monkeypatch):
     assert not err.value.retryable
 
 
+def test_http_no_choice_is_an_error(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"),
+                          post=lambda *a: reply(200, {"choices": []}))
+    with pytest.raises(BackendError, match="returned 0 choices, expected 1") as err:
+        backend.generate("p")
+    assert not err.value.retryable
+
+
+@pytest.mark.parametrize("kind", ["http", "caching"])
+def test_live_and_caching_generate_take_the_prompt_alone(monkeypatch, kind):
+    # no generation params reach a live request or the cache key; a second
+    # argument is a caller's mistake, not a request for other settings
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    posted = []
+    http = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"),
+                       post=lambda *a: posted.append(a) or reply(200))
+    backend = http if kind == "http" else CachingBackend(http)
+    with pytest.raises(TypeError):
+        backend.generate("p", GenerationParams())
+    assert posted == []
+
+
+def test_generation_params_is_not_exported_from_the_package():
+    import lmpipe
+
+    assert "GenerationParams" not in lmpipe.__all__
+    assert not hasattr(lmpipe, "GenerationParams")
+
+
 @pytest.mark.parametrize("api_base", ["localhost:8000/v1", "ftp://lm.example/v1", "https:///v1"])
 def test_http_endpoint_that_is_not_http_is_not_retried_or_posted_to(monkeypatch, api_base):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
     posted = []
     backend = HTTPBackend(EndpointConfig(model="m", api_base=api_base),
-                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+                          post=lambda *a: posted.append(a) or reply(200))
     with pytest.raises(BackendError, match="not an http or https URL") as err:
         backend.generate("hi")
     assert repr(api_base + "/chat/completions") in str(err.value)
@@ -467,7 +450,7 @@ def test_http_credential_that_cannot_go_into_a_request_is_not_retried_or_echoed(
     monkeypatch.setenv(API_KEY_ENV, api_key)
     posted = []
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"),
-                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+                          post=lambda *a: posted.append(a) or reply(200))
     with pytest.raises(BackendError, match=f"unusable credential: the {API_KEY_ENV} ") as err:
         backend.generate("p")
     assert not err.value.retryable and posted == []
@@ -479,7 +462,7 @@ def test_http_url_that_cannot_go_into_a_request_is_not_retried_or_posted_to(monk
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
     posted = []
     backend = HTTPBackend(EndpointConfig(model="m", api_base=api_base),
-                          post=lambda *a, **k: posted.append(a) or FakeResponse(200))
+                          post=lambda *a: posted.append(a) or reply(200))
     with pytest.raises(BackendError, match="a space, a control or a non-ASCII character") as err:
         backend.generate("hi")
     assert repr(api_base + "/chat/completions") in str(err.value)
@@ -489,8 +472,8 @@ def test_http_url_that_cannot_go_into_a_request_is_not_retried_or_posted_to(monk
 def test_http_401_names_env_var(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-bad")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(401, text="unauthorized")
+    def fake_post(url, body, headers, timeout):
+        return reply(401, text="unauthorized")
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
     with pytest.raises(BackendError, match=API_KEY_ENV):
@@ -500,7 +483,7 @@ def test_http_401_names_env_var(monkeypatch):
 def test_http_missing_key(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"),
-                          post=lambda *a, **k: FakeResponse(200))
+                          post=lambda *a: reply(200))
     with pytest.raises(BackendError, match=API_KEY_ENV):
         backend.generate("p")
 
@@ -511,8 +494,8 @@ def test_http_non_2xx_carries_body(monkeypatch, status, retryable):
     # a rate limit or a server error may pass on a retry; a bad request will not
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(status, text="upstream exploded")
+    def fake_post(url, body, headers, timeout):
+        return reply(status, text="upstream exploded")
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
     with pytest.raises(BackendError, match=f"{status}: upstream exploded") as err:
@@ -535,8 +518,8 @@ def test_http_non_2xx_carries_body(monkeypatch, status, retryable):
 def test_http_malformed_2xx_body(monkeypatch, body, problem):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return FakeResponse(200, text=body)
+    def fake_post(url, request, headers, timeout):
+        return reply(200, text=body)
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
     with pytest.raises(BackendError) as err:
@@ -550,7 +533,7 @@ def test_http_malformed_2xx_body(monkeypatch, body, problem):
 def test_http_timeout_is_retryable(monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(url, body, headers, timeout):
         raise TimeoutError("timed out")
 
     backend = HTTPBackend(EndpointConfig(model="m", api_base="https://lm.example"), post=fake_post)
@@ -579,9 +562,9 @@ def test_two_caches_never_share_responses(other, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-test")
     seen = []
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(url, body, headers, timeout):
         seen.append(url)
-        return FakeResponse(200, {"choices": [{"message": {"content": f"{json['model']} at {url}"}}]})
+        return reply(200, {"choices": [{"message": {"content": f"{json.loads(body)['model']} at {url}"}}]})
 
     config = EndpointConfig(model="m", api_base="https://lm.example/v1/")
     first, same, second = (CachingBackend(HTTPBackend(c, post=fake_post)) for c in (config, config, other))
@@ -754,17 +737,14 @@ def pooled(backend: HTTPBackend) -> int:
 
 
 def test_default_transport_round_trip(endpoint):
-    endpoint.replies.append(chat_reply("one", "two", "three"))
+    endpoint.replies.append(chat_reply("one"))
     backend = loopback_backend(endpoint)
-    assert backend.generate("Where?", GenerationParams(n=3)) == ["one", "two", "three"]
+    assert backend.generate("Where?") == ["one"]
     [(method, path, headers, body)] = endpoint.seen
     assert (method, path) == ("POST", "/v1/chat/completions")
     assert headers["Authorization"] == "Bearer sk-test"
     assert headers["Content-Type"] == "application/json"
-    assert json.loads(body) == {
-        "model": "test-model", "messages": [{"role": "user", "content": "Where?"}],
-        "max_tokens": 500, "temperature": 0.7, "n": 3,
-    }
+    assert body == WHERE_BODY
 
 
 def test_default_transport_keeps_one_connection_alive(serve):
@@ -928,7 +908,7 @@ def test_default_transport_sends_the_headers_http_client_sent(endpoint):
 def test_default_transport_sends_nothing_of_a_header_that_cannot_go_into_a_request(endpoint, value):
     url = f"http://127.0.0.1:{endpoint.server_address[1]}/v1/chat/completions"
     with pytest.raises(ValueError, match="the Authorization header holds") as err:
-        backend_module._Connections().post(url, json={}, headers={"Authorization": value}, timeout=10)
+        backend_module._Connections().post(url, b"{}", {"Authorization": value}, 10)
     assert "secret" not in str(err.value)
     assert endpoint.connections == 0
 

@@ -231,12 +231,36 @@ def test_a_missing_path_is_a_usage_error_naming_its_option(tmp_path, command, op
                  "--artifact", config, *shared],
         "inspect-trace": ["inspect-trace", config],
     }[command]
-    missing = str(tmp_path / "missing.json")
-    args[-1 if option == "path" else args.index(option) + 1] = missing
-    result = invoke(args)
-    assert result.exit_code == 2
-    assert f"argument {option}: path {missing!r} does not exist" in result.output
+    # Path("") is ".", which exists; an empty string still names no path
+    for missing in (str(tmp_path / "missing.json"), ""):
+        args[-1 if option == "path" else args.index(option) + 1] = missing
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert f"argument {option}: path {missing!r} does not exist" in result.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, key", [
+    pytest.param({"backend": {"script": ""}}, "backend script", id="backend-script"),
+    pytest.param({"corpus": ""}, "corpus", id="corpus"),
+])
+def test_an_empty_path_in_the_config_is_an_error_naming_its_key(tmp_path, monkeypatch, payload, key):
+    # with a script named "", an offline eval went live: every request reached the endpoint
+    monkeypatch.setenv("LM_API_KEY", "sk-test")
+    monkeypatch.setenv("LM_API_BASE", "http://127.0.0.1:9")
+    monkeypatch.setattr(cli, "HTTPBackend", None)  # building one fails the test
+    config, out = write_config(tmp_path, payload), tmp_path / "out"
+    result = invoke(["eval", "--task", "multihop", "--strategy", "vanilla", "--test", data("test.jsonl"),
+                     "--offline", "--config", config, "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {config}: config {key} is an empty string, not a path\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["config_file", "script"])
+def test_assemble_run_config_takes_no_empty_path(name):
+    with pytest.raises(ValueError, match=f"^{name} is an empty string, not a path$"):
+        assemble_run_config("multihop", "vanilla", "out", offline=True, **{name: ""})
 
 
 def test_compile_then_eval_compiled_strategy(tmp_path):
@@ -279,6 +303,19 @@ def test_compile_rejects_uncompiled_strategy(tmp_path):
     ])
     assert result.exit_code != 0
     assert "does not compile" in result.output
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "infer_assert"])
+def test_eval_strategy_without_a_teacher_takes_no_artifact(tmp_path, strategy):
+    out = tmp_path / "x"
+    result = invoke([
+        "eval", "--task", "multihop", "--strategy", strategy, "--test", data("test.jsonl"),
+        "--artifact", str(Path(__file__).parent.parent / "README.md"), "--offline",
+        "--script", data("scripts/multihop_all_pass.json"), "--out", str(out),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: strategy {strategy!r} does not compile; it takes no artifact (--artifact)\n"
+    assert not out.exists()
 
 
 def test_eval_compiled_strategy_requires_artifact(tmp_path):

@@ -857,7 +857,7 @@ class BadThenBrokenBackend:
     def __init__(self):
         self.answered = False
 
-    def generate(self, prompt, params=None):
+    def generate(self, prompt):
         if self.answered:
             raise BackendError("endpoint went away")
         self.answered = True

@@ -41,9 +41,10 @@ PASSAGES = [
 
 
 class NoOpBackend:
-    """The whole backend contract: ``generate(prompt, params)`` returns the completions."""
+    """The whole backend contract: ``generate(prompt)`` returns the completions.
+    ``params`` is accepted for trees whose cache still passes generation params."""
 
-    def generate(self, prompt, params):
+    def generate(self, prompt, params=None):
         return [COMPLETION]
 
 
