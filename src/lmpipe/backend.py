@@ -202,6 +202,8 @@ _UNSENDABLE_URL = re.compile(r"[^\x21-\x7e]")  # a space, a control or a non-ASC
 @functools.lru_cache(maxsize=64)
 def _endpoint(url: str) -> _Endpoint:
     parts = urlsplit(url)
+    if "@" in (parts.netloc or url):  # never echoed: it may hold a credential
+        raise ValueError(f"a user name or password in the URL; set the credential in {API_KEY_ENV}")
     if parts.scheme not in _PORTS or not parts.hostname:
         raise ValueError(f"not an http or https URL: {url!r}")
     if _UNSENDABLE_URL.search(url):
@@ -214,15 +216,56 @@ def _endpoint(url: str) -> _Endpoint:
     return _Endpoint(parts.scheme, parts.netloc, host, parts.port or default, authority, target)
 
 
-def _proxy_server(proxy: str) -> tuple[str, Optional[int], dict]:
-    """A proxy URL's host, port and, when it names a user and a password, its
-    ``Proxy-Authorization`` header, read as urllib reads them."""
-    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+class _Proxy(NamedTuple):
+    url: str  # as its variable holds it: the connections it carries are pooled under it
+    address: tuple[str, int]
+    auth: dict  # Proxy-Authorization, when the URL names a user and a password
+
+
+def _proxy_variable(name: str) -> tuple[str, str]:
+    """``name``, or ``NAME`` where it is not set, and its value ("" is unset).
+    Under CGI, ``HTTP_PROXY`` may be a client's ``Proxy`` header (CVE-2016-1000110)."""
+    value = os.environ.get(name)
+    if value is not None:
+        return name, value
+    name = name.upper()
+    value = os.environ.get(name, "")
+    cgi = value and name == "HTTP_PROXY" and "REQUEST_METHOD" in os.environ
+    return name, "" if cgi else value
+
+
+_PORT_SUFFIX = re.compile(r"(.*):[0-9]*", re.DOTALL)  # urllib's: host:port, or host:
+
+
+def _proxy(endpoint: _Endpoint) -> Optional[_Proxy]:
+    """The proxy that carries a call to ``endpoint``, by urllib's POSIX rule
+    read at each call: ``<scheme>_proxy``, unless ``no_proxy`` is ``*`` or
+    lists the host, its host:port or a domain it is in. A proxy URL that is
+    not http or https, or has no host or a bad port, raises a ``BackendError``
+    naming its variable, never its value."""
+    name, url = _proxy_variable(f"{endpoint.scheme}_proxy")
+    if not url:
+        return None
+    _, no_proxy = _proxy_variable("no_proxy")
+    netloc = endpoint.netloc.lower()
+    host = _PORT_SUFFIX.fullmatch(netloc)
+    hosts = (f".{netloc}", f".{host[1] if host else netloc}")  # "." + h ends in "." + d: h is d or in d
+    domains = ["." + d.strip().lstrip(".").lower() for d in no_proxy.split(",") if d.strip()]
+    if no_proxy == "*" or any(h.endswith(d) for d in domains for h in hosts):
+        return None
+    try:
+        parts = urlsplit(url if "://" in url else f"http://{url}")
+        address = (parts.hostname, parts.port or _PORTS[endpoint.scheme])
+    except ValueError:
+        address = None
+    if address is None or parts.scheme not in _PORTS or not parts.hostname:
+        raise BackendError(f"bad proxy: the {name} environment variable is not an http or https URL "
+                           "with a host and a valid port")
     auth = {}
     if parts.username and parts.password:
         user_pass = f"{unquote(parts.username)}:{unquote(parts.password)}"
         auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
-    return parts.hostname, parts.port, auth
+    return _Proxy(url, address, auth)
 
 
 _HEADERS = {"Content-Type": "application/json", "User-Agent": "lmpipe"}
@@ -347,19 +390,17 @@ class _Connection:
         self.reader = sock.makefile("rb")
 
     @classmethod
-    def open(cls, endpoint: _Endpoint, proxy: Optional[str], timeout: float) -> _Connection:
+    def open(cls, endpoint: _Endpoint, proxy: Optional[_Proxy], timeout: float) -> _Connection:
         """A connection to ``endpoint``, through ``proxy`` if one is given."""
         import socket
 
-        host, port, auth = endpoint.host, endpoint.port, {}
-        if proxy is not None:
-            host, port, auth = _proxy_server(proxy)
-        sock = socket.create_connection((host, port or _PORTS[endpoint.scheme]), timeout)
+        address = (endpoint.host, endpoint.port) if proxy is None else proxy.address
+        sock = socket.create_connection(address, timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if endpoint.scheme == "https":
                 if proxy is not None:
-                    _tunnel(sock, endpoint, auth)
+                    _tunnel(sock, endpoint, proxy.auth)
                 sock = _tls_context().wrap_socket(sock, server_hostname=endpoint.host)
             return cls(sock)
         except BaseException:
@@ -397,30 +438,28 @@ class _Connections:
     fresh connection; any other failure is raised. A redirect is not
     followed: a 3xx is returned like any other status, with its
     ``Location``, so the credential only reaches the URL it was given for.
-    ``HTTP(S)_PROXY`` are read at the first call and ``NO_PROXY`` at each
-    call a proxy would carry: http goes to the proxy as an absolute-URI
-    request, https through a CONNECT tunnel, and the proxy URL's user and
-    password become ``Proxy-Authorization``. A reply is returned as its
-    status, its body decoded as UTF-8, and a 3xx's ``Location``; a non-2xx
-    reply is returned, not raised, so its status and body reach the error
-    message.
+    The proxy variables are read at each call, by the rule of ``_proxy``:
+    http goes to the proxy as an absolute-URI request, https through a
+    CONNECT tunnel, and the proxy URL's user and password become
+    ``Proxy-Authorization``. A reply is returned as its status, its body
+    decoded as UTF-8, and a 3xx's ``Location``; a non-2xx reply is returned,
+    not raised, so its status and body reach the error message.
     """
 
     def __init__(self) -> None:
         self._idle: dict[tuple, list[_Connection]] = {}
         self._lock = threading.Lock()
-        self._proxies: Optional[dict[str, str]] = None
 
     def post(self, url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, str, Optional[str]]:
         endpoint = _endpoint(url)
-        proxy = self._proxy(endpoint)
+        proxy = _proxy(endpoint)
         target, host, auth = endpoint.target, endpoint.authority, {}
         if proxy is not None and endpoint.scheme == "http":
-            target, host, (_, _, auth) = url, endpoint.netloc, _proxy_server(proxy)
+            target, host, auth = url, endpoint.netloc, proxy.auth
         request = _request("POST", target, {"Host": host, "Accept-Encoding": "identity",
                                             "Content-Length": str(len(body)), **_HEADERS, **headers, **auth},
                            body)
-        key = (endpoint.scheme, endpoint.netloc, proxy, timeout)  # a connection keeps its timeout
+        key = (endpoint.scheme, endpoint.netloc, proxy and proxy.url, timeout)  # a connection keeps its timeout
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
@@ -447,20 +486,6 @@ class _Connections:
         location = reply_headers.get(b"location") if 300 <= status < 400 else None
         return (status, data.decode("utf-8", "replace"),
                 None if location is None else location.decode("latin-1"))
-
-    def _proxy(self, endpoint: _Endpoint) -> Optional[str]:
-        """The proxy URL that carries a call to ``endpoint``, if any."""
-        if self._proxies is None:  # two first calls may both read them: they read the same
-            import urllib.request
-
-            self._proxies = urllib.request.getproxies()
-        proxy = self._proxies.get(endpoint.scheme)
-        if proxy is not None:
-            from urllib.request import proxy_bypass
-
-            if proxy_bypass(endpoint.netloc):
-                return None
-        return proxy
 
     def close(self) -> None:
         """Close the idle connections."""
@@ -501,8 +526,9 @@ class HTTPBackend:
     ``DEFAULT_TEMPERATURE``. ``post(url, body, headers, timeout)`` is
     injectable for testing: ``body`` is the request's JSON bytes, and it
     returns ``(status, text, location)``, where ``location`` is a 3xx reply's
-    ``Location`` or None. The default keeps its connections alive until
-    ``close()``.
+    ``Location`` or None; a ``BackendError`` it raises is raised as it is,
+    and any other exception becomes a retryable one. The default keeps its
+    connections alive until ``close()``.
     """
 
     def __init__(self, config: EndpointConfig, post: Optional[Callable] = None):
@@ -538,6 +564,8 @@ class HTTPBackend:
         try:
             status, text, location = self._post(url, body, {"Authorization": f"Bearer {api_key}"},
                                                 self.config.timeout)
+        except BackendError:  # an unusable proxy variable: a configuration error, never retried
+            raise
         except Exception as exc:  # transport failure: retryable, never cached
             raise BackendError(f"transport error calling {url}: {exc}", retryable=True) from exc
         if status == 401:
