@@ -299,9 +299,9 @@ def _line(reader, what: str) -> bytes:
 
 def _read_head(reader) -> tuple[bool, int, dict]:
     """Whether a reply is HTTP/1.0, its status, and its headers (names
-    lowercased, the first of each kept), past any 1xx reply. A reply that
-    never starts raises ``ConnectionError``; one that breaks the protocol or
-    a limit, ``OSError``."""
+    lowercased, repeated ones combined by commas as RFC 9110 §5.3 says), past
+    any 1xx reply. A reply that never starts raises ``ConnectionError``; one
+    that breaks the protocol or a limit, ``OSError``."""
     while True:
         line = _line(reader, "status line")
         if not line:
@@ -317,7 +317,8 @@ def _read_head(reader) -> tuple[bool, int, dict]:
                 break
             name, colon, value = line.partition(b":")
             if colon:
-                headers.setdefault(name.strip().lower(), value.strip())
+                name, value = name.strip().lower(), value.strip()
+                headers[name] = headers[name] + b", " + value if name in headers else value
         else:
             raise OSError(f"more than {_MAX_HEADERS} headers")
         if status >= 200:
@@ -325,23 +326,29 @@ def _read_head(reader) -> tuple[bool, int, dict]:
 
 
 def _read_body(reader, http_1_0: bool, status: int, headers: dict) -> tuple[bytes, bool]:
-    """A reply's body, and whether its connection may carry another request:
-    as http.client decides, HTTP/1.0 closes unless it says keep-alive,
-    ``Connection: close`` closes, and a body read until the server closes
-    leaves nothing to keep."""
-    connection = headers.get(b"connection", b"").lower()
-    if http_1_0:
-        keep = b"keep-alive" in headers or b"keep-alive" in connection
-    else:
-        keep = b"close" not in connection
+    """A reply's body, and whether its connection may carry another request, by
+    RFC 9112 §6.3 and §9.3. A 204 or 304 has no body. ``Transfer-Encoding:
+    chunked`` frames the body by chunks; any other transfer coding is read
+    until the server closes. Otherwise every ``Content-Length`` value must
+    agree (differing ones raise ``OSError``), and without a usable length the
+    body is read until the server closes. The connection is kept only after an
+    HTTP/1.1 reply that does not say ``close`` and whose end is beyond doubt:
+    never after HTTP/1.0, a 204 or 304 that carries a transfer coding or a
+    nonzero length, a length beside a transfer coding, or a body read until the
+    server closes. Stray bytes after a 204 or 304 that carries neither cannot
+    be told from the next reply without a read that may block."""
+    keep = not http_1_0 and b"close" not in headers.get(b"connection", b"").lower()
+    lengths = {value.strip() for value in headers.get(b"content-length", b"").split(b",")}
+    coding = headers.get(b"transfer-encoding")
     if status in (204, 304):
-        return b"", keep
-    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-        return _read_chunked(reader), keep
-    length = headers.get(b"content-length", b"")
-    if not length.isdigit():
-        return reader.read(), False
-    return _read_exactly(reader, int(length)), keep
+        return b"", keep and coding is None and lengths <= {b"", b"0"}
+    if coding is not None and coding.lower() == b"chunked":
+        return _read_chunked(reader), keep and b"content-length" not in headers
+    if coding is None and len(lengths) > 1:
+        raise OSError(f"differing Content-Length values {headers[b'content-length'][:100]!r}")
+    if coding is None and (length := lengths.pop()).isdigit():
+        return _read_exactly(reader, int(length)), keep
+    return reader.read(), False
 
 
 def _read_exactly(reader, size: int) -> bytes:
@@ -378,8 +385,8 @@ def _tunnel(sock, endpoint: _Endpoint, auth: dict) -> None:
     sock.sendall(_request("CONNECT", target, {"Host": target, **auth}))
     with sock.makefile("rb") as reader:
         _, status, _ = _read_head(reader)
-    if status != 200:
-        raise OSError(f"the proxy refused the tunnel: {status}")
+    if status != 200:  # a proxy's status is retried as an endpoint's is
+        raise BackendError(f"the proxy refused the tunnel: {status}", retryable=status == 429 or status >= 500)
 
 
 class _Connection:
@@ -427,20 +434,18 @@ class _Connections:
     the idle ones pooled per endpoint.
 
     A request goes out in one write, and its reply is read through the
-    connection's buffered reader: a body by ``Transfer-Encoding: chunked``, by
-    ``Content-Length``, or until the server closes. A line of the reply is at
-    most 65,536 bytes and a reply has at most 100 headers; a reply that breaks
-    a limit or the protocol raises, and its connection is dropped. A
-    connection serves one call at a time and is closed when the reply says so
-    (HTTP/1.0, ``Connection: close``, or a body read until the server
-    closes). A call on a pooled connection that fails before any reply,
-    because the server closed it while it was idle, is re-sent once on a
-    fresh connection; any other failure is raised. A redirect is not
-    followed: a 3xx is returned like any other status, with its
-    ``Location``, so the credential only reaches the URL it was given for.
-    The proxy variables are read at each call, by the rule of ``_proxy``:
-    http goes to the proxy as an absolute-URI request, https through a
-    CONNECT tunnel, and the proxy URL's user and password become
+    connection's buffered reader, framed as ``_read_body`` says. A line of the
+    reply is at most 65,536 bytes and a reply has at most 100 headers; a reply
+    that breaks a limit or the protocol raises, and its connection is dropped.
+    A connection serves one call at a time, and is pooled again only when
+    ``_read_body`` finds its reply's end beyond doubt. A call on a pooled
+    connection that fails before any reply, because the server closed it while
+    it was idle, is re-sent once on a fresh connection; any other failure is
+    raised. A redirect is not followed: a 3xx is returned like any other
+    status, with its ``Location``, so the credential only reaches the URL it
+    was given for. The proxy variables are read at each call, by the rule of
+    ``_proxy``: http goes to the proxy as an absolute-URI request, https
+    through a CONNECT tunnel, and the proxy URL's user and password become
     ``Proxy-Authorization``. A reply is returned as its status, its body
     decoded as UTF-8, and a 3xx's ``Location``; a non-2xx reply is returned,
     not raised, so its status and body reach the error message.
@@ -564,7 +569,7 @@ class HTTPBackend:
         try:
             status, text, location = self._post(url, body, {"Authorization": f"Bearer {api_key}"},
                                                 self.config.timeout)
-        except BackendError:  # an unusable proxy variable: a configuration error, never retried
+        except BackendError:  # an unusable proxy variable, or a refused tunnel: retryable as it says
             raise
         except Exception as exc:  # transport failure: retryable, never cached
             raise BackendError(f"transport error calling {url}: {exc}", retryable=True) from exc

@@ -688,6 +688,7 @@ def test_readme_config_example_loads(tmp_path):
     ({"runtime": {"handler_policy": "bogus"}}, "unknown handler policy 'bogus'"),
     ({"compile": {"num_candidates": 0}}, "num_candidates must be >= 1"),
     ({"compile": {"collect_counterexamples": False}}, "unknown key 'collect_counterexamples' in config compile"),
+    ({"compile": {"max_bootstrapped_demos": -1}}, "max_bootstrapped_demos must be >= 0"),
 ])
 def test_eval_rejects_bad_config(tmp_path, payload, error):
     config = write_config(tmp_path, payload)

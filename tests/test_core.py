@@ -50,6 +50,7 @@ def test_parse_signature_empty_output_side_errors():
     "a, a -> b",                # duplicate
     "a -> a",                   # same name both sides
     "9lives -> answer",         # invalid identifier
+    "a,,b -> c",                # empty field name
 ])
 def test_parse_signature_rejects_malformed(bad):
     with pytest.raises(SignatureError):
@@ -93,6 +94,12 @@ def test_signature_fields_are_its_inputs_then_its_outputs():
     assert sig == parse_signature("a, b -> c", instructions="x")
     with pytest.raises(SignatureError, match="duplicate field name 'a'"):
         Signature("x", (FieldSpec("a"),), (FieldSpec("a"),))
+    with pytest.raises(SignatureError, match="at least one input field"):
+        Signature("x", (), (FieldSpec("c"),))
+    with pytest.raises(SignatureError, match="at least one output field"):
+        Signature("x", (FieldSpec("a"),), ())
+    with pytest.raises(SignatureError, match="field name must be nonempty"):
+        FieldSpec("")
 
 
 def shorthand(sig: Signature) -> str:

@@ -527,6 +527,20 @@ def fewer_passages(corpus: Path, sidecar: Path) -> None:
     sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
 
 
+def negative_passages(corpus: Path, sidecar: Path) -> None:
+    header, rest = sidecar.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["passages"] = -1
+    sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+
+
+def zero_term_count(corpus: Path, sidecar: Path) -> None:
+    header, rest = sidecar.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["terms"][next(iter(fields["terms"]))] = 0
+    sidecar.write_bytes(json.dumps(fields).encode() + b"\n" + rest)
+
+
 def sidecar_parts(sidecar: Path) -> tuple[dict, array, bytes, bytes]:
     """A format-4 sidecar's header, passage offsets, block, and the doc id and
     weight bytes after them."""
@@ -580,7 +594,8 @@ def block_bytes_disagree(corpus: Path, sidecar: Path) -> None:
 
 STALE = [same_size_edit, truncate, append_byte, garbage, not_an_object, deeply_nested,
          bigger_count, fewer_passages, offsets_out_of_order, first_offset_not_zero,
-         offset_past_the_block, last_offset_short_of_the_block, block_not_utf8, block_bytes_disagree]
+         offset_past_the_block, last_offset_short_of_the_block, block_not_utf8, block_bytes_disagree,
+         negative_passages, zero_term_count]
 
 
 @pytest.fixture()

@@ -261,6 +261,8 @@ def test_build_program_dispatch(index):
     assert isinstance(build_program("tweet", index), TweetGen)
     with pytest.raises(ValueError):
         build_program("unknown", index)
+    with pytest.raises(ValueError, match="unknown instruction variant 'terse'"):
+        build_program("quiz", instruction_variant="terse")
 
 
 @pytest.mark.parametrize("task", sorted(TASKS))

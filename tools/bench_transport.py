@@ -9,7 +9,9 @@ kept-alive connection). For each, one ``HTTPBackend`` makes WARMUP calls, then
 REPS repetitions of CALLS timed calls of a 3,000-character prompt. It prints
 one JSON line: the median and the quartiles, over the repetitions, of the
 client process's CPU time (``time.process_time``) and wall time per call, in
-milliseconds. The server's work is in the other process and is not counted.
+milliseconds, and how many connections each server accepted (one per call
+over HTTP/1.0; one in all over HTTP/1.1, if the client pools as it should).
+The server's work is in the other process and is not counted.
 Give another checkout's ``src`` to time that code with this script.
 Not part of the tier-1 tests.
 """
@@ -58,9 +60,21 @@ class KeepAliveHandler(CompletionHandler):
 HANDLERS = {"HTTP/1.0": CompletionHandler, "HTTP/1.1": KeepAliveHandler}
 
 
-def serve(protocol: str, conn) -> None:
+class CountingServer(ThreadingHTTPServer):
+    """Counts the connections it accepts in ``accepted``, a value shared with the parent process."""
+
+    def __init__(self, handler, accepted) -> None:
+        super().__init__(("127.0.0.1", 0), handler)
+        self.accepted = accepted
+
+    def process_request(self, request, client_address) -> None:
+        self.accepted.value += 1  # on the accepting thread only
+        super().process_request(request, client_address)
+
+
+def serve(protocol: str, conn, accepted) -> None:
     """The child process: serve ``protocol`` on a free loopback port, sent back on ``conn``."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), HANDLERS[protocol])
+    server = CountingServer(HANDLERS[protocol], accepted)
     conn.send(server.server_address[1])
     server.serve_forever()
 
@@ -75,7 +89,8 @@ def time_protocol(protocol: str) -> dict:
 
     context = multiprocessing.get_context("spawn")
     receive, send = context.Pipe(duplex=False)
-    server = context.Process(target=serve, args=(protocol, send), daemon=True)
+    accepted = context.Value("q", 0)
+    server = context.Process(target=serve, args=(protocol, send, accepted), daemon=True)
     server.start()
     try:
         port = receive.recv()
@@ -97,7 +112,7 @@ def time_protocol(protocol: str) -> dict:
         server.join(timeout=10)
         receive.close()
         send.close()
-    return {"cpu_ms": quartiles(cpu_ms), "wall_ms": quartiles(wall_ms)}
+    return {"cpu_ms": quartiles(cpu_ms), "wall_ms": quartiles(wall_ms), "connections": accepted.value}
 
 
 def main() -> None:
