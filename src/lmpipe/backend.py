@@ -1,11 +1,11 @@
 """Text-in/completions-out backends.
 
-The scripted backend is the offline oracle: a list of (matcher, responses)
+The scripted backend is the offline oracle: a list of (match, responses)
 entries drives every completion deterministically, so semantics tests never
-touch a network, and records every call in an append-only log. The HTTP
-backend talks to one OpenAI-compatible endpoint. Either can be wrapped in a
-response cache, which serves the one backend it wraps and keys on the prompt
-text alone.
+touch a network; each backend keeps its own place in the responses and
+records every call in an append-only log. The HTTP backend talks to one
+OpenAI-compatible endpoint. Either can be wrapped in a response cache, which
+serves the one backend it wraps and keys on the prompt text alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 from urllib.parse import unquote, urlsplit
@@ -59,15 +59,9 @@ class GenerationParams:
     many responses in one call. lmpipe calls ``generate(prompt)``; only the
     benchmark's stub LM passes params."""
 
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    temperature: float = DEFAULT_TEMPERATURE
     n: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
-        if not self.temperature >= 0:  # NaN too: no endpoint accepts it
-            raise ValueError("temperature must be >= 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -97,51 +91,43 @@ class CallLog:
             return len(self._records)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
-    """One matcher plus its response queue.
-
-    An ``exact`` entry matches a prompt equal to ``match``; a ``substring``
-    entry (the default) matches a prompt that contains ``match``. Each
-    matching call consumes the next response; once the queue runs out the
-    last response repeats forever.
-    """
+    """A matcher and its responses, as plain data: it matches a prompt that
+    contains ``match``, and each backend serving it keeps its own place."""
 
     match: str
     responses: list[str]
-    mode: str = "substring"
-    _consumed: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if not self.responses:
             raise ValueError("script entry needs at least one response")
-        if self.mode not in ("substring", "exact"):
-            raise ValueError(f"unknown matcher mode {self.mode!r}")
-
-    def next_response(self) -> str:
-        idx = min(self._consumed, len(self.responses) - 1)
-        self._consumed += 1
-        return self.responses[idx]
 
 
 class ScriptedBackend:
-    """Deterministic backend: first declared matching entry wins."""
+    """Deterministic backend: the first declared matching entry wins. Each
+    matching call takes that entry's next response, the last repeating
+    forever, counted per entry position by this backend alone."""
 
     def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = list(entries)
         self.call_log = CallLog()
+        self._served: dict[int, int] = {}  # entry position -> responses served
         self._lock = threading.Lock()
 
     def generate(self, prompt: str, params: GenerationParams = GenerationParams()) -> list[str]:
         if not prompt:
             raise BackendError("prompt must be nonempty")
         with self._lock:
-            for entry in self.entries:
-                if (prompt == entry.match if entry.mode == "exact" else entry.match in prompt):
-                    completions = [entry.next_response() for _ in range(params.n)]
+            for position, entry in enumerate(self.entries):
+                if entry.match in prompt:
                     break
             else:
                 raise UnscriptedPromptError(stable_digest(prompt))
+            served = self._served.get(position, 0)
+            self._served[position] = served + params.n
+        last = len(entry.responses) - 1
+        completions = [entry.responses[min(i, last)] for i in range(served, served + params.n)]
         self.call_log.append(CallRecord(prompt))
         return completions
 
@@ -155,10 +141,16 @@ _SCRIPT_FIELDS = {"entries": LIST, "version": INT}
 _ENTRY_FIELDS = {"match": STR, "mode": STR, "responses": STR_LIST}
 
 
+def _script_entry(match: str, responses: list[str], mode: str = "substring") -> ScriptEntry:
+    if mode != "substring":  # the one mode, which an entry may leave out
+        raise ValueError(f"unknown matcher mode {mode!r}")
+    return ScriptEntry(match, responses)
+
+
 def _script_entries(data: dict) -> list[ScriptEntry]:
     check_version(data, SCRIPT_VERSION, "script")
     check_record(data, _SCRIPT_FIELDS, "script")
-    return [ScriptEntry(**check_record(e, _ENTRY_FIELDS, "script entry", optional=("mode",)))
+    return [_script_entry(**check_record(e, _ENTRY_FIELDS, "script entry", optional=("mode",)))
             for e in data["entries"]]
 
 

@@ -50,14 +50,10 @@ def scripted(*entries: ScriptEntry) -> ScriptedBackend:
 
 def test_generation_params_defaults():
     params = GenerationParams()
-    assert params.max_tokens == 500
-    assert params.temperature == 0.7
     assert params.n == 1
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"max_tokens": 0}, {"temperature": -0.1}, {"n": 0}, {"temperature": float("nan")},
-])
+@pytest.mark.parametrize("kwargs", [{"n": 0}])
 def test_generation_params_validation(kwargs):
     with pytest.raises(ValueError):
         GenerationParams(**kwargs)
@@ -96,11 +92,51 @@ def test_scripted_first_declared_entry_wins():
     assert backend.generate("alphabet") == ["A"]
 
 
-def test_scripted_exact_mode():
-    backend = scripted(ScriptEntry(match="exact prompt", responses=["X"], mode="exact"))
-    assert backend.generate("exact prompt") == ["X"]
-    with pytest.raises(UnscriptedPromptError):
-        backend.generate("exact prompt plus")
+def test_scripted_exact_mode(tmp_path):
+    # substring is the one matcher mode; a script naming another is rejected on load
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"version": SCRIPT_VERSION, "entries": [
+        {"match": "exact prompt", "mode": "exact", "responses": ["X"]}]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown matcher mode 'exact'"):
+        load_script(path)
+
+
+def test_backends_over_one_entries_list_each_keep_their_place():
+    entries = [ScriptEntry(match="q", responses=["first", "second"])]
+    one, two = ScriptedBackend(entries), ScriptedBackend(entries)
+    assert one.generate("q") == ["first"]
+    assert two.generate("q") == ["first"]
+    assert one.generate("q") == two.generate("q") == ["second"]
+
+
+def test_scripted_stress_each_response_served_once():
+    # a lost update of the backend's place would serve some response twice
+    n_threads, calls = 8, 100
+    responses = [str(i) for i in range(n_threads * calls)]
+    backend = scripted(ScriptEntry(match="q", responses=responses))
+    served: list = [None] * n_threads
+
+    def worker(slot: int) -> None:
+        served[slot] = [backend.generate("q")[0] for _ in range(calls)]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(r for rs in served for r in rs) == sorted(responses)
+
+
+def test_an_entry_that_has_answered_still_equals_a_fresh_equal_entry():
+    entry = ScriptEntry(match="q", responses=["first", "second"])
+    assert scripted(entry).generate("q") == ["first"]
+    assert entry == ScriptEntry(match="q", responses=["first", "second"])
 
 
 def test_scripted_n_completions():
@@ -131,16 +167,13 @@ def test_call_log_records_calls():
 def test_script_file_round_trip(tmp_path):
     entries = [
         ScriptEntry(match="hello", responses=["hi", "again"]),
-        ScriptEntry(match="full", responses=["x"], mode="exact"),
     ]
     path = tmp_path / "script.json"
     path.write_text(json.dumps({
         "version": SCRIPT_VERSION,
-        "entries": [{"match": e.match, "mode": e.mode, "responses": e.responses} for e in entries],
+        "entries": [{"match": e.match, "mode": "substring", "responses": e.responses} for e in entries],
     }), encoding="utf-8")
-    loaded = load_script(path)
-    assert [(e.match, e.mode, e.responses) for e in loaded] == \
-        [(e.match, e.mode, e.responses) for e in entries]
+    assert load_script(path) == entries
 
 
 def test_script_version_mismatch(tmp_path):

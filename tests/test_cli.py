@@ -844,6 +844,9 @@ QUERY_DEMO = {"context": "N/A", "question": "Q", "rationale": "r", "query": "q"}
     pytest.param("trace", [], "trace must be a JSON object", id="trace-not-an-object"),
     pytest.param("artifact", [], "artifact must be a JSON object", id="artifact-not-an-object"),
     pytest.param("script", [], "script must be a JSON object", id="script-not-an-object"),
+    # substring is the one matcher mode
+    pytest.param("script", {"version": 1, "entries": [{"match": "x", "responses": ["y"], "mode": "exact"}]},
+                 "unknown matcher mode 'exact'", id="script-mode-exact"),
 ])
 def test_malformed_input_file_is_a_click_error_naming_it(tmp_path, kind, content, error):
     path = tmp_path / f"{kind}.json"

@@ -258,8 +258,8 @@ class Matchers:
         return f"Question: {chain.question}\nCorrect Answer:"
 
 
-def entry(match: str, responses: list[str], mode: str = "substring") -> dict:
-    return {"match": match, "mode": mode, "responses": responses}
+def entry(match: str, responses: list[str]) -> dict:
+    return {"match": match, "mode": "substring", "responses": responses}
 
 
 def clean_multihop_entries(m: Matchers, chains: list[Chain]) -> list[dict]:
